@@ -64,9 +64,10 @@ if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DVSR_SANITIZE=ON
   cmake --build build-sanitize -j "$JOBS"
   # The comm-buffer / replication-path suites, where the windowed protocol
-  # does pointer arithmetic over the GC'd record vector.
+  # does pointer arithmetic over the GC'd record vector, and the frame
+  # fuzzer, which feeds every decoder hostile bytes.
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS" \
-    -R 'vr_test|net_test|wire_test|protocol_edge_test|property_test|snapshot_test|storage_test|recovery_test|view_formation_test|sharding_test|lease_read_test|host_conformance_test|socket_host_test'
+    -R 'vr_test|net_test|wire_test|fuzz_frames_test|protocol_edge_test|property_test|snapshot_test|storage_test|recovery_test|view_formation_test|sharding_test|lease_read_test|host_conformance_test|socket_host_test'
 fi
 
 if [[ "${CHECK_REAL_HOST:-0}" == "1" ]]; then
@@ -96,8 +97,19 @@ if [[ "${CHECK_SOAK:-0}" == "1" ]]; then
 fi
 
 echo "== experiments =="
-for b in build/bench/*; do
-  [[ -f "$b" && -x "$b" ]] || continue  # skip CMake droppings
+# Driven by the bench sources, not by whatever sits in build/bench/: a reused
+# build tree keeps binaries of benches that were since deleted, and those
+# must neither run nor be gated.
+benches=()
+for src in bench/bench_*.cc; do
+  b="build/bench/$(basename "$src" .cc)"
+  if [[ ! -x "$b" ]]; then
+    echo "FAIL: $src has no built binary $b" >&2
+    exit 1
+  fi
+  benches+=("$b")
+done
+for b in "${benches[@]}"; do
   if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
     # Shrunken run: Scaled-aware benches read the env var; bench_micro
     # (google-benchmark) gets a near-zero min_time for one tiny iteration.
@@ -110,8 +122,8 @@ for b in build/bench/*; do
 done
 # Every E* bench must have emitted its machine-readable BENCH_<ID>.json
 # (bench_common.h JsonSink) in the working directory it ran from.
-for b in build/bench/bench_e*; do
-  [[ -f "$b" && -x "$b" ]] || continue
+for b in "${benches[@]}"; do
+  [[ "$(basename "$b")" == bench_e* ]] || continue
   id="$(basename "$b" | sed -E 's/^bench_(e[0-9]+).*/\U\1/')"
   if [[ ! -s "BENCH_${id}.json" ]]; then
     echo "FAIL: $(basename "$b") did not write BENCH_${id}.json" >&2

@@ -129,7 +129,6 @@ void Cohort::ResetVolatileState() {
   accepts_.clear();
   pending_records_.clear();
   batch_stash_.clear();
-  batch_decoder_.Reset();
   applied_ts_ = 0;
   adopting_ = false;
   log_recovered_ = false;
@@ -146,9 +145,6 @@ void Cohort::ResetVolatileState() {
   lease_grant_seq_ = 0;
   object_commit_vs_.clear();
   commit_vs_floor_ = Viewstamp{};
-  for (auto& [dest, timer] : decision_timers_) host_.timers().Cancel(timer);
-  decision_timers_.clear();
-  decision_queue_.clear();
   dead_subs_by_txn_.clear();
   external_txns_.clear();
   committing_external_.clear();
@@ -163,10 +159,9 @@ void Cohort::ResetVolatileState() {
   sched.Cancel(fd_timer_);
   sched.Cancel(query_timer_);
   sched.Cancel(deferred_vc_timer_);
-  sched.Cancel(ack_timer_);
   sched.Cancel(rejoin_timer_);
   invite_timer_ = underling_timer_ = ping_timer_ = fd_timer_ = query_timer_ =
-      deferred_vc_timer_ = ack_timer_ = rejoin_timer_ = host::kNoTimer;
+      deferred_vc_timer_ = rejoin_timer_ = host::kNoTimer;
 }
 
 void Cohort::Crash() {
@@ -385,7 +380,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
       break;
     }
     case vr::MsgType::kBufferBatch: {
-      auto m = vr::BufferBatchMsg::Decode(r, &batch_decoder_);
+      auto m = vr::BufferBatchMsg::Decode(r);
       if (r.ok() && m.group == group_) OnBufferBatch(m);
       break;
     }

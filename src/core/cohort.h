@@ -243,9 +243,6 @@ struct CohortStats {
   // primary died or stood down): the payload is discarded wholesale and the
   // cohort resumes answering view changes with its intact pre-transfer state.
   std::uint64_t snapshot_installs_abandoned = 0;
-  // Acks absorbed into an already-scheduled coalesced ack instead of being
-  // sent as their own frame (options.ack_coalesce_delay > 0).
-  std::uint64_t acks_coalesced = 0;
   // Durable event log recovery (DESIGN.md §10): successful replays of the
   // local log at Recover() time, records re-applied from it, and rejoin
   // acks sent to resume the current view at the replayed viewstamp.
@@ -271,9 +268,6 @@ struct CohortStats {
   std::uint64_t reads_served = 0;
   std::uint64_t backup_reads_served = 0;
   std::uint64_t reads_refused = 0;
-  // Commit decisions that rode a sibling decision's CommitMsg to the same
-  // destination instead of a dedicated frame per decision.
-  std::uint64_t decision_piggybacked = 0;
   // §3.7: transactions whose participants were all read-only, where the
   // coordinator skipped the committing/done records entirely (each
   // participant already committed at prepare; nobody holds locks or will
@@ -461,8 +455,7 @@ class Cohort : public net::FrameHandler {
   void OnBufferBatch(const vr::BufferBatchMsg& m);
   void ApplyRecord(const vr::EventRecord& rec);
   void DrainBatchStash();
-  void SendBufferAck(bool gap = false, std::uint64_t gap_hi = 0,
-                     bool codec_reset = false);
+  void SendBufferAck(bool gap = false, std::uint64_t gap_hi = 0);
 
   // ---- snapshot state transfer (txn_server.cc, DESIGN.md §9) ----
   // Primary side: serialize current gstate + history + prepared-txn
@@ -501,10 +494,6 @@ class Cohort : public net::FrameHandler {
   void OnPrepare(const vr::PrepareMsg& m);
   host::Task<void> RunPrepare(vr::PrepareMsg m);
   void OnCommit(const vr::CommitMsg& m);
-  // Stash-or-run one decision (the CommitMsg body or one piggybacked extra):
-  // defers behind an in-flight prepare force for the same aid, else spawns
-  // RunCommit.
-  void DispatchCommit(const vr::CommitMsg& m);
   host::Task<void> RunCommit(vr::CommitMsg m);
   // Applies a commit decision stashed while a prepare for `aid` was in
   // flight (fused pipeline, DESIGN.md §13).
@@ -578,13 +567,6 @@ class Cohort : public net::FrameHandler {
   struct CommitJoin;
   host::Task<void> CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
                             bool fused, std::shared_ptr<CommitJoin> join);
-  // Decision piggybacking: first-attempt commit decisions for the same
-  // destination primary coalesce into one CommitMsg (body + extras) behind
-  // a short timer instead of a dedicated frame per decision. Retries bypass
-  // the queue.
-  void EnqueueDecision(Mid dest, GroupId g, Aid aid, Viewstamp decision_vs,
-                       bool fused);
-  void FlushDecisions(Mid dest);
   host::Task<void> AbortEverywhere(Aid aid, Pset pset,
                                   std::vector<GroupId> extra_groups = {});
   void OnBeginTxn(const vr::BeginTxnMsg& m);
@@ -677,12 +659,6 @@ class Cohort : public net::FrameHandler {
   // hole before them fills (bounded; overflow is re-fetched via gap request).
   static constexpr std::size_t kMaxBatchStash = 4096;
   std::map<std::uint64_t, vr::EventRecord> batch_stash_;
-  // Stateful decompressor for the primary's batch stream (DESIGN.md §8);
-  // counterpart of the per-backup BatchEncoder in the primary's CommBuffer.
-  vr::BatchDecoder batch_decoder_;
-  // Ack coalescing (options.ack_coalesce_delay): armed while a deferred
-  // cumulative ack is pending; the send reads applied_ts_ at fire time.
-  host::TimerId ack_timer_ = host::kNoTimer;
   // Incoming snapshot assembly (backup side, DESIGN.md §9). While a transfer
   // is in flight (`installing_snapshot_`) this cohort's gstate is about to
   // be wholesale-replaced, so it answers view-change invitations as
@@ -805,18 +781,6 @@ class Cohort : public net::FrameHandler {
   std::map<std::pair<Aid, GroupId>, std::uint64_t> commit_corr_;
   std::map<Aid, std::uint64_t> query_corr_;
   std::map<GroupId, std::vector<std::uint64_t>> probe_corr_;
-  // Decision piggybacking (as coordinator): first-attempt commit decisions
-  // queued per destination primary, flushed as one CommitMsg (body +
-  // extras) when the coalesce timer fires.
-  struct QueuedDecision {
-    GroupId group = 0;
-    Aid aid;
-    Viewstamp decision_vs;
-    bool fused = false;
-  };
-  std::map<Mid, std::vector<QueuedDecision>> decision_queue_;
-  std::map<Mid, host::TimerId> decision_timers_;
-
   CohortStats stats_;
 
   // Declared last: destroying the registry tears down suspended coroutines

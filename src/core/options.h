@@ -61,13 +61,6 @@ struct CohortOptions {
   int prepare_attempts = 3;
   host::Duration commit_ack_timeout = 80 * host::kMillisecond;
   int commit_attempts = 5;
-  // Commit decisions bound for the same participant primary coalesce behind
-  // this delay into one CommitMsg frame (body + piggybacked extras) instead
-  // of a dedicated frame per decision. Keep it well under commit_ack_timeout;
-  // the delay defers when participants *apply* a fused commit (the client
-  // was already answered at committing-buffer time, DESIGN.md §13), so the
-  // default stays 0 — one frame per decision, fan-out on the same tick.
-  host::Duration decision_coalesce_delay = 0;
   host::Duration probe_timeout = 50 * host::kMillisecond;
   int probe_rounds = 4;
   // Blocked prepared participants query the coordinator group this often
@@ -81,11 +74,6 @@ struct CohortOptions {
   // this long — abort messages are best-effort, so this is the net that
   // frees locks left by vanished or doomed transactions.
   host::Duration idle_txn_timeout = 700 * host::kMillisecond;
-  // Backup ack coalescing: gap-free BufferAcks may be deferred up to this
-  // long and merged into one frame carrying the latest applied watermark
-  // (0 = every batch is acked immediately). Gap requests are never deferred.
-  // Trades a little force-to latency for fewer ack frames per tick.
-  host::Duration ack_coalesce_delay = 0;
 
   // ---- Backup read leases (DESIGN.md §14) ----
   // Opt-in: the primary grants per-backup read leases (renewed on the

@@ -110,32 +110,7 @@ void Cohort::RestoreGstate(const std::vector<std::uint8_t>& bytes) {
 // Backup replication (§3.3)
 // ---------------------------------------------------------------------------
 
-void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi, bool codec_reset) {
-  // Coalescing: a gap-free ack only moves the cumulative watermark, so it
-  // may wait briefly for later batches and ride out as one frame carrying
-  // the latest applied_ts_. Gap requests (and codec-reset nacks) are urgent
-  // and always sent now (folding any deferred ack into them — the ack field
-  // is cumulative).
-  if (!gap && !codec_reset && options_.ack_coalesce_delay > 0) {
-    if (ack_timer_ != host::kNoTimer) {
-      ++stats_.acks_coalesced;  // rides the already-scheduled frame
-      return;
-    }
-    ack_timer_ =
-        host_.timers().After(options_.ack_coalesce_delay, [this] {
-          ack_timer_ = host::kNoTimer;
-          if (status_ != Status::kActive || cur_view_.primary == self_) return;
-          vr::BufferAckMsg ack;
-          ack.group = group_;
-          ack.viewid = cur_viewid_;
-          ack.from = self_;
-          ack.ts = applied_ts_;
-          SendMsg(cur_view_.primary, ack);
-        });
-    return;
-  }
-  host_.timers().Cancel(ack_timer_);
-  ack_timer_ = host::kNoTimer;
+void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi) {
   vr::BufferAckMsg ack;
   ack.group = group_;
   ack.viewid = cur_viewid_;
@@ -143,7 +118,6 @@ void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi, bool codec_reset) {
   ack.ts = applied_ts_;
   ack.gap = gap;
   ack.gap_hi = gap_hi;
-  ack.codec_reset = codec_reset;
   SendMsg(cur_view_.primary, ack);
 }
 
@@ -231,33 +205,6 @@ void Cohort::OnBufferBatch(const vr::BufferBatchMsg& m) {
   if (rejoin_pending_ && status_ == Status::kActive &&
       m.viewid == cur_viewid_ && m.from == cur_view_.primary) {
     ClearRejoin();
-  }
-  if (m.stale) {
-    // Duplicate of a compressed batch already consumed. The resend means our
-    // ack for it was lost: the primary may have rewound to a checkpoint
-    // behind our watermark and will replay this range forever unless it
-    // learns where we really are. Re-send the cumulative ack.
-    if (status_ == Status::kActive && m.viewid == cur_viewid_ &&
-        m.from == cur_view_.primary && cur_view_.primary != self_) {
-      SendBufferAck();
-    }
-    return;
-  }
-  if (m.unsynced) {
-    // A compressed batch arrived whose dictionary context we missed (lost
-    // predecessor, or we were reset). Nack the whole range: the primary's
-    // resend restores sync in one round trip — via a checkpoint rewind when
-    // its encoder has one covering our watermark, else (reset_needed: we
-    // never bound to its stream, or its generation is ahead of ours) via a
-    // fresh codec generation, which the codec_reset flag demands explicitly.
-    // Only meaningful in steady state from our current primary.
-    if (status_ == Status::kActive && m.viewid == cur_viewid_ &&
-        m.from == cur_view_.primary && cur_view_.primary != self_ &&
-        m.last_ts > applied_ts_) {
-      ++stats_.gap_requests_sent;
-      SendBufferAck(true, m.last_ts, m.reset_needed);
-    }
-    return;
   }
   if (m.events.empty()) return;
   const vr::EventRecord& first = m.events.front();
@@ -488,7 +435,6 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   // Everything the record stream had in flight is superseded wholesale.
   pending_records_.clear();
   batch_stash_.clear();
-  batch_decoder_.Reset();
   applied_ts_ = vs.ts;
   installing_snapshot_ = false;
   // Every restored base version is conservatively treated as committed at
@@ -959,41 +905,18 @@ std::vector<std::string> Cohort::CommitLocally(Aid aid) {
 
 void Cohort::OnCommit(const vr::CommitMsg& m) {
   if (!IsActivePrimary()) {
-    // Answer every decision the frame carried (body + piggybacked extras):
-    // the coordinator has an independent waiter per transaction.
-    auto reject = [&](Aid aid) {
-      vr::CommitDoneMsg r;
-      r.aid = aid;
-      r.from_group = group_;
-      r.wrong_primary = true;
-      if (status_ == Status::kActive) {
-        r.view_known = true;
-        r.new_viewid = cur_viewid_;
-        r.new_view = cur_view_;
-      }
-      SendMsg(m.reply_to, r);
-    };
-    reject(m.aid);
-    for (const vr::CommitExtra& e : m.extras) reject(e.aid);
+    vr::CommitDoneMsg r;
+    r.aid = m.aid;
+    r.from_group = group_;
+    r.wrong_primary = true;
+    if (status_ == Status::kActive) {
+      r.view_known = true;
+      r.new_viewid = cur_viewid_;
+      r.new_view = cur_view_;
+    }
+    SendMsg(m.reply_to, r);
     return;
   }
-  // Unpack piggybacked sibling decisions: each is dispatched exactly as if
-  // it had arrived in its own CommitMsg and acked with its own done.
-  vr::CommitMsg body = m;
-  body.extras.clear();
-  DispatchCommit(body);
-  for (const vr::CommitExtra& e : m.extras) {
-    vr::CommitMsg one;
-    one.group = m.group;
-    one.aid = e.aid;
-    one.reply_to = m.reply_to;
-    one.decision_vs = e.decision_vs;
-    one.fused = e.fused;
-    DispatchCommit(one);
-  }
-}
-
-void Cohort::DispatchCommit(const vr::CommitMsg& m) {
   // A (re)transmitted prepare for this transaction is mid-force. With the
   // fused fan-out this interleaving is routine — the decision can reach us
   // while a duplicate prepare is still suspended — so sequence the commit

@@ -3,7 +3,7 @@
 // deterministic simulator verifies.
 //
 //   vrd [--replicas N] [--txns N] [--accounts N] [--kill-primary]
-//       [--trace] [--pipeline W]
+//       [--trace]
 //
 // Topology (mirrors examples/quickstart.cpp): a "bank" group of N replicas
 // holds the accounts; a single-member "client" group coordinates the

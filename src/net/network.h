@@ -49,8 +49,8 @@ struct NetworkStats {
   std::uint64_t dropped_corrupt = 0;
   std::uint64_t duplicates_delivered = 0;
   std::map<std::uint16_t, std::uint64_t> sent_by_type;
-  // Wire bytes (payload + frame header) by message type: the honest
-  // measurement of what replication compression saves (bench E10).
+  // Wire bytes (payload + frame header) by message type: what each kind of
+  // traffic costs (bench E11's catch-up bytes, perfbench's bytes per txn).
   std::map<std::uint16_t, std::uint64_t> bytes_by_type;
 };
 

@@ -49,8 +49,7 @@ struct EventLogOptions {
   // waited this long, so the log trails the ack path by at most one
   // interval plus the force latency.
   host::Duration flush_interval = 5 * host::kMillisecond;
-  // Early-flush thresholds: entry count and pre-framing payload bytes
-  // (the same byte-budget idea as CommBufferOptions::max_batch_bytes).
+  // Early-flush thresholds: entry count and pre-framing payload bytes.
   std::size_t max_batch = 256;
   std::size_t max_batch_bytes = 64 * 1024;
 };

@@ -33,11 +33,7 @@ void CommBuffer::StartView(ViewId viewid, std::vector<Mid> backups,
   base_ts_ = 0;
   records_.clear();
   state_.clear();
-  for (Mid b : backups_) {
-    BackupState st;
-    st.encoder = BatchEncoder(options_.dict_capacity);
-    state_[b] = std::move(st);
-  }
+  for (Mid b : backups_) state_[b] = BackupState{};
 }
 
 void CommBuffer::Stop() {
@@ -111,11 +107,6 @@ std::uint64_t CommBuffer::AckedTs(Mid backup) const {
   return it == state_.end() ? 0 : it->second.acked;
 }
 
-const CodecStats* CommBuffer::encoder_stats(Mid backup) const {
-  auto it = state_.find(backup);
-  return it == state_.end() ? nullptr : &it->second.encoder.stats();
-}
-
 void CommBuffer::OnAck(const BufferAckMsg& ack) {
   if (!active_ || ack.viewid != viewid_) return;
   if (ack.group != group_) {
@@ -148,16 +139,15 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
     } else {
       // A log-recovered backup resumed at its replayed ts; anything it acked
       // beyond that before the crash is gone from its memory. Rewind both
-      // cursors (even backwards — pre-crash acks are void) and resync the
-      // codec; the tail restreams below, or a snapshot is served once the
-      // rewound ack sits under the GC floor.
+      // cursors (even backwards — pre-crash acks are void); the tail
+      // restreams below, or a snapshot is served once the rewound ack sits
+      // under the GC floor.
       ++stats_.rejoins;
       // max, not assignment: an epoch-0 (unspecified) rejoin is always
       // honored but must not lower the dedup floor for tagged episodes.
       st.rejoin_epoch = std::max(st.rejoin_epoch, ack.rejoin_epoch);
       st.acked = ack.ts;
       st.sent = ack.ts;
-      st.encoder.ForceReset();
       st.state_transfer = false;
       st.deadline = 0;
       st.gap_resent_hi = 0;
@@ -174,17 +164,11 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
     // lag behind what is known received.
     if (st.sent < st.acked) st.sent = st.acked;
     if (st.acked >= st.gap_resent_hi) st.gap_resent_hi = 0;
-    // Keep the encoder's rewind checkpoint in step with the ack so a
-    // retransmission can continue the compression stream (§8.3) — must
-    // happen before CollectGarbage releases the newly-acked records.
-    st.encoder.AdvanceCheckpoint(st.acked, records_, base_ts_);
   }
   if (st.state_transfer && st.acked >= base_ts_) {
     // The snapshot is installed: the backup's ack re-entered the resident
-    // range and it resumes the normal record stream. Its decoder state is
-    // fresh, so the next send must open a new generation.
+    // range and it resumes the normal record stream.
     st.state_transfer = false;
-    st.encoder.ForceReset();
     st.deadline = 0;
     SendTo(ack.from);
   } else if (st.state_transfer && progress && on_needs_snapshot_) {
@@ -192,7 +176,6 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
     // moved yet still sits below the resident range. Serve a fresher one.
     on_needs_snapshot_(ack.from);
   }
-  if (ack.codec_reset) st.encoder.ForceReset();
   // Only progress resets the stall deadline: a duplicate ack must not
   // postpone a legitimate retransmission forever.
   if (st.state_transfer || st.acked >= st.sent) {
@@ -391,34 +374,12 @@ void CommBuffer::SendTo(Mid backup) {
 // (RouteThroughSnapshot) and never reaches here.
 void CommBuffer::SendRange(Mid backup, std::uint64_t lo, std::uint64_t hi) {
   assert(lo >= base_ts_ && hi <= last_ts());
-  auto st = state_.find(backup);
   while (lo < hi) {
-    std::uint64_t end = std::min(hi, lo + options_.max_batch);
-    if (options_.max_batch_bytes > 0) {
-      // Byte budget: cut the batch once the cumulative pre-compression
-      // encoding reaches the target (never below one record).
-      std::size_t bytes = 0;
-      std::uint64_t cut = lo;
-      while (cut < end) {
-        bytes += records_[static_cast<std::size_t>(cut - base_ts_)]
-                     .EncodedSize();
-        ++cut;
-        if (bytes >= options_.max_batch_bytes) break;
-      }
-      end = std::max(cut, lo + 1);
-    }
+    const std::uint64_t end = std::min(hi, lo + options_.max_batch);
     BufferBatchMsg batch;
     batch.group = group_;
     batch.viewid = viewid_;
     batch.from = self_;
-    // Compression binds at Encode time (the one encode a send performs), so
-    // the events vector stays inspectable and the stateful encoder observes
-    // batches exactly in transmission order.
-    if (options_.compression == CompressionMode::kDict &&
-        st != state_.end()) {
-      batch.mode = CompressionMode::kDict;
-      batch.codec = &st->second.encoder;
-    }
     batch.events.assign(
         records_.begin() + static_cast<std::ptrdiff_t>(lo - base_ts_),
         records_.begin() + static_cast<std::ptrdiff_t>(end - base_ts_));

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "host/host.h"
-#include "vr/batch_codec.h"
 #include "vr/events.h"
 #include "vr/history.h"
 #include "vr/messages.h"
@@ -59,25 +58,13 @@ struct CommBufferOptions {
   host::Duration force_timeout = 400 * host::kMillisecond;
   // Max records per BufferBatch message.
   std::size_t max_batch = 64;
-  // Byte-budget companion to max_batch: a batch is cut early once the
-  // cumulative pre-compression encoding of its records reaches this many
-  // bytes (always at least one record per batch). 0 disables the budget.
-  // Counted before compression so the budget is stable across codec modes;
-  // the event log's group commit applies the same idea to segment writes.
-  std::size_t max_batch_bytes = 0;
   // Max in-flight (sent but unacknowledged) records per backup.
   std::size_t window = 1024;
-  // Wire compression of batches (DESIGN.md §8): kDict delta/dictionary-
-  // encodes each batch against per-backup codec state. kRaw (the default)
-  // keeps the uncompressed layout.
-  CompressionMode compression = CompressionMode::kRaw;
-  // Hot-key dictionary slots per backup connection (kDict only).
-  std::size_t dict_capacity = kDefaultDictCapacity;
   // Snapshot-based catch-up (DESIGN.md §9): GC may release records past a
   // laggard's ack (bounding memory by `window` past StableTs()) and the
   // laggard is served a snapshot. Off = the pre-snapshot behavior — GC waits
   // for every backup and catch-up replays the full record suffix (ablation
-  // A7, bench E11).
+  // A6, bench E11).
   bool snapshot_catchup = true;
   // Backup read leases (DESIGN.md §14): when nonzero, processing an ack
   // from a backup re-grants it a read lease of this duration once at least
@@ -188,18 +175,13 @@ class CommBuffer {
     // Duplicate rejoin acks dropped: their recovery epoch was already
     // serviced, so rewinding again would only thrash the stream.
     std::uint64_t rejoins_ignored = 0;
-    // Acks accepted from backups of this view. With backup-side ack
-    // coalescing on, this (and the kBufferAck frame count) drops while the
-    // replication watermark still advances.
+    // Acks accepted from backups of this view.
     std::uint64_t acks_received = 0;
     // Read-lease grants issued on the ack path (DESIGN.md §14).
     std::uint64_t leases_granted = 0;
   };
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }
-
-  // Compression counters of `backup`'s encoder (nullptr if unknown backup).
-  const CodecStats* encoder_stats(Mid backup) const;
 
  private:
   struct PendingForce {
@@ -227,10 +209,6 @@ class CommBuffer {
     // Highest rejoin epoch serviced for this backup (0 = none): duplicates
     // at or below it are retransmissions of an episode already handled.
     std::uint64_t rejoin_epoch = 0;
-    // Stateful wire compressor for this connection (kDict mode). Fresh per
-    // view; rewinds to the ack checkpoint on retransmission, resets when
-    // the backup reports its decoder cannot continue the stream.
-    BatchEncoder encoder;
     // Next time an ack from this backup triggers a fresh read-lease grant
     // (lease half-life renewal; 0 = grant on the first ack).
     host::Time lease_renew_at = 0;

@@ -192,15 +192,6 @@ struct EventRecord {
     return e;
   }
 
-  // Size of this record's uncompressed wire encoding; drives the byte-budget
-  // batch cut (CommBufferOptions::max_batch_bytes) and the event log's
-  // group-commit byte threshold.
-  std::size_t EncodedSize() const {
-    wire::Writer w;
-    Encode(w);
-    return w.size();
-  }
-
   std::string ToString() const;
 };
 

@@ -66,51 +66,4 @@ const char* MsgTypeName(MsgType t) {
   return "?";
 }
 
-void BufferBatchMsg::Encode(wire::Writer& w) const {
-  w.U64(group);
-  viewid.Encode(w);
-  w.U32(from);
-  const bool dict =
-      mode == CompressionMode::kDict && codec != nullptr && !events.empty();
-  w.U8(dict ? 1 : 0);
-  if (dict) {
-    codec->EncodeBody(w, events);
-  } else {
-    w.Vector(events, [&](const EventRecord& e) { e.Encode(w); });
-  }
-}
-
-BufferBatchMsg BufferBatchMsg::Decode(wire::Reader& r, BatchDecoder* dec) {
-  BufferBatchMsg m;
-  m.group = r.U64();
-  m.viewid = ViewId::Decode(r);
-  m.from = r.U32();
-  const std::uint8_t mode = r.U8();
-  if (mode > 1) r.MarkBad();
-  if (!r.ok()) return m;
-  if (mode == 0) {
-    m.events = r.Vector<EventRecord>([&] { return EventRecord::Decode(r); });
-    return m;
-  }
-  m.mode = CompressionMode::kDict;
-  if (!dec) {
-    r.MarkBad();
-    return m;
-  }
-  switch (dec->DecodeBody(r, m.viewid, m.from, m.events, m.last_ts)) {
-    case BatchOutcome::kOk:
-      break;
-    case BatchOutcome::kStale:
-      m.stale = true;
-      break;
-    case BatchOutcome::kUnsynced:
-      m.unsynced = true;
-      m.reset_needed = dec->needs_reset();
-      break;
-    case BatchOutcome::kBad:
-      break;  // reader already marked bad
-  }
-  return m;
-}
-
 }  // namespace vsr::vr

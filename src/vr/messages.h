@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "vr/batch_codec.h"
 #include "vr/events.h"
 #include "vr/history.h"
 #include "vr/types.h"
@@ -191,33 +190,23 @@ struct BufferBatchMsg {
   GroupId group = 0;
   ViewId viewid;
   Mid from = 0;
-  // Contiguous run of event records, in timestamp order. Always populated on
-  // the sending side regardless of compression mode — compression happens at
-  // Encode time, so tests and observers can inspect records directly.
+  // Contiguous run of event records, in timestamp order.
   std::vector<EventRecord> events;
 
-  // Wire compression (DESIGN.md §8). `mode` selects the body layout after
-  // the common header; `codec` is transient plumbing installed by CommBuffer
-  // just before the single Encode every send performs (never serialized,
-  // never owned; a null codec encodes raw).
-  CompressionMode mode = CompressionMode::kRaw;
-  BatchEncoder* codec = nullptr;
-
-  // Decode-side outcome for mode == kDict (see BatchOutcome). `events` is
-  // empty in both non-Ok cases; `last_ts` names the batch's highest
-  // timestamp so an unsynced receiver knows what range to nack, and
-  // `reset_needed` whether only a reset batch can resync the stream (the
-  // receiver forwards it as BufferAckMsg::codec_reset).
-  bool stale = false;
-  bool unsynced = false;
-  bool reset_needed = false;
-  std::uint64_t last_ts = 0;
-
-  void Encode(wire::Writer& w) const;
-  // Raw-only decode: a compressed body without a decoder marks the reader
-  // bad. Cohorts pass their per-connection decoder via the second overload.
-  static BufferBatchMsg Decode(wire::Reader& r) { return Decode(r, nullptr); }
-  static BufferBatchMsg Decode(wire::Reader& r, BatchDecoder* dec);
+  void Encode(wire::Writer& w) const {
+    w.U64(group);
+    viewid.Encode(w);
+    w.U32(from);
+    w.Vector(events, [&](const EventRecord& e) { e.Encode(w); });
+  }
+  static BufferBatchMsg Decode(wire::Reader& r) {
+    BufferBatchMsg m;
+    m.group = r.U64();
+    m.viewid = ViewId::Decode(r);
+    m.from = r.U32();
+    m.events = r.Vector<EventRecord>([&] { return EventRecord::Decode(r); });
+    return m;
+  }
 };
 
 struct BufferAckMsg {
@@ -232,10 +221,6 @@ struct BufferAckMsg {
   // primary's retransmission deadline.
   bool gap = false;
   std::uint64_t gap_hi = 0;
-  // The backup's decoder cannot resync from a continuation (it is freshly
-  // started, poisoned, or just installed a snapshot): the primary must open
-  // a fresh generation (reset batch) on its next send.
-  bool codec_reset = false;
   // Log-recovered rejoin (DESIGN.md §10): the backup replayed its durable
   // log up to `ts` and rejoined the view; the primary must rewind this
   // backup's cursors to ts (pre-crash acks beyond it are void — the backup
@@ -256,7 +241,6 @@ struct BufferAckMsg {
     w.U64(ts);
     w.Bool(gap);
     w.U64(gap_hi);
-    w.Bool(codec_reset);
     w.Bool(rejoin);
     w.U64(rejoin_epoch);
   }
@@ -268,7 +252,6 @@ struct BufferAckMsg {
     m.ts = r.U64();
     m.gap = r.Bool();
     m.gap_hi = r.U64();
-    m.codec_reset = r.Bool();
     m.rejoin = r.Bool();
     m.rejoin_epoch = r.U64();
     if (m.gap && m.gap_hi <= m.ts) r.MarkBad();
@@ -535,31 +518,6 @@ struct PrepareReplyMsg {
   }
 };
 
-// One additional commit decision riding a CommitMsg frame to the same
-// primary (decision piggybacking, the PR 9 follow-on): the coordinator
-// coalesces decisions destined for one cohort into a single frame instead
-// of a dedicated frame per transaction. Each extra is processed exactly
-// like the carrying message's own decision and acked with its own
-// CommitDoneMsg.
-struct CommitExtra {
-  Aid aid;
-  Viewstamp decision_vs;
-  bool fused = false;
-
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    decision_vs.Encode(w);
-    w.Bool(fused);
-  }
-  static CommitExtra Decode(wire::Reader& r) {
-    CommitExtra e;
-    e.aid = Aid::Decode(r);
-    e.decision_vs = Viewstamp::Decode(r);
-    e.fused = r.Bool();
-    return e;
-  }
-};
-
 struct CommitMsg {
   static constexpr MsgType kType = MsgType::kCommit;
   GroupId group = 0;
@@ -575,9 +533,6 @@ struct CommitMsg {
   // True when the fan-out overlapped the decision force (the committing
   // record may not have reached a sub-majority yet when this was sent).
   bool fused = false;
-  // Piggybacked decisions for OTHER transactions whose commit fan-out
-  // targets the same primary (wire trailer — appended, never reordered).
-  std::vector<CommitExtra> extras;
 
   void Encode(wire::Writer& w) const {
     w.U64(group);
@@ -585,7 +540,6 @@ struct CommitMsg {
     w.U32(reply_to);
     decision_vs.Encode(w);
     w.Bool(fused);
-    w.Vector(extras, [&](const CommitExtra& e) { e.Encode(w); });
   }
   static CommitMsg Decode(wire::Reader& r) {
     CommitMsg m;
@@ -594,8 +548,6 @@ struct CommitMsg {
     m.reply_to = r.U32();
     m.decision_vs = Viewstamp::Decode(r);
     m.fused = r.Bool();
-    m.extras =
-        r.Vector<CommitExtra>([&] { return CommitExtra::Decode(r); });
     return m;
   }
 };

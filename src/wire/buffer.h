@@ -33,34 +33,14 @@ class Writer {
     U64(bits);
   }
 
-  // LEB128 variable-length unsigned integer: 7 value bits per byte, high bit
-  // set on every byte but the last. Values < 128 cost one byte; a full u64
-  // costs at most ten. Used by the compressed batch layout (DESIGN.md §8.4).
-  void Varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
-  // Zig-zag-mapped varint for signed deltas: 0,-1,1,-2,2... -> 0,1,2,3,4...
-  // so small magnitudes of either sign stay short.
-  void ZigZag(std::int64_t v) {
-    Varint((static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63));
-  }
-
   void Bytes(std::span<const std::uint8_t> b) {
     U32(static_cast<std::uint32_t>(b.size()));
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
-  // Unprefixed bytes — the caller has already written a length (e.g. as a
-  // varint in the compressed batch layout).
+  // Unprefixed bytes — the caller has already framed them (e.g. the event
+  // log's length-prefixed segment entries).
   void Raw(std::span<const std::uint8_t> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
-  }
-  void Raw(std::string_view s) {
-    buf_.insert(buf_.end(), s.begin(), s.end());
   }
   void String(std::string_view s) {
     U32(static_cast<std::uint32_t>(s.size()));
@@ -105,30 +85,6 @@ class Reader {
     return v;
   }
 
-  std::uint64_t Varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      if (!CheckRemaining(1)) return 0;
-      const std::uint8_t byte = data_[pos_++];
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        // The tenth byte may only contribute the top bit of a u64; anything
-        // more is an over-long / overflowing encoding.
-        if (shift == 63 && byte > 1) {
-          ok_ = false;
-          return 0;
-        }
-        return v;
-      }
-    }
-    ok_ = false;  // continuation bit never cleared within 10 bytes
-    return 0;
-  }
-  std::int64_t ZigZag() {
-    const std::uint64_t v = Varint();
-    return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-  }
-
   std::vector<std::uint8_t> Bytes() {
     std::uint32_t n = U32();
     if (!CheckRemaining(n)) return {};
@@ -149,12 +105,6 @@ class Reader {
     if (!CheckRemaining(n)) return {};
     std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
                                   data_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return out;
-  }
-  std::string RawString(std::size_t n) {
-    if (!CheckRemaining(n)) return {};
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return out;
   }

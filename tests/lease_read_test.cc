@@ -6,19 +6,14 @@
 //  * with the option off (the default) the primary never emits a single
 //    lease frame, and the lease-read machinery is fully deterministic
 //  * read-only transactions skip the committing/done decision ladder (§3.7)
-//  * commit decisions bound for the same participant primary coalesce into
-//    one CommitMsg frame (body + piggybacked extras)
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <memory>
 
 #include "client/read_client.h"
-#include "client/shard_router.h"
 #include "tests/test_util.h"
 #include "workload/catalog.h"
-#include "workload/driver.h"
-#include "workload/sharded_bank.h"
 
 namespace vsr {
 namespace {
@@ -349,58 +344,6 @@ TEST(CommitPath, ReadOnlyCommitSkipsDecisionLadder) {
             vr::TxnOutcome::kCommitted);
   cluster.RunFor(500 * sim::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "x"), "2");
-}
-
-// Commit-decision piggybacking satellite: concurrent cross-shard transfers
-// produce several decisions bound for the same participant primary inside
-// one coalesce window; they ride one CommitMsg as extras and every one is
-// individually acked and applied.
-TEST(CommitPath, SiblingDecisionsPiggybackOnOneFrame) {
-  ClusterOptions opts;
-  opts.seed = 409;
-  // Widen the coalesce window so the 8-deep closed loop reliably overlaps
-  // decisions for the same destination.
-  opts.cohort.decision_coalesce_delay = 2 * sim::kMillisecond;
-  Cluster cluster(opts);
-  auto bank = workload::SetupShardedBank(cluster, 2, 3, 12);
-  cluster.Start();
-  ASSERT_TRUE(cluster.RunUntilStable());
-  ASSERT_EQ(workload::FundShardedAccounts(cluster, bank, 1000), 12);
-
-  client::ShardRouter router(cluster.directory());
-  sim::Rng rng(7);
-  workload::DriverOptions dopts;
-  dopts.total_txns = 60;
-  dopts.max_inflight = 8;
-  dopts.retries_per_txn = 10;
-  workload::ClosedLoopDriver driver(
-      cluster, bank.client_group,
-      [&](std::uint64_t) {
-        const int from = static_cast<int>(rng.Index(6));
-        const int to = 6 + static_cast<int>(rng.Index(6));
-        return workload::MakeShardedTransferTxn(
-            router, workload::ShardAccountName(from),
-            workload::ShardAccountName(to), 1);
-      },
-      dopts);
-  ASSERT_TRUE(driver.Run());
-  cluster.RunFor(2 * sim::kSecond);
-
-  std::uint64_t piggybacked = 0;
-  for (auto* c : cluster.Cohorts(bank.client_group)) {
-    piggybacked += c->stats().decision_piggybacked;
-  }
-  EXPECT_GT(piggybacked, 0u);
-
-  // Conservation: every piggybacked decision was applied exactly once.
-  long long sum = 0;
-  for (int i = 0; i < 12; ++i) {
-    const long long bal = workload::ShardedCommittedBalance(
-        cluster, workload::ShardAccountName(i));
-    ASSERT_GE(bal, 0) << "account " << i;
-    sum += bal;
-  }
-  EXPECT_EQ(sum, 12 * 1000);
 }
 
 // CHECK_SOAK=1 variant: readers stay serializable while primaries crash and

@@ -7,7 +7,6 @@
 //    a view change (demonstrated, as an ablation)
 #include <gtest/gtest.h>
 
-#include <array>
 
 #include "check/invariants.h"
 #include "client/shard_router.h"
@@ -346,151 +345,6 @@ TEST(Dedup, DuplicatePrepareIsAnsweredIdempotently) {
   EXPECT_EQ(aborts, 0u);  // no duplicate ever tripped the refusal path
 }
 
-
-TEST(Replication, CompressedStreamRecoversUnderLossLikeRaw) {
-  // The gap-request recovery test again, but with the replication stream
-  // dictionary/delta-compressed (DESIGN.md §8). The stateful codec must ride
-  // out 20% frame loss — every lost batch is a sync loss for the decoder,
-  // healed by a nack plus a reset batch — without losing or corrupting a
-  // single commit. Same seed and workload as the raw test above, so any
-  // divergence in outcome points at the codec.
-  ClusterOptions opts;
-  opts.seed = 95;
-  opts.net.loss_probability = 0.20;
-  opts.cohort.buffer.compression = vr::CompressionMode::kDict;
-  Cluster cluster(opts);
-  auto kv = cluster.AddGroup("kv", 3);
-  auto agents = cluster.AddGroup("agents", 3);
-  RegisterKvProcs(cluster, kv);
-  cluster.Start();
-  ASSERT_TRUE(cluster.RunUntilStable());
-
-  int committed = 0;
-  for (int i = 0; i < 40; ++i) {
-    if (test::RunOneCallWithRetry(cluster, agents, kv, "add", "ctr=1") ==
-        vr::TxnOutcome::kCommitted) {
-      ++committed;
-    }
-  }
-  cluster.RunFor(2 * sim::kSecond);
-  ASSERT_GT(committed, 0);
-  EXPECT_EQ(test::CommittedValue(cluster, kv, "ctr"),
-            std::to_string(committed));
-
-  // The compressed-stream recovery machinery was actually exercised: frames
-  // were lost, decoders nacked, and encoders re-opened their streams with
-  // fresh generations.
-  std::uint64_t gap_sent = 0, gap_honored = 0;
-  std::uint64_t batches = 0, resets = 0, rewinds = 0, dict_hits = 0;
-  for (auto* c : cluster.Cohorts(kv)) {
-    gap_sent += c->stats().gap_requests_sent;
-    gap_honored += c->buffer().stats().gap_requests;
-    for (auto* b : cluster.Cohorts(kv)) {
-      if (const vr::CodecStats* cs = c->buffer().encoder_stats(b->mid())) {
-        batches += cs->batches;
-        resets += cs->resets;
-        rewinds += cs->rewinds;
-        dict_hits += cs->dict_hits;
-      }
-    }
-  }
-  EXPECT_GT(gap_sent, 0u);
-  EXPECT_GT(gap_honored, 0u);
-  EXPECT_GT(batches, 0u);
-  // Every recovery beyond the two view-start resets is either a checkpoint
-  // rewind (dictionary preserved — the common case now that encoders keep a
-  // replayable checkpoint at the ack) or a fresh-generation reset.
-  EXPECT_GE(resets, 2u);
-  EXPECT_GT(resets + rewinds, 2u);
-  EXPECT_GT(rewinds, 0u);
-  EXPECT_GT(dict_hits, 0u);
-}
-
-TEST(Replication, AckCoalescingReducesAckFramesWithoutLosingCommits) {
-  // Two identical workloads of pipelined transactions; the second defers
-  // gap-free backup acks for up to 2ms and merges whatever batches land in
-  // the window into one cumulative frame. Replication must still force fine
-  // (every commit lands, replicas agree) while the kBufferAck frame count —
-  // and the primaries' ack processing — drops per committed transaction.
-  constexpr int kRounds = 5;
-  constexpr int kPipelined = 8;
-  auto run = [&](sim::Duration coalesce) {
-    ClusterOptions opts;
-    opts.seed = 96;
-    opts.cohort.ack_coalesce_delay = coalesce;
-    Cluster cluster(opts);
-    auto kv = cluster.AddGroup("kv", 3);
-    auto agents = cluster.AddGroup("agents", 3);
-    RegisterKvProcs(cluster, kv);
-    cluster.Start();
-    EXPECT_TRUE(cluster.RunUntilStable());
-
-    // Each round runs kPipelined concurrent single-call transactions on
-    // distinct keys, so their completed-call batches overlap in flight.
-    std::array<int, kPipelined> committed_per_key{};
-    for (int round = 0; round < kRounds; ++round) {
-      core::Cohort* primary = cluster.AnyPrimary(agents);
-      if (primary == nullptr) {
-        ADD_FAILURE() << "no agents primary in round " << round;
-        break;
-      }
-      int done = 0;
-      for (int i = 0; i < kPipelined; ++i) {
-        primary->SpawnTransaction(
-            [kv, i](core::TxnHandle& h) -> sim::Task<bool> {
-              co_await h.Call(kv, "add", "k" + std::to_string(i) + "=1");
-              co_return true;
-            },
-            [&committed_per_key, &done, i](vr::TxnOutcome o) {
-              ++done;
-              if (o == vr::TxnOutcome::kCommitted) ++committed_per_key[i];
-            });
-      }
-      const sim::Time deadline = cluster.sim().Now() + 5 * sim::kSecond;
-      while (done < kPipelined && cluster.sim().Now() < deadline) {
-        cluster.RunFor(10 * sim::kMillisecond);
-      }
-      EXPECT_EQ(done, kPipelined) << "round " << round;
-    }
-    cluster.RunFor(2 * sim::kSecond);
-
-    int committed = 0;
-    for (int i = 0; i < kPipelined; ++i) {
-      committed += committed_per_key[i];
-      EXPECT_EQ(test::CommittedValue(cluster, kv, "k" + std::to_string(i)),
-                std::to_string(committed_per_key[i]))
-          << "key " << i;
-    }
-    const auto& by_type = cluster.network().stats().sent_by_type;
-    auto it =
-        by_type.find(static_cast<std::uint16_t>(vr::MsgType::kBufferAck));
-    const std::uint64_t ack_frames = it == by_type.end() ? 0 : it->second;
-    std::uint64_t coalesced = 0, received = 0;
-    for (auto* c : cluster.Cohorts(kv)) {
-      coalesced += c->stats().acks_coalesced;
-      received += c->buffer().stats().acks_received;
-    }
-    struct Result {
-      int committed;
-      std::uint64_t ack_frames, coalesced, received;
-    };
-    return Result{committed, ack_frames, coalesced, received};
-  };
-
-  const auto eager = run(0);
-  const auto lazy = run(2 * sim::kMillisecond);
-  ASSERT_GT(eager.committed, kRounds * kPipelined / 2);
-  ASSERT_GT(lazy.committed, kRounds * kPipelined / 2);
-  EXPECT_EQ(eager.coalesced, 0u);
-  EXPECT_GT(lazy.coalesced, 0u);  // acks actually merged into shared frames
-  // Fewer ack frames on the wire and fewer acks through the primaries, per
-  // committed transaction (committed counts may differ slightly: deferring
-  // acks shifts force-to completion times).
-  EXPECT_LT(lazy.ack_frames * static_cast<std::uint64_t>(eager.committed),
-            eager.ack_frames * static_cast<std::uint64_t>(lazy.committed));
-  EXPECT_LT(lazy.received * static_cast<std::uint64_t>(eager.committed),
-            eager.received * static_cast<std::uint64_t>(lazy.committed));
-}
 
 TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
   // §3.2 across shards: a cross-shard transfer executes at both participant
@@ -908,11 +762,14 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
 
   core::Cohort* coord = cluster.AnyPrimary(bank.client_group);
   ASSERT_NE(coord, nullptr);
-  // Stretch the decision coalesce window so the commit fan-out provably
-  // happens after the link cut below; only the retry path (direct sends)
-  // can deliver the decision, and those the cut blocks toward shard 1.
-  coord->mutable_options().decision_coalesce_delay = 5 * sim::kSecond;
 
+  // The fused path reports at committing-buffer time: both participants are
+  // prepared and the decision is buffered at the coordinator group, but the
+  // CommitMsg to shard 1 is at most in flight. Cut every coordinator<->
+  // shard-1 link (both directions) right then. The network checks
+  // reachability when a frame arrives, so the in-flight commit is dropped,
+  // and shard 1 can neither receive a retry nor reach any coordinator
+  // cohort with its queries.
   client::ShardRouter router(cluster.directory());
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
@@ -921,6 +778,11 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
       [&](vr::TxnOutcome o) {
         outcome = o;
         done = true;
+        for (auto* a : cluster.Cohorts(bank.client_group)) {
+          for (auto* b : cluster.Cohorts(bank.shards[1])) {
+            cluster.network().SetLinkDown(a->mid(), b->mid(), true);
+          }
+        }
       });
   const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
@@ -929,18 +791,7 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
   ASSERT_TRUE(done);
   ASSERT_EQ(outcome, vr::TxnOutcome::kCommitted);  // fused, reported at buffer
 
-  // Both participants are prepared; the decision is replicated at the
-  // coordinator group but no CommitMsg has been flushed yet (and the direct
-  // retry sends have not started). Cut every coordinator<->shard-1 link
-  // (both directions) NOW: shard 1 can neither receive the commit nor reach
-  // any coordinator cohort with its queries.
-  for (auto* a : cluster.Cohorts(bank.client_group)) {
-    for (auto* b : cluster.Cohorts(bank.shards[1])) {
-      cluster.network().SetLinkDown(a->mid(), b->mid(), true);
-    }
-  }
-
-  // Shard 0 learns the decision from the coordinator's commit retries;
+  // Shard 0 learns the decision from the coordinator's CommitMsg;
   // shard 1's janitor queries the coordinator group (dead air), then falls
   // back to its pset sibling — shard 0 — and resolves committed. No heal.
   const sim::Time resolve_deadline = cluster.sim().Now() + 60 * sim::kSecond;

@@ -514,7 +514,7 @@ TEST_F(CommBufferTest, DeadBackupNoLongerPinsGarbageCollection) {
 }
 
 TEST_F(CommBufferTest, SnapshotCatchupOffKeepsMinAckGc) {
-  // Ablation A7: with snapshot_catchup disabled the seed behavior is intact —
+  // Ablation A6: with snapshot_catchup disabled the seed behavior is intact —
   // GC never passes the slowest backup's ack.
   CommBufferOptions o;
   o.window = 4;
@@ -617,216 +617,6 @@ TEST_F(CommBufferTest, SingleCohortGroupForcesImmediately) {
   bool ok = false;
   solo.ForceTo(v, [&](bool o) { ok = o; });
   EXPECT_TRUE(ok);
-}
-
-
-// ---------------------------------------------------------------------------
-// Compressed replication stream through the CommBuffer (DESIGN.md §8)
-// ---------------------------------------------------------------------------
-
-// Drives a compression-enabled CommBuffer exactly as a cohort does: every
-// send is encoded once (binding the per-backup codec state in transmission
-// order), then delivered — or dropped — and decoded with that backup's
-// BatchDecoder. What each backup applies must be byte-identical to what was
-// added, across normal flow, whole-batch loss healed by go-back-N, and
-// mid-stream loss healed by a gap request.
-class CompressedCommBufferTest : public ::testing::Test {
- protected:
-  struct Backup {
-    BatchDecoder dec;
-    std::vector<EventRecord> applied;
-    std::uint64_t applied_ts = 0;
-    int drop_next = 0;  // frames to drop before delivery resumes
-    std::uint64_t decode_failures = 0;
-    std::uint64_t gap_nacks = 0;
-  };
-
-  CompressedCommBufferTest()
-      : sim_(1),
-        buffer_(
-            sim_, options_,
-            [this](Mid to, const BufferBatchMsg& b) { Transmit(to, b); },
-            [this] { ++force_failures_; }) {
-    backups_[2];
-    backups_[3];
-    history_.OpenView(viewid_);
-    buffer_.StartView(viewid_, {2, 3}, 3, /*group=*/1, /*self=*/1, &history_);
-  }
-
-  static CommBufferOptions MakeOptions() {
-    CommBufferOptions o;
-    o.compression = CompressionMode::kDict;
-    o.dict_capacity = 4;
-    return o;
-  }
-
-  void Transmit(Mid to, const BufferBatchMsg& b) {
-    // The single encode every send performs in production (Cohort::SendMsg);
-    // this is what advances the per-backup encoder state.
-    auto bytes = EncodeMsg(b);
-    Backup& bk = backups_[to];
-    if (bk.drop_next > 0) {
-      --bk.drop_next;
-      return;
-    }
-    wire::Reader r(bytes);
-    BufferBatchMsg m = BufferBatchMsg::Decode(r, &bk.dec);
-    if (!r.ok()) {
-      ++bk.decode_failures;
-      return;
-    }
-    BufferAckMsg a;
-    a.group = 1;
-    a.viewid = viewid_;
-    a.from = to;
-    if (m.stale) {
-      // Duplicate range: our ack was lost. Restate the cumulative watermark
-      // (as Cohort::OnBufferBatch does) so the primary's cursor — and its
-      // rewind checkpoint — move past the replayed range.
-      a.ts = bk.applied_ts;
-    } else if (m.unsynced) {
-      if (m.last_ts <= bk.applied_ts) return;
-      ++bk.gap_nacks;
-      a.ts = bk.applied_ts;
-      a.gap = true;
-      a.gap_hi = m.last_ts;
-      a.codec_reset = m.reset_needed;
-    } else {
-      for (const EventRecord& e : m.events) {
-        if (e.ts == bk.applied_ts + 1) {
-          bk.applied.push_back(e);
-          ++bk.applied_ts;
-        }
-      }
-      a.ts = bk.applied_ts;
-    }
-    // Acks arrive asynchronously, as on the network — OnAck must not
-    // re-enter the buffer mid-send.
-    sim_.scheduler().After(1, [this, a] { buffer_.OnAck(a); });
-  }
-
-  EventRecord Rec(std::uint64_t seq, const std::string& uid,
-                  std::string value) {
-    return EventRecord::CompletedCall(
-        {Aid{1, viewid_, seq}, 0},
-        {ObjectEffect{uid, LockMode::kWrite, std::move(value)}});
-  }
-
-  // Adds a record and returns the copy with its assigned timestamp.
-  EventRecord Add(EventRecord e) {
-    e.ts = buffer_.Add(e).ts;
-    return e;
-  }
-
-  void RunTo(sim::Duration t) { sim_.scheduler().RunUntil(t); }
-
-  CommBufferOptions options_ = MakeOptions();
-  sim::Simulation sim_;
-  ViewId viewid_{1, 1};
-  History history_;
-  std::map<Mid, Backup> backups_;
-  int force_failures_ = 0;
-  CommBuffer buffer_;
-};
-
-TEST_F(CompressedCommBufferTest, SteadyStateStreamDecodesIdentically) {
-  std::vector<EventRecord> added;
-  sim::Duration t = 0;
-  for (int wave = 0; wave < 10; ++wave) {
-    for (int i = 0; i < 5; ++i) {
-      const int n = wave * 5 + i + 1;
-      added.push_back(Add(Rec(n, "acct-" + std::to_string(n % 3),
-                              "balance=" + std::to_string(1000 + n))));
-    }
-    t += 2 * options_.flush_delay;
-    RunTo(t);
-  }
-  RunTo(t + 10 * options_.flush_delay);
-
-  for (auto& [mid, bk] : backups_) {
-    EXPECT_EQ(bk.decode_failures, 0u) << "backup " << mid;
-    ASSERT_EQ(bk.applied.size(), added.size()) << "backup " << mid;
-    for (std::size_t i = 0; i < added.size(); ++i) {
-      EXPECT_EQ(bk.applied[i], added[i]) << "backup " << mid << " record " << i;
-    }
-    const CodecStats* cs = buffer_.encoder_stats(mid);
-    ASSERT_NE(cs, nullptr);
-    // The hot-key workload actually hit the dictionary and delta paths...
-    EXPECT_GT(cs->dict_hits, 0u);
-    EXPECT_GT(cs->tentative_deltas, 0u);
-    // ...and compressed bodies beat the raw record encoding.
-    std::size_t raw_size = 4;  // the raw layout's vector length prefix
-    for (const EventRecord& e : added) {
-      wire::Writer w;
-      e.Encode(w);
-      raw_size += w.size();
-    }
-    EXPECT_LT(cs->bytes_out, raw_size);
-  }
-  // Healthy run: nothing was retransmitted and no stream ever lost sync.
-  EXPECT_EQ(buffer_.stats().records_retransmitted, 0u);
-  EXPECT_EQ(backups_[2].gap_nacks, 0u);
-  EXPECT_EQ(backups_[3].gap_nacks, 0u);
-}
-
-TEST_F(CompressedCommBufferTest, WholeBatchLossHealsViaGoBackNReset) {
-  backups_[2].drop_next = 1;  // backup 2 loses the first flush entirely
-  std::vector<EventRecord> added;
-  for (int n = 1; n <= 5; ++n) {
-    added.push_back(Add(Rec(n, "k", "v" + std::to_string(n))));
-  }
-  RunTo(3 * options_.retransmit_interval);
-
-  for (auto& [mid, bk] : backups_) {
-    EXPECT_EQ(bk.decode_failures, 0u);
-    ASSERT_EQ(bk.applied.size(), added.size()) << "backup " << mid;
-    for (std::size_t i = 0; i < added.size(); ++i) {
-      EXPECT_EQ(bk.applied[i], added[i]);
-    }
-  }
-  EXPECT_GE(buffer_.stats().retransmit_timeouts, 1u);
-  // The go-back-N resend rewound to the encoder's checkpoint (acked+1 = 1),
-  // but backup 2 had never bound to the stream, so it answered with a
-  // codec-reset nack and the second resend opened a fresh generation.
-  EXPECT_GE(buffer_.encoder_stats(2)->rewinds, 1u);
-  EXPECT_GE(buffer_.encoder_stats(2)->resets, 2u);
-  EXPECT_EQ(buffer_.encoder_stats(3)->resets, 1u);
-}
-
-TEST_F(CompressedCommBufferTest, MidStreamLossHealsViaGapRequest) {
-  std::vector<EventRecord> added;
-  sim::Duration t = 0;
-  auto wave = [&](int lo, int hi) {
-    for (int n = lo; n <= hi; ++n) {
-      added.push_back(Add(Rec(n, "k", "v" + std::to_string(n))));
-    }
-    t += 2 * options_.flush_delay;
-    RunTo(t);
-  };
-  wave(1, 3);
-  backups_[2].drop_next = 1;  // backup 2 loses the ts 4..6 batch
-  wave(4, 6);
-  wave(7, 9);  // arrives out of sequence at backup 2 -> gap nack -> resend
-  RunTo(t + 4 * options_.flush_delay);
-
-  EXPECT_GE(backups_[2].gap_nacks, 1u);
-  EXPECT_GE(buffer_.stats().gap_requests, 1u);
-  for (auto& [mid, bk] : backups_) {
-    EXPECT_EQ(bk.decode_failures, 0u);
-    ASSERT_EQ(bk.applied.size(), added.size()) << "backup " << mid;
-    for (std::size_t i = 0; i < added.size(); ++i) {
-      EXPECT_EQ(bk.applied[i], added[i]);
-    }
-  }
-  // The gap resend re-synced backup 2's stream in one round trip — by
-  // REWINDING the encoder to its checkpoint at the acked watermark, not by
-  // resetting: the dictionary built over ts 1..3 survived (§8.3). Neither
-  // stream ever reset beyond the view-start generation.
-  EXPECT_GE(buffer_.encoder_stats(2)->rewinds, 1u);
-  EXPECT_EQ(buffer_.encoder_stats(2)->resets, 1u);
-  EXPECT_EQ(buffer_.encoder_stats(3)->resets, 1u);
-  // Go-back-N never had to fire: the nack healed it first.
-  EXPECT_EQ(buffer_.stats().retransmit_timeouts, 0u);
 }
 
 }  // namespace
