@@ -6,10 +6,12 @@
 // 'completed-call' event records ... will already be stored at a
 // sub-majority of cohorts."
 //
-// Measured: the commit-decision latency (prepare + committing-record force)
-// of a VR transaction versus the equivalent non-replicated transaction, as
-// the stable-storage force latency sweeps from paper-era disk (10ms) down to
-// NVRAM (10us), and the fraction of forces satisfied with no waiting.
+// Measured: the client-visible commit-decision latency of a VR transaction
+// (prepare round + committing record; on the default fused path the
+// record's force runs behind the reply, DESIGN.md §13) versus the
+// equivalent non-replicated transaction, as the stable-storage force
+// latency sweeps from paper-era disk (10ms) down to NVRAM (10us), and the
+// fraction of forces satisfied with no waiting.
 #include "baseline/nonreplicated.h"
 #include "baseline/nonreplicated_viewstamped.h"
 #include "bench/bench_common.h"
@@ -333,8 +335,10 @@ int main() {
   }
 
   bench::Row("\n  Expect: VR's decision latency is a couple of network round");
-  bench::Row("  trips; the conventional system pays 2 forced writes. The");
-  bench::Row("  crossover falls where a force ~= a round trip (sub-ms).");
+  bench::Row("  trips; the conventional system pays 2 forced writes. On the");
+  bench::Row("  paper's serial ladder (commit_fusion = false) the crossover");
+  bench::Row("  falls where a force ~= a round trip (sub-ms); the default");
+  bench::Row("  fused path takes the committing force off the client path.");
   bench::Row("  Note: each transaction issues ~3 forces (participant prepare,");
   bench::Row("  coordinator committing, participant committed). Only the");
   bench::Row("  prepare force can be pre-satisfied by background flushing —");

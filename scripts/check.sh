@@ -140,6 +140,20 @@ for key in fused_decision_us serial_decision_us \
     exit 1
   fi
 done
+# Every write transaction commits on the fused path: its client waits on no
+# decision force, so a lone-participant (same-shard) transfer is no slower
+# than a two-participant (cross-shard) one. Both benches are simulated, so
+# these figures are deterministic.
+if ! awk '/"fused_client_path_forces_per_commit"/ { gsub(/[,"]/, ""); v = $2 }
+          END { exit (v == 0) ? 0 : 1 }' BENCH_E2.json; then
+  echo "FAIL: BENCH_E2.json fused_client_path_forces_per_commit is not 0" >&2
+  exit 1
+fi
+if ! awk '/"cross_shard_premium"/ { gsub(/[,"]/, ""); p = $2 }
+          END { exit (p > 1) ? 0 : 1 }' BENCH_E13.json; then
+  echo "FAIL: BENCH_E13.json cross_shard_premium is not above 1" >&2
+  exit 1
+fi
 # The E15 backup-read experiment (DESIGN.md §14) must have produced both
 # sides of the lease ablation plus the serializability audit, and — on full
 # (non-smoke) runs — hit the >= 2x read scale-out the design promises.

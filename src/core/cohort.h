@@ -559,14 +559,15 @@ class Cohort : public net::FrameHandler {
   struct PrepareJoin;
   host::Task<void> PrepareOne(Aid aid, Pset pset, GroupId g,
                              std::shared_ptr<PrepareJoin> join);
-  // Phase two. `decision_vs` is the committing record's viewstamp; `fused`
-  // makes the decision force run here, overlapped with the commit fan-out,
-  // instead of ahead of the client reply (DESIGN.md §13).
-  host::Task<void> FinishCommitPhase(Aid aid, std::vector<GroupId> plist,
-                                    Viewstamp decision_vs, bool fused);
+  // The commit_fusion = false ablation (bench E2): force the committing
+  // record at `decision_vs` before reporting, then run phase two.
+  host::Task<TxnOutcome> SerialCommitPhase(Aid aid, std::vector<GroupId> plist,
+                                           Viewstamp decision_vs);
+  // Phase two: the commit fan-out to the plist and the done record.
+  host::Task<void> FinishCommitPhase(Aid aid, std::vector<GroupId> plist);
   struct CommitJoin;
-  host::Task<void> CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
-                            bool fused, std::shared_ptr<CommitJoin> join);
+  host::Task<void> CommitOne(Aid aid, GroupId g,
+                            std::shared_ptr<CommitJoin> join);
   host::Task<void> AbortEverywhere(Aid aid, Pset pset,
                                   std::vector<GroupId> extra_groups = {});
   void OnBeginTxn(const vr::BeginTxnMsg& m);

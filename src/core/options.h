@@ -117,17 +117,15 @@ struct CohortOptions {
   // BEFORE replying. "There would be no aborts due to view changes, but
   // calls would be processed more slowly." Measured in bench E5.
   bool force_calls_before_reply = false;
-  // Fused commit path (DESIGN.md §13): for multi-participant transactions
-  // the coordinator reports kCommitted as soon as the committing record is
-  // BUFFERED — the decision force and the commit fan-out overlap in
-  // background instead of serializing ahead of the client reply, and
-  // decision durability rides the replication flush (issued in the same
-  // instant) plus the write-behind event log (§10) rather than a dedicated
-  // force in the latency path. Off = the classic serial 2PC ladder
-  // (prepare round, await, force committing, commit round) — the ablation
-  // baseline measured in bench E2. Single-participant transactions always
-  // take the serial path, so single-group workloads are byte-identical
-  // either way.
+  // Fused commit path (DESIGN.md §13): for every write transaction, one
+  // participant or many, the coordinator reports kCommitted as soon as the
+  // committing record is BUFFERED — the decision force and the commit
+  // fan-out overlap in background instead of serializing ahead of the
+  // client reply, and decision durability rides the replication flush
+  // (issued in the same instant) plus the write-behind event log (§10)
+  // rather than a dedicated force in the latency path. Off = the classic
+  // serial 2PC ladder (prepare round, await, force committing, commit
+  // round) — the ablation baseline measured in bench E2.
   bool commit_fusion = true;
 };
 

@@ -276,32 +276,45 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
 
   const Viewstamp vs =
       AddRecord(vr::EventRecord::Committing(aid, join->plist));
-
-  // Fused path (DESIGN.md §13): the decision is visible — to §3.4 queries
-  // via the outcome table, and to the backups via the flush the background
-  // force issues in this same instant — as soon as it is buffered. The
-  // force's completion and the commit fan-out overlap in FinishCommitPhase
-  // instead of serializing ahead of the reply; durability additionally
-  // rides the write-behind event log (§10, already appended by AddRecord).
-  // Single-participant transactions stay on the serial ladder below, so
-  // single-group workloads never enter this branch.
-  if (options_.commit_fusion && participants.size() > 1) {
-    ++stats_.fused_commits;
-    tasks_.Spawn(FinishCommitPhase(aid, join->plist, vs, /*fused=*/true));
-    co_return TxnOutcome::kCommitted;
+  if (!options_.commit_fusion) {
+    co_return co_await SerialCommitPhase(aid, join->plist, vs);
   }
 
-  const bool forced = co_await Force(vs);
+  // Fused path (DESIGN.md §13), for any number of participants: the decision
+  // is visible — to §3.4 queries via the outcome table, and to the backups
+  // via the flush ForceTo issues synchronously in this same instant, before
+  // the first CommitMsg and before the client callback runs — as soon as it
+  // is buffered. Only the ack-counting of that force and the commit fan-out
+  // run in background; durability additionally rides the write-behind event
+  // log (§10, already appended by AddRecord). An abandoned force (our group
+  // started a view change) is counted, not acted on: the record either
+  // survived into the new view or participants resolve via §3.4 queries
+  // against it.
+  ++stats_.fused_commits;
+  if (buffer_.active()) {
+    buffer_.ForceTo(vs, [this](bool ok) {
+      if (!ok) ++stats_.fused_decision_forces_failed;
+    });
+  } else {
+    ++stats_.fused_decision_forces_failed;
+  }
+  tasks_.Spawn(FinishCommitPhase(aid, join->plist));
+  co_return TxnOutcome::kCommitted;
+}
+
+host::Task<TxnOutcome> Cohort::SerialCommitPhase(Aid aid,
+                                                 std::vector<GroupId> plist,
+                                                 Viewstamp decision_vs) {
+  const bool forced = co_await Force(decision_vs);
   if (!forced) {
     // The decision record may or may not survive our group's view change;
     // participants will learn the truth via queries (§3.4). We must not
     // claim either outcome.
     co_return TxnOutcome::kUnknown;
   }
-
   // "Note that user code can continue running as soon as the 'committing'
   //  record has been forced to the backups" — phase two runs in background.
-  tasks_.Spawn(FinishCommitPhase(aid, join->plist, vs, /*fused=*/false));
+  tasks_.Spawn(FinishCommitPhase(aid, std::move(plist)));
   co_return TxnOutcome::kCommitted;
 }
 
@@ -358,25 +371,8 @@ host::Task<void> Cohort::PrepareOne(Aid aid, Pset pset, GroupId g,
   }
 }
 
-host::Task<void> Cohort::FinishCommitPhase(Aid aid, std::vector<GroupId> plist,
-                                          Viewstamp decision_vs, bool fused) {
-  if (fused) {
-    // The decision force leaves the client-visible path. ForceTo flushes
-    // the committing record to every backup synchronously in this instant —
-    // before the first CommitMsg below and before the client callback runs —
-    // so the decision is multicast-in-flight from the moment the outcome is
-    // reported; only the ack-counting rides in background. An abandoned
-    // force (our group started a view change) is counted, not acted on: the
-    // record either survived into the new view or participants resolve via
-    // §3.4 queries against it.
-    if (buffer_.active()) {
-      buffer_.ForceTo(decision_vs, [this](bool ok) {
-        if (!ok) ++stats_.fused_decision_forces_failed;
-      });
-    } else {
-      ++stats_.fused_decision_forces_failed;
-    }
-  }
+host::Task<void> Cohort::FinishCommitPhase(Aid aid,
+                                          std::vector<GroupId> plist) {
   bool all_acked = true;
   if (!plist.empty()) {
     auto join = std::make_shared<CommitJoin>();
@@ -384,7 +380,7 @@ host::Task<void> Cohort::FinishCommitPhase(Aid aid, std::vector<GroupId> plist,
     join->corr = NextCorrId();
     join->cohort = this;
     for (GroupId g : plist) {
-      tasks_.Spawn(CommitOne(aid, g, decision_vs, fused, join));
+      tasks_.Spawn(CommitOne(aid, g, join));
     }
     auto r = co_await bool_waiters_.Await(
         join->corr,
@@ -402,8 +398,7 @@ host::Task<void> Cohort::FinishCommitPhase(Aid aid, std::vector<GroupId> plist,
   }
 }
 
-host::Task<void> Cohort::CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
-                                  bool fused,
+host::Task<void> Cohort::CommitOne(Aid aid, GroupId g,
                                   std::shared_ptr<CommitJoin> join) {
   for (int attempt = 0; attempt < options_.commit_attempts;) {
     auto entry = co_await CacheLookup(g);
@@ -414,8 +409,6 @@ host::Task<void> Cohort::CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
     m.group = g;
     m.aid = aid;
     m.reply_to = self_;
-    m.decision_vs = decision_vs;
-    m.fused = fused;
     SendMsg(entry->view.primary, m);
     auto r = co_await commit_waiters_.Await(
         corr, options_.commit_ack_timeout + options_.buffer.force_timeout);

@@ -771,10 +771,6 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
       outcomes_.Lookup(m.aid) == TxnOutcome::kCommitted) {
     r.status = vr::PrepareStatus::kPrepared;
     r.read_only = !store_.HasWriteLocks(m.aid);
-    // The originally forced watermark is not retained; the buffer tail
-    // covers it (everything durable here is <= last_ts).
-    r.prepared_vs =
-        Viewstamp{cur_viewid_, buffer_.active() ? buffer_.last_ts() : 0};
     ++stats_.duplicate_prepares_answered;
     SendMsg(m.reply_to, r);
     co_return;
@@ -839,7 +835,6 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
     ++stats_.prepares_overtaken_by_commit;
     r.status = vr::PrepareStatus::kPrepared;
     r.read_only = read_only;
-    r.prepared_vs = vsm ? *vsm : Viewstamp{};
     SendMsg(m.reply_to, r);
     // A duplicate of the decision may have been stashed mid-force; running
     // it re-sends the done ack the coordinator is waiting for.
@@ -851,14 +846,11 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   store_.ReleaseReadLocks(m.aid);
   r.status = vr::PrepareStatus::kPrepared;
   r.read_only = read_only;
-  // Piggyback the forced record identity on the ack (one message carries
-  // both the prepared answer and the completed-call record's viewstamp).
-  r.prepared_vs = vsm ? *vsm : Viewstamp{};
   ++stats_.prepares_ok;
   txn_activity_[m.aid] = host_.Now();
   if (read_only) {
     // "If the transaction is read-only, add a <'committed', aid> record."
-    r.prepared_vs = AddRecord(vr::EventRecord::Committed(m.aid));
+    AddRecord(vr::EventRecord::Committed(m.aid));
     store_.Commit(m.aid);  // read-only: installs nothing, releases locks
   } else {
     prepared_.insert(m.aid);

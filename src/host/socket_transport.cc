@@ -152,9 +152,9 @@ void SocketTransport::SetNodeUp(net::NodeId node, bool up) {
 int SocketTransport::ConnectTo(net::NodeId to) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return -1;
     auto it = conns_.find(to);
     if (it != conns_.end()) return it->second;
-    if (shutdown_) return -1;
   }
   auto addr_it = peers_.find(to);
   if (addr_it == peers_.end()) return -1;
@@ -182,12 +182,14 @@ int SocketTransport::ConnectTo(net::NodeId to) {
 void SocketTransport::Send(net::NodeId from, net::NodeId to,
                            std::uint16_t type,
                            std::vector<std::uint8_t> payload) {
+  const bool local = to == self_;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.frames_sent;
     stats_.bytes_sent += payload.size() + kHeaderBytes;
+    if (!local) ++sends_in_flight_;
   }
-  if (to == self_) {
+  if (local) {
     // Local delivery skips the wire but stays asynchronous: the handler
     // never runs inside Send() (contract point 3).
     net::Frame frame{from, to, type, std::move(payload)};
@@ -204,11 +206,12 @@ void SocketTransport::Send(net::NodeId from, net::NodeId to,
   w.Raw(std::span<const std::uint8_t>(payload.data(), payload.size()));
   const std::vector<std::uint8_t>& buf = w.data();
 
-  int fd = ConnectTo(to);
-  if (fd < 0 || !WriteFully(fd, buf.data(), buf.size())) {
+  const int fd = ConnectTo(to);
+  const bool sent = fd >= 0 && WriteFully(fd, buf.data(), buf.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!sent) {
     // Connect/write failure = a lost frame (§1 network model). Drop the
     // cached connection so the next Send reconnects.
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = conns_.find(to);
     if (it != conns_.end()) {
       ::close(it->second);
@@ -216,6 +219,7 @@ void SocketTransport::Send(net::NodeId from, net::NodeId to,
     }
     ++stats_.send_failures;
   }
+  if (--sends_in_flight_ == 0 && shutdown_) sends_idle_.notify_all();
 }
 
 SocketTransport::Stats SocketTransport::stats() const {
@@ -227,7 +231,7 @@ void SocketTransport::Shutdown() {
   std::thread acceptor;
   std::vector<std::thread> readers;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (shutdown_) return;
     shutdown_ = true;
     if (listen_fd_ >= 0) {
@@ -237,6 +241,11 @@ void SocketTransport::Shutdown() {
     }
     for (int fd : accepted_) ::shutdown(fd, SHUT_RDWR);  // readers close them
     accepted_.clear();
+    // A Send on the loop thread may be inside WriteFully on a cached fd.
+    // Shutting the socket down fails that write at once; closing it (and
+    // freeing the fd number for reuse) waits until no Send can touch it.
+    for (auto& [node, fd] : conns_) ::shutdown(fd, SHUT_RDWR);
+    sends_idle_.wait(lock, [this] { return sends_in_flight_ == 0; });
     for (auto& [node, fd] : conns_) ::close(fd);
     conns_.clear();
     acceptor = std::move(acceptor_);

@@ -18,6 +18,7 @@
 // protocol's job (comm buffer §2.3), same as under injected loss in sim.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -58,6 +59,8 @@ class SocketTransport final : public net::Transport {
   // Stops the accept and reader threads and closes every socket. Frames
   // already handed to the kernel by Send() are NOT revoked — a peer that
   // keeps running still receives them (the conformance suite checks this).
+  // Safe while the loop is still running: a Send in progress fails its
+  // write, and its connection is closed only after that Send returns.
   void Shutdown();
 
   // net::Transport -------------------------------------------------------
@@ -101,6 +104,10 @@ class SocketTransport final : public net::Transport {
   mutable std::mutex mu_;
   Stats stats_;
   std::map<net::NodeId, int> conns_;  // outbound, created by Send
+  // Sends past the stats update and not yet done with their fd; Shutdown
+  // closes conns_ only once this drains to zero.
+  int sends_in_flight_ = 0;
+  std::condition_variable sends_idle_;
   std::vector<int> accepted_;         // inbound, owned by reader threads
   std::vector<std::thread> readers_;
   std::thread acceptor_;

@@ -483,14 +483,6 @@ struct PrepareReplyMsg {
   bool view_known = false;
   ViewId new_viewid;
   View new_view;
-  // Fused commit path (DESIGN.md §13): the prepared-ack piggybacks the
-  // identity of the participant's forced record — the viewstamp of the last
-  // completed-call record covered by the prepare's force_to (or of the
-  // committed record for a read-only participant). A zero viewstamp means
-  // nothing was forced (no pset entry for this group). The ack and the
-  // record identity travel as ONE message, so the coordinator learns both
-  // "prepared" and "durable up to vs" in a single round.
-  Viewstamp prepared_vs;
 
   void Encode(wire::Writer& w) const {
     aid.Encode(w);
@@ -500,7 +492,6 @@ struct PrepareReplyMsg {
     w.Bool(view_known);
     new_viewid.Encode(w);
     new_view.Encode(w);
-    prepared_vs.Encode(w);
   }
   static PrepareReplyMsg Decode(wire::Reader& r) {
     PrepareReplyMsg m;
@@ -513,7 +504,6 @@ struct PrepareReplyMsg {
     m.view_known = r.Bool();
     m.new_viewid = ViewId::Decode(r);
     m.new_view = View::Decode(r);
-    m.prepared_vs = Viewstamp::Decode(r);
     return m;
   }
 };
@@ -523,31 +513,17 @@ struct CommitMsg {
   GroupId group = 0;
   Aid aid;
   Mid reply_to = 0;
-  // Fused commit path (DESIGN.md §13): the viewstamp the coordinator's
-  // committing record was buffered at. Participants record it so an
-  // in-doubt (§3.6) query racing this message can be answered from the
-  // replicated decision, and traces can correlate the fan-out with the
-  // decision's position in the coordinator's replication stream. Zero on
-  // the serial (commit_fusion=off) path.
-  Viewstamp decision_vs;
-  // True when the fan-out overlapped the decision force (the committing
-  // record may not have reached a sub-majority yet when this was sent).
-  bool fused = false;
 
   void Encode(wire::Writer& w) const {
     w.U64(group);
     aid.Encode(w);
     w.U32(reply_to);
-    decision_vs.Encode(w);
-    w.Bool(fused);
   }
   static CommitMsg Decode(wire::Reader& r) {
     CommitMsg m;
     m.group = r.U64();
     m.aid = Aid::Decode(r);
     m.reply_to = r.U32();
-    m.decision_vs = Viewstamp::Decode(r);
-    m.fused = r.Bool();
     return m;
   }
 };

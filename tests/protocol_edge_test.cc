@@ -11,6 +11,7 @@
 #include "check/invariants.h"
 #include "client/shard_router.h"
 #include "tests/test_util.h"
+#include "workload/bank.h"
 #include "workload/driver.h"
 #include "workload/sharded_bank.h"
 
@@ -560,6 +561,8 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
   // Deterministic "no commit message is ever sent": the fused decision is
   // buffered and force-replicated, but CommitOne's send loop never runs.
   coord->mutable_options().commit_attempts = 0;
+  // The single-group funding deposits above fused too; count only this one.
+  const std::uint64_t fused_before = coord->stats().fused_commits;
 
   client::ShardRouter router(cluster.directory());
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
@@ -578,7 +581,7 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
   // Fused: committed is reported at buffer time, before any participant
   // has heard the decision.
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  EXPECT_EQ(coord->stats().fused_commits, 1u);
+  EXPECT_EQ(coord->stats().fused_commits - fused_before, 1u);
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 100);
 
   // Let the decision force reach the coordinator's backups, then kill it.
@@ -618,6 +621,86 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
           << "cohort " << c->mid() << " holds orphaned transactions";
     }
   }
+}
+
+// Matrix row 1 for a lone participant (DESIGN.md §13.2): a single-group
+// deposit fuses like a cross-shard transfer. The coordinator reports
+// kCommitted with the committing record buffered and no commit message ever
+// sent, and crashes in that same virtual instant — so the only copies of the
+// decision that survive are the frames the fused path's force put on the
+// wire before the report. The bank's prepared deposit must resolve committed
+// through a §3.4 query answered from that replicated record, and the balance
+// must move exactly once.
+TEST(CommitFusion, SingleGroupDepositResolvesCommittedAfterCoordinatorCrash) {
+  Cluster cluster(ClusterOptions{.seed = 105});
+  const vr::GroupId bank = cluster.AddGroup("bank", 3);
+  const vr::GroupId client_g = cluster.AddGroup("client", 3);
+  workload::RegisterBankProcs(cluster, bank);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(test::RunOneCall(cluster, client_g, bank, "open", "a0=100"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(500 * sim::kMillisecond);  // the open's fan-out settles
+
+  core::Cohort* coord = cluster.AnyPrimary(client_g);
+  ASSERT_NE(coord, nullptr);
+  const vr::ViewId coord_view = coord->cur_viewid();
+  coord->mutable_options().commit_attempts = 0;
+  const std::uint64_t fused_before = coord->stats().fused_commits;
+  const auto commit_type = static_cast<std::uint16_t>(vr::MsgType::kCommit);
+  auto commits_sent = [&] {
+    const auto& by_type = cluster.network().stats().sent_by_type;
+    const auto it = by_type.find(commit_type);
+    return it == by_type.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t commits_before = commits_sent();
+
+  vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
+  bool done = false;
+  std::uint64_t commits_at_report = 0;
+  coord->SpawnTransaction(
+      workload::MakeDepositTxn(bank, "a0", 7), [&](vr::TxnOutcome o) {
+        outcome = o;
+        done = true;
+        commits_at_report = commits_sent();
+        // Same instant, after this event: no frame has landed anywhere yet.
+        cluster.sim().scheduler().After(0, [coord] { coord->Crash(); });
+      });
+  const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  while (!done && cluster.sim().Now() < deadline) {
+    cluster.RunFor(100 * sim::kMicrosecond);
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
+  EXPECT_EQ(commits_at_report, commits_before);
+  EXPECT_EQ(coord->stats().fused_commits - fused_before, 1u);
+  EXPECT_EQ(coord->status(), core::Status::kCrashed);
+  EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 1), 100);
+
+  const sim::Time resolve_deadline = cluster.sim().Now() + 30 * sim::kSecond;
+  while (cluster.sim().Now() < resolve_deadline &&
+         workload::CommittedBankTotal(cluster, bank, 1) != 107) {
+    cluster.RunFor(50 * sim::kMillisecond);
+  }
+  EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 1), 107);
+  EXPECT_EQ(commits_sent(), commits_before);
+  EXPECT_GE(SumStats(cluster, bank).queries_resolved, 1u);
+  for (auto* c : cluster.Cohorts(bank)) {
+    EXPECT_TRUE(c->objects().ActiveTxns().empty())
+        << "cohort " << c->mid() << " holds orphaned transactions";
+  }
+
+  core::Cohort* new_coord = nullptr;
+  const sim::Time view_deadline = cluster.sim().Now() + 20 * sim::kSecond;
+  while (new_coord == nullptr && cluster.sim().Now() < view_deadline) {
+    cluster.RunFor(100 * sim::kMillisecond);
+    new_coord = cluster.AnyPrimary(client_g);
+  }
+  ASSERT_NE(new_coord, nullptr);
+  EXPECT_GT(new_coord->cur_viewid(), coord_view);
+  // Exactly once: more time changes nothing.
+  cluster.RunFor(3 * sim::kSecond);
+  EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 1), 107);
 }
 
 // Matrix row 2 (DESIGN.md §13.4): the coordinator crashes mid-fan-out —

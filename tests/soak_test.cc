@@ -295,8 +295,9 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
 // replicated but no commit sent, fan-out half delivered). This soak
 // repeatedly crashes coordinator and shard primaries mid-stream on a
 // duplicating, lossy network and then demands EXACT conservation: every
-// cross-shard transfer moved money atomically, exactly once or not at all.
-// CHECK_SOAK=1 multiplies the rounds ~10x.
+// transfer moved money atomically, exactly once or not at all. A third of
+// the transfers stay inside one shard, so lone-participant fused decisions
+// face the same crashes. CHECK_SOAK=1 multiplies the rounds ~10x.
 TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
   const char* soak_env = std::getenv("CHECK_SOAK");
   const bool long_run = soak_env != nullptr && soak_env[0] == '1';
@@ -306,6 +307,7 @@ TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
   opts.seed = 108;
   opts.net.loss_probability = 0.02;
   opts.net.duplicate_probability = 0.3;
+  int same_shard_committed = 0;
   Cluster cluster(opts);
   auto bank = workload::SetupShardedBank(cluster, 2, 3, 10);
   cluster.Start();
@@ -337,13 +339,23 @@ TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
     if (dice < 60) {
       core::Cohort* coord = cluster.AnyPrimary(bank.client_group);
       if (coord != nullptr) {
-        const int from = static_cast<int>(rng.Index(5));
-        const int to = 5 + static_cast<int>(rng.Index(5));
+        int from = static_cast<int>(rng.Index(5));
+        int to = 5 + static_cast<int>(rng.Index(5));
+        const bool same_shard = dice < 20;
+        if (same_shard) {
+          const int shard_base = dice < 10 ? 0 : 5;
+          to = shard_base + (from + 1 + static_cast<int>(rng.Index(4))) % 5;
+          from += shard_base;
+        }
         coord->SpawnTransaction(
             workload::MakeShardedTransferTxn(
                 router, workload::ShardAccountName(from),
                 workload::ShardAccountName(to), 1),
-            [](vr::TxnOutcome) {});
+            [&same_shard_committed, same_shard](vr::TxnOutcome o) {
+              if (same_shard && o == vr::TxnOutcome::kCommitted) {
+                ++same_shard_committed;
+              }
+            });
         ++spawned;
       }
     } else if (dice < 78) {
@@ -397,10 +409,11 @@ TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
       ADD_FAILURE() << v;
     }
   }
-  // The soak must actually exercise the fused path.
+  // The soak must actually exercise the fused path, lone participants too.
   std::uint64_t fused = 0;
   for (auto* c : groups[bank.client_group]) fused += c->stats().fused_commits;
   EXPECT_GT(fused, 0u);
+  EXPECT_GT(same_shard_committed, 0);
 }
 
 }  // namespace

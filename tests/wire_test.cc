@@ -205,32 +205,23 @@ TEST(Messages, PrepareAndReplyRoundTrip) {
   EXPECT_TRUE(rout.read_only);
   EXPECT_EQ(rout.new_view, r.new_view);
 
-  // Fused-commit fields (DESIGN.md §13) survive the trip.
-  r.prepared_vs = vr::Viewstamp{{5, 2}, 41};
-  EXPECT_EQ(RoundTrip(r).prepared_vs, r.prepared_vs);
-
   vr::CommitMsg c;
   c.group = 3;
   c.aid = p.aid;
   c.reply_to = 4;
-  c.decision_vs = vr::Viewstamp{{6, 1}, 17};
-  c.fused = true;
   auto cout_ = RoundTrip(c);
+  EXPECT_EQ(cout_.group, c.group);
   EXPECT_EQ(cout_.aid, c.aid);
-  EXPECT_EQ(cout_.decision_vs, c.decision_vs);
-  EXPECT_TRUE(cout_.fused);
+  EXPECT_EQ(cout_.reply_to, c.reply_to);
 }
 
-// Pins the exact wire layout of the commit-decision message, including the
-// fused-path fields appended by DESIGN.md §13. Anyone re-implementing the
-// protocol must produce these bytes.
+// Pins the exact wire layout of the commit-decision message. Anyone
+// re-implementing the protocol must produce these bytes.
 TEST(Messages, GoldenBytesCommitMsg) {
   vr::CommitMsg m;
   m.group = 3;
   m.aid = {1, {2, 2}, 9};
   m.reply_to = 4;
-  m.decision_vs = vr::Viewstamp{{5, 1}, 7};
-  m.fused = true;
   const std::vector<std::uint8_t> expected = {
       0x03, 0, 0, 0, 0, 0, 0, 0,  // group = 3 (u64 le)
       0x01, 0, 0, 0, 0, 0, 0, 0,  // aid.coordinator_group = 1
@@ -238,10 +229,6 @@ TEST(Messages, GoldenBytesCommitMsg) {
       0x02, 0, 0, 0,              // aid.view.mid = 2
       0x09, 0, 0, 0, 0, 0, 0, 0,  // aid.seq = 9
       0x04, 0, 0, 0,              // reply_to = 4
-      0x05, 0, 0, 0, 0, 0, 0, 0,  // decision_vs.view.counter = 5
-      0x01, 0, 0, 0,              // decision_vs.view.mid = 1
-      0x07, 0, 0, 0, 0, 0, 0, 0,  // decision_vs.ts = 7
-      0x01,                       // fused = true
   };
   EXPECT_EQ(vr::EncodeMsg(m), expected);
 }
@@ -308,24 +295,32 @@ TEST(Messages, GoldenBytesBufferAckMsg) {
   EXPECT_EQ(vr::EncodeMsg(m), expected);
 }
 
-// The prepared-ack's piggybacked record identity (prepared_vs) is pinned as
-// the message's trailing bytes: appended, never reordered — older decoders
-// reading a prefix see the pre-§13 layout unchanged.
-TEST(Messages, GoldenBytesPrepareReplyTrailer) {
+// Pins the exact wire layout of the prepared-ack, redirect fields included.
+TEST(Messages, GoldenBytesPrepareReplyMsg) {
   vr::PrepareReplyMsg r;
   r.aid = {1, {2, 2}, 9};
   r.from_group = 3;
-  r.status = vr::PrepareStatus::kPrepared;
-  r.prepared_vs = vr::Viewstamp{{5, 1}, 7};
-  const auto bytes = vr::EncodeMsg(r);
-  const std::vector<std::uint8_t> trailer = {
-      0x05, 0, 0, 0, 0, 0, 0, 0,  // prepared_vs.view.counter = 5
-      0x01, 0, 0, 0,              // prepared_vs.view.mid = 1
-      0x07, 0, 0, 0, 0, 0, 0, 0,  // prepared_vs.ts = 7
+  r.status = vr::PrepareStatus::kWrongPrimary;
+  r.read_only = true;
+  r.view_known = true;
+  r.new_viewid = {5, 1};
+  r.new_view = vr::View{1, {2}};
+  const std::vector<std::uint8_t> expected = {
+      0x01, 0, 0, 0, 0, 0, 0, 0,  // aid.coordinator_group = 1
+      0x02, 0, 0, 0, 0, 0, 0, 0,  // aid.view.counter = 2
+      0x02, 0, 0, 0,              // aid.view.mid = 2
+      0x09, 0, 0, 0, 0, 0, 0, 0,  // aid.seq = 9
+      0x03, 0, 0, 0, 0, 0, 0, 0,  // from_group = 3
+      0x02,                       // status = kWrongPrimary
+      0x01,                       // read_only = true
+      0x01,                       // view_known = true
+      0x05, 0, 0, 0, 0, 0, 0, 0,  // new_viewid.counter = 5
+      0x01, 0, 0, 0,              // new_viewid.mid = 1
+      0x01, 0, 0, 0,              // new_view.primary = 1
+      0x01, 0, 0, 0,              // new_view.backups count = 1
+      0x02, 0, 0, 0,              // new_view.backups[0] = 2
   };
-  ASSERT_GE(bytes.size(), trailer.size());
-  EXPECT_TRUE(std::equal(trailer.begin(), trailer.end(),
-                         bytes.end() - trailer.size()));
+  EXPECT_EQ(vr::EncodeMsg(r), expected);
 }
 
 TEST(Messages, ViewChangeMessagesRoundTrip) {
@@ -731,8 +726,6 @@ TEST(Messages, EveryTruncationIsDetected) {
   c.group = 3;
   c.aid = {1, {2, 2}, 9};
   c.reply_to = 4;
-  c.decision_vs = vr::Viewstamp{{5, 1}, 7};
-  c.fused = true;
   ExpectEveryTruncationDetected(c);
 }
 
