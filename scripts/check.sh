@@ -9,7 +9,11 @@
 #
 # CHECK_BENCH_SMOKE=1 runs every bench binary at ~1/10th workload (see
 # bench::Scaled) and bench_micro for a single tiny iteration — catches bench
-# bit-rot in seconds instead of waiting for full experiment runs.
+# bit-rot in seconds instead of waiting for full experiment runs. It also
+# replays real traffic through the codec: a one-second traced perfbench
+# sim-failover run (built in build-perfbench/) must report "correct": true,
+# which perfbench withholds when a sampled frame fails to decode or
+# re-encodes to other bytes.
 #
 # CHECK_SOAK=1 re-runs the dead-backup soak at ~10x rounds: with one backup
 # permanently crashed, the primary's resident record vector must stay
@@ -173,6 +177,18 @@ if [[ "${CHECK_BENCH_SMOKE:-0}" != "1" ]]; then
   if ! awk '/"read_throughput_multiplier"/ { gsub(/[,"]/, ""); m = $2 }
             END { exit (m >= 2.0) ? 0 : 1 }' BENCH_E15.json; then
     echo "FAIL: BENCH_E15.json read_throughput_multiplier is below 2x" >&2
+    exit 1
+  fi
+fi
+
+if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
+  echo "== wire replay (traced perfbench sim-failover) =="
+  # The sampled frames include view-change, log-replay and rejoin traffic
+  # that the hand-built golden samples in wire_test may not cover.
+  result="$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+    --workload sim-failover --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+  if [[ "$result" != '{"correct": true,'* ]]; then
+    echo "FAIL: traced sim-failover replay is not correct: ${result:0:200}" >&2
     exit 1
   fi
 fi

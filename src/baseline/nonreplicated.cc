@@ -1,36 +1,6 @@
 #include "baseline/nonreplicated.h"
 
 namespace vsr::baseline {
-namespace {
-
-struct NrMsg {
-  std::uint64_t req_id = 0;
-  std::uint64_t txn = 0;
-  net::NodeId reply_to = 0;
-  std::string key;
-  std::string value;
-
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.U64(txn);
-    w.U32(reply_to);
-    w.String(key);
-    w.String(value);
-    return w.Take();
-  }
-  static NrMsg Decode(wire::Reader& r) {
-    NrMsg m;
-    m.req_id = r.U64();
-    m.txn = r.U64();
-    m.reply_to = r.U32();
-    m.key = r.String();
-    m.value = r.String();
-    return m;
-  }
-};
-
-}  // namespace
 
 StableServer::StableServer(sim::Simulation& simulation, net::Network& network,
                            net::NodeId self, storage::StableStore& stable)
@@ -46,7 +16,7 @@ void StableServer::ForceLog(std::string tag, std::function<void()> then) {
 
 void StableServer::OnFrame(const net::Frame& frame) {
   wire::Reader r(frame.payload);
-  NrMsg m = NrMsg::Decode(r);
+  NrMsg m = r.Read<NrMsg>();
   if (!r.ok()) return;
   switch (static_cast<NrMsgType>(frame.type)) {
     case NrMsgType::kCall: {
@@ -57,7 +27,7 @@ void StableServer::OnFrame(const net::Frame& frame) {
       NrMsg reply = m;
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(NrMsgType::kCallReply),
-                reply.Encode());
+                wire::Encode(reply));
       break;
     }
     case NrMsgType::kPrepare: {
@@ -67,7 +37,7 @@ void StableServer::OnFrame(const net::Frame& frame) {
       auto respond = [this, reply] {
         net_.Send(self_, reply.reply_to,
                   static_cast<std::uint16_t>(NrMsgType::kPrepareReply),
-                  reply.Encode());
+                  wire::Encode(reply));
       };
       auto it = unforced_.find(m.txn);
       if (it != unforced_.end() && it->second > 0) {
@@ -83,7 +53,7 @@ void StableServer::OnFrame(const net::Frame& frame) {
       ForceLog("commit", [this, reply] {
         net_.Send(self_, reply.reply_to,
                   static_cast<std::uint16_t>(NrMsgType::kCommitReply),
-                  reply.Encode());
+                  wire::Encode(reply));
       });
       unforced_.erase(m.txn);
       break;
@@ -113,7 +83,7 @@ void StableClient::OnFrame(const net::Frame& frame) {
     return;
   }
   wire::Reader r(frame.payload);
-  NrMsg m = NrMsg::Decode(r);
+  NrMsg m = r.Read<NrMsg>();
   if (r.ok()) waiters_.Fulfill(m.req_id, true);
 }
 
@@ -140,7 +110,7 @@ sim::Task<void> StableClient::DoTxn(int num_calls,
     m.value = "v";
     const sim::Time start = sim_.Now();
     net_.Send(self_, server_, static_cast<std::uint16_t>(NrMsgType::kCall),
-              m.Encode());
+              wire::Encode(m));
     auto r = co_await waiters_.Await(m.req_id, timeout);
     if (!r) {
       if (done) done(t);
@@ -157,7 +127,7 @@ sim::Task<void> StableClient::DoTxn(int num_calls,
   prep.reply_to = self_;
   sim::Time start = sim_.Now();
   net_.Send(self_, server_, static_cast<std::uint16_t>(NrMsgType::kPrepare),
-            prep.Encode());
+            wire::Encode(prep));
   if (!co_await waiters_.Await(prep.req_id, timeout)) {
     if (done) done(t);
     co_return;
@@ -170,7 +140,7 @@ sim::Task<void> StableClient::DoTxn(int num_calls,
   commit.reply_to = self_;
   start = sim_.Now();
   net_.Send(self_, server_, static_cast<std::uint16_t>(NrMsgType::kCommit),
-            commit.Encode());
+            wire::Encode(commit));
   if (!co_await waiters_.Await(commit.req_id, timeout)) {
     if (done) done(t);
     co_return;

@@ -43,6 +43,21 @@ enum class NrMsgType : std::uint16_t {
   kCommitReply = 315,
 };
 
+// The one wire struct of the non-replicated baselines (StableServer and
+// ViewstampedStableServer): a request, echoed back as its reply.
+struct NrMsg {
+  std::uint64_t req_id = 0;
+  std::uint64_t txn = 0;
+  net::NodeId reply_to = 0;
+  std::string key;
+  std::string value;
+
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.req_id, m.txn, m.reply_to, m.key, m.value);
+  }
+};
+
 // The single server. Writes go to an in-memory table; durability comes from
 // forced log records on the stable store.
 class StableServer : public net::FrameHandler {

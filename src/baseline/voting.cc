@@ -12,25 +12,9 @@ struct VoteReq {
   std::uint64_t version = 0; // writes
   std::uint64_t client = 0;  // lock owner identity
 
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.U32(reply_to);
-    w.String(key);
-    w.String(value);
-    w.U64(version);
-    w.U64(client);
-    return w.Take();
-  }
-  static VoteReq Decode(wire::Reader& r) {
-    VoteReq m;
-    m.req_id = r.U64();
-    m.reply_to = r.U32();
-    m.key = r.String();
-    m.value = r.String();
-    m.version = r.U64();
-    m.client = r.U64();
-    return m;
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.req_id, m.reply_to, m.key, m.value, m.version, m.client);
   }
 };
 
@@ -40,21 +24,9 @@ struct VoteReply {
   std::string value;
   std::uint64_t version = 0;
 
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.Bool(ok);
-    w.String(value);
-    w.U64(version);
-    return w.Take();
-  }
-  static VoteReply Decode(wire::Reader& r) {
-    VoteReply m;
-    m.req_id = r.U64();
-    m.ok = r.Bool();
-    m.value = r.String();
-    m.version = r.U64();
-    return m;
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.req_id, m.ok, m.value, m.version);
   }
 };
 
@@ -72,7 +44,7 @@ VotingReplica::VotingReplica(sim::Simulation& simulation,
 
 void VotingReplica::OnFrame(const net::Frame& frame) {
   wire::Reader r(frame.payload);
-  VoteReq m = VoteReq::Decode(r);
+  VoteReq m = r.Read<VoteReq>();
   if (!r.ok()) return;
   VoteReply reply;
   reply.req_id = m.req_id;
@@ -87,7 +59,7 @@ void VotingReplica::OnFrame(const net::Frame& frame) {
       }
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(VoteMsgType::kLockReply),
-                reply.Encode());
+                wire::Encode(reply));
       break;
     }
     case VoteMsgType::kWriteReq: {
@@ -103,7 +75,7 @@ void VotingReplica::OnFrame(const net::Frame& frame) {
       }
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(VoteMsgType::kWriteReply),
-                reply.Encode());
+                wire::Encode(reply));
       break;
     }
     case VoteMsgType::kReadReq: {
@@ -115,7 +87,7 @@ void VotingReplica::OnFrame(const net::Frame& frame) {
       }
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(VoteMsgType::kReadReply),
-                reply.Encode());
+                wire::Encode(reply));
       break;
     }
     case VoteMsgType::kUnlockReq: {
@@ -157,7 +129,7 @@ void VotingClient::OnFrame(const net::Frame& frame) {
     return;
   }
   wire::Reader r(frame.payload);
-  VoteReply m = VoteReply::Decode(r);
+  VoteReply m = r.Read<VoteReply>();
   if (!r.ok()) return;
   auto it = pending_.find(m.req_id);
   if (it == pending_.end()) return;
@@ -183,7 +155,7 @@ sim::Task<std::vector<VotingClient::Ack>> VotingClient::Gather(
     VoteMsgType type, const std::vector<std::uint8_t>& payload,
     std::size_t need, std::size_t fanout) {
   wire::Reader rr(payload);
-  VoteReq req = VoteReq::Decode(rr);
+  VoteReq req = rr.Read<VoteReq>();
   auto p = std::make_shared<Pending>();
   p->need = need;
   p->corr = next_req_ * 1000003ull;  // distinct from req ids
@@ -211,7 +183,7 @@ sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
   lock.reply_to = self_;
   lock.key = key;
   lock.client = self_;
-  auto lock_acks = co_await Gather(VoteMsgType::kLockReq, lock.Encode(),
+  auto lock_acks = co_await Gather(VoteMsgType::kLockReq, wire::Encode(lock),
                                    options_.write_quorum, replicas_.size());
   if (lock_acks.empty()) {
     // Lock conflict or timeout — with concurrent writers locking replicas in
@@ -221,7 +193,7 @@ sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
     for (net::NodeId replica : replicas_) {
       net_.Send(self_, replica,
                 static_cast<std::uint16_t>(VoteMsgType::kUnlockReq),
-                unlock.Encode());
+                wire::Encode(unlock));
     }
     ++stats_.writes_failed;
     if (done) done(false);
@@ -237,7 +209,7 @@ sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
   write.value = value;
   write.version = sim_.Now() * 16 + (self_ % 16) + 1;
   write.client = self_;
-  auto write_acks = co_await Gather(VoteMsgType::kWriteReq, write.Encode(),
+  auto write_acks = co_await Gather(VoteMsgType::kWriteReq, wire::Encode(write),
                                     options_.write_quorum, replicas_.size());
   if (write_acks.empty()) {
     ++stats_.writes_failed;
@@ -261,7 +233,7 @@ sim::Task<void> VotingClient::DoRead(
   read.key = key;
   read.client = self_;
   // Send to exactly the read quorum (read-one sends one message).
-  auto acks = co_await Gather(VoteMsgType::kReadReq, read.Encode(),
+  auto acks = co_await Gather(VoteMsgType::kReadReq, wire::Encode(read),
                               options_.read_quorum, options_.read_quorum);
   if (acks.empty()) {
     ++stats_.reads_failed;

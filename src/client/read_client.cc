@@ -22,9 +22,8 @@ void ReadClient::OnFrame(const net::Frame& frame) {
   if (static_cast<vr::MsgType>(frame.type) != vr::MsgType::kBackupReadReply) {
     return;
   }
-  wire::Reader r(frame.payload);
-  auto m = vr::BackupReadReplyMsg::Decode(r);
-  if (r.ok()) read_waiters_.Fulfill(m.corr, std::move(m));
+  auto m = vr::DecodeFrame<vr::BackupReadReplyMsg>(frame.payload);
+  if (m) read_waiters_.Fulfill(m->corr, std::move(*m));
 }
 
 vr::Mid ReadClient::PickTarget(vr::GroupId group,

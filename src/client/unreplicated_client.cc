@@ -27,33 +27,34 @@ UnreplicatedClient::UnreplicatedClient(sim::Simulation& simulation,
 UnreplicatedClient::~UnreplicatedClient() { tasks_.DestroyAll(); }
 
 void UnreplicatedClient::OnFrame(const net::Frame& frame) {
-  wire::Reader r(frame.payload);
   switch (static_cast<vr::MsgType>(frame.type)) {
     case vr::MsgType::kReply: {
-      auto m = vr::ReplyMsg::Decode(r);
-      if (r.ok()) reply_waiters_.Fulfill(m.call_id, std::move(m));
+      auto m = vr::DecodeFrame<vr::ReplyMsg>(frame.payload);
+      if (m) reply_waiters_.Fulfill(m->call_id, std::move(*m));
       break;
     }
     case vr::MsgType::kProbeReply: {
-      auto m = vr::ProbeReplyMsg::Decode(r);
-      if (r.ok()) probe_waiters_.Fulfill(m.req_id, std::move(m));
+      auto m = vr::DecodeFrame<vr::ProbeReplyMsg>(frame.payload);
+      if (m) probe_waiters_.Fulfill(m->req_id, std::move(*m));
       break;
     }
     case vr::MsgType::kBeginTxnReply: {
-      auto m = vr::BeginTxnReplyMsg::Decode(r);
-      if (r.ok()) begin_waiters_.Fulfill(m.req_id, std::move(m));
+      auto m = vr::DecodeFrame<vr::BeginTxnReplyMsg>(frame.payload);
+      if (m) begin_waiters_.Fulfill(m->req_id, std::move(*m));
       break;
     }
     case vr::MsgType::kCommitReqReply: {
-      auto m = vr::CommitReqReplyMsg::Decode(r);
-      if (r.ok()) commit_waiters_.Fulfill(m.req_id, std::move(m));
+      auto m = vr::DecodeFrame<vr::CommitReqReplyMsg>(frame.payload);
+      if (m) commit_waiters_.Fulfill(m->req_id, std::move(*m));
       break;
     }
     case vr::MsgType::kQueryReply: {
-      auto m = vr::QueryReplyMsg::Decode(r);
-      if (!r.ok()) break;
-      auto it = query_corr_.find(m.aid);
-      if (it != query_corr_.end()) query_waiters_.Fulfill(it->second, std::move(m));
+      auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
+      if (!m) break;
+      auto it = query_corr_.find(m->aid);
+      if (it != query_corr_.end()) {
+        query_waiters_.Fulfill(it->second, std::move(*m));
+      }
       break;
     }
     default:

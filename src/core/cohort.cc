@@ -72,9 +72,7 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
   // mygroupid ... are stored on stable storage when the cohort is first
   // created"). These writes are off the critical path.
   wire::Writer w;
-  w.U64(group_);
-  w.U32(self_);
-  w.Vector(configuration_, [&](Mid m) { w.U32(m); });
+  w(group_, self_, configuration_);
   stable_.ForceWrite("identity/" + std::to_string(self_), w.Take(), nullptr,
                      self_);
 }
@@ -185,7 +183,7 @@ void Cohort::Recover() {
   cur_viewid_ = ViewId{};
   if (auto bytes = stable_.Read("viewid/" + std::to_string(self_))) {
     wire::Reader r(*bytes);
-    ViewId vid = ViewId::Decode(r);
+    const auto vid = r.Read<ViewId>();
     if (r.ok()) cur_viewid_ = vid;
   }
   max_viewid_ = cur_viewid_;
@@ -358,133 +356,131 @@ void Cohort::OnFrame(const net::Frame& frame) {
     default:
       break;
   }
-  wire::Reader r(frame.payload);
   switch (static_cast<vr::MsgType>(frame.type)) {
     case vr::MsgType::kPing: {
-      (void)vr::PingMsg::Decode(r);
-      break;  // liveness noted above
+      break;  // liveness noted above; a ping carries nothing else
     }
     case vr::MsgType::kInvite: {
-      auto m = vr::InviteMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnInvite(m);
+      auto m = vr::DecodeFrame<vr::InviteMsg>(frame.payload);
+      if (m && m->group == group_) OnInvite(*m);
       break;
     }
     case vr::MsgType::kAccept: {
-      auto m = vr::AcceptMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnAccept(m);
+      auto m = vr::DecodeFrame<vr::AcceptMsg>(frame.payload);
+      if (m && m->group == group_) OnAccept(*m);
       break;
     }
     case vr::MsgType::kInitView: {
-      auto m = vr::InitViewMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnInitView(m);
+      auto m = vr::DecodeFrame<vr::InitViewMsg>(frame.payload);
+      if (m && m->group == group_) OnInitView(*m);
       break;
     }
     case vr::MsgType::kBufferBatch: {
-      auto m = vr::BufferBatchMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnBufferBatch(m);
+      auto m = vr::DecodeFrame<vr::BufferBatchMsg>(frame.payload);
+      if (m && m->group == group_) OnBufferBatch(*m);
       break;
     }
     case vr::MsgType::kBufferAck: {
-      auto m = vr::BufferAckMsg::Decode(r);
-      if (r.ok() && m.group == group_ && IsActivePrimary()) buffer_.OnAck(m);
+      auto m = vr::DecodeFrame<vr::BufferAckMsg>(frame.payload);
+      if (m && m->group == group_ && IsActivePrimary()) buffer_.OnAck(*m);
       break;
     }
     case vr::MsgType::kSnapshotChunk: {
-      auto m = vr::SnapshotChunkMsg::Decode(r);
-      if (!r.ok()) break;
-      if (m.group == group_) {
+      auto m = vr::DecodeFrame<vr::SnapshotChunkMsg>(frame.payload);
+      if (!m) break;
+      if (m->group == group_) {
         // Intra-group catch-up transfer: only our own primary streams these.
-        if (from_peer) OnSnapshotChunk(m);
+        if (from_peer) OnSnapshotChunk(*m);
       } else {
         // Chunks of a cross-group shard pull, stamped with the SOURCE
         // group's id; OnShardChunk validates them against the active pull.
-        OnShardChunk(m);
+        OnShardChunk(*m);
       }
       break;
     }
     case vr::MsgType::kSnapshotAck: {
-      auto m = vr::SnapshotAckMsg::Decode(r);
+      auto m = vr::DecodeFrame<vr::SnapshotAckMsg>(frame.payload);
       // Acks for shard transfers come from the pulling group's primary —
       // not a peer — carrying our group id copied from the chunks; the
       // server validates viewid/vs/offset per registered transfer.
-      if (r.ok() && m.group == group_ && IsActivePrimary()) OnSnapshotAck(m);
+      if (m && m->group == group_ && IsActivePrimary()) OnSnapshotAck(*m);
       break;
     }
     case vr::MsgType::kCall: {
-      auto m = vr::CallMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnCall(m);
+      auto m = vr::DecodeFrame<vr::CallMsg>(frame.payload);
+      if (m && m->group == group_) OnCall(*m);
       break;
     }
     case vr::MsgType::kReply: {
-      auto m = vr::ReplyMsg::Decode(r);
-      if (r.ok()) reply_waiters_.Fulfill(m.call_id, std::move(m));
+      auto m = vr::DecodeFrame<vr::ReplyMsg>(frame.payload);
+      if (m) reply_waiters_.Fulfill(m->call_id, std::move(*m));
       break;
     }
     case vr::MsgType::kPrepare: {
-      auto m = vr::PrepareMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnPrepare(m);
+      auto m = vr::DecodeFrame<vr::PrepareMsg>(frame.payload);
+      if (m && m->group == group_) OnPrepare(*m);
       break;
     }
     case vr::MsgType::kPrepareReply: {
-      auto m = vr::PrepareReplyMsg::Decode(r);
-      if (!r.ok()) break;
-      auto it = prepare_corr_.find({m.aid, m.from_group});
+      auto m = vr::DecodeFrame<vr::PrepareReplyMsg>(frame.payload);
+      if (!m) break;
+      auto it = prepare_corr_.find({m->aid, m->from_group});
       if (it != prepare_corr_.end()) {
-        prepare_waiters_.Fulfill(it->second, std::move(m));
+        prepare_waiters_.Fulfill(it->second, std::move(*m));
       }
       break;
     }
     case vr::MsgType::kCommit: {
-      auto m = vr::CommitMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnCommit(m);
+      auto m = vr::DecodeFrame<vr::CommitMsg>(frame.payload);
+      if (m && m->group == group_) OnCommit(*m);
       break;
     }
     case vr::MsgType::kCommitDone: {
-      auto m = vr::CommitDoneMsg::Decode(r);
-      if (!r.ok()) break;
-      auto it = commit_corr_.find({m.aid, m.from_group});
+      auto m = vr::DecodeFrame<vr::CommitDoneMsg>(frame.payload);
+      if (!m) break;
+      auto it = commit_corr_.find({m->aid, m->from_group});
       if (it != commit_corr_.end()) {
-        commit_waiters_.Fulfill(it->second, std::move(m));
+        commit_waiters_.Fulfill(it->second, std::move(*m));
       }
       break;
     }
     case vr::MsgType::kAbort: {
-      auto m = vr::AbortMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnAbort(m);
+      auto m = vr::DecodeFrame<vr::AbortMsg>(frame.payload);
+      if (m && m->group == group_) OnAbort(*m);
       break;
     }
     case vr::MsgType::kAbortSub: {
-      auto m = vr::AbortSubMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnAbortSub(m);
+      auto m = vr::DecodeFrame<vr::AbortSubMsg>(frame.payload);
+      if (m && m->group == group_) OnAbortSub(*m);
       break;
     }
     case vr::MsgType::kQuery: {
-      auto m = vr::QueryMsg::Decode(r);
-      if (r.ok()) AnswerQuery(m);
+      auto m = vr::DecodeFrame<vr::QueryMsg>(frame.payload);
+      if (m) AnswerQuery(*m);
       break;
     }
     case vr::MsgType::kQueryReply: {
-      auto m = vr::QueryReplyMsg::Decode(r);
-      if (!r.ok()) break;
-      auto it = query_corr_.find(m.aid);
+      auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
+      if (!m) break;
+      auto it = query_corr_.find(m->aid);
       if (it != query_corr_.end()) {
-        query_waiters_.Fulfill(it->second, std::move(m));
+        query_waiters_.Fulfill(it->second, std::move(*m));
       }
       break;
     }
     case vr::MsgType::kProbe: {
-      auto m = vr::ProbeMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnProbe(m);
+      auto m = vr::DecodeFrame<vr::ProbeMsg>(frame.payload);
+      if (m && m->group == group_) OnProbe(*m);
       break;
     }
     case vr::MsgType::kProbeReply: {
-      auto m = vr::ProbeReplyMsg::Decode(r);
-      if (r.ok()) OnProbeReply(m);
+      auto m = vr::DecodeFrame<vr::ProbeReplyMsg>(frame.payload);
+      if (m) OnProbeReply(*m);
       break;
     }
     case vr::MsgType::kBeginTxn: {
-      auto m = vr::BeginTxnMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnBeginTxn(m);
+      auto m = vr::DecodeFrame<vr::BeginTxnMsg>(frame.payload);
+      if (m && m->group == group_) OnBeginTxn(*m);
       break;
     }
     case vr::MsgType::kBeginTxnReply:
@@ -493,28 +489,28 @@ void Cohort::OnFrame(const net::Frame& frame) {
       break;
     }
     case vr::MsgType::kCommitReq: {
-      auto m = vr::CommitReqMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnCommitReq(m);
+      auto m = vr::DecodeFrame<vr::CommitReqMsg>(frame.payload);
+      if (m && m->group == group_) OnCommitReq(*m);
       break;
     }
     case vr::MsgType::kAbortReq: {
-      auto m = vr::AbortReqMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnAbortReq(m);
+      auto m = vr::DecodeFrame<vr::AbortReqMsg>(frame.payload);
+      if (m && m->group == group_) OnAbortReq(*m);
       break;
     }
     case vr::MsgType::kShardPull: {
-      auto m = vr::ShardPullMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnShardPull(m);
+      auto m = vr::DecodeFrame<vr::ShardPullMsg>(frame.payload);
+      if (m && m->group == group_) OnShardPull(*m);
       break;
     }
     case vr::MsgType::kLeaseGrant: {
-      auto m = vr::LeaseGrantMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnLeaseGrant(m);
+      auto m = vr::DecodeFrame<vr::LeaseGrantMsg>(frame.payload);
+      if (m && m->group == group_) OnLeaseGrant(*m);
       break;
     }
     case vr::MsgType::kBackupRead: {
-      auto m = vr::BackupReadMsg::Decode(r);
-      if (r.ok() && m.group == group_) OnBackupRead(m);
+      auto m = vr::DecodeFrame<vr::BackupReadMsg>(frame.payload);
+      if (m && m->group == group_) OnBackupRead(*m);
       break;
     }
     case vr::MsgType::kBackupReadReply: {

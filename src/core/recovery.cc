@@ -26,14 +26,9 @@ constexpr std::uint8_t kLogApply = 2;
 void Cohort::LogCheckpoint(std::uint64_t ts) {
   if (!elog_.enabled()) return;
   wire::Writer w;
-  cur_viewid_.Encode(w);
-  w.U64(ts);
-  cur_view_.Encode(w);
-  history_.Encode(w);
-  const std::vector<std::uint8_t> gstate = SnapshotGstate();
-  w.Bytes(std::span<const std::uint8_t>(gstate));
+  w(cur_viewid_, ts, cur_view_, history_, SnapshotGstate());
   w.U32(static_cast<std::uint32_t>(prepared_.size()));
-  for (const Aid& aid : prepared_) aid.Encode(w);
+  for (const Aid& aid : prepared_) w(aid);
   elog_.BeginGeneration({kLogCheckpoint, w.Take()});
 }
 
@@ -41,9 +36,7 @@ void Cohort::LogCheckpoint(std::uint64_t ts) {
 // not be re-appended (the checkpoint + surviving suffix already cover it).
 void Cohort::LogApply(const vr::EventRecord& rec) {
   if (!elog_.enabled() || log_replay_active_) return;
-  wire::Writer w;
-  rec.Encode(w);
-  elog_.Append(kLogApply, w.Take());
+  elog_.Append(kLogApply, wire::Encode(rec));
 }
 
 // Replays the durable log image: restores the last checkpoint found, then
@@ -67,15 +60,16 @@ bool Cohort::RecoverFromLog() {
   if (ckpt == entries.size()) return false;
 
   wire::Reader r(entries[ckpt].payload);
-  ViewId vid = ViewId::Decode(r);
-  const std::uint64_t ts = r.U64();
-  View view = View::Decode(r);
-  vr::History hist = vr::History::Decode(r);
-  const std::vector<std::uint8_t> gstate = r.Bytes();
+  ViewId vid;
+  std::uint64_t ts = 0;
+  View view;
+  vr::History hist;
+  std::vector<std::uint8_t> gstate;
+  r(vid, ts, view, hist, gstate);
   std::set<Aid> prepared;
   const std::uint32_t prep_count = r.U32();
   for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared.insert(Aid::Decode(r));
+    prepared.insert(r.Read<Aid>());
   }
   if (!r.ok() || !r.AtEnd() || hist.Empty() || !view.Contains(self_)) {
     return false;  // garbled checkpoint: trust nothing
@@ -98,7 +92,7 @@ bool Cohort::RecoverFromLog() {
   for (std::size_t i = ckpt + 1; i < entries.size(); ++i) {
     if (entries[i].kind != kLogApply) continue;
     wire::Reader er(entries[i].payload);
-    vr::EventRecord rec = vr::EventRecord::Decode(er);
+    const auto rec = er.Read<vr::EventRecord>();
     if (!er.ok() || !er.AtEnd()) break;
     if (rec.ts <= applied_ts_) continue;  // duplicate (pre-checkpoint flush)
     if (rec.ts != applied_ts_ + 1) break;

@@ -18,6 +18,22 @@
 #include "core/cohort.h"
 
 namespace vsr::core {
+namespace {
+
+// The head of a shard image: the range it covers and the group it was pulled
+// from. The range's committed bases follow it (ObjectStore::SnapshotRange).
+struct ShardImageHeader {
+  std::string lo;
+  std::string hi;
+  GroupId source = 0;
+
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.lo, m.hi, m.source);
+  }
+};
+
+}  // namespace
 
 GroupId ProcContext::group() const { return cohort_.group(); }
 
@@ -28,9 +44,7 @@ GroupId ProcContext::group() const { return cohort_.group(); }
 void Cohort::OnShardPull(const vr::ShardPullMsg& m) {
   if (!IsActivePrimary() || !buffer_.active()) return;
   wire::Writer w;
-  w.String(m.lo);
-  w.String(m.hi);
-  w.U64(group_);
+  w(ShardImageHeader{m.lo, m.hi, group_});
   store_.SnapshotRange(w, m.lo, m.hi);
   ++stats_.shard_pulls_served;
   // Identified by our newest buffered viewstamp: a later re-pull of the
@@ -127,11 +141,9 @@ host::Task<void> Cohort::FinishShardInstall(std::uint64_t pull_id,
   // The image must answer exactly the pull we issued.
   {
     wire::Reader r(payload);
-    const std::string lo = r.String();
-    const std::string hi = r.String();
-    const GroupId src = r.U64();
-    if (!r.ok() || lo != shard_pull_->lo || hi != shard_pull_->hi ||
-        src != shard_pull_->from_group) {
+    const auto head = r.Read<ShardImageHeader>();
+    if (!r.ok() || head.lo != shard_pull_->lo || head.hi != shard_pull_->hi ||
+        head.source != shard_pull_->from_group) {
       ResetShardPull(false);
       co_return;
     }
@@ -165,14 +177,15 @@ void Cohort::ResetShardPull(bool ok) {
 
 void Cohort::ApplyShardRecord(const vr::EventRecord& rec) {
   wire::Reader r(rec.gstate);
-  const std::string lo = r.String();
-  const std::string hi = r.String();
   if (rec.type == vr::EventType::kShardInstall) {
-    (void)r.U64();  // source group: diagnostic only
+    (void)r.Read<ShardImageHeader>();  // checked before it was replicated
     if (!r.ok()) return;
     store_.InstallRange(r);
     ++stats_.shard_images_installed;
   } else {
+    std::string lo;
+    std::string hi;
+    r(lo, hi);
     if (!r.ok()) return;
     store_.DropRange(lo, hi);
     ++stats_.shard_ranges_dropped;
@@ -182,8 +195,7 @@ void Cohort::ApplyShardRecord(const vr::EventRecord& rec) {
 void Cohort::DropShard(std::string lo, std::string hi) {
   if (!IsActivePrimary() || !buffer_.active()) return;
   wire::Writer w;
-  w.String(lo);
-  w.String(hi);
+  w(lo, hi);
   vr::EventRecord rec = vr::EventRecord::ShardDrop(w.Take());
   // Garbage collection: applied here and replicated lazily (no force —
   // losing a drop record to a view change merely delays the GC until the

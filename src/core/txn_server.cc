@@ -82,10 +82,7 @@ std::vector<std::uint8_t> Cohort::SnapshotGstate() const {
   for (const auto& [seq, e] : call_dedup_) completed += e.completed ? 1 : 0;
   w.U32(completed);
   for (const auto& [seq, e] : call_dedup_) {
-    if (!e.completed) continue;
-    w.U64(seq);
-    e.aid.Encode(w);
-    e.reply.Encode(w);
+    if (e.completed) w(seq, e.aid, e.reply);
   }
   return w.Take();
 }
@@ -97,11 +94,10 @@ void Cohort::RestoreGstate(const std::vector<std::uint8_t>& bytes) {
   call_dedup_.clear();
   const std::uint32_t n = r.U32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint64_t seq = r.U64();
+    std::uint64_t seq = 0;
     DedupEntry e;
     e.completed = true;
-    e.aid = Aid::Decode(r);
-    e.reply = vr::ReplyMsg::Decode(r);
+    r(seq, e.aid, e.reply);
     call_dedup_[seq] = std::move(e);
   }
 }
@@ -307,18 +303,13 @@ std::shared_ptr<const std::vector<std::uint8_t>> Cohort::BuildSnapshotPayload()
   // carries), then the prepared-transaction set — a promoted backup must know
   // which blocked transactions to query coordinators about (§3.4).
   wire::Writer w;
-  history_.Encode(w);
-  const std::vector<std::uint8_t> gstate = SnapshotGstate();
-  w.Bytes(std::span<const std::uint8_t>(gstate));
+  w(history_, SnapshotGstate());
   w.U32(static_cast<std::uint32_t>(prepared_.size()));
-  for (const Aid& aid : prepared_) aid.Encode(w);
+  for (const Aid& aid : prepared_) w(aid);
   // §3.6 sibling fallback targets travel with the prepared set, so a
   // snapshot-caught-up cohort keeps its coordinator-partition escape hatch.
   w.U32(static_cast<std::uint32_t>(prepared_siblings_.size()));
-  for (const auto& [aid, groups] : prepared_siblings_) {
-    aid.Encode(w);
-    w.Vector(groups, [&](GroupId g) { w.U64(g); });
-  }
+  for (const auto& [aid, groups] : prepared_siblings_) w(aid, groups);
   return std::make_shared<const std::vector<std::uint8_t>>(w.Take());
 }
 
@@ -401,18 +392,19 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   // touching any cohort state. A truncated or trailing-garbage payload is
   // rejected wholesale.
   wire::Reader r(payload);
-  vr::History hist = vr::History::Decode(r);
-  const std::vector<std::uint8_t> gstate = r.Bytes();
+  vr::History hist;
+  std::vector<std::uint8_t> gstate;
+  r(hist, gstate);
   std::set<Aid> prepared;
   const std::uint32_t prep_count = r.U32();
   for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared.insert(Aid::Decode(r));
+    prepared.insert(r.Read<Aid>());
   }
   std::map<Aid, std::vector<GroupId>> siblings;
   const std::uint32_t sib_count = r.U32();
   for (std::uint32_t i = 0; i < sib_count && r.ok(); ++i) {
-    const Aid aid = Aid::Decode(r);
-    siblings[aid] = r.Vector<GroupId>([&] { return r.U64(); });
+    const Aid aid = r.Read<Aid>();
+    r(siblings[aid]);
   }
   if (!r.ok() || !r.AtEnd() || hist.Empty() ||
       hist.Latest().view != vs.view || hist.Latest().ts > vs.ts) {

@@ -287,9 +287,7 @@ void Cohort::StartViewAsPrimary(View v, ViewId vid) {
 
   const std::uint64_t epoch = ++start_view_epoch_;
   if (options_.write_viewid_durably) {
-    wire::Writer w;
-    vid.Encode(w);
-    stable_.ForceWrite("viewid/" + std::to_string(self_), w.Take(),
+    stable_.ForceWrite("viewid/" + std::to_string(self_), wire::Encode(vid),
                        [this, epoch, v, vid] {
                          if (start_view_epoch_ != epoch) return;
                          if (status_ == Status::kCrashed) return;
@@ -369,10 +367,8 @@ void Cohort::AdoptNewView(const vr::EventRecord& newview, ViewId vid,
     SendBufferAck();
   };
   if (options_.write_viewid_durably) {
-    wire::Writer w;
-    vid.Encode(w);
-    stable_.ForceWrite("viewid/" + std::to_string(self_), w.Take(), finish,
-                       self_);
+    stable_.ForceWrite("viewid/" + std::to_string(self_), wire::Encode(vid),
+                       finish, self_);
   } else {
     finish();
   }

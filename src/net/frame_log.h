@@ -49,10 +49,7 @@ class FrameLog {
     for (const Entry& e : entries_) {
       if (type_filter != 0 && e.type != type_filter) continue;
       char buf[128];
-      const char* name =
-          e.type >= 1 && e.type <= 26
-              ? vr::MsgTypeName(static_cast<vr::MsgType>(e.type))
-              : "?";
+      const char* name = vr::MsgTypeName(static_cast<vr::MsgType>(e.type));
       std::snprintf(buf, sizeof(buf), "t=%-12s %3u -> %-3u %-16s (%zuB)",
                     sim::FormatDuration(e.at).c_str(), e.from, e.to, name,
                     e.bytes);

@@ -321,42 +321,16 @@ void ObjectStore::Clear() {
 
 void ObjectStore::Snapshot(wire::Writer& w) const {
   w.U32(static_cast<std::uint32_t>(objects_.size()));
-  for (const auto& [uid, obj] : objects_) {
-    w.String(uid);
-    w.Bool(obj.base.has_value());
-    if (obj.base) w.String(*obj.base);
-    w.Vector(obj.holders, [&](const LockHolder& h) {
-      h.aid.Encode(w);
-      w.U8(static_cast<std::uint8_t>(h.mode));
-    });
-    w.Vector(obj.tentatives, [&](const TentativeVersion& t) {
-      t.owner.Encode(w);
-      w.String(t.value);
-    });
-  }
+  for (const auto& [uid, obj] : objects_) w(uid, obj);
 }
 
 void ObjectStore::Restore(wire::Reader& r) {
   Clear();
   const std::uint32_t n = r.U32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    std::string uid = r.String();
+    std::string uid;
     Object obj;
-    if (r.Bool()) obj.base = r.String();
-    obj.holders = r.Vector<LockHolder>([&] {
-      LockHolder h;
-      h.aid = Aid::Decode(r);
-      std::uint8_t m = r.U8();
-      if (m > 1) r.MarkBad();
-      h.mode = static_cast<LockMode>(m);
-      return h;
-    });
-    obj.tentatives = r.Vector<TentativeVersion>([&] {
-      TentativeVersion t;
-      t.owner = SubAid::Decode(r);
-      t.value = r.String();
-      return t;
-    });
+    r(uid, obj);
     for (const LockHolder& h : obj.holders) touched_[h.aid].insert(uid);
     objects_[std::move(uid)] = std::move(obj);
   }

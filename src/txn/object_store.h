@@ -171,18 +171,35 @@ class ObjectStore {
   const Stats& stats() const { return stats_; }
 
  private:
+  // An object travels in Snapshot by these field walks.
   struct TentativeVersion {
     SubAid owner;
     std::string value;
+
+    template <class Ar, class M>
+    static void Fields(Ar& ar, M& m) {
+      ar(m.owner, m.value);
+    }
   };
   struct LockHolder {
     Aid aid;
     LockMode mode;
+
+    template <class Ar, class M>
+    static void Fields(Ar& ar, M& m) {
+      ar(m.aid);
+      ar.Enum(m.mode, LockMode::kWrite);
+    }
   };
   struct Object {
     std::optional<std::string> base;
     std::vector<LockHolder> holders;
     std::vector<TentativeVersion> tentatives;  // in creation order
+
+    template <class Ar, class M>
+    static void Fields(Ar& ar, M& m) {
+      ar(m.base, m.holders, m.tentatives);
+    }
   };
   struct Waiter {
     std::uint64_t id;

@@ -43,18 +43,19 @@ class OutcomeTable {
   void Snapshot(wire::Writer& w) const {
     w.U32(static_cast<std::uint32_t>(outcomes_.size()));
     for (const auto& [aid, outcome] : outcomes_) {
-      aid.Encode(w);
-      w.U8(static_cast<std::uint8_t>(outcome));
+      w(aid);
+      w.Enum(outcome, vr::TxnOutcome::kAborted);
     }
   }
   void Restore(wire::Reader& r) {
     outcomes_.clear();
     const std::uint32_t n = r.U32();
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      vr::Aid aid = vr::Aid::Decode(r);
-      std::uint8_t o = r.U8();
-      if (o > 3) r.MarkBad();
-      outcomes_[aid] = static_cast<vr::TxnOutcome>(o);
+      vr::Aid aid;
+      auto outcome = vr::TxnOutcome::kUnknown;
+      r(aid);
+      r.Enum(outcome, vr::TxnOutcome::kAborted);
+      outcomes_[aid] = outcome;
     }
   }
 

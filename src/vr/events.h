@@ -15,7 +15,6 @@
 
 #include "vr/history.h"
 #include "vr/types.h"
-#include "wire/buffer.h"
 
 namespace vsr::vr {
 
@@ -33,20 +32,11 @@ struct ObjectEffect {
 
   bool operator==(const ObjectEffect&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.String(uid);
-    w.U8(static_cast<std::uint8_t>(mode));
-    w.Bool(tentative.has_value());
-    if (tentative) w.String(*tentative);
-  }
-  static ObjectEffect Decode(wire::Reader& r) {
-    ObjectEffect e;
-    e.uid = r.String();
-    std::uint8_t m = r.U8();
-    if (m > 1) r.MarkBad();
-    e.mode = static_cast<LockMode>(m);
-    if (r.Bool()) e.tentative = r.String();
-    return e;
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.uid);
+    ar.Enum(m.mode, LockMode::kWrite);
+    ar(m.tentative);
   }
 };
 
@@ -161,35 +151,11 @@ struct EventRecord {
     return e;
   }
 
-  void Encode(wire::Writer& w) const {
-    w.U8(static_cast<std::uint8_t>(type));
-    w.U64(ts);
-    sub_aid.Encode(w);
-    w.Vector(effects, [&](const ObjectEffect& e) { e.Encode(w); });
-    w.U64(call_seq);
-    w.Bytes(result);
-    w.Vector(nested_pset, [&](const PsetEntry& p) { p.Encode(w); });
-    w.Vector(plist, [&](GroupId g) { w.U64(g); });
-    view.Encode(w);
-    history.Encode(w);
-    w.Bytes(gstate);
-  }
-  static EventRecord Decode(wire::Reader& r) {
-    EventRecord e;
-    std::uint8_t t = r.U8();
-    if (t > static_cast<std::uint8_t>(EventType::kShardDrop)) r.MarkBad();
-    e.type = static_cast<EventType>(t);
-    e.ts = r.U64();
-    e.sub_aid = SubAid::Decode(r);
-    e.effects = r.Vector<ObjectEffect>([&] { return ObjectEffect::Decode(r); });
-    e.call_seq = r.U64();
-    e.result = r.Bytes();
-    e.nested_pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    e.plist = r.Vector<GroupId>([&] { return r.U64(); });
-    e.view = View::Decode(r);
-    e.history = History::Decode(r);
-    e.gstate = r.Bytes();
-    return e;
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar.Enum(m.type, EventType::kShardDrop);
+    ar(m.ts, m.sub_aid, m.effects, m.call_seq, m.result, m.nested_pset,
+       m.plist, m.view, m.history, m.gstate);
   }
 
   std::string ToString() const;

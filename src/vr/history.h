@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "vr/types.h"
-#include "wire/buffer.h"
 
 namespace vsr::vr {
 
@@ -71,13 +70,9 @@ class History {
 
   bool operator==(const History&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.Vector(entries_, [&](const Viewstamp& v) { v.Encode(w); });
-  }
-  static History Decode(wire::Reader& r) {
-    History h;
-    h.entries_ = r.Vector<Viewstamp>([&] { return Viewstamp::Decode(r); });
-    return h;
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.entries_);
   }
 
   std::string ToString() const {

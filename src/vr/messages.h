@@ -18,11 +18,15 @@
 //   BeginTxn/...  the coordinator-server protocol for unreplicated
 //                 clients (§3.5)
 //
-// Every struct has Encode(wire::Writer&) and static Decode(wire::Reader&);
-// a decoded message is only meaningful if reader.ok() afterwards.
+// Each message lists its wire layout once, as a Fields walk (wire/buffer.h
+// maps field types to bytes); Encode and Decode just run that walk. A frame
+// is decoded with DecodeFrame, which accepts only a clean parse that uses
+// every byte.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,16 +84,12 @@ struct PingMsg {
   GroupId group = 0;
   Mid from = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U32(from);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.from);
   }
-  static PingMsg Decode(wire::Reader& r) {
-    PingMsg m;
-    m.group = r.U64();
-    m.from = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static PingMsg Decode(wire::Reader& r) { return r.Read<PingMsg>(); }
 };
 
 struct InviteMsg {
@@ -98,18 +98,12 @@ struct InviteMsg {
   ViewId new_viewid;
   Mid from = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    new_viewid.Encode(w);
-    w.U32(from);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.new_viewid, m.from);
   }
-  static InviteMsg Decode(wire::Reader& r) {
-    InviteMsg m;
-    m.group = r.U64();
-    m.new_viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static InviteMsg Decode(wire::Reader& r) { return r.Read<InviteMsg>(); }
 };
 
 struct AcceptMsg {
@@ -133,29 +127,16 @@ struct AcceptMsg {
   // Crash acceptance: cur_viewid recovered from stable storage.
   ViewId crash_viewid;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    invite_viewid.Encode(w);
-    w.U32(from);
-    w.Bool(crashed);
-    last_vs.Encode(w);
-    w.Bool(was_primary);
-    crash_viewid.Encode(w);
-    w.Bool(recovered);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    // `recovered` came last to the wire, after crash_viewid.
+    ar(m.group, m.invite_viewid, m.from, m.crashed, m.last_vs, m.was_primary,
+       m.crash_viewid, m.recovered);
   }
-  static AcceptMsg Decode(wire::Reader& r) {
-    AcceptMsg m;
-    m.group = r.U64();
-    m.invite_viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.crashed = r.Bool();
-    m.last_vs = Viewstamp::Decode(r);
-    m.was_primary = r.Bool();
-    m.crash_viewid = ViewId::Decode(r);
-    m.recovered = r.Bool();
-    if (m.recovered && !m.crashed) r.MarkBad();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static AcceptMsg Decode(wire::Reader& r) { return r.Read<AcceptMsg>(); }
+  // Only a crash acceptance can be log-recovered.
+  bool Valid() const { return crashed || !recovered; }
 };
 
 struct InitViewMsg {
@@ -165,20 +146,12 @@ struct InitViewMsg {
   View view;
   Mid from = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    view.Encode(w);
-    w.U32(from);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.view, m.from);
   }
-  static InitViewMsg Decode(wire::Reader& r) {
-    InitViewMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.view = View::Decode(r);
-    m.from = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static InitViewMsg Decode(wire::Reader& r) { return r.Read<InitViewMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -193,19 +166,13 @@ struct BufferBatchMsg {
   // Contiguous run of event records, in timestamp order.
   std::vector<EventRecord> events;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    w.Vector(events, [&](const EventRecord& e) { e.Encode(w); });
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.from, m.events);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static BufferBatchMsg Decode(wire::Reader& r) {
-    BufferBatchMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.events = r.Vector<EventRecord>([&] { return EventRecord::Decode(r); });
-    return m;
+    return r.Read<BufferBatchMsg>();
   }
 };
 
@@ -234,29 +201,15 @@ struct BufferAckMsg {
   // advanced past (it would trigger a redundant restream).
   std::uint64_t rejoin_epoch = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    w.U64(ts);
-    w.Bool(gap);
-    w.U64(gap_hi);
-    w.Bool(rejoin);
-    w.U64(rejoin_epoch);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.from, m.ts, m.gap, m.gap_hi, m.rejoin,
+       m.rejoin_epoch);
   }
-  static BufferAckMsg Decode(wire::Reader& r) {
-    BufferAckMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.ts = r.U64();
-    m.gap = r.Bool();
-    m.gap_hi = r.U64();
-    m.rejoin = r.Bool();
-    m.rejoin_epoch = r.U64();
-    if (m.gap && m.gap_hi <= m.ts) r.MarkBad();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static BufferAckMsg Decode(wire::Reader& r) { return r.Read<BufferAckMsg>(); }
+  // A gap request names a non-empty hole above the acked prefix.
+  bool Valid() const { return !gap || gap_hi > ts; }
 };
 
 // ---------------------------------------------------------------------------
@@ -278,33 +231,20 @@ struct SnapshotChunkMsg {
   std::uint64_t offset = 0;      // position of `data` within the payload
   std::vector<std::uint8_t> data;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    vs.Encode(w);
-    w.U64(total_size);
-    w.U32(checksum);
-    w.U64(offset);
-    w.Bytes(std::span<const std::uint8_t>(data));
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.from, m.vs, m.total_size, m.checksum, m.offset,
+       m.data);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static SnapshotChunkMsg Decode(wire::Reader& r) {
-    SnapshotChunkMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.vs = Viewstamp::Decode(r);
-    m.total_size = r.U64();
-    m.checksum = r.U32();
-    m.offset = r.U64();
-    m.data = r.Bytes();
-    // Every chunk carries at least one byte strictly inside the payload; an
-    // empty snapshot does not exist (gstate is never zero bytes).
-    if (m.total_size == 0 || m.offset >= m.total_size || m.data.empty() ||
-        m.data.size() > m.total_size - m.offset) {
-      r.MarkBad();
-    }
-    return m;
+    return r.Read<SnapshotChunkMsg>();
+  }
+  // Every chunk carries at least one byte strictly inside the payload; an
+  // empty snapshot does not exist (gstate is never zero bytes).
+  bool Valid() const {
+    return total_size != 0 && offset < total_size && !data.empty() &&
+           data.size() <= total_size - offset;
   }
 };
 
@@ -320,21 +260,13 @@ struct SnapshotAckMsg {
   Viewstamp vs;
   std::uint64_t offset = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    vs.Encode(w);
-    w.U64(offset);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.from, m.vs, m.offset);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static SnapshotAckMsg Decode(wire::Reader& r) {
-    SnapshotAckMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.vs = Viewstamp::Decode(r);
-    m.offset = r.U64();
-    return m;
+    return r.Read<SnapshotAckMsg>();
   }
 };
 
@@ -363,30 +295,13 @@ struct CallMsg {
   std::string proc;
   std::vector<std::uint8_t> args;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U64(call_id);
-    w.U64(call_seq);
-    w.U32(reply_to);
-    sub_aid.Encode(w);
-    w.Vector(dead_subs, [&](std::uint32_t s) { w.U32(s); });
-    w.String(proc);
-    w.Bytes(args);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.call_id, m.call_seq, m.reply_to, m.sub_aid,
+       m.dead_subs, m.proc, m.args);
   }
-  static CallMsg Decode(wire::Reader& r) {
-    CallMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.call_id = r.U64();
-    m.call_seq = r.U64();
-    m.reply_to = r.U32();
-    m.sub_aid = SubAid::Decode(r);
-    m.dead_subs = r.Vector<std::uint32_t>([&] { return r.U32(); });
-    m.proc = r.String();
-    m.args = r.Bytes();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static CallMsg Decode(wire::Reader& r) { return r.Read<CallMsg>(); }
 };
 
 enum class ReplyStatus : std::uint8_t {
@@ -409,28 +324,14 @@ struct ReplyMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(call_id);
-    w.U8(static_cast<std::uint8_t>(status));
-    w.Bytes(result);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.call_id);
+    ar.Enum(m.status, ReplyStatus::kFailed);
+    ar(m.result, m.pset, m.view_known, m.new_viewid, m.new_view);
   }
-  static ReplyMsg Decode(wire::Reader& r) {
-    ReplyMsg m;
-    m.call_id = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 2) r.MarkBad();
-    m.status = static_cast<ReplyStatus>(s);
-    m.result = r.Bytes();
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static ReplyMsg Decode(wire::Reader& r) { return r.Read<ReplyMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -444,20 +345,12 @@ struct PrepareMsg {
   Pset pset;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-    w.U32(reply_to);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.aid, m.pset, m.reply_to);
   }
-  static PrepareMsg Decode(wire::Reader& r) {
-    PrepareMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static PrepareMsg Decode(wire::Reader& r) { return r.Read<PrepareMsg>(); }
 };
 
 enum class PrepareStatus : std::uint8_t {
@@ -484,27 +377,15 @@ struct PrepareReplyMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U64(from_group);
-    w.U8(static_cast<std::uint8_t>(status));
-    w.Bool(read_only);
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.aid, m.from_group);
+    ar.Enum(m.status, PrepareStatus::kWrongPrimary);
+    ar(m.read_only, m.view_known, m.new_viewid, m.new_view);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static PrepareReplyMsg Decode(wire::Reader& r) {
-    PrepareReplyMsg m;
-    m.aid = Aid::Decode(r);
-    m.from_group = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 2) r.MarkBad();
-    m.status = static_cast<PrepareStatus>(s);
-    m.read_only = r.Bool();
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
+    return r.Read<PrepareReplyMsg>();
   }
 };
 
@@ -514,18 +395,12 @@ struct CommitMsg {
   Aid aid;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-    w.U32(reply_to);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.aid, m.reply_to);
   }
-  static CommitMsg Decode(wire::Reader& r) {
-    CommitMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static CommitMsg Decode(wire::Reader& r) { return r.Read<CommitMsg>(); }
 };
 
 struct CommitDoneMsg {
@@ -538,23 +413,14 @@ struct CommitDoneMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U64(from_group);
-    w.Bool(wrong_primary);
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.aid, m.from_group, m.wrong_primary, m.view_known, m.new_viewid,
+       m.new_view);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static CommitDoneMsg Decode(wire::Reader& r) {
-    CommitDoneMsg m;
-    m.aid = Aid::Decode(r);
-    m.from_group = r.U64();
-    m.wrong_primary = r.Bool();
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
+    return r.Read<CommitDoneMsg>();
   }
 };
 
@@ -563,16 +429,12 @@ struct AbortMsg {
   GroupId group = 0;
   Aid aid;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.aid);
   }
-  static AbortMsg Decode(wire::Reader& r) {
-    AbortMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static AbortMsg Decode(wire::Reader& r) { return r.Read<AbortMsg>(); }
 };
 
 struct AbortSubMsg {
@@ -580,16 +442,12 @@ struct AbortSubMsg {
   GroupId group = 0;
   SubAid sub_aid;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    sub_aid.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.sub_aid);
   }
-  static AbortSubMsg Decode(wire::Reader& r) {
-    AbortSubMsg m;
-    m.group = r.U64();
-    m.sub_aid = SubAid::Decode(r);
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static AbortSubMsg Decode(wire::Reader& r) { return r.Read<AbortSubMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -609,18 +467,12 @@ struct QueryMsg {
   Mid reply_to = 0;
   GroupId reply_group = 0;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U32(reply_to);
-    w.U64(reply_group);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.aid, m.reply_to, m.reply_group);
   }
-  static QueryMsg Decode(wire::Reader& r) {
-    QueryMsg m;
-    m.aid = Aid::Decode(r);
-    m.reply_to = r.U32();
-    m.reply_group = r.U64();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static QueryMsg Decode(wire::Reader& r) { return r.Read<QueryMsg>(); }
 };
 
 struct QueryReplyMsg {
@@ -628,17 +480,14 @@ struct QueryReplyMsg {
   Aid aid;
   TxnOutcome outcome = TxnOutcome::kUnknown;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U8(static_cast<std::uint8_t>(outcome));
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.aid);
+    ar.Enum(m.outcome, TxnOutcome::kAborted);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static QueryReplyMsg Decode(wire::Reader& r) {
-    QueryReplyMsg m;
-    m.aid = Aid::Decode(r);
-    std::uint8_t o = r.U8();
-    if (o > 3) r.MarkBad();
-    m.outcome = static_cast<TxnOutcome>(o);
-    return m;
+    return r.Read<QueryReplyMsg>();
   }
 };
 
@@ -652,18 +501,12 @@ struct ProbeMsg {
   std::uint64_t req_id = 0;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U64(req_id);
-    w.U32(reply_to);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.req_id, m.reply_to);
   }
-  static ProbeMsg Decode(wire::Reader& r) {
-    ProbeMsg m;
-    m.group = r.U64();
-    m.req_id = r.U64();
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static ProbeMsg Decode(wire::Reader& r) { return r.Read<ProbeMsg>(); }
 };
 
 struct ProbeReplyMsg {
@@ -675,23 +518,13 @@ struct ProbeReplyMsg {
   ViewId viewid;
   View view;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U64(req_id);
-    w.Bool(known);
-    w.Bool(active);
-    viewid.Encode(w);
-    view.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.req_id, m.known, m.active, m.viewid, m.view);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static ProbeReplyMsg Decode(wire::Reader& r) {
-    ProbeReplyMsg m;
-    m.group = r.U64();
-    m.req_id = r.U64();
-    m.known = r.Bool();
-    m.active = r.Bool();
-    m.viewid = ViewId::Decode(r);
-    m.view = View::Decode(r);
-    return m;
+    return r.Read<ProbeReplyMsg>();
   }
 };
 
@@ -706,20 +539,12 @@ struct BeginTxnMsg {
   std::uint64_t req_id = 0;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U64(req_id);
-    w.U32(reply_to);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.req_id, m.reply_to);
   }
-  static BeginTxnMsg Decode(wire::Reader& r) {
-    BeginTxnMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.req_id = r.U64();
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static BeginTxnMsg Decode(wire::Reader& r) { return r.Read<BeginTxnMsg>(); }
 };
 
 struct BeginTxnReplyMsg {
@@ -731,25 +556,15 @@ struct BeginTxnReplyMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(req_id);
-    w.U8(static_cast<std::uint8_t>(status));
-    aid.Encode(w);
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.req_id);
+    ar.Enum(m.status, ReplyStatus::kFailed);
+    ar(m.aid, m.view_known, m.new_viewid, m.new_view);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static BeginTxnReplyMsg Decode(wire::Reader& r) {
-    BeginTxnReplyMsg m;
-    m.req_id = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 2) r.MarkBad();
-    m.status = static_cast<ReplyStatus>(s);
-    m.aid = Aid::Decode(r);
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
+    return r.Read<BeginTxnReplyMsg>();
   }
 };
 
@@ -762,24 +577,12 @@ struct CommitReqMsg {
   Pset pset;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U64(req_id);
-    aid.Encode(w);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-    w.U32(reply_to);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.req_id, m.aid, m.pset, m.reply_to);
   }
-  static CommitReqMsg Decode(wire::Reader& r) {
-    CommitReqMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.req_id = r.U64();
-    m.aid = Aid::Decode(r);
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static CommitReqMsg Decode(wire::Reader& r) { return r.Read<CommitReqMsg>(); }
 };
 
 struct CommitReqReplyMsg {
@@ -787,17 +590,14 @@ struct CommitReqReplyMsg {
   std::uint64_t req_id = 0;
   TxnOutcome outcome = TxnOutcome::kUnknown;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(req_id);
-    w.U8(static_cast<std::uint8_t>(outcome));
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.req_id);
+    ar.Enum(m.outcome, TxnOutcome::kAborted);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static CommitReqReplyMsg Decode(wire::Reader& r) {
-    CommitReqReplyMsg m;
-    m.req_id = r.U64();
-    std::uint8_t o = r.U8();
-    if (o > 3) r.MarkBad();
-    m.outcome = static_cast<TxnOutcome>(o);
-    return m;
+    return r.Read<CommitReqReplyMsg>();
   }
 };
 
@@ -807,18 +607,12 @@ struct AbortReqMsg {
   Aid aid;
   Pset pset;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.aid, m.pset);
   }
-  static AbortReqMsg Decode(wire::Reader& r) {
-    AbortReqMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static AbortReqMsg Decode(wire::Reader& r) { return r.Read<AbortReqMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -838,22 +632,12 @@ struct ShardPullMsg {
   std::string lo;
   std::string hi;  // "" = +infinity
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U32(from);
-    w.U64(from_group);
-    w.String(lo);
-    w.String(hi);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.from, m.from_group, m.lo, m.hi);
   }
-  static ShardPullMsg Decode(wire::Reader& r) {
-    ShardPullMsg m;
-    m.group = r.U64();
-    m.from = r.U32();
-    m.from_group = r.U64();
-    m.lo = r.String();
-    m.hi = r.String();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w(*this); }
+  static ShardPullMsg Decode(wire::Reader& r) { return r.Read<ShardPullMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -883,23 +667,13 @@ struct LeaseGrantMsg {
   // lengthens) the usable window relative to the primary's intent.
   std::uint64_t duration = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    w.U64(seq);
-    w.U64(stable_ts);
-    w.U64(duration);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.viewid, m.from, m.seq, m.stable_ts, m.duration);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static LeaseGrantMsg Decode(wire::Reader& r) {
-    LeaseGrantMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.seq = r.U64();
-    m.stable_ts = r.U64();
-    m.duration = r.U64();
-    return m;
+    return r.Read<LeaseGrantMsg>();
   }
 };
 
@@ -915,21 +689,13 @@ struct BackupReadMsg {
   std::uint64_t corr = 0;  // client correlation id, echoed in the reply
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.String(uid);
-    horizon.Encode(w);
-    w.U64(corr);
-    w.U32(reply_to);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.group, m.uid, m.horizon, m.corr, m.reply_to);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static BackupReadMsg Decode(wire::Reader& r) {
-    BackupReadMsg m;
-    m.group = r.U64();
-    m.uid = r.String();
-    m.horizon = Viewstamp::Decode(r);
-    m.corr = r.U64();
-    m.reply_to = r.U32();
-    return m;
+    return r.Read<BackupReadMsg>();
   }
 };
 
@@ -957,32 +723,32 @@ struct BackupReadReplyMsg {
   Viewstamp served_vs;
   Mid primary_hint = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(corr);
-    w.U8(static_cast<std::uint8_t>(status));
-    w.Bytes(value);
-    served_vs.Encode(w);
-    w.U32(primary_hint);
+  template <class Ar, class M>
+  static void Fields(Ar& ar, M& m) {
+    ar(m.corr);
+    ar.Enum(m.status, ReadStatus::kTooNew);
+    ar(m.value, m.served_vs, m.primary_hint);
   }
+  void Encode(wire::Writer& w) const { w(*this); }
   static BackupReadReplyMsg Decode(wire::Reader& r) {
-    BackupReadReplyMsg m;
-    m.corr = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 3) r.MarkBad();
-    m.status = static_cast<ReadStatus>(s);
-    m.value = r.Bytes();
-    m.served_vs = Viewstamp::Decode(r);
-    m.primary_hint = r.U32();
-    return m;
+    return r.Read<BackupReadReplyMsg>();
   }
 };
 
 // Serializes a message into a frame payload.
 template <typename M>
 std::vector<std::uint8_t> EncodeMsg(const M& m) {
-  wire::Writer w;
-  m.Encode(w);
-  return w.Take();
+  return wire::Encode(m);
+}
+
+// Decodes a frame payload. Empty unless the bytes parse cleanly and none are
+// left over: a payload with trailing bytes is not an M.
+template <typename M>
+std::optional<M> DecodeFrame(std::span<const std::uint8_t> payload) {
+  wire::Reader r(payload);
+  M m = r.Read<M>();
+  if (!r.ok() || !r.AtEnd()) return std::nullopt;
+  return m;
 }
 
 }  // namespace vsr::vr

@@ -42,6 +42,30 @@ TEST(FrameLog, CapturesTheViewChangeSequence) {
   (void)g;
 }
 
+// Every tag MsgTypeName knows renders by name, the lease and backup-read
+// frames included.
+TEST(FrameLog, RendersLeaseGrantsByName) {
+  ClusterOptions opts{.seed = 304};
+  opts.cohort.backup_reads = true;
+  Cluster cluster(opts);
+  auto g = cluster.AddGroup("kv", 3);
+  auto agents = cluster.AddGroup("agents", 3);
+  test::RegisterKvProcs(cluster, g);
+  net::FrameLog log(cluster.sim(), cluster.network());
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(test::RunOneCall(cluster, agents, g, "put", "k=1"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(500 * sim::kMillisecond);
+
+  auto lines =
+      log.Render(static_cast<std::uint16_t>(vr::MsgType::kLeaseGrant));
+  ASSERT_FALSE(lines.empty());
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find(" lease-grant "), std::string::npos) << line;
+  }
+}
+
 TEST(FrameLog, CapacityBoundsMemory) {
   Cluster cluster(ClusterOptions{.seed = 302});
   cluster.AddGroup("kv", 3);

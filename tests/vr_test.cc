@@ -75,11 +75,9 @@ TEST(History, RoundTrip) {
   h.OpenView({1, 2});
   h.Advance(7);
   h.OpenView({4, 1});
-  wire::Writer w;
-  h.Encode(w);
-  auto bytes = w.Take();
+  const auto bytes = wire::Encode(h);
   wire::Reader r(bytes);
-  History out = History::Decode(r);
+  const auto out = r.Read<History>();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(out.entries(), h.entries());
 }
