@@ -13,7 +13,8 @@
 # replays real traffic through the codec: a one-second traced perfbench
 # sim-failover run (built in build-perfbench/) must report "correct": true,
 # which perfbench withholds when a sampled frame fails to decode or
-# re-encodes to other bytes.
+# re-encodes to other bytes. A five-second traced loopback-seq run must be
+# correct too, with host.send_failures at 0.
 #
 # CHECK_SOAK=1 re-runs the dead-backup soak at ~10x rounds: with one backup
 # permanently crashed, the primary's resident record vector must stay
@@ -189,6 +190,22 @@ if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
     --workload sim-failover --seed 1 --seconds 1 --trace 1 | tail -n 1)"
   if [[ "$result" != '{"correct": true,'* ]]; then
     echo "FAIL: traced sim-failover replay is not correct: ${result:0:200}" >&2
+    exit 1
+  fi
+  echo "== real-host event loop (traced perfbench loopback-seq) =="
+  # Every node's sockets at full rate on one epoll loop per node, through
+  # the wire replay and the per-link pairing of sends with deliveries; a
+  # frame the transport dropped (send_failures) would be lost traffic.
+  result="$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+    --workload loopback-seq --seed 1 --seconds 5 --trace 1 | tail -n 1)"
+  if [[ "$result" != '{"correct": true,'* ]]; then
+    echo "FAIL: traced loopback-seq run is not correct: ${result:0:200}" >&2
+    exit 1
+  fi
+  if ! python3 -c 'import json, sys
+m = json.loads(sys.argv[1])["metrics"]
+sys.exit(0 if m["host.send_failures"]["value"] == 0 else 1)' "$result"; then
+    echo "FAIL: traced loopback-seq run counted host.send_failures" >&2
     exit 1
   fi
 fi

@@ -89,9 +89,9 @@ void LoopbackCluster::Start() {
 void LoopbackCluster::Shutdown() {
   if (!started_ || shut_down_) return;
   shut_down_ = true;
-  // Readers first (no new frames get posted), then the loops (no timer or
-  // queued delivery runs again), then the cohorts die quietly on this
-  // thread in ~Node.
+  // Transports first (each closes its sockets on its loop, so no frame
+  // arrives again), then the loops (no timer or queued delivery runs
+  // again), then the cohorts die quietly on this thread in ~Node.
   for (auto& node : nodes_) node->transport->Shutdown();
   for (auto& node : nodes_) node->loop->Stop();
 }

@@ -8,9 +8,15 @@
 // These tests exercise wall-clock timers and real sockets; they are NOT
 // part of the deterministic-digest suites and assert no virtual-time
 // values.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -25,6 +31,7 @@
 #include "net/transport.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
+#include "wire/buffer.h"
 
 namespace vsr {
 namespace {
@@ -449,6 +456,219 @@ TEST(SocketTransport, SendToUnreachablePeerIsCountedLoss) {
   EXPECT_EQ(ta.stats().send_failures, 1u);
   ta.Shutdown();
   loop_a.Stop();
+}
+
+// Polls `pred` every millisecond until it holds or `limit` passes.
+bool WaitFor(const std::function<bool()>& pred,
+             std::chrono::milliseconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(SocketTransport, StalledPeerDoesNotFreezeSender) {
+  // The peer is a listener that never accepts and never reads, with a tiny
+  // receive buffer: once the kernel buffers fill, every byte written to it
+  // waits forever. Sends to it must still return, the sender's loop must
+  // keep firing timers, and the frames past the output queue's bound are
+  // counted as lost.
+  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  int small = 4096;
+  ::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(stalled, 1), 0);
+  socklen_t len = sizeof(addr);
+  ::getsockname(stalled, reinterpret_cast<sockaddr*>(&addr), &len);
+
+  host::AddressMap addrs;
+  host::EventLoop loop;
+  host::SocketTransport ta(loop, kA, addrs);
+  addrs[kA] = host::NodeAddress{"127.0.0.1", ta.Listen(0)};
+  addrs[kB] = host::NodeAddress{"127.0.0.1", ntohs(addr.sin_port)};
+  loop.Start();
+
+  constexpr int kFrames = 64;  // 64 MiB, far past the per-peer queue bound
+  std::atomic<bool> returned{false};
+  loop.Post([&] {
+    for (int i = 0; i < kFrames; ++i) {
+      ta.Send(kA, kB, 3,
+              std::vector<std::uint8_t>(1u << 20, static_cast<std::uint8_t>(i)));
+    }
+    returned = true;
+  });
+  EXPECT_TRUE(WaitFor([&] { return returned.load(); }, std::chrono::seconds(5)))
+      << "Send blocked the loop thread on a peer that does not read";
+
+  std::atomic<bool> fired{false};
+  loop.After(20 * host::kMillisecond, [&] { fired = true; });
+  EXPECT_TRUE(WaitFor([&] { return fired.load(); },
+                      std::chrono::milliseconds(500)))
+      << "the sender's timers stalled behind the stuck peer";
+  EXPECT_GT(ta.stats().send_failures, 0u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ta.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  loop.Stop();
+  ::close(stalled);
+}
+
+// A transport for kB, fed by raw client sockets that play kA: the tests
+// write crafted byte streams and check what the frame reader makes of them.
+class RawStreamTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    port_ = tb_.Listen(0);
+    ASSERT_NE(port_, 0);
+    addrs_[kB] = host::NodeAddress{"127.0.0.1", port_};
+    loop_.Start();
+    std::atomic<bool> registered{false};
+    loop_.Post([&] {
+      tb_.Register(kB, &rec_);
+      registered = true;
+    });
+    ASSERT_TRUE(WaitFor([&] { return registered.load(); }));
+  }
+  void TearDown() override {
+    for (int fd : clients_) ::close(fd);
+    tb_.Shutdown();
+    loop_.Stop();
+  }
+
+  int Connect() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port_);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    clients_.push_back(fd);
+    return fd;
+  }
+
+  // One frame in the transport's wire format, optionally with a bad CRC.
+  static std::vector<std::uint8_t> Frame(std::vector<std::uint8_t> payload,
+                                         bool corrupt_crc = false) {
+    wire::Writer w;
+    w.U32(static_cast<std::uint32_t>(payload.size()));
+    w.U32(kA);
+    w.U32(kB);
+    w.U16(7);
+    w.U32(wire::Crc32(payload) ^ (corrupt_crc ? 1u : 0u));
+    w.Raw(std::span<const std::uint8_t>(payload.data(), payload.size()));
+    return w.Take();
+  }
+
+  static void Write(int fd, const std::vector<std::uint8_t>& bytes) {
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  host::AddressMap addrs_;
+  host::EventLoop loop_;
+  Recorder rec_;
+  host::SocketTransport tb_{loop_, kB, addrs_};
+  std::uint16_t port_ = 0;
+  std::vector<int> clients_;
+};
+
+TEST_F(RawStreamTest, FrameSplitByteByByteIsDeliveredOnce) {
+  const int fd = Connect();
+  const std::vector<std::uint8_t> split = Frame({1, 2, 3, 4, 5});
+  for (std::uint8_t b : split) {
+    Write(fd, {b});
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  // A whole sentinel frame after it: once it arrives, the split frame has
+  // been parsed, exactly once and first.
+  Write(fd, Frame({9}));
+  ASSERT_TRUE(WaitFor([&] { return rec_.count() == 2; }));
+  EXPECT_EQ(rec_.frame(0).payload, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(rec_.frame(0).from, kA);
+  EXPECT_EQ(rec_.frame(0).type, 7);
+  EXPECT_EQ(rec_.frame(1).payload, (std::vector<std::uint8_t>{9}));
+}
+
+TEST_F(RawStreamTest, ManyFramesInOneSegmentAllArriveInOrder) {
+  constexpr int kFrames = 200;
+  std::vector<std::uint8_t> segment;
+  for (int i = 0; i < kFrames; ++i) {
+    const std::vector<std::uint8_t> f =
+        Frame({static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
+    segment.insert(segment.end(), f.begin(), f.end());
+  }
+  Write(Connect(), segment);
+  ASSERT_TRUE(WaitFor([&] { return rec_.count() == kFrames; }));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(rec_.frame(static_cast<std::size_t>(i)).payload,
+              (std::vector<std::uint8_t>{static_cast<std::uint8_t>(i),
+                                         static_cast<std::uint8_t>(i >> 8)}));
+  }
+}
+
+TEST_F(RawStreamTest, FrameLargerThanTheReadBufferArrivesIntact) {
+  std::vector<std::uint8_t> big(3u << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 131);
+  }
+  const int fd = Connect();
+  Write(fd, Frame(big));
+  Write(fd, Frame({9}));
+  ASSERT_TRUE(WaitFor([&] { return rec_.count() == 2; }));
+  EXPECT_EQ(rec_.frame(0).payload, big);
+  EXPECT_EQ(rec_.frame(1).payload, (std::vector<std::uint8_t>{9}));
+}
+
+TEST_F(RawStreamTest, CorruptFrameIsDroppedAndItsNeighboursArrive) {
+  std::vector<std::uint8_t> bytes = Frame({1});
+  const std::vector<std::uint8_t> bad = Frame({2}, /*corrupt_crc=*/true);
+  const std::vector<std::uint8_t> good = Frame({3});
+  bytes.insert(bytes.end(), bad.begin(), bad.end());
+  bytes.insert(bytes.end(), good.begin(), good.end());
+  Write(Connect(), bytes);
+  ASSERT_TRUE(WaitFor([&] { return rec_.count() == 2; }));
+  EXPECT_EQ(rec_.frame(0).payload, (std::vector<std::uint8_t>{1}));
+  EXPECT_EQ(rec_.frame(1).payload, (std::vector<std::uint8_t>{3}));
+  EXPECT_EQ(tb_.stats().dropped_corrupt, 1u);
+}
+
+TEST_F(RawStreamTest, OversizedHeaderTearsDownOnlyThatConnection) {
+  const int healthy = Connect();
+  const int hostile = Connect();
+  // A header announcing a 4 GiB payload: past any legal frame, so the
+  // stream cannot be trusted and the transport closes this connection.
+  wire::Writer w;
+  w.U32(0xffffffffu);
+  w.U32(kA);
+  w.U32(kB);
+  w.U16(7);
+  w.U32(0);
+  Write(hostile, w.Take());
+  timeval limit{5, 0};
+  ::setsockopt(hostile, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  std::uint8_t byte;
+  const ssize_t r = ::recv(hostile, &byte, 1, 0);
+  EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET))
+      << "hostile stream not closed";
+
+  // The other connection from the same peer, and a fresh one, still work.
+  Write(healthy, Frame({1}));
+  ASSERT_TRUE(WaitFor([&] { return rec_.count() == 1; }));
+  Write(Connect(), Frame({2}));
+  ASSERT_TRUE(WaitFor([&] { return rec_.count() == 2; }));
+  EXPECT_EQ(rec_.frame(0).payload, (std::vector<std::uint8_t>{1}));
+  EXPECT_EQ(rec_.frame(1).payload, (std::vector<std::uint8_t>{2}));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <utility>
 
@@ -181,6 +182,48 @@ TEST(SocketHost, CrossGroupFusedCommitsConserveMoneyAcrossPrimaryKill) {
   EXPECT_GE(fused, static_cast<std::uint64_t>(kTxns));
 
   cluster.Shutdown();
+}
+
+// The real host runs one thread per node, its event loop, and nothing
+// else: sockets are watched by that loop, not by reader or acceptor
+// threads. Counted against the process's threads before the cluster
+// exists (the caller's, plus any a sanitizer runtime keeps), after the
+// cluster has opened and used connections between all its nodes.
+TEST(SocketHost, RunsExactlyOneThreadPerNode) {
+  auto threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  const std::size_t before = threads();
+
+  host::LoopbackCluster cluster;
+  const vr::GroupId bank = cluster.AddGroup("bank", 3);
+  const vr::GroupId client = cluster.AddGroup("client", 1);
+  for (core::Cohort* c : cluster.Cohorts(bank)) {
+    workload::RegisterBankProcs(*c);
+  }
+  cluster.Start();
+  ASSERT_TRUE(cluster.WaitUntilStable(bank));
+  ASSERT_TRUE(cluster.WaitUntilStable(client));
+  auto opened = cluster.RunTransaction(client, OpenTxn(bank, "a0", 0));
+  ASSERT_TRUE(opened.has_value());
+  ASSERT_EQ(*opened, core::TxnOutcome::kCommitted);
+  int committed = 0;
+  while (committed < 100) {
+    auto outcome =
+        cluster.RunTransaction(client, workload::MakeDepositTxn(bank, "a0", 1));
+    ASSERT_TRUE(outcome.has_value());
+    if (*outcome == core::TxnOutcome::kCommitted) ++committed;
+  }
+
+  EXPECT_EQ(cluster.NodeCount(), 4u);
+  EXPECT_EQ(threads(), before + cluster.NodeCount());
+  cluster.Shutdown();
+  EXPECT_EQ(threads(), before);
 }
 
 }  // namespace

@@ -192,6 +192,32 @@ TEST(Crc, DetectsSingleBitFlips) {
   }
 }
 
+TEST(Crc, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Crc32 folds eight bytes per step and finishes bytewise; compare it with
+  // the polynomial computed one bit at a time, over every tail length and
+  // start offset, so neither path can drift from the other.
+  auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xffffffffu;
+  };
+  sim::Rng rng(11);
+  std::vector<std::uint8_t> data(300);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; off + n <= data.size(); n += (n < 40 ? 1 : 37)) {
+      const std::span<const std::uint8_t> s(data.data() + off, n);
+      EXPECT_EQ(Crc32(s), reference(s.data(), s.size()))
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Protocol message round-trips
 // ---------------------------------------------------------------------------
