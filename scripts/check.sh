@@ -20,7 +20,9 @@
 # permanently crashed, the primary's resident record vector must stay
 # O(window) (the StableTs() - window GC floor, DESIGN.md §9). It also scales
 # up the majority-loss storm soak (durable-log recovery + serializability
-# chain, DESIGN.md §10).
+# chain, DESIGN.md §10) and runs the six cross-group chaos worlds at 10x
+# rounds, whose quiescence check demands that no cohort keeps state for a
+# settled transaction (DESIGN.md §15).
 #
 # CHECK_REAL_HOST=1 builds a ThreadSanitizer tree (build-tsan/) and runs the
 # genuinely multithreaded code — host conformance + the socket-host
@@ -69,10 +71,12 @@ if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
     -DCMAKE_BUILD_TYPE=Debug -DVSR_SANITIZE=ON
   cmake --build build-sanitize -j "$JOBS"
   # The comm-buffer / replication-path suites, where the windowed protocol
-  # does pointer arithmetic over the GC'd record vector, and the frame
-  # fuzzer, which feeds every decoder hostile bytes.
+  # does pointer arithmetic over the GC'd record vector; the frame fuzzer,
+  # which feeds every decoder hostile bytes; and the transaction suites,
+  # where per-transaction state is erased and key-routed reply waiters are
+  # torn down while coroutines are suspended (DESIGN.md §15).
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS" \
-    -R 'vr_test|net_test|wire_test|fuzz_frames_test|protocol_edge_test|property_test|snapshot_test|storage_test|recovery_test|view_formation_test|sharding_test|lease_read_test|host_conformance_test|socket_host_test'
+    -R 'vr_test|net_test|wire_test|fuzz_frames_test|protocol_edge_test|property_test|snapshot_test|storage_test|recovery_test|view_formation_test|sharding_test|lease_read_test|host_conformance_test|socket_host_test|soak_test|subaction_test|client35_test|txn_test'
 fi
 
 if [[ "${CHECK_REAL_HOST:-0}" == "1" ]]; then
@@ -95,6 +99,8 @@ if [[ "${CHECK_SOAK:-0}" == "1" ]]; then
   CHECK_SOAK=1 build/tests/soak_test --gtest_filter='DeadBackupSoak.*'
   echo "== soak (fused commits under coordinator crashes) =="
   CHECK_SOAK=1 build/tests/soak_test --gtest_filter='CommitFusionCrashSoak.*'
+  echo "== soak (cross-group chaos worlds, per-transaction state stays flat) =="
+  CHECK_SOAK=1 build/tests/soak_test --gtest_filter='Worlds/SoakTest.*'
   echo "== soak (majority-loss storms, durable-log recovery) =="
   CHECK_SOAK=1 build/tests/recovery_test --gtest_filter='StormSoak.*'
   echo "== soak (backup-read leases across primary crashes) =="

@@ -69,6 +69,26 @@ std::vector<std::string> CheckQuiescent(client::Cluster& cluster,
   std::vector<std::string> violations = CheckInstant(cluster, group);
   auto cohorts = cluster.Cohorts(group);
 
+  // Per-transaction state is temporary (DESIGN.md §15): once a cohort knows
+  // a transaction's outcome it holds nothing more for it, and no coroutine
+  // still waits on a 2PC or query reply.
+  for (auto* c : cohorts) {
+    if (c->status() != core::Status::kActive) continue;
+    const std::string who = "cohort " + std::to_string(c->mid());
+    for (const vr::Aid& aid : c->LiveTxnAids()) {
+      const vr::TxnOutcome o = c->outcomes().Lookup(aid);
+      if (o == vr::TxnOutcome::kCommitted || o == vr::TxnOutcome::kAborted) {
+        violations.push_back(who + " still holds state for settled txn " +
+                             aid.ToString());
+      }
+    }
+    if (c->PendingTxnReplies() != 0) {
+      violations.push_back(who + " has " +
+                           std::to_string(c->PendingTxnReplies()) +
+                           " coroutines waiting on 2PC/query replies");
+    }
+  }
+
   core::Cohort* primary = cluster.AnyPrimary(group);
   if (primary == nullptr) return violations;  // nothing more to compare
 

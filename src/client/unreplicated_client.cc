@@ -50,11 +50,7 @@ void UnreplicatedClient::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kQueryReply: {
       auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
-      if (!m) break;
-      auto it = query_corr_.find(m->aid);
-      if (it != query_corr_.end()) {
-        query_waiters_.Fulfill(it->second, std::move(*m));
-      }
+      if (m) query_waiters_.Fulfill(m->aid, std::move(*m));
       break;
     }
     default:
@@ -184,17 +180,11 @@ sim::Task<TxnOutcome> UnreplicatedClient::DoQueryOutcome(Aid aid) {
   if (config == nullptr) co_return TxnOutcome::kUnknown;
   for (int round = 0; round < options_.probe_rounds; ++round) {
     for (Mid target : *config) {
-      const std::uint64_t corr = NextCorrId();
-      query_corr_[aid] = corr;
       vr::QueryMsg q;
       q.aid = aid;
       q.reply_to = self_;
       SendMsg(target, q);
-      auto r = co_await query_waiters_.Await(corr, options_.probe_timeout);
-      if (auto it = query_corr_.find(aid);
-          it != query_corr_.end() && it->second == corr) {
-        query_corr_.erase(it);
-      }
+      auto r = co_await query_waiters_.Await(aid, options_.probe_timeout);
       if (r && (r->outcome == TxnOutcome::kCommitted ||
                 r->outcome == TxnOutcome::kAborted)) {
         co_return r->outcome;

@@ -143,8 +143,7 @@ class UnreplicatedClient : public net::FrameHandler {
   core::WaitTable<vr::ProbeReplyMsg> probe_waiters_;
   core::WaitTable<vr::BeginTxnReplyMsg> begin_waiters_;
   core::WaitTable<vr::CommitReqReplyMsg> commit_waiters_;
-  core::WaitTable<vr::QueryReplyMsg> query_waiters_;
-  std::map<Aid, std::uint64_t> query_corr_;
+  core::WaitTable<vr::QueryReplyMsg, Aid> query_waiters_;  // keyed by aid
 
   sim::TaskRegistry tasks_;
 };

@@ -134,19 +134,11 @@ void Cohort::ResetVolatileState() {
   log_replay_active_ = false;
   rejoin_pending_ = false;
   call_dedup_.clear();
-  prepared_.clear();
-  prepared_siblings_.clear();
-  pending_commits_.clear();
-  querying_.clear();
-  txn_activity_.clear();
+  txns_.clear();
   RevokeLease();
   lease_grant_seq_ = 0;
   object_commit_vs_.clear();
   commit_vs_floor_ = Viewstamp{};
-  dead_subs_by_txn_.clear();
-  external_txns_.clear();
-  committing_external_.clear();
-  active_txns_.clear();
   cache_.clear();
   last_heard_.clear();
   ++start_view_epoch_;  // invalidates in-flight stable-storage callbacks
@@ -423,11 +415,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kPrepareReply: {
       auto m = vr::DecodeFrame<vr::PrepareReplyMsg>(frame.payload);
-      if (!m) break;
-      auto it = prepare_corr_.find({m->aid, m->from_group});
-      if (it != prepare_corr_.end()) {
-        prepare_waiters_.Fulfill(it->second, std::move(*m));
-      }
+      if (m) prepare_waiters_.Fulfill({m->aid, m->from_group}, std::move(*m));
       break;
     }
     case vr::MsgType::kCommit: {
@@ -437,11 +425,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kCommitDone: {
       auto m = vr::DecodeFrame<vr::CommitDoneMsg>(frame.payload);
-      if (!m) break;
-      auto it = commit_corr_.find({m->aid, m->from_group});
-      if (it != commit_corr_.end()) {
-        commit_waiters_.Fulfill(it->second, std::move(*m));
-      }
+      if (m) commit_waiters_.Fulfill({m->aid, m->from_group}, std::move(*m));
       break;
     }
     case vr::MsgType::kAbort: {
@@ -461,11 +445,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kQueryReply: {
       auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
-      if (!m) break;
-      auto it = query_corr_.find(m->aid);
-      if (it != query_corr_.end()) {
-        query_waiters_.Fulfill(it->second, std::move(*m));
-      }
+      if (m) query_waiters_.Fulfill(m->aid, std::move(*m));
       break;
     }
     case vr::MsgType::kProbe: {
@@ -521,6 +501,37 @@ void Cohort::OnFrame(const net::Frame& frame) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-transaction state (DESIGN.md §15)
+// ---------------------------------------------------------------------------
+
+const Cohort::TxnState* Cohort::FindTxn(Aid aid) const {
+  auto it = txns_.find(aid);
+  return it == txns_.end() ? nullptr : &it->second;
+}
+
+void Cohort::Forget(Aid aid) {
+  UpdateTxn(aid, [](TxnState& t) {
+    t.prepared.reset();
+    t.pending_commit.reset();
+    t.last_activity.reset();
+    t.dead_subs.clear();
+  });
+}
+
+void Cohort::EndCoordination(Aid aid) {
+  UpdateTxn(aid, [](TxnState& t) {
+    t.active = false;
+    t.external_since.reset();
+    t.committing_external = false;
+  });
+}
+
+bool Cohort::SubDead(SubAid sub_aid) const {
+  const TxnState* t = FindTxn(sub_aid.aid);
+  return t != nullptr && t->dead_subs.count(sub_aid.sub) != 0;
+}
+
+// ---------------------------------------------------------------------------
 // Queries (§3.4)
 // ---------------------------------------------------------------------------
 
@@ -528,7 +539,9 @@ TxnOutcome Cohort::LocalOutcome(Aid aid) const {
   TxnOutcome o = outcomes_.Lookup(aid);
   if (o != TxnOutcome::kUnknown) return o;
   if (aid.coordinator_group == group_) {
-    if (active_txns_.count(aid) != 0) return TxnOutcome::kActive;
+    if (const TxnState* t = FindTxn(aid); t != nullptr && t->active) {
+      return TxnOutcome::kActive;
+    }
     // A coordinator view change aborts the group's in-flight transactions
     // (§3.1): if our current view is newer than the transaction's and we
     // have no commit record for it, it is dead.

@@ -361,6 +361,17 @@ class Cohort : public net::FrameHandler {
   const storage::EventLog& event_log() const { return elog_; }
   const CohortOptions& options() const { return options_; }
   CohortOptions& mutable_options() { return options_; }
+  // Aids this cohort holds per-transaction state for (DESIGN.md §15).
+  std::vector<Aid> LiveTxnAids() const {
+    std::vector<Aid> aids;
+    for (const auto& [aid, t] : txns_) aids.push_back(aid);
+    return aids;
+  }
+  // Coroutines waiting on a prepare, commit or query reply.
+  std::size_t PendingTxnReplies() const {
+    return prepare_waiters_.pending() + commit_waiters_.pending() +
+           query_waiters_.pending();
+  }
 
   // -- Shard rebalancing (shard.cc, DESIGN.md §11) -----------------------
 
@@ -715,26 +726,90 @@ class Cohort : public net::FrameHandler {
   // "connection information"). Pruned when the transaction ends.
   std::map<std::uint64_t, DedupEntry> call_dedup_;
   void PruneDedup(Aid aid);
-  // Subactions known dead (§3.6): a dead attempt still running when its
-  // abort arrives must not record its effects at completion.
-  std::map<Aid, std::set<std::uint32_t>> dead_subs_by_txn_;
-  std::set<Aid> prepared_;                          // blocked-txn query targets
-  std::set<Aid> preparing_;                         // prepare force in flight
-  std::set<Aid> querying_;                          // resolution in flight
-  // Sibling participant groups from the prepare's pset (§3.6): fallback
-  // query targets when the coordinator group is unreachable — any sibling
-  // that applied the decision answers authoritatively from its outcome
-  // table. Volatile, like prepared_; carried in the snapshot payload.
-  std::map<Aid, std::vector<GroupId>> prepared_siblings_;
-  // Fused pipeline (DESIGN.md §13): a commit decision that arrives while a
-  // (re)transmitted prepare for the same transaction is mid-force is stashed
-  // here and applied when the prepare resolves — sequencing the two instead
-  // of letting the commit race the prepare's post-force bookkeeping.
-  std::map<Aid, vr::CommitMsg> pending_commits_;
-  // Last time each lock-holding transaction showed activity here; feeds the
-  // idle-transaction janitor (§3.4 queries).
-  std::map<Aid, host::Time> txn_activity_;
   host::TimerId query_timer_ = host::kNoTimer;
+
+  // ---- per-transaction state (DESIGN.md §15) ----
+  // Everything this cohort keeps about one transaction, as participant or as
+  // coordinator, in one volatile record: lost on crash, never replicated
+  // (only the prepared set travels, in snapshots and checkpoints). A
+  // participant forgets its fields when it learns the outcome (Forget); the
+  // preparing/querying markers belong to the coroutine that set them.
+  struct TxnState {
+    // -- participant (Fig. 3) --
+    // Prepared here and not yet decided: a §3.4 query target. Holds the
+    // sibling participant groups from the prepare's pset — fallback query
+    // targets when the coordinator group is unreachable (§3.6).
+    std::optional<std::vector<GroupId>> prepared;
+    bool preparing = false;  // a prepare's force is in flight
+    bool querying = false;   // a blocked-txn resolution is in flight
+    // Fused pipeline (DESIGN.md §13): a commit decision that arrived while a
+    // prepare was mid-force, applied when that prepare resolves instead of
+    // racing its post-force bookkeeping.
+    std::optional<vr::CommitMsg> pending_commit;
+    // Last activity here: the idle-transaction janitor's clock (§3.4).
+    std::optional<host::Time> last_activity;
+    // Subactions known dead (§3.6): a dead attempt still running when its
+    // abort arrives must not record its effects at completion.
+    std::set<std::uint32_t> dead_subs;
+    // -- coordinator (Fig. 2, §3.5) --
+    bool active = false;  // coordinated here, no outcome reported yet
+    // Begun by an unreplicated client (§3.5): begin time for the
+    // unilateral-abort sweep, and whether its commit-req is running.
+    std::optional<host::Time> external_since;
+    bool committing_external = false;
+
+    bool Empty() const {
+      return !prepared && !preparing && !querying && !pending_commit &&
+             !last_activity && dead_subs.empty() && !active &&
+             !external_since && !committing_external;
+    }
+  };
+  // Ordered by aid, so the prepared set is written in aid order.
+  std::map<Aid, TxnState> txns_;
+  const TxnState* FindTxn(Aid aid) const;
+  // Applies `f` to aid's entry, if any, and drops the entry if that left
+  // it empty.
+  template <typename F>
+  void UpdateTxn(Aid aid, F f) {
+    auto it = txns_.find(aid);
+    if (it == txns_.end()) return;
+    f(it->second);
+    if (it->second.Empty()) txns_.erase(it);
+  }
+  // Clears what a learned outcome settles (prepared set, stashed commit,
+  // janitor clock, dead subactions) and drops the entry if nothing is left.
+  void Forget(Aid aid);
+  // The coordinator is done with `aid`: clears the coordinator fields.
+  void EndCoordination(Aid aid);
+  bool SubDead(SubAid sub_aid) const;
+  // Holds a coroutine-owned marker (preparing/querying) set for its own
+  // lifetime, so a coroutine destroyed mid-await clears it too.
+  class TxnMarker {
+   public:
+    TxnMarker(Cohort& cohort, Aid aid, bool TxnState::*marker)
+        : cohort_(cohort), aid_(aid), marker_(marker) {
+      cohort_.txns_[aid_].*marker_ = true;
+    }
+    ~TxnMarker() {
+      cohort_.UpdateTxn(aid_, [this](TxnState& t) { t.*marker_ = false; });
+    }
+    TxnMarker(const TxnMarker&) = delete;
+    TxnMarker& operator=(const TxnMarker&) = delete;
+
+   private:
+    Cohort& cohort_;
+    Aid aid_;
+    bool TxnState::*marker_;
+  };
+  // The prepared-set section shared by snapshots (§9.2) and checkpoints
+  // (§10.2): the prepared aids, then each one's sibling groups.
+  using PreparedSet = std::map<Aid, std::vector<GroupId>>;
+  void WritePreparedSet(wire::Writer& w) const;
+  static PreparedSet ReadPreparedSet(wire::Reader& r);
+  // Replaces the prepared set with a restored one. Restored transactions
+  // look freshly active to the janitor and are queried (§3.4) if they stay
+  // quiet.
+  void AdoptPreparedSet(PreparedSet prepared);
 
   // ---- backup read leases (DESIGN.md §14) ----
   // Backup side: the lease currently held, valid only while it pins the
@@ -754,34 +829,24 @@ class Cohort : public net::FrameHandler {
   Viewstamp commit_vs_floor_;
 
   // ---- coordinator-server role (§3.5) ----
-  // Externally driven transactions (unreplicated clients), with begin time
-  // for the unilateral-abort sweep.
-  std::map<Aid, host::Time> external_txns_;
-  std::set<Aid> committing_external_;  // commit-req in flight (dedup)
-  host::Task<void> RunAbortReq(vr::AbortReqMsg m);
   void SweepExternalTxns();
 
   // ---- client role ----
   std::uint64_t next_txn_seq_ = 1;
   std::uint64_t next_corr_id_ = 1;
   std::uint32_t next_call_seq_ = 1;
-  std::set<Aid> active_txns_;  // transactions this cohort coordinates
   std::map<GroupId, CacheEntry> cache_;
   WaitTable<vr::ReplyMsg> reply_waiters_;
-  WaitTable<vr::PrepareReplyMsg> prepare_waiters_;
-  WaitTable<vr::CommitDoneMsg> commit_waiters_;
-  WaitTable<vr::QueryReplyMsg> query_waiters_;
+  // 2PC and query replies are routed by the key they carry: prepare and
+  // commit replies by (aid, replying group), query replies by aid.
+  WaitTable<vr::PrepareReplyMsg, std::pair<Aid, GroupId>> prepare_waiters_;
+  WaitTable<vr::CommitDoneMsg, std::pair<Aid, GroupId>> commit_waiters_;
+  WaitTable<vr::QueryReplyMsg, Aid> query_waiters_;
   WaitTable<vr::ProbeReplyMsg> probe_waiters_;
   // Force and lock completions are routed through a wait table rather than
   // raw coroutine handles so that coroutine teardown (crash) can never leave
   // the buffer or lock manager holding a dangling resume path.
   WaitTable<bool> bool_waiters_;
-  // Correlation routing: aid-keyed replies (prepare/commit/query) map to the
-  // waiting corr id.
-  std::map<std::pair<Aid, GroupId>, std::uint64_t> prepare_corr_;
-  std::map<std::pair<Aid, GroupId>, std::uint64_t> commit_corr_;
-  std::map<Aid, std::uint64_t> query_corr_;
-  std::map<GroupId, std::vector<std::uint64_t>> probe_corr_;
   CohortStats stats_;
 
   // Declared last: destroying the registry tears down suspended coroutines

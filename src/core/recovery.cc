@@ -27,8 +27,7 @@ void Cohort::LogCheckpoint(std::uint64_t ts) {
   if (!elog_.enabled()) return;
   wire::Writer w;
   w(cur_viewid_, ts, cur_view_, history_, SnapshotGstate());
-  w.U32(static_cast<std::uint32_t>(prepared_.size()));
-  for (const Aid& aid : prepared_) w(aid);
+  WritePreparedSet(w);
   elog_.BeginGeneration({kLogCheckpoint, w.Take()});
 }
 
@@ -66,11 +65,7 @@ bool Cohort::RecoverFromLog() {
   vr::History hist;
   std::vector<std::uint8_t> gstate;
   r(vid, ts, view, hist, gstate);
-  std::set<Aid> prepared;
-  const std::uint32_t prep_count = r.U32();
-  for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared.insert(r.Read<Aid>());
-  }
+  auto prepared = ReadPreparedSet(r);
   if (!r.ok() || !r.AtEnd() || hist.Empty() || !view.Contains(self_)) {
     return false;  // garbled checkpoint: trust nothing
   }
@@ -80,9 +75,7 @@ bool Cohort::RecoverFromLog() {
   history_ = std::move(hist);
   history_.Advance(ts);
   RestoreGstate(gstate);
-  prepared_ = std::move(prepared);
-  for (const Aid& aid : prepared_) txn_activity_[aid] = host_.Now();
-  if (!prepared_.empty()) ArmQueryTimer();
+  AdoptPreparedSet(std::move(prepared));
   applied_ts_ = ts;
 
   // Re-apply the logged suffix in timestamp order. A gap means the segment

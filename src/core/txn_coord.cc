@@ -33,7 +33,7 @@ void Cohort::SpawnTransaction(TxnBody body,
 host::Task<void> Cohort::TxnDriver(Aid aid, TxnBody body,
                                   std::function<void(TxnOutcome)> on_done) {
   TxnHandle h(*this, aid);
-  active_txns_.insert(aid);
+  txns_[aid].active = true;
   bool want_commit = false;
   try {
     want_commit = co_await body(h);
@@ -60,7 +60,7 @@ host::Task<void> Cohort::TxnDriver(Aid aid, TxnBody body,
         break;
     }
   }
-  active_txns_.erase(aid);
+  EndCoordination(aid);
   if (on_done) on_done(outcome);
 }
 
@@ -325,8 +325,6 @@ host::Task<void> Cohort::PrepareOne(Aid aid, Pset pset, GroupId g,
   for (int attempt = 0; attempt < options_.prepare_attempts;) {
     auto entry = co_await CacheLookup(g);
     if (!entry) break;
-    const std::uint64_t corr = NextCorrId();
-    prepare_corr_[{aid, g}] = corr;
     vr::PrepareMsg m;
     m.group = g;
     m.aid = aid;
@@ -334,11 +332,7 @@ host::Task<void> Cohort::PrepareOne(Aid aid, Pset pset, GroupId g,
     m.reply_to = self_;
     SendMsg(entry->view.primary, m);
     auto r = co_await prepare_waiters_.Await(
-        corr, options_.prepare_timeout + options_.buffer.force_timeout);
-    if (auto it = prepare_corr_.find({aid, g});
-        it != prepare_corr_.end() && it->second == corr) {
-      prepare_corr_.erase(it);
-    }
+        {aid, g}, options_.prepare_timeout + options_.buffer.force_timeout);
     if (!r) {
       // "update the cache, if possible, and retry the prepare" — prepares
       // are idempotent at the participant.
@@ -403,19 +397,13 @@ host::Task<void> Cohort::CommitOne(Aid aid, GroupId g,
   for (int attempt = 0; attempt < options_.commit_attempts;) {
     auto entry = co_await CacheLookup(g);
     if (!entry) break;
-    const std::uint64_t corr = NextCorrId();
-    commit_corr_[{aid, g}] = corr;
     vr::CommitMsg m;
     m.group = g;
     m.aid = aid;
     m.reply_to = self_;
     SendMsg(entry->view.primary, m);
     auto r = co_await commit_waiters_.Await(
-        corr, options_.commit_ack_timeout + options_.buffer.force_timeout);
-    if (auto it = commit_corr_.find({aid, g});
-        it != commit_corr_.end() && it->second == corr) {
-      commit_corr_.erase(it);
-    }
+        {aid, g}, options_.commit_ack_timeout + options_.buffer.force_timeout);
     if (r && !r->wrong_primary) {
       ++join->acked;
       break;
@@ -551,8 +539,9 @@ void Cohort::OnBeginTxn(const vr::BeginTxnMsg& m) {
   aid.coordinator_group = group_;
   aid.view = cur_viewid_;
   aid.seq = next_txn_seq_++;
-  active_txns_.insert(aid);
-  external_txns_[aid] = host_.Now();
+  TxnState& t = txns_[aid];
+  t.active = true;
+  t.external_since = host_.Now();
   r.status = vr::ReplyStatus::kOk;
   r.aid = aid;
   SendMsg(m.reply_to, r);
@@ -560,22 +549,23 @@ void Cohort::OnBeginTxn(const vr::BeginTxnMsg& m) {
 
 void Cohort::OnCommitReq(const vr::CommitReqMsg& m) {
   if (!IsActivePrimary()) return;  // client re-probes on timeout
-  if (committing_external_.count(m.aid) != 0) return;  // duplicate in flight
+  if (const TxnState* t = FindTxn(m.aid);
+      t != nullptr && t->committing_external) {
+    return;  // duplicate in flight
+  }
   tasks_.Spawn(RunCommitReq(m));
 }
 
 host::Task<void> Cohort::RunCommitReq(vr::CommitReqMsg m) {
   TxnOutcome outcome = outcomes_.Lookup(m.aid);
   if (outcome == TxnOutcome::kUnknown) {
-    if (active_txns_.count(m.aid) == 0) {
+    if (const TxnState* t = FindTxn(m.aid); t == nullptr || !t->active) {
       // Expired (unilaterally aborted) or never begun here.
       outcome = TxnOutcome::kAborted;
     } else {
-      committing_external_.insert(m.aid);
+      txns_[m.aid].committing_external = true;
       outcome = co_await RunTwoPhaseCommit(m.aid, m.pset);
-      committing_external_.erase(m.aid);
-      active_txns_.erase(m.aid);
-      external_txns_.erase(m.aid);
+      EndCoordination(m.aid);
       switch (outcome) {
         case TxnOutcome::kCommitted:
           ++stats_.txns_committed;
@@ -597,10 +587,10 @@ host::Task<void> Cohort::RunCommitReq(vr::CommitReqMsg m) {
 
 void Cohort::OnAbortReq(const vr::AbortReqMsg& m) {
   if (!IsActivePrimary()) return;
-  if (active_txns_.count(m.aid) == 0) return;
-  if (committing_external_.count(m.aid) != 0) return;  // too late
-  active_txns_.erase(m.aid);
-  external_txns_.erase(m.aid);
+  const TxnState* t = FindTxn(m.aid);
+  if (t == nullptr || !t->active) return;
+  if (t->committing_external) return;  // too late
+  EndCoordination(m.aid);
   ++stats_.txns_aborted;
   tasks_.Spawn(AbortEverywhere(m.aid, m.pset));
 }
@@ -609,13 +599,14 @@ void Cohort::SweepExternalTxns() {
   // "if no reply is forthcoming, it can abort the transaction unilaterally."
   const host::Time now = host_.Now();
   std::vector<Aid> expired;
-  for (const auto& [aid, began] : external_txns_) {
-    if (committing_external_.count(aid) != 0) continue;
-    if (now - began >= options_.external_txn_timeout) expired.push_back(aid);
+  for (const auto& [aid, t] : txns_) {
+    if (!t.external_since || t.committing_external) continue;
+    if (now - *t.external_since >= options_.external_txn_timeout) {
+      expired.push_back(aid);
+    }
   }
   for (const Aid& aid : expired) {
-    external_txns_.erase(aid);
-    active_txns_.erase(aid);
+    EndCoordination(aid);
     ++stats_.txns_aborted;
     tasks_.Spawn(AbortEverywhere(aid, Pset{}));
   }

@@ -91,6 +91,11 @@ void Cohort::RestoreGstate(const std::vector<std::uint8_t>& bytes) {
   wire::Reader r(bytes);
   store_.Restore(r);
   outcomes_.Restore(r);
+  // Outcomes learned wholesale settle their transactions here too.
+  for (auto it = txns_.begin(); it != txns_.end();) {
+    const Aid aid = (it++)->first;
+    if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) Forget(aid);
+  }
   call_dedup_.clear();
   const std::uint32_t n = r.U32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -150,6 +155,7 @@ void Cohort::ApplyRecord(const vr::EventRecord& rec) {
       break;
     case vr::EventType::kCommitted:
       outcomes_.RecordCommitted(rec.sub_aid.aid);
+      Forget(rec.sub_aid.aid);
       PruneDedup(rec.sub_aid.aid);
       if (eager) {
         // Stamp the installed bases with the committed record's viewstamp:
@@ -162,6 +168,7 @@ void Cohort::ApplyRecord(const vr::EventRecord& rec) {
       break;
     case vr::EventType::kAborted:
       outcomes_.RecordAborted(rec.sub_aid.aid);
+      Forget(rec.sub_aid.aid);
       PruneDedup(rec.sub_aid.aid);
       if (eager) {
         store_.Abort(rec.sub_aid.aid);
@@ -304,13 +311,52 @@ std::shared_ptr<const std::vector<std::uint8_t>> Cohort::BuildSnapshotPayload()
   // which blocked transactions to query coordinators about (§3.4).
   wire::Writer w;
   w(history_, SnapshotGstate());
-  w.U32(static_cast<std::uint32_t>(prepared_.size()));
-  for (const Aid& aid : prepared_) w(aid);
-  // §3.6 sibling fallback targets travel with the prepared set, so a
-  // snapshot-caught-up cohort keeps its coordinator-partition escape hatch.
-  w.U32(static_cast<std::uint32_t>(prepared_siblings_.size()));
-  for (const auto& [aid, groups] : prepared_siblings_) w(aid, groups);
+  WritePreparedSet(w);
   return std::make_shared<const std::vector<std::uint8_t>>(w.Take());
+}
+
+void Cohort::WritePreparedSet(wire::Writer& w) const {
+  std::uint32_t count = 0;
+  for (const auto& [aid, t] : txns_) count += t.prepared ? 1 : 0;
+  w.U32(count);
+  for (const auto& [aid, t] : txns_) {
+    if (t.prepared) w(aid);
+  }
+  // §3.6 sibling fallback targets travel with the prepared set, so a cohort
+  // caught up by snapshot or log replay keeps its coordinator-partition
+  // escape hatch.
+  w.U32(count);
+  for (const auto& [aid, t] : txns_) {
+    if (t.prepared) w(aid, *t.prepared);
+  }
+}
+
+Cohort::PreparedSet Cohort::ReadPreparedSet(wire::Reader& r) {
+  PreparedSet prepared;
+  const std::uint32_t prep_count = r.U32();
+  for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
+    prepared[r.Read<Aid>()];
+  }
+  const std::uint32_t sib_count = r.U32();
+  for (std::uint32_t i = 0; i < sib_count && r.ok(); ++i) {
+    const Aid aid = r.Read<Aid>();
+    r(prepared[aid]);
+  }
+  return prepared;
+}
+
+void Cohort::AdoptPreparedSet(PreparedSet prepared) {
+  for (auto it = txns_.begin(); it != txns_.end();) {
+    it->second.prepared.reset();
+    it = it->second.Empty() ? txns_.erase(it) : std::next(it);
+  }
+  const host::Time now = host_.Now();
+  for (auto& [aid, siblings] : prepared) {
+    TxnState& t = txns_[aid];
+    t.prepared = std::move(siblings);
+    t.last_activity = now;
+  }
+  if (!prepared.empty()) ArmQueryTimer();
 }
 
 void Cohort::OnSnapshotAck(const vr::SnapshotAckMsg& m) {
@@ -395,17 +441,7 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   vr::History hist;
   std::vector<std::uint8_t> gstate;
   r(hist, gstate);
-  std::set<Aid> prepared;
-  const std::uint32_t prep_count = r.U32();
-  for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared.insert(r.Read<Aid>());
-  }
-  std::map<Aid, std::vector<GroupId>> siblings;
-  const std::uint32_t sib_count = r.U32();
-  for (std::uint32_t i = 0; i < sib_count && r.ok(); ++i) {
-    const Aid aid = r.Read<Aid>();
-    r(siblings[aid]);
-  }
+  auto prepared = ReadPreparedSet(r);
   if (!r.ok() || !r.AtEnd() || hist.Empty() ||
       hist.Latest().view != vs.view || hist.Latest().ts > vs.ts) {
     ++stats_.snapshot_installs_rejected;
@@ -418,12 +454,7 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   // vs.ts, so account for them.
   history_.Advance(vs.ts);
   RestoreGstate(gstate);
-  prepared_ = std::move(prepared);
-  prepared_siblings_ = std::move(siblings);
-  // Restored blocked transactions look freshly active to the idle janitor
-  // and are queried via the normal §3.4 path if they stay quiet.
-  for (const Aid& aid : prepared_) txn_activity_[aid] = host_.Now();
-  if (!prepared_.empty()) ArmQueryTimer();
+  AdoptPreparedSet(std::move(prepared));
   // Everything the record stream had in flight is superseded wholesale.
   pending_records_.clear();
   batch_stash_.clear();
@@ -517,6 +548,10 @@ host::Task<void> ProcContext::Write(std::string uid, std::string value) {
   const bool ok =
       co_await cohort_.AcquireLock(uid, sub_aid_.aid, vr::LockMode::kWrite);
   if (!ok) throw TxnError("write-lock timeout on " + uid);
+  // §3.6: the caller may have declared this attempt dead while it ran. Its
+  // versions were discarded then; writing now would leak one into the
+  // replacement attempt's reads.
+  if (cohort_.SubDead(sub_aid_)) throw TxnError("subaction aborted");
   NoteEffect(uid, vr::LockMode::kWrite);
   cohort_.store_.WriteTentative(uid, sub_aid_, std::move(value));
   co_return;
@@ -606,7 +641,7 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
   // must not record effects when it eventually finishes.
   for (std::uint32_t dead : m.dead_subs) {
     const SubAid dead_sub{m.sub_aid.aid, dead};
-    if (dead_subs_by_txn_[m.sub_aid.aid].insert(dead).second) {
+    if (txns_[m.sub_aid.aid].dead_subs.insert(dead).second) {
       store_.AbortSub(dead_sub);
       AddRecord(vr::EventRecord::AbortedSub(dead_sub));
     }
@@ -617,9 +652,7 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
   // otherwise execute concurrently with its replacement and leak its
   // tentative versions into the replacement's reads (the caller gave up on
   // this attempt, so no reply is owed).
-  if (auto dit = dead_subs_by_txn_.find(m.sub_aid.aid);
-      dit != dead_subs_by_txn_.end() &&
-      dit->second.count(m.sub_aid.sub) != 0) {
+  if (SubDead(m.sub_aid)) {
     ++stats_.dead_sub_calls_refused;
     call_dedup_.erase(m.call_seq);
     co_return;
@@ -662,9 +695,7 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
 
   // The attempt may have been declared dead (§3.6) while the procedure was
   // suspended: its effects must be discarded, not recorded.
-  if (auto dit = dead_subs_by_txn_.find(m.sub_aid.aid);
-      dit != dead_subs_by_txn_.end() &&
-      dit->second.count(m.sub_aid.sub) != 0) {
+  if (SubDead(m.sub_aid)) {
     store_.AbortSub(m.sub_aid);
     call_dedup_.erase(m.call_seq);
     co_return;
@@ -697,7 +728,7 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
   const Viewstamp vs = AddRecord(vr::EventRecord::CompletedCall(
       m.sub_aid, std::move(effects), m.call_seq, result, ctx.pset_));
   ++stats_.calls_executed;
-  txn_activity_[m.sub_aid.aid] = host_.Now();
+  txns_[m.sub_aid.aid].last_activity = host_.Now();
 
   // §6 ablation: synchronous replication of the completed-call record makes
   // the call itself survive any subsequent view change, at the price of a
@@ -745,12 +776,18 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   vr::PrepareReplyMsg r;
   r.aid = m.aid;
   r.from_group = group_;
-
-  // A racing abort (e.g. via query resolution) is final.
-  if (outcomes_.Lookup(m.aid) == TxnOutcome::kAborted) {
+  // "refus[e] the prepare and abort the transaction"; for a transaction
+  // already aborted here the abort only forgets its state.
+  auto refuse = [&] {
     r.status = vr::PrepareStatus::kRefused;
     ++stats_.prepares_refused;
     SendMsg(m.reply_to, r);
+    LocalAbortTxn(m.aid);
+  };
+
+  // A racing abort (e.g. via query resolution) is final.
+  if (outcomes_.Lookup(m.aid) == TxnOutcome::kAborted) {
+    refuse();
     co_return;
   }
 
@@ -759,7 +796,8 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   // LATER view's history can spuriously refuse, and the refusal path's
   // LocalAbortTxn would destroy a prepared — possibly already committed —
   // transaction, releasing its locks to concurrent readers.
-  if (prepared_.count(m.aid) != 0 ||
+  if (const TxnState* t = FindTxn(m.aid);
+      (t != nullptr && t->prepared) ||
       outcomes_.Lookup(m.aid) == TxnOutcome::kCommitted) {
     r.status = vr::PrepareStatus::kPrepared;
     r.read_only = !store_.HasWriteLocks(m.aid);
@@ -772,20 +810,15 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   // drop them. The in-flight attempt will reply; the coordinator retries on
   // silence. Running two prepares concurrently would let one attempt's
   // refusal abort the other attempt's successful prepare.
-  if (!preparing_.insert(m.aid).second) co_return;
-  struct PreparingGuard {
-    std::set<Aid>* set;
-    Aid aid;
-    ~PreparingGuard() { set->erase(aid); }
-  } preparing_guard{&preparing_, m.aid};
+  if (const TxnState* t = FindTxn(m.aid); t != nullptr && t->preparing) {
+    co_return;
+  }
+  TxnMarker preparing(*this, m.aid, &TxnState::preparing);
 
   // "If compatible(pset, history, mygroupid) ... Otherwise ... refus[e] the
   //  prepare and abort the transaction."
   if (!vr::Compatible(m.pset, group_, history_)) {
-    r.status = vr::PrepareStatus::kRefused;
-    ++stats_.prepares_refused;
-    SendMsg(m.reply_to, r);
-    LocalAbortTxn(m.aid);
+    refuse();
     co_return;
   }
 
@@ -808,20 +841,19 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   if (vsm && (options_.force_read_only_prepare || !read_only)) {
     force_ok = co_await Force(*vsm);
   }
-  if (!force_ok || !IsActivePrimary()) {
-    r.status = vr::PrepareStatus::kRefused;
-    ++stats_.prepares_refused;
-    SendMsg(m.reply_to, r);
-    LocalAbortTxn(m.aid);
+  // While the force was suspended the outcome may have been decided here.
+  // An abort (an abort message, a query resolution) is final: refuse,
+  // exactly as a prepare arriving after it would be.
+  if (!force_ok || !IsActivePrimary() ||
+      outcomes_.Lookup(m.aid) == TxnOutcome::kAborted) {
+    refuse();
     co_return;
   }
 
-  // Fused pipeline (DESIGN.md §13): while the force above was suspended, a
-  // commit decision may already have been applied here — a query resolution,
-  // or an overlapped fan-out racing a retransmitted prepare. The decision is
-  // final and system-wide: answer prepared idempotently and do NOT re-insert
-  // the transaction into prepared_ or touch its state — CommitLocally
-  // already installed the versions and released the locks, and a re-insert
+  // A commit (fused pipeline, DESIGN.md §13: a query resolution, or an
+  // overlapped fan-out racing a retransmitted prepare) is final too: answer
+  // prepared idempotently and record nothing — CommitLocally already
+  // installed the versions and released the locks, and a prepared entry
   // would resurrect a dead blocked-txn query target.
   if (outcomes_.Lookup(m.aid) == TxnOutcome::kCommitted) {
     ++stats_.prepares_overtaken_by_commit;
@@ -839,13 +871,12 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   r.status = vr::PrepareStatus::kPrepared;
   r.read_only = read_only;
   ++stats_.prepares_ok;
-  txn_activity_[m.aid] = host_.Now();
   if (read_only) {
     // "If the transaction is read-only, add a <'committed', aid> record."
     AddRecord(vr::EventRecord::Committed(m.aid));
     store_.Commit(m.aid);  // read-only: installs nothing, releases locks
+    Forget(m.aid);
   } else {
-    prepared_.insert(m.aid);
     // §3.6 piggyback: the pset names every sibling participant. Remember
     // them as fallback query targets — any sibling that applied the commit
     // decision can answer a §3.4 query authoritatively even when the whole
@@ -860,7 +891,9 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
         siblings.push_back(e.groupid);
       }
     }
-    prepared_siblings_[m.aid] = std::move(siblings);
+    TxnState& state = txns_[m.aid];
+    state.prepared = std::move(siblings);
+    state.last_activity = host_.Now();
   }
   SendMsg(m.reply_to, r);
   // A commit decision that arrived mid-force was stashed rather than run
@@ -877,11 +910,7 @@ void Cohort::PruneDedup(Aid aid) {
 std::vector<std::string> Cohort::CommitLocally(Aid aid) {
   std::vector<std::string> installed = store_.Commit(aid);
   outcomes_.RecordCommitted(aid);
-  prepared_.erase(aid);
-  prepared_siblings_.erase(aid);
-  pending_commits_.erase(aid);
-  txn_activity_.erase(aid);
-  dead_subs_by_txn_.erase(aid);
+  Forget(aid);
   PruneDedup(aid);
   ++stats_.commits_applied;
   return installed;
@@ -906,19 +935,19 @@ void Cohort::OnCommit(const vr::CommitMsg& m) {
   // while a duplicate prepare is still suspended — so sequence the commit
   // behind the prepare (DrainPendingCommit at its resolution) instead of
   // letting two coroutines race over the transaction's bookkeeping.
-  if (preparing_.count(m.aid) != 0) {
+  if (const TxnState* t = FindTxn(m.aid); t != nullptr && t->preparing) {
     ++stats_.commits_stashed_during_prepare;
-    pending_commits_[m.aid] = m;  // latest transmission wins
+    txns_[m.aid].pending_commit = m;  // latest transmission wins
     return;
   }
   tasks_.Spawn(RunCommit(m));
 }
 
 void Cohort::DrainPendingCommit(Aid aid) {
-  auto it = pending_commits_.find(aid);
-  if (it == pending_commits_.end()) return;
-  vr::CommitMsg m = std::move(it->second);
-  pending_commits_.erase(it);
+  auto it = txns_.find(aid);
+  if (it == txns_.end() || !it->second.pending_commit) return;
+  vr::CommitMsg m = std::move(*it->second.pending_commit);
+  it->second.pending_commit.reset();
   if (IsActivePrimary()) tasks_.Spawn(RunCommit(std::move(m)));
   // Not primary anymore: drop it — the coordinator's CommitOne retries at
   // the new primary, and §3.4 queries resolve any transaction it misses.
@@ -953,16 +982,12 @@ host::Task<void> Cohort::RunCommit(vr::CommitMsg m) {
 }
 
 void Cohort::LocalAbortTxn(Aid aid) {
-  if (outcomes_.Lookup(aid) == TxnOutcome::kAborted) return;
-  // The commit decision is final and system-wide; a late abort (stale
-  // message, stale query answer) must never roll it back.
-  if (outcomes_.Lookup(aid) == TxnOutcome::kCommitted) return;
+  Forget(aid);
+  // Already aborted, or committed: the commit decision is final and
+  // system-wide, and a late abort (stale message, stale query answer) must
+  // never roll it back.
+  if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) return;
   store_.Abort(aid);
-  prepared_.erase(aid);
-  prepared_siblings_.erase(aid);
-  pending_commits_.erase(aid);
-  txn_activity_.erase(aid);
-  dead_subs_by_txn_.erase(aid);
   PruneDedup(aid);
   ++stats_.aborts_applied;
   if (IsActivePrimary() && buffer_.active()) {
@@ -981,7 +1006,7 @@ void Cohort::OnAbort(const vr::AbortMsg& m) {
 
 void Cohort::OnAbortSub(const vr::AbortSubMsg& m) {
   if (!IsActivePrimary()) return;
-  if (!dead_subs_by_txn_[m.sub_aid.aid].insert(m.sub_aid.sub).second) return;
+  if (!txns_[m.sub_aid.aid].dead_subs.insert(m.sub_aid.sub).second) return;
   store_.AbortSub(m.sub_aid);
   AddRecord(vr::EventRecord::AbortedSub(m.sub_aid));
 }
@@ -1001,32 +1026,29 @@ void Cohort::QueryBlockedTxns() {
   if (!IsActivePrimary()) return;
   SweepExternalTxns();
   std::vector<Aid> blocked;
-  for (const Aid& aid : prepared_) {
-    if (querying_.count(aid) == 0) blocked.push_back(aid);
+  for (const auto& [aid, t] : txns_) {
+    if (t.prepared && !t.querying) blocked.push_back(aid);
   }
   // The idle-transaction janitor (§3.4): abort messages are best-effort, so
   // a transaction whose client vanished (or doomed itself after a no-reply)
   // can leave locks behind. Any lock-holding transaction with no activity
-  // for idle_txn_timeout gets queried at its coordinator group.
+  // for idle_txn_timeout gets queried at its coordinator group. Our own
+  // in-flight transactions are exempt.
   const host::Time now = host_.Now();
   for (const Aid& aid : store_.ActiveTxns()) {
-    if (aid.coordinator_group == group_ && active_txns_.count(aid) != 0) {
-      continue;  // our own in-flight transaction
-    }
-    if (querying_.count(aid) != 0 || prepared_.count(aid) != 0) continue;
-    auto it = txn_activity_.find(aid);
-    if (it == txn_activity_.end()) {
+    const TxnState* t = FindTxn(aid);
+    if (t != nullptr && (t->active || t->querying || t->prepared)) continue;
+    if (t == nullptr || !t->last_activity) {
       // First sighting (e.g. inherited through a view change): start the
       // idle clock now.
-      txn_activity_[aid] = now;
+      txns_[aid].last_activity = now;
       continue;
     }
-    if (now - it->second >= options_.idle_txn_timeout) blocked.push_back(aid);
+    if (now - *t->last_activity >= options_.idle_txn_timeout) {
+      blocked.push_back(aid);
+    }
   }
-  for (const Aid& aid : blocked) {
-    querying_.insert(aid);
-    tasks_.Spawn(ResolveBlockedTxn(aid));
-  }
+  for (const Aid& aid : blocked) tasks_.Spawn(ResolveBlockedTxn(aid));
 }
 
 host::Task<void> Cohort::ResolveBlockedTxn(Aid aid) {
@@ -1037,109 +1059,58 @@ host::Task<void> Cohort::ResolveBlockedTxn(Aid aid) {
   // sibling that already applied the decision answers authoritatively from
   // its outcome table, so this group need not stay wedged until the
   // partition heals.
-  bool resolved = false;
-  const std::vector<Mid>* config = directory_.Lookup(aid.coordinator_group);
-  if (config != nullptr) {
-    for (Mid target : *config) {
-      if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) {  // resolved
-        resolved = true;
-        break;
-      }
-      ++stats_.queries_sent;
-      const std::uint64_t corr = NextCorrId();
-      query_corr_[aid] = corr;
-      vr::QueryMsg q;
-      q.aid = aid;
-      q.reply_to = self_;
-      q.reply_group = group_;
-      SendMsg(target, q);
-      auto r = co_await query_waiters_.Await(corr, options_.probe_timeout);
-      if (auto it = query_corr_.find(aid);
-          it != query_corr_.end() && it->second == corr) {
-        query_corr_.erase(it);
-      }
-      if (!r) continue;
-      if (r->outcome == TxnOutcome::kCommitted) {
-        ++stats_.queries_resolved;
-        resolved = true;
-        // The coordinator's commit decision is final and system-wide; our
-        // volatile prepared_ set may have been lost in a view change while
-        // the transaction's effects survived in the gstate, so install
-        // unconditionally.
-        if (IsActivePrimary()) {
-          const std::vector<std::string> installed = CommitLocally(aid);
-          const Viewstamp vs = AddRecord(vr::EventRecord::Committed(aid));
-          NoteInstalled(installed, vs);
-          co_await Force(vs);
-        }
-        break;
-      }
-      if (r->outcome == TxnOutcome::kAborted) {
-        ++stats_.queries_resolved;
-        resolved = true;
-        LocalAbortTxn(aid);
-        break;
-      }
-      if (r->outcome == TxnOutcome::kActive) {  // still deciding
-        resolved = true;
-        break;
-      }
+  TxnMarker querying(*this, aid, &TxnState::querying);
+  // The coordinator group's cohorts first; the siblings are read only once
+  // those are exhausted.
+  for (const bool sibling : {false, true}) {
+    std::vector<GroupId> groups;
+    if (!sibling) {
+      groups.push_back(aid.coordinator_group);
+    } else if (const TxnState* t = FindTxn(aid); t != nullptr && t->prepared) {
+      groups = *t->prepared;
     }
-  }
-  if (!resolved && outcomes_.Lookup(aid) == TxnOutcome::kUnknown) {
-    std::vector<GroupId> siblings;
-    if (auto it = prepared_siblings_.find(aid);
-        it != prepared_siblings_.end()) {
-      siblings = it->second;
-    }
-    for (GroupId g : siblings) {
-      if (resolved) break;
-      const std::vector<Mid>* sibs = directory_.Lookup(g);
-      if (sibs == nullptr) continue;
-      for (Mid target : *sibs) {
-        if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) {
-          resolved = true;
-          break;
+    for (GroupId group : groups) {
+      const std::vector<Mid>* config = directory_.Lookup(group);
+      if (config == nullptr) continue;
+      for (Mid target : *config) {
+        if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) {  // resolved
+          Forget(aid);
+          co_return;
         }
         ++stats_.queries_sent;
-        const std::uint64_t corr = NextCorrId();
-        query_corr_[aid] = corr;
         vr::QueryMsg q;
         q.aid = aid;
         q.reply_to = self_;
         q.reply_group = group_;
         SendMsg(target, q);
-        auto r = co_await query_waiters_.Await(corr, options_.probe_timeout);
-        if (auto it = query_corr_.find(aid);
-            it != query_corr_.end() && it->second == corr) {
-          query_corr_.erase(it);
-        }
+        auto r = co_await query_waiters_.Await(aid, options_.probe_timeout);
         if (!r) continue;
-        // A sibling only reports outcomes it has durably recorded; kActive
-        // and kUnknown from it mean nothing authoritative — keep asking.
-        if (r->outcome == TxnOutcome::kCommitted) {
+        if (r->outcome == TxnOutcome::kCommitted ||
+            r->outcome == TxnOutcome::kAborted) {
           ++stats_.queries_resolved;
-          ++stats_.sibling_query_resolutions;
-          resolved = true;
-          if (IsActivePrimary()) {
+          if (sibling) ++stats_.sibling_query_resolutions;
+          if (r->outcome == TxnOutcome::kAborted) {
+            LocalAbortTxn(aid);
+          } else if (IsActivePrimary()) {
+            // The commit decision is final and system-wide; our volatile
+            // prepared set may have been lost in a view change while the
+            // transaction's effects survived in the gstate, so install
+            // unconditionally.
             const std::vector<std::string> installed = CommitLocally(aid);
             const Viewstamp vs = AddRecord(vr::EventRecord::Committed(aid));
             NoteInstalled(installed, vs);
             co_await Force(vs);
           }
-          break;
+          co_return;
         }
-        if (r->outcome == TxnOutcome::kAborted) {
-          ++stats_.queries_resolved;
-          ++stats_.sibling_query_resolutions;
-          resolved = true;
-          LocalAbortTxn(aid);
-          break;
-        }
+        // A coordinator cohort answering kActive is authoritative: the
+        // decision is still being made. A sibling only reports outcomes it has
+        // durably recorded; kActive and kUnknown from it mean nothing
+        // authoritative — keep asking.
+        if (r->outcome == TxnOutcome::kActive && !sibling) co_return;
       }
     }
   }
-  querying_.erase(aid);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,20 +5,23 @@
 // frame arrives, or by the timeout with nullopt. The awaiter deregisters
 // itself on destruction, so destroying a suspended coroutine (node crash,
 // transaction teardown) leaves no dangling resume path.
+//
+// The key is whatever the response carries: a correlation id for calls and
+// probes, the aid for §3.4 query replies, (aid, replying group) for 2PC
+// replies.
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "host/timer.h"
 
 namespace vsr::core {
 
-template <typename M>
+template <typename M, typename K = std::uint64_t>
 class WaitTable {
  public:
   explicit WaitTable(host::TimerService& sched) : sched_(sched) {}
@@ -27,12 +30,12 @@ class WaitTable {
 
   class Awaiter {
    public:
-    Awaiter(WaitTable& table, std::uint64_t key, host::Duration timeout)
-        : table_(table), key_(key), timeout_(timeout) {}
+    Awaiter(WaitTable& table, K key, host::Duration timeout)
+        : table_(table), key_(std::move(key)), timeout_(timeout) {}
     Awaiter(const Awaiter&) = delete;
     Awaiter& operator=(const Awaiter&) = delete;
     ~Awaiter() {
-      if (registered_) table_.entries_.erase(key_);
+      Deregister();
       table_.sched_.Cancel(timer_);
     }
 
@@ -40,7 +43,6 @@ class WaitTable {
     void await_suspend(std::coroutine_handle<> h) {
       handle_ = h;
       table_.entries_[key_] = this;
-      registered_ = true;
       timer_ = table_.sched_.After(timeout_, [this] {
         timer_ = host::kNoTimer;
         Fire(std::nullopt);
@@ -51,11 +53,17 @@ class WaitTable {
    private:
     friend class WaitTable;
 
-    void Fire(std::optional<M> m) {
-      if (registered_) {
-        table_.entries_.erase(key_);
-        registered_ = false;
+    // Removes the entry only while it still routes to this awaiter: a later
+    // Await on the same key may have taken it over.
+    void Deregister() {
+      auto it = table_.entries_.find(key_);
+      if (it != table_.entries_.end() && it->second == this) {
+        table_.entries_.erase(it);
       }
+    }
+
+    void Fire(std::optional<M> m) {
+      Deregister();
       table_.sched_.Cancel(timer_);
       timer_ = host::kNoTimer;
       result_ = std::move(m);
@@ -64,24 +72,22 @@ class WaitTable {
     }
 
     WaitTable& table_;
-    std::uint64_t key_;
+    K key_;
     host::Duration timeout_;
-    bool registered_ = false;
     std::coroutine_handle<> handle_;
     host::TimerId timer_ = host::kNoTimer;
     std::optional<M> result_;
   };
 
-  // One waiter per key at a time; keys must be unique per outstanding
-  // request (callers use monotonically increasing correlation ids).
-  Awaiter Await(std::uint64_t key, host::Duration timeout) {
-    assert(entries_.count(key) == 0);
-    return Awaiter(*this, key, timeout);
+  // One waiter per key: a second Await on a key that is still waiting takes
+  // over delivery, and the displaced waiter runs to its timeout.
+  Awaiter Await(K key, host::Duration timeout) {
+    return Awaiter(*this, std::move(key), timeout);
   }
 
   // Delivers a response. Returns false if nobody is waiting (late/duplicate
   // responses are dropped by the caller).
-  bool Fulfill(std::uint64_t key, M msg) {
+  bool Fulfill(const K& key, M msg) {
     auto it = entries_.find(key);
     if (it == entries_.end()) return false;
     Awaiter* a = it->second;
@@ -94,7 +100,7 @@ class WaitTable {
  private:
   friend class Awaiter;
   host::TimerService& sched_;
-  std::unordered_map<std::uint64_t, Awaiter*> entries_;
+  std::map<K, Awaiter*> entries_;
 };
 
 }  // namespace vsr::core

@@ -35,6 +35,11 @@ class SoakTest : public ::testing::TestWithParam<SoakParams> {};
 
 TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
   const SoakParams p = GetParam();
+  // CHECK_SOAK=1 (scripts/check.sh) runs each world 10x longer; the
+  // quiescence check then shows per-transaction state stays flat.
+  const char* soak_env = std::getenv("CHECK_SOAK");
+  const bool long_run = soak_env != nullptr && soak_env[0] == '1';
+  const int rounds = long_run ? 10 * p.rounds : p.rounds;
   ClusterOptions opts;
   opts.seed = p.seed;
   opts.net.loss_probability = p.loss;
@@ -91,7 +96,7 @@ TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
     return healthy >= vr::MajorityOf(cs.size());
   };
 
-  for (int round = 0; round < p.rounds; ++round) {
+  for (int round = 0; round < rounds; ++round) {
     const std::uint64_t dice = rng.UniformInt(0, 99);
     if (dice < 50) {
       core::Cohort* primary = cluster.AnyPrimary(client_g);

@@ -141,6 +141,54 @@ TEST(Subactions, DifferentSeedAlsoCommits) {
   ASSERT_EQ(CrashServerMidCall(63, true), vr::TxnOutcome::kCommitted);
 }
 
+TEST(Subactions, DeadAttemptCannotWriteAfterItsAbort) {
+  // The first attempt is still working when the client gives up on it and
+  // retries as a new subaction, declaring the first one dead. When the dead
+  // attempt later reaches its write it must not leave a tentative version:
+  // the retry reads after that point, and would otherwise build on it.
+  ClusterOptions opts;
+  opts.seed = 66;
+  opts.cohort.nested_call_retry = true;
+  Cluster cluster(opts);
+  auto server = cluster.AddGroup("kv", 3);
+  auto client_g = cluster.AddGroup("client", 3);
+  int executions = 0;
+  sim::Scheduler* sched = &cluster.sim().scheduler();
+  cluster.RegisterProc(
+      server, "append",
+      [&executions, sched](core::ProcContext& ctx)
+          -> sim::Task<std::vector<std::uint8_t>> {
+        // The first execution outlasts the client's patience (3 x 60 ms)
+        // and writes while the retry is asleep; the retry reads after it.
+        const bool first = ++executions == 1;
+        co_await sim::Sleep(*sched, (first ? 250 : 100) * sim::kMillisecond);
+        auto prev = co_await ctx.ReadForUpdate("obj");
+        co_await ctx.Write("obj", prev.value_or("") + "|" + ctx.ArgsAsString());
+        if (first) co_await sim::Sleep(*sched, 200 * sim::kMillisecond);
+        co_return test::Bytes(prev.value_or(""));
+      });
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+
+  core::Cohort* primary = cluster.AnyPrimary(client_g);
+  vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
+  bool done = false;
+  primary->SpawnTransaction(
+      [&](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(server, "append", std::string("x"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) {
+        outcome = o;
+        done = true;
+      });
+  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  ASSERT_EQ(outcome, vr::TxnOutcome::kCommitted);
+  ASSERT_EQ(executions, 2);
+  cluster.RunFor(1 * sim::kSecond);
+  EXPECT_EQ(test::CommittedValue(cluster, server, "obj"), "|x");
+}
+
 // ---------------------------------------------------------------------------
 // Ablations
 // ---------------------------------------------------------------------------
