@@ -74,9 +74,11 @@ if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   # does pointer arithmetic over the GC'd record vector; the frame fuzzer,
   # which feeds every decoder hostile bytes; and the transaction suites,
   # where per-transaction state is erased and key-routed reply waiters are
-  # torn down while coroutines are suspended (DESIGN.md §15).
+  # torn down while coroutines are suspended (DESIGN.md §15); and the
+  # whole-state installs: newview adoption and the lazy-apply promotion
+  # fold, which the stress worlds drive (DESIGN.md §10.3).
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS" \
-    -R 'vr_test|net_test|wire_test|fuzz_frames_test|protocol_edge_test|property_test|snapshot_test|storage_test|recovery_test|view_formation_test|sharding_test|lease_read_test|host_conformance_test|socket_host_test|soak_test|subaction_test|client35_test|txn_test'
+    -R 'vr_test|net_test|wire_test|fuzz_frames_test|protocol_edge_test|property_test|snapshot_test|storage_test|recovery_test|view_formation_test|sharding_test|lease_read_test|host_conformance_test|socket_host_test|soak_test|subaction_test|client35_test|txn_test|stress_test|view_change_test'
 fi
 
 if [[ "${CHECK_REAL_HOST:-0}" == "1" ]]; then

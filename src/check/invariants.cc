@@ -71,15 +71,27 @@ std::vector<std::string> CheckQuiescent(client::Cluster& cluster,
 
   // Per-transaction state is temporary (DESIGN.md §15): once a cohort knows
   // a transaction's outcome it holds nothing more for it, and no coroutine
-  // still waits on a 2PC or query reply.
+  // still waits on a 2PC or query reply. Its store has applied the outcome
+  // too, unless it is a lazy-apply backup that defers that to promotion.
   for (auto* c : cohorts) {
     if (c->status() != core::Status::kActive) continue;
     const std::string who = "cohort " + std::to_string(c->mid());
-    for (const vr::Aid& aid : c->LiveTxnAids()) {
+    auto settled = [c](const vr::Aid& aid) {
       const vr::TxnOutcome o = c->outcomes().Lookup(aid);
-      if (o == vr::TxnOutcome::kCommitted || o == vr::TxnOutcome::kAborted) {
+      return o == vr::TxnOutcome::kCommitted || o == vr::TxnOutcome::kAborted;
+    };
+    for (const vr::Aid& aid : c->LiveTxnAids()) {
+      if (settled(aid)) {
         violations.push_back(who + " still holds state for settled txn " +
                              aid.ToString());
+      }
+    }
+    if (c->options().eager_backup_apply || c->IsActivePrimary()) {
+      for (const vr::Aid& aid : c->objects().ActiveTxns()) {
+        if (settled(aid)) {
+          violations.push_back(who + "'s store still holds settled txn " +
+                               aid.ToString());
+        }
       }
     }
     if (c->PendingTxnReplies() != 0) {

@@ -204,9 +204,7 @@ sim::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
     std::vector<std::uint8_t> args) {
   if (txn.doomed_) throw core::TxnError("transaction doomed");
   const std::uint64_t call_seq = NextCallSeq();
-  bool ambiguous = false;
-  int wrong_view_budget = options_.call_attempts;
-  for (int attempt = 0; attempt < options_.call_attempts;) {
+  for (int attempt = 0; attempt < options_.call_attempts; ++attempt) {
     auto entry = co_await CacheLookup(group);
     if (!entry) break;
     vr::CallMsg m;
@@ -220,11 +218,7 @@ sim::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
     m.args = args;
     SendMsg(entry->view.primary, m);
     auto r = co_await reply_waiters_.Await(m.call_id, options_.call_timeout);
-    if (!r) {
-      ambiguous = true;
-      ++attempt;
-      continue;
-    }
+    if (!r) continue;  // retransmit: the server's dedup makes it safe
     if (r->status == vr::ReplyStatus::kOk) {
       vr::MergePset(txn.pset_, r->pset);
       ++stats_.calls_ok;
@@ -236,14 +230,14 @@ sim::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
       throw core::TxnError(
           std::string(r->result.begin(), r->result.end()));
     }
-    // Wrong view.
+    // Wrong view: a duplicate may have executed in the old view (DESIGN.md
+    // §6 item 2), so abort; the cache update serves the next transaction.
     if (r->view_known) {
       cache_[group] = CacheEntry{r->new_viewid, r->new_view};
     } else {
       cache_.erase(group);
     }
-    if (!ambiguous && wrong_view_budget-- > 0) continue;
-    break;  // possibly executed: abort (no subactions at this client)
+    break;  // no subactions at this client to retry with
   }
   ++stats_.calls_failed;
   txn.doomed_ = true;

@@ -527,6 +527,8 @@ void Cohort::EndCoordination(Aid aid) {
 }
 
 bool Cohort::SubDead(SubAid sub_aid) const {
+  // Every attempt of a transaction this cohort has settled is dead too.
+  if (outcomes_.Lookup(sub_aid.aid) != TxnOutcome::kUnknown) return true;
   const TxnState* t = FindTxn(sub_aid.aid);
   return t != nullptr && t->dead_subs.count(sub_aid.sub) != 0;
 }

@@ -448,7 +448,7 @@ class Cohort : public net::FrameHandler {
 
   // ---- durable event log + crash recovery (recovery.cc, DESIGN.md §10) ----
   // Opens a fresh log generation anchored by a checkpoint of the current
-  // state (view, history, gstate, prepared set) at applied ts `ts`. Called
+  // state (view header, then the state image) at applied ts `ts`. Called
   // at every full-state transition: view entry (primary and backup),
   // snapshot install, and post-replay.
   void LogCheckpoint(std::uint64_t ts);
@@ -464,13 +464,42 @@ class Cohort : public net::FrameHandler {
 
   // ---- backup record application (txn_server.cc) ----
   void OnBufferBatch(const vr::BufferBatchMsg& m);
+  // Applies the record at applied_ts_ + 1 and advances past it (§3.3): the
+  // one step of batch application, the stash drain and log replay.
+  void ApplyNext(const vr::EventRecord& rec);
   void ApplyRecord(const vr::EventRecord& rec);
+  // The store effects of one record: an eager backup applies them as the
+  // record arrives, a lazy one when it is promoted.
+  void ApplyToStore(const vr::EventRecord& rec);
   void DrainBatchStash();
   void SendBufferAck(bool gap = false, std::uint64_t gap_hi = 0);
 
+  // ---- the state image (txn_server.cc, DESIGN.md §9.2) ----
+  // The whole cohort state one transfer carries: a §9 snapshot is exactly
+  // an image, a §10 checkpoint is a view header followed by one, and a
+  // newview record carries one without the prepared set.
+  using PreparedSet = std::map<Aid, std::vector<GroupId>>;
+  struct StateImage {
+    vr::History history;
+    std::vector<std::uint8_t> gstate;
+    // Prepared aids with their §3.6 sibling groups, in aid order.
+    std::optional<PreparedSet> prepared;
+  };
+  void WriteImage(wire::Writer& w) const;
+  // All-or-nothing: the rest of `r` must parse cleanly to its last byte and
+  // carry a non-empty history.
+  static std::optional<StateImage> ReadImage(wire::Reader& r);
+  // Replaces the whole state with an image's parts at applied ts `ts`; the
+  // gstate is read in place, never copied. Without a prepared set the
+  // prepared entries stay as they are (newview adoption). The caller keeps
+  // its own extras: view, timers, leases, log anchor.
+  void InstallState(vr::History history,
+                    const std::vector<std::uint8_t>& gstate,
+                    std::optional<PreparedSet> prepared, std::uint64_t ts);
+
   // ---- snapshot state transfer (txn_server.cc, DESIGN.md §9) ----
-  // Primary side: serialize current gstate + history + prepared-txn
-  // metadata and start (or refresh) a chunked transfer to `backup`.
+  // Primary side: serialize the state image and start (or refresh) a
+  // chunked transfer to `backup`.
   void ServeSnapshot(Mid backup);
   std::shared_ptr<const std::vector<std::uint8_t>> BuildSnapshotPayload()
       const;
@@ -519,6 +548,9 @@ class Cohort : public net::FrameHandler {
   // the caller stamps them (NoteInstalled) with the committed record's
   // viewstamp once it exists.
   std::vector<std::string> CommitLocally(Aid aid);
+  // Installs the commit, adds this group's committed record and forces it
+  // (false = the force failed).
+  host::Task<bool> CommitAndRecord(Aid aid);
   std::vector<std::uint8_t> SnapshotGstate() const;
   void RestoreGstate(const std::vector<std::uint8_t>& bytes);
   // Awaitable force-to (false = abandoned / not primary).
@@ -528,6 +560,9 @@ class Cohort : public net::FrameHandler {
   // Adds a record to the buffer and mirrors its outcome bookkeeping (the
   // primary-side counterpart of ApplyRecord).
   Viewstamp AddRecord(vr::EventRecord rec);
+  // The outcome-table effect of a record, the same where it is added and
+  // where it is applied.
+  void NoteOutcome(const vr::EventRecord& rec);
 
   // ---- backup read leases (txn_server.cc, DESIGN.md §14) ----
   // Primary side: the buffer's ack path noticed a lease (re)grant is due
@@ -781,6 +816,8 @@ class Cohort : public net::FrameHandler {
   void Forget(Aid aid);
   // The coordinator is done with `aid`: clears the coordinator fields.
   void EndCoordination(Aid aid);
+  // The attempt may not run or record effects: the caller declared it dead
+  // (§3.6), or this cohort already knows the transaction's outcome.
   bool SubDead(SubAid sub_aid) const;
   // Holds a coroutine-owned marker (preparing/querying) set for its own
   // lifetime, so a coroutine destroyed mid-await clears it too.
@@ -801,15 +838,6 @@ class Cohort : public net::FrameHandler {
     Aid aid_;
     bool TxnState::*marker_;
   };
-  // The prepared-set section shared by snapshots (§9.2) and checkpoints
-  // (§10.2): the prepared aids, then each one's sibling groups.
-  using PreparedSet = std::map<Aid, std::vector<GroupId>>;
-  void WritePreparedSet(wire::Writer& w) const;
-  static PreparedSet ReadPreparedSet(wire::Reader& r);
-  // Replaces the prepared set with a restored one. Restored transactions
-  // look freshly active to the janitor and are queried (§3.4) if they stay
-  // quiet.
-  void AdoptPreparedSet(PreparedSet prepared);
 
   // ---- backup read leases (DESIGN.md §14) ----
   // Backup side: the lease currently held, valid only while it pins the

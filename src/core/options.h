@@ -99,13 +99,6 @@ struct CohortOptions {
   // Run each remote call as a subaction and retry on no-reply instead of
   // aborting the whole transaction (§3.6 nested transactions).
   bool nested_call_retry = false;
-  // Fig. 2 step 4 retries a call after a view-changed rejection, which is
-  // only sound when the transport never duplicates frames: "If duplicate
-  // messages are possible, we must abort the transaction in this case too"
-  // (§3.1 — a duplicate of the rejected transmission may have executed in
-  // the old view). Set true only when the network's duplicate probability
-  // is zero.
-  bool assume_no_duplicates = false;
   int nested_retry_attempts = 3;
   // Active primary may unilaterally add/exclude backups while it retains a
   // sub-majority (§4.1 last paragraph).

@@ -26,8 +26,8 @@ constexpr std::uint8_t kLogApply = 2;
 void Cohort::LogCheckpoint(std::uint64_t ts) {
   if (!elog_.enabled()) return;
   wire::Writer w;
-  w(cur_viewid_, ts, cur_view_, history_, SnapshotGstate());
-  WritePreparedSet(w);
+  w(cur_viewid_, ts, cur_view_);
+  WriteImage(w);
   elog_.BeginGeneration({kLogCheckpoint, w.Take()});
 }
 
@@ -62,21 +62,15 @@ bool Cohort::RecoverFromLog() {
   ViewId vid;
   std::uint64_t ts = 0;
   View view;
-  vr::History hist;
-  std::vector<std::uint8_t> gstate;
-  r(vid, ts, view, hist, gstate);
-  auto prepared = ReadPreparedSet(r);
-  if (!r.ok() || !r.AtEnd() || hist.Empty() || !view.Contains(self_)) {
+  r(vid, ts, view);
+  std::optional<StateImage> image = ReadImage(r);
+  if (!image || !view.Contains(self_)) {
     return false;  // garbled checkpoint: trust nothing
   }
-
   cur_viewid_ = vid;
   cur_view_ = std::move(view);
-  history_ = std::move(hist);
-  history_.Advance(ts);
-  RestoreGstate(gstate);
-  AdoptPreparedSet(std::move(prepared));
-  applied_ts_ = ts;
+  InstallState(std::move(image->history), image->gstate,
+               std::move(image->prepared), ts);
 
   // Re-apply the logged suffix in timestamp order. A gap means the segment
   // carrying the missing record never became durable; FIFO completion makes
@@ -89,9 +83,7 @@ bool Cohort::RecoverFromLog() {
     if (!er.ok() || !er.AtEnd()) break;
     if (rec.ts <= applied_ts_) continue;  // duplicate (pre-checkpoint flush)
     if (rec.ts != applied_ts_ + 1) break;
-    ApplyRecord(rec);
-    applied_ts_ = rec.ts;
-    history_.Advance(rec.ts);
+    ApplyNext(rec);
     ++stats_.log_records_replayed;
   }
   log_replay_active_ = false;

@@ -154,13 +154,8 @@ host::Task<std::optional<vr::ReplyMsg>> Cohort::CallAttempt(
     std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs) {
   // One duplicate-suppression key for every transmission of this attempt.
   const std::uint64_t call_seq = NextCallSeq();
-  // Once a transmission has gone unanswered, a view-change rejection of a
-  // later transmission is no longer proof that the call never executed —
-  // an earlier copy may have run before the change. `ambiguous` tracks that.
-  bool ambiguous = false;
-  int wrong_view_budget = options_.call_attempts;
 
-  for (int attempt = 0; attempt < options_.call_attempts;) {
+  for (int attempt = 1; attempt <= options_.call_attempts; ++attempt) {
     auto entry = co_await CacheLookup(group);
     if (!entry) co_return std::nullopt;  // "If a more recent view cannot be
                                          //  discovered, abort" (Fig. 2)
@@ -181,8 +176,6 @@ host::Task<std::optional<vr::ReplyMsg>> Cohort::CallAttempt(
       // Retransmit to the same primary; the server's dedup table makes this
       // safe within a view. (Retrying at a *different* primary would risk
       // double execution, which is why no-reply ultimately aborts — Fig. 2.)
-      ambiguous = true;
-      ++attempt;
       if (attempt == options_.call_attempts) {
         // "we also attempt to update the cache, so that the next use of the
         //  server will not cause an abort."
@@ -191,21 +184,16 @@ host::Task<std::optional<vr::ReplyMsg>> Cohort::CallAttempt(
       continue;
     }
     if (r->status == vr::ReplyStatus::kWrongView) {
-      // Fig. 2 step 4: "update the cache, if possible, and go to step 1" —
-      // but the retry is only provably safe when (a) no transmission of this
-      // attempt ever went unanswered AND (b) the transport cannot duplicate
-      // frames (a duplicate of this very transmission may have executed in
-      // the old view before the change). Otherwise: "we must abort the
-      // transaction in this case too" (§3.1) — or retry as a fresh
-      // subaction when nested transactions are on (§3.6).
+      // Fig. 2 step 4 would "update the cache, if possible, and go to step
+      // 1", but a duplicate of this transmission may have executed in the
+      // old view: "If duplicate messages are possible, we must abort the
+      // transaction in this case too" (§3.1) — or retry as a fresh subaction
+      // when nested transactions are on (§3.6). The cache update still
+      // serves the next call.
       if (r->view_known) {
         CacheUpdate(group, r->new_viewid, r->new_view);
       } else {
         CacheInvalidate(group);
-      }
-      if (options_.assume_no_duplicates && !ambiguous &&
-          wrong_view_budget-- > 0) {
-        continue;  // provably never executed
       }
       co_return std::nullopt;  // possibly executed in the old view
     }

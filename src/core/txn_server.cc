@@ -5,6 +5,18 @@
 
 namespace vsr::core {
 
+namespace {
+
+// Whether ApplyToStore may change the store for a record of type `t`: only
+// such records wait in a lazy backup for promotion. It names the types with
+// no effect, so a new type is kept until it is listed here.
+bool HasStoreEffect(vr::EventType t) {
+  return t != vr::EventType::kCommitting && t != vr::EventType::kDone &&
+         t != vr::EventType::kNewView;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Awaitable primitives
 // ---------------------------------------------------------------------------
@@ -42,7 +54,7 @@ host::Task<bool> Cohort::AcquireLock(std::string uid, Aid aid,
   co_return r.value_or(false);
 }
 
-Viewstamp Cohort::AddRecord(vr::EventRecord rec) {
+void Cohort::NoteOutcome(const vr::EventRecord& rec) {
   switch (rec.type) {
     case vr::EventType::kCommitting:
     case vr::EventType::kCommitted:
@@ -52,11 +64,17 @@ Viewstamp Cohort::AddRecord(vr::EventRecord rec) {
       outcomes_.RecordAborted(rec.sub_aid.aid);
       break;
     case vr::EventType::kDone:
+      // GC: every participant acknowledged; the outcome will never be
+      // queried again.
       outcomes_.RecordDone(rec.sub_aid.aid);
       break;
     default:
       break;
   }
+}
+
+Viewstamp Cohort::AddRecord(vr::EventRecord rec) {
+  NoteOutcome(rec);
   if (elog_.enabled() && rec.type != vr::EventType::kNewView) {
     // Log a copy carrying the timestamp the buffer just assigned; newview
     // records are covered by the checkpoint that anchors each generation.
@@ -122,19 +140,20 @@ void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi) {
   SendMsg(cur_view_.primary, ack);
 }
 
+void Cohort::ApplyNext(const vr::EventRecord& rec) {
+  ApplyRecord(rec);
+  applied_ts_ = rec.ts;
+  history_.Advance(rec.ts);
+}
+
 void Cohort::ApplyRecord(const vr::EventRecord& rec) {
   // Write-behind durable copy (self-guarding: disabled log or replay).
   // Newview records are excluded — each generation's checkpoint covers them.
   if (rec.type != vr::EventType::kNewView) LogApply(rec);
   ++stats_.records_applied_as_backup;
-  const bool eager = options_.eager_backup_apply;
+  NoteOutcome(rec);
   switch (rec.type) {
-    case vr::EventType::kCompletedCall: {
-      if (eager) {
-        store_.ApplyEffects(rec.sub_aid, rec.effects);
-      } else {
-        pending_records_.push_back(rec);
-      }
+    case vr::EventType::kCompletedCall:
       // Reconstruct the reply so this cohort can re-answer the call if it
       // becomes primary (replicated duplicate suppression).
       if (rec.call_seq != 0) {
@@ -149,55 +168,45 @@ void Cohort::ApplyRecord(const vr::EventRecord& rec) {
             DedupEntry{true, rec.sub_aid.aid, std::move(reply)};
       }
       break;
-    }
-    case vr::EventType::kCommitting:
-      outcomes_.RecordCommitted(rec.sub_aid.aid);
+    case vr::EventType::kCommitted:
+    case vr::EventType::kAborted:
+      Forget(rec.sub_aid.aid);
+      PruneDedup(rec.sub_aid.aid);
+      break;
+    default:
+      break;  // newview is adopted in OnBufferBatch
+  }
+  // §3.3 trade-off: a lazy backup only stores the record until promotion.
+  if (options_.eager_backup_apply) {
+    ApplyToStore(rec);
+  } else if (HasStoreEffect(rec.type)) {
+    pending_records_.push_back(rec);
+  }
+}
+
+void Cohort::ApplyToStore(const vr::EventRecord& rec) {
+  switch (rec.type) {
+    case vr::EventType::kCompletedCall:
+      store_.ApplyEffects(rec.sub_aid, rec.effects);
       break;
     case vr::EventType::kCommitted:
-      outcomes_.RecordCommitted(rec.sub_aid.aid);
-      Forget(rec.sub_aid.aid);
-      PruneDedup(rec.sub_aid.aid);
-      if (eager) {
-        // Stamp the installed bases with the committed record's viewstamp:
-        // the admission bound for backup reads (DESIGN.md §14).
-        NoteInstalled(store_.Commit(rec.sub_aid.aid),
-                      Viewstamp{cur_viewid_, rec.ts});
-      } else {
-        pending_records_.push_back(rec);
-      }
+      // Stamp the installed bases with the committed record's viewstamp:
+      // the admission bound for backup reads (DESIGN.md §14).
+      NoteInstalled(store_.Commit(rec.sub_aid.aid),
+                    Viewstamp{cur_viewid_, rec.ts});
       break;
     case vr::EventType::kAborted:
-      outcomes_.RecordAborted(rec.sub_aid.aid);
-      Forget(rec.sub_aid.aid);
-      PruneDedup(rec.sub_aid.aid);
-      if (eager) {
-        store_.Abort(rec.sub_aid.aid);
-      } else {
-        pending_records_.push_back(rec);
-      }
+      store_.Abort(rec.sub_aid.aid);
       break;
     case vr::EventType::kAbortedSub:
-      if (eager) {
-        store_.AbortSub(rec.sub_aid);
-      } else {
-        pending_records_.push_back(rec);
-      }
-      break;
-    case vr::EventType::kDone:
-      // GC: every participant acknowledged; the outcome will never be
-      // queried again.
-      outcomes_.RecordDone(rec.sub_aid.aid);
+      store_.AbortSub(rec.sub_aid);
       break;
     case vr::EventType::kShardInstall:
     case vr::EventType::kShardDrop:
-      if (eager) {
-        ApplyShardRecord(rec);
-      } else {
-        pending_records_.push_back(rec);
-      }
+      ApplyShardRecord(rec);
       break;
-    case vr::EventType::kNewView:
-      break;  // handled in OnBufferBatch adoption paths
+    default:
+      break;
   }
 }
 
@@ -256,9 +265,7 @@ void Cohort::OnBufferBatch(const vr::BufferBatchMsg& m) {
       }
       continue;
     }
-    ApplyRecord(rec);
-    applied_ts_ = rec.ts;
-    history_.Advance(rec.ts);
+    ApplyNext(rec);
     DrainBatchStash();
   }
   // Stashed records may themselves have become applicable (e.g. this batch
@@ -279,9 +286,7 @@ void Cohort::DrainBatchStash() {
       continue;
     }
     if (it->first != applied_ts_ + 1) return;  // hole still open
-    ApplyRecord(it->second);
-    applied_ts_ = it->first;
-    history_.Advance(it->first);
+    ApplyNext(it->second);
     ++stats_.records_applied_from_stash;
     batch_stash_.erase(it);
   }
@@ -305,17 +310,21 @@ void Cohort::ServeSnapshot(Mid backup) {
 
 std::shared_ptr<const std::vector<std::uint8_t>> Cohort::BuildSnapshotPayload()
     const {
-  // Layout (DESIGN.md §9.2): history, length-prefixed gstate (object store +
-  // outcomes + completed-call replies, the same bytes a newview record
-  // carries), then the prepared-transaction set — a promoted backup must know
-  // which blocked transactions to query coordinators about (§3.4).
   wire::Writer w;
-  w(history_, SnapshotGstate());
-  WritePreparedSet(w);
+  WriteImage(w);
   return std::make_shared<const std::vector<std::uint8_t>>(w.Take());
 }
 
-void Cohort::WritePreparedSet(wire::Writer& w) const {
+// ---------------------------------------------------------------------------
+// The state image (DESIGN.md §9.2)
+// ---------------------------------------------------------------------------
+
+void Cohort::WriteImage(wire::Writer& w) const {
+  // History, length-prefixed gstate (object store + outcomes + completed-
+  // call replies, the same bytes a newview record carries), then the
+  // prepared set — a promoted backup must know which blocked transactions
+  // to query coordinators about (§3.4).
+  w(history_, SnapshotGstate());
   std::uint32_t count = 0;
   for (const auto& [aid, t] : txns_) count += t.prepared ? 1 : 0;
   w.U32(count);
@@ -331,8 +340,10 @@ void Cohort::WritePreparedSet(wire::Writer& w) const {
   }
 }
 
-Cohort::PreparedSet Cohort::ReadPreparedSet(wire::Reader& r) {
-  PreparedSet prepared;
+std::optional<Cohort::StateImage> Cohort::ReadImage(wire::Reader& r) {
+  StateImage image;
+  r(image.history, image.gstate);
+  PreparedSet& prepared = image.prepared.emplace();
   const std::uint32_t prep_count = r.U32();
   for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
     prepared[r.Read<Aid>()];
@@ -342,21 +353,39 @@ Cohort::PreparedSet Cohort::ReadPreparedSet(wire::Reader& r) {
     const Aid aid = r.Read<Aid>();
     r(prepared[aid]);
   }
-  return prepared;
+  if (!r.ok() || !r.AtEnd() || image.history.Empty()) return std::nullopt;
+  return image;
 }
 
-void Cohort::AdoptPreparedSet(PreparedSet prepared) {
-  for (auto it = txns_.begin(); it != txns_.end();) {
-    it->second.prepared.reset();
-    it = it->second.Empty() ? txns_.erase(it) : std::next(it);
+void Cohort::InstallState(vr::History history,
+                          const std::vector<std::uint8_t>& gstate,
+                          std::optional<PreparedSet> prepared,
+                          std::uint64_t ts) {
+  // The image's history entry may trail `ts` (a primary advances its entry
+  // at view formation, not per record); the state reflects records through
+  // ts, so account for them.
+  history_ = std::move(history);
+  history_.Advance(ts);
+  RestoreGstate(gstate);
+  if (prepared) {
+    for (auto it = txns_.begin(); it != txns_.end();) {
+      it->second.prepared.reset();
+      it = it->second.Empty() ? txns_.erase(it) : std::next(it);
+    }
+    // Restored transactions look freshly active to the janitor and are
+    // queried (§3.4) if they stay quiet.
+    const host::Time now = host_.Now();
+    for (auto& [aid, siblings] : *prepared) {
+      TxnState& t = txns_[aid];
+      t.prepared = std::move(siblings);
+      t.last_activity = now;
+    }
+    if (!prepared->empty()) ArmQueryTimer();
   }
-  const host::Time now = host_.Now();
-  for (auto& [aid, siblings] : prepared) {
-    TxnState& t = txns_[aid];
-    t.prepared = std::move(siblings);
-    t.last_activity = now;
-  }
-  if (!prepared.empty()) ArmQueryTimer();
+  // Everything the record stream had in flight is superseded wholesale.
+  pending_records_.clear();
+  batch_stash_.clear();
+  applied_ts_ = ts;
 }
 
 void Cohort::OnSnapshotAck(const vr::SnapshotAckMsg& m) {
@@ -434,31 +463,18 @@ void Cohort::OnSnapshotChunk(const vr::SnapshotChunkMsg& m) {
 
 bool Cohort::InstallSnapshot(Viewstamp vs,
                              const std::vector<std::uint8_t>& payload) {
-  // All-or-nothing: parse everything into temporaries and validate before
-  // touching any cohort state. A truncated or trailing-garbage payload is
-  // rejected wholesale.
+  // All-or-nothing: the image is parsed and validated before any cohort
+  // state is touched. A truncated or trailing-garbage payload is rejected
+  // wholesale.
   wire::Reader r(payload);
-  vr::History hist;
-  std::vector<std::uint8_t> gstate;
-  r(hist, gstate);
-  auto prepared = ReadPreparedSet(r);
-  if (!r.ok() || !r.AtEnd() || hist.Empty() ||
-      hist.Latest().view != vs.view || hist.Latest().ts > vs.ts) {
+  std::optional<StateImage> image = ReadImage(r);
+  if (!image || image->history.Latest().view != vs.view ||
+      image->history.Latest().ts > vs.ts) {
     ++stats_.snapshot_installs_rejected;
     return false;
   }
-
-  history_ = std::move(hist);
-  // The primary's history entry trails its buffer (it advances the entry at
-  // view formation, not per record); the snapshot reflects records through
-  // vs.ts, so account for them.
-  history_.Advance(vs.ts);
-  RestoreGstate(gstate);
-  AdoptPreparedSet(std::move(prepared));
-  // Everything the record stream had in flight is superseded wholesale.
-  pending_records_.clear();
-  batch_stash_.clear();
-  applied_ts_ = vs.ts;
+  InstallState(std::move(image->history), image->gstate,
+               std::move(image->prepared), vs.ts);
   installing_snapshot_ = false;
   // Every restored base version is conservatively treated as committed at
   // the snapshot point for read admission (DESIGN.md §14).
@@ -550,7 +566,8 @@ host::Task<void> ProcContext::Write(std::string uid, std::string value) {
   if (!ok) throw TxnError("write-lock timeout on " + uid);
   // §3.6: the caller may have declared this attempt dead while it ran. Its
   // versions were discarded then; writing now would leak one into the
-  // replacement attempt's reads.
+  // replacement attempt's reads. Nor may it write once the transaction
+  // has settled here.
   if (cohort_.SubDead(sub_aid_)) throw TxnError("subaction aborted");
   NoteEffect(uid, vr::LockMode::kWrite);
   cohort_.store_.WriteTentative(uid, sub_aid_, std::move(value));
@@ -611,6 +628,14 @@ void Cohort::OnCall(const vr::CallMsg& m) {
 }
 
 host::Task<void> Cohort::RunCall(vr::CallMsg m) {
+  // A settled transaction runs no more calls here. Its commit or abort
+  // pruned the dedup entries, so this is a delayed duplicate; running it
+  // would take locks again and re-install its writes over later commits.
+  if (outcomes_.Lookup(m.sub_aid.aid) != TxnOutcome::kUnknown) {
+    call_dedup_.erase(m.call_seq);
+    co_return;
+  }
+
   const ViewId call_view = cur_viewid_;
   // The client may retransmit while we execute; answer the newest copy.
   auto latest = [this, &m]() -> std::pair<std::uint64_t, Mid> {
@@ -693,8 +718,9 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
     co_return;
   }
 
-  // The attempt may have been declared dead (§3.6) while the procedure was
-  // suspended: its effects must be discarded, not recorded.
+  // The attempt may have been declared dead (§3.6), or the transaction
+  // settled, while the procedure was suspended: its effects must be
+  // discarded, not recorded.
   if (SubDead(m.sub_aid)) {
     store_.AbortSub(m.sub_aid);
     call_dedup_.erase(m.call_seq);
@@ -916,6 +942,13 @@ std::vector<std::string> Cohort::CommitLocally(Aid aid) {
   return installed;
 }
 
+host::Task<bool> Cohort::CommitAndRecord(Aid aid) {
+  const std::vector<std::string> installed = CommitLocally(aid);
+  const Viewstamp vs = AddRecord(vr::EventRecord::Committed(aid));
+  NoteInstalled(installed, vs);
+  co_return co_await Force(vs);
+}
+
 void Cohort::OnCommit(const vr::CommitMsg& m) {
   if (!IsActivePrimary()) {
     vr::CommitDoneMsg r;
@@ -956,12 +989,12 @@ void Cohort::DrainPendingCommit(Aid aid) {
 host::Task<void> Cohort::RunCommit(vr::CommitMsg m) {
   // "Release locks and install versions held by the transaction. Add a
   //  <'committed', aid> record to the buffer, do a force_to(new_vs), and
-  //  send a done message to the coordinator."
-  if (outcomes_.Lookup(m.aid) != TxnOutcome::kCommitted) {
-    const std::vector<std::string> installed = CommitLocally(m.aid);
-    const Viewstamp vs = AddRecord(vr::EventRecord::Committed(m.aid));
-    NoteInstalled(installed, vs);
-    const bool ok = co_await Force(vs);
+  //  send a done message to the coordinator." The outcome table alone does
+  //  not say the commit was applied here: when this group also coordinates
+  //  the transaction, its own committing record recorded the outcome first.
+  if (outcomes_.Lookup(m.aid) != TxnOutcome::kCommitted ||
+      store_.Holds(m.aid)) {
+    const bool ok = co_await CommitAndRecord(m.aid);
     if (!ok || !IsActivePrimary()) co_return;  // view change resolves it
   } else {
     // Already committed here — via query resolution, or a duplicate of a
@@ -983,13 +1016,18 @@ host::Task<void> Cohort::RunCommit(vr::CommitMsg m) {
 
 void Cohort::LocalAbortTxn(Aid aid) {
   Forget(aid);
-  // Already aborted, or committed: the commit decision is final and
-  // system-wide, and a late abort (stale message, stale query answer) must
-  // never roll it back.
-  if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) return;
-  store_.Abort(aid);
-  PruneDedup(aid);
-  ++stats_.aborts_applied;
+  // The commit decision is final and system-wide: a late abort (stale
+  // message, stale query answer) must never roll it back.
+  const TxnOutcome outcome = outcomes_.Lookup(aid);
+  if (outcome == TxnOutcome::kCommitted) return;
+  // An abort already recorded here (by an earlier abort, or by this group's
+  // own coordinator role) still leaves the store to clean up once.
+  if (outcome == TxnOutcome::kUnknown || store_.Holds(aid)) {
+    store_.Abort(aid);
+    PruneDedup(aid);
+    ++stats_.aborts_applied;
+  }
+  if (outcome != TxnOutcome::kUnknown) return;
   if (IsActivePrimary() && buffer_.active()) {
     AddRecord(vr::EventRecord::Aborted(aid));
   } else {
@@ -1073,8 +1111,19 @@ host::Task<void> Cohort::ResolveBlockedTxn(Aid aid) {
       const std::vector<Mid>* config = directory_.Lookup(group);
       if (config == nullptr) continue;
       for (Mid target : *config) {
-        if (outcomes_.Lookup(aid) != TxnOutcome::kUnknown) {  // resolved
-          Forget(aid);
+        // Resolved meanwhile, or recorded by this group's own coordinator
+        // role; the store may still hold the transaction.
+        const TxnOutcome known = outcomes_.Lookup(aid);
+        if (known == TxnOutcome::kAborted) {
+          LocalAbortTxn(aid);
+          co_return;
+        }
+        if (known == TxnOutcome::kCommitted) {
+          if (store_.Holds(aid) && IsActivePrimary()) {
+            co_await CommitAndRecord(aid);
+          } else {
+            Forget(aid);
+          }
           co_return;
         }
         ++stats_.queries_sent;
@@ -1096,10 +1145,7 @@ host::Task<void> Cohort::ResolveBlockedTxn(Aid aid) {
             // prepared set may have been lost in a view change while the
             // transaction's effects survived in the gstate, so install
             // unconditionally.
-            const std::vector<std::string> installed = CommitLocally(aid);
-            const Viewstamp vs = AddRecord(vr::EventRecord::Committed(aid));
-            NoteInstalled(installed, vs);
-            co_await Force(vs);
+            co_await CommitAndRecord(aid);
           }
           co_return;
         }

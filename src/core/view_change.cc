@@ -251,31 +251,8 @@ void Cohort::StartViewAsPrimary(View v, ViewId vid) {
 
   // Lazy-apply ablation (§3.3): a backup being promoted must first fold the
   // records it merely stored into its gstate.
-  if (!pending_records_.empty()) {
-    for (const vr::EventRecord& rec : pending_records_) {
-      switch (rec.type) {
-        case vr::EventType::kCompletedCall:
-          store_.ApplyEffects(rec.sub_aid, rec.effects);
-          break;
-        case vr::EventType::kCommitted:
-          store_.Commit(rec.sub_aid.aid);
-          break;
-        case vr::EventType::kAborted:
-          store_.Abort(rec.sub_aid.aid);
-          break;
-        case vr::EventType::kAbortedSub:
-          store_.AbortSub(rec.sub_aid);
-          break;
-        case vr::EventType::kShardInstall:
-        case vr::EventType::kShardDrop:
-          ApplyShardRecord(rec);
-          break;
-        default:
-          break;
-      }
-    }
-    pending_records_.clear();
-  }
+  for (const vr::EventRecord& rec : pending_records_) ApplyToStore(rec);
+  pending_records_.clear();
   batch_stash_.clear();  // stale-view records; never applicable again
 
   cur_view_ = v;
@@ -335,15 +312,12 @@ void Cohort::AdoptNewView(const vr::EventRecord& newview, ViewId vid,
   cur_view_ = newview.view;
   cur_viewid_ = vid;
   if (vid > max_viewid_) max_viewid_ = vid;
-  history_ = newview.history;
-  history_.Advance(newview_ts);  // account for the newview record itself
-  RestoreGstate(newview.gstate);
-  pending_records_.clear();
-  batch_stash_.clear();
+  // The newview record carries no prepared set; the history advances past
+  // the record itself.
+  InstallState(newview.history, newview.gstate, std::nullopt, newview_ts);
   // The newview gstate supersedes any snapshot that was mid-transfer.
   ClearSnapshotSink();
   ResetShardPull(false);  // a backup cannot be mid-pull; clear stragglers
-  applied_ts_ = newview_ts;
   // The restored gstate's per-object provenance is gone: treat everything
   // as committed at the newview record and wait for a fresh lease grant.
   RevokeLease();

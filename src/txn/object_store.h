@@ -157,6 +157,7 @@ class ObjectStore {
 
   // Transactions currently holding locks here (the janitor's scan set).
   std::vector<Aid> ActiveTxns() const;
+  bool Holds(Aid aid) const { return touched_.count(aid) != 0; }
 
   // Fails all waiters and clears all state (crash).
   void Clear();

@@ -72,6 +72,8 @@ enum class MsgType : std::uint16_t {
   kBackupRead = 29,
   kBackupReadReply = 30,
 };
+// The highest tag in use: a new type goes after it and moves this bound.
+inline constexpr MsgType kLastMsgType = MsgType::kBackupReadReply;
 
 const char* MsgTypeName(MsgType t);
 

@@ -79,6 +79,30 @@ TEST(CoordinatorServer, AbortDiscardsEffects) {
   EXPECT_EQ(again, vr::TxnOutcome::kCommitted);
 }
 
+// The coordinator-server group is the data group too: its committing
+// record reaches the outcome table before its participant role applies the
+// commit, which must install the value at every cohort all the same.
+TEST(CoordinatorServer, CommitsWhenItIsAlsoTheDataGroup) {
+  World w(44);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  UnreplicatedClient c(w.cluster.sim(), w.cluster.network(),
+                       w.cluster.directory(), w.cluster.AllocateMid(),
+                       w.server, core::CohortOptions{});
+  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+    co_await t.Call(w.server, "put", std::string("x=5"));
+    co_return true;
+  });
+  EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
+  w.cluster.RunFor(1 * sim::kSecond);
+  for (core::Cohort* cohort : w.cluster.Cohorts(w.server)) {
+    if (cohort->status() != core::Status::kActive) continue;
+    EXPECT_EQ(cohort->objects().ReadCommitted("x").value_or(""), "5")
+        << "cohort " << cohort->mid();
+    EXPECT_TRUE(cohort->objects().ActiveTxns().empty())
+        << "cohort " << cohort->mid();
+  }
+}
+
 TEST(CoordinatorServer, VanishedClientIsSweptAndLocksFreed) {
   World w(43);
   ASSERT_TRUE(w.cluster.RunUntilStable());

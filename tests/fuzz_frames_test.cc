@@ -17,6 +17,17 @@ using client::ClusterOptions;
 class FrameFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, FrameFuzzTest, ::testing::Values(71, 72, 73));
 
+// "Valid" tags are drawn from 1 up to the last message type, so every type
+// is sprayed, the newest included.
+constexpr std::size_t kTags = static_cast<std::size_t>(vr::kLastMsgType);
+
+TEST(FrameFuzz, LastMsgTypeBoundsEveryNamedTag) {
+  for (int t = static_cast<int>(vr::kLastMsgType) + 1; t < 65536; ++t) {
+    ASSERT_STREQ(vr::MsgTypeName(static_cast<vr::MsgType>(t)), "?")
+        << "tag " << t << " lies past vr::kLastMsgType";
+  }
+}
+
 TEST_P(FrameFuzzTest, GarbageFramesDoNotDisruptSafety) {
   Cluster cluster(ClusterOptions{.seed = GetParam()});
   auto kv = cluster.AddGroup("kv", 3);
@@ -40,7 +51,7 @@ TEST_P(FrameFuzzTest, GarbageFramesDoNotDisruptSafety) {
       std::vector<std::uint8_t> payload(rng.Index(96));
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.Next());
       const std::uint16_t type =
-          rng.Bernoulli(0.5) ? static_cast<std::uint16_t>(1 + rng.Index(26))
+          rng.Bernoulli(0.5) ? static_cast<std::uint16_t>(1 + rng.Index(kTags))
                              : static_cast<std::uint16_t>(rng.Next());
       cluster.network().Send(rogue, to, type, payload);
     }

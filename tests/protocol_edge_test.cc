@@ -91,6 +91,100 @@ TEST(MultiPrimary, StalePrimaryStaysActiveButCannotCommit) {
   EXPECT_EQ(test::CommittedValue(cluster, kv, "ok"), "1");
 }
 
+// A group that coordinates a transaction it also takes part in records the
+// outcome (its committing or aborted record) before its participant role
+// gets to apply it. The store must still install or discard the effects.
+TEST(SelfCoordination, CommitInstallsAtEveryCohort) {
+  Cluster cluster(ClusterOptions{.seed = 5});
+  auto kv = cluster.AddGroup("kv", 3);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+
+  ASSERT_EQ(test::RunOneCall(cluster, kv, kv, "put", "x=1"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(1 * sim::kSecond);
+  for (core::Cohort* c : cluster.Cohorts(kv)) {
+    if (c->status() != core::Status::kActive) continue;
+    EXPECT_EQ(c->objects().ReadCommitted("x").value_or(""), "1")
+        << "cohort " << c->mid();
+    EXPECT_TRUE(c->objects().ActiveTxns().empty()) << "cohort " << c->mid();
+  }
+  for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
+    ADD_FAILURE() << v;
+  }
+}
+
+TEST(SelfCoordination, AbortReleasesLocksForTheNextWrite) {
+  Cluster cluster(ClusterOptions{.seed = 5});
+  auto kv = cluster.AddGroup("kv", 3);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+
+  core::Cohort* primary = cluster.AnyPrimary(kv);
+  ASSERT_NE(primary, nullptr);
+  std::optional<vr::TxnOutcome> outcome;
+  primary->SpawnTransaction(
+      [kv](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(kv, "put", std::string("x=1"));
+        co_return false;  // the application decides to abort
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+  while (!outcome) cluster.RunFor(10 * sim::kMillisecond);
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kAborted);
+  cluster.RunFor(500 * sim::kMillisecond);
+  EXPECT_TRUE(primary->objects().ActiveTxns().empty());
+
+  EXPECT_EQ(test::RunOneCall(cluster, kv, kv, "put", "x=2"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(1 * sim::kSecond);
+  for (core::Cohort* c : cluster.Cohorts(kv)) {
+    if (c->status() != core::Status::kActive) continue;
+    EXPECT_EQ(c->objects().ReadCommitted("x").value_or(""), "2")
+        << "cohort " << c->mid();
+  }
+  for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
+    ADD_FAILURE() << v;
+  }
+}
+
+// A delayed duplicate of a committed transaction's call arrives after a
+// later transaction overwrote its key. The commit pruned the call's dedup
+// entry, so only the outcome table can say the call must not run again;
+// re-running it would take locks for a settled transaction and, once the
+// janitor installed them, roll the key back to the first value.
+TEST(DuplicateSuppression, LateCallOfACommittedTxnDoesNotRunAgain) {
+  Cluster cluster(ClusterOptions{.seed = 6});
+  auto agents = cluster.AddGroup("agents", 3);
+  auto kv = cluster.AddGroup("kv", 3);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+
+  std::optional<net::Frame> first_call;
+  cluster.network().set_observer([&](const net::Frame& f) {
+    if (!first_call && static_cast<vr::MsgType>(f.type) == vr::MsgType::kCall) {
+      first_call = f;
+    }
+  });
+  ASSERT_EQ(test::RunOneCall(cluster, agents, kv, "put", "x=1"),
+            vr::TxnOutcome::kCommitted);
+  cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(first_call.has_value());
+  ASSERT_EQ(test::RunOneCall(cluster, agents, kv, "put", "x=2"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(500 * sim::kMillisecond);
+
+  cluster.network().Send(first_call->from, first_call->to, first_call->type,
+                         first_call->payload);
+  cluster.RunFor(3 * sim::kSecond);  // well past idle_txn_timeout
+  EXPECT_EQ(test::CommittedValue(cluster, kv, "x"), "2");
+  for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
+    ADD_FAILURE() << v;
+  }
+}
+
 TEST(Queries, LostAbortIsRecoveredByJanitor) {
   // §3.4: "if the transaction aborts, we send abort messages to the
   // participants, but do not guarantee they will arrive. Instead, a cohort
