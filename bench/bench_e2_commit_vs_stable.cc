@@ -16,6 +16,7 @@
 #include "baseline/nonreplicated_viewstamped.h"
 #include "bench/bench_common.h"
 #include "client/shard_router.h"
+#include "workload/bank.h"
 #include "workload/sharded_bank.h"
 
 namespace vsr {
@@ -219,6 +220,76 @@ FusionResult FusionAblation(bool fusion) {
   return out;
 }
 
+// One-round commit (DESIGN.md §13.6): identical single-group deposit
+// worlds, the deposit made as the body's final call (the bank decides it:
+// call, batch, ack, reply) or as a plain call (fused 2PC: call, reply,
+// prepare, batch, ack, prepared, then the commit fan-out behind the reply).
+struct LoneResult {
+  double decision_us = -1;
+  double frames_per_commit = 0;
+  std::uint64_t committed = 0;
+};
+
+std::uint64_t FramesExceptPings(Cluster& cluster) {
+  std::uint64_t frames = 0;
+  for (const auto& [type, n] : cluster.network().stats().sent_by_type) {
+    if (type != static_cast<std::uint16_t>(vr::MsgType::kPing)) frames += n;
+  }
+  return frames;
+}
+
+LoneResult LoneParticipant(bool one_round) {
+  LoneResult out;
+  ClusterOptions opts;
+  opts.seed = 2300;  // identical worlds; only the body's call differs
+  Cluster cluster(opts);
+  const auto bank = cluster.AddGroup("bank", 3);
+  const auto client_g = cluster.AddGroup("client", 3);
+  workload::RegisterBankProcs(cluster, bank);
+  cluster.Start();
+  if (!cluster.RunUntilStable()) return out;
+  if (test::RunOneCall(cluster, client_g, bank, "open", "a0=0") !=
+      vr::TxnOutcome::kCommitted) {
+    return out;
+  }
+  cluster.RunFor(1 * sim::kSecond);
+
+  // Pings are the failure detector's, not the commit's.
+  const std::uint64_t frames_before = FramesExceptPings(cluster);
+  workload::LatencyRecorder decision;
+  const int txns = bench::Scaled(150);
+  for (int i = 0; i < txns; ++i) {
+    core::Cohort* coord = cluster.AnyPrimary(client_g);
+    if (coord == nullptr) break;
+    core::TxnBody body =
+        one_round ? workload::MakeDepositTxn(bank, "a0", 1)
+                  : [bank](core::TxnHandle& h) -> host::Task<bool> {
+                      co_await h.Call(bank, "deposit", std::string("a0=1"));
+                      co_return true;
+                    };
+    bool done = false;
+    const sim::Time start = cluster.sim().Now();
+    coord->SpawnTransaction(std::move(body), [&](vr::TxnOutcome o) {
+      done = true;
+      if (o == vr::TxnOutcome::kCommitted) {
+        ++out.committed;
+        decision.Add(cluster.sim().Now() - start);
+      }
+    });
+    const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+    while (!done && cluster.sim().Now() < deadline) {
+      cluster.RunFor(1 * sim::kMillisecond);
+    }
+  }
+  cluster.RunFor(2 * sim::kSecond);  // let background fan-outs finish
+  if (out.committed == 0) return out;
+  out.decision_us = decision.Mean();
+  out.frames_per_commit =
+      static_cast<double>(FramesExceptPings(cluster) - frames_before) /
+      static_cast<double>(out.committed);
+  return out;
+}
+
 double StableDecisionLatency(sim::Duration force_latency) {
   sim::Simulation simulation(2999);
   net::Network network(simulation, {});
@@ -332,6 +403,24 @@ int main() {
                   serial.client_path_forces_per_commit);
     bench::Metric("fusion_committed", static_cast<double>(fused.committed));
     bench::Metric("serial_committed", static_cast<double>(serial.committed));
+  }
+
+  bench::Row("\n  One-round commit (DESIGN.md §13.6) — single-group deposits, 3-replica");
+  bench::Row("  bank, 3-replica client group, final call vs plain call (fused 2PC):");
+  {
+    const LoneResult one_round = LoneParticipant(true);
+    const LoneResult two_pc = LoneParticipant(false);
+    bench::Row("    one-round: decision %8.0fus  %.1f frames/commit (%llu txns)",
+               one_round.decision_us, one_round.frames_per_commit,
+               static_cast<unsigned long long>(one_round.committed));
+    bench::Row("    2PC      : decision %8.0fus  %.1f frames/commit (%llu txns)",
+               two_pc.decision_us, two_pc.frames_per_commit,
+               static_cast<unsigned long long>(two_pc.committed));
+    bench::Metric("lone_one_round_decision_us", one_round.decision_us);
+    bench::Metric("lone_2pc_decision_us", two_pc.decision_us);
+    bench::Metric("lone_one_round_frames_per_commit",
+                  one_round.frames_per_commit);
+    bench::Metric("lone_2pc_frames_per_commit", two_pc.frames_per_commit);
   }
 
   bench::Row("\n  Expect: VR's decision latency is a couple of network round");

@@ -153,15 +153,31 @@ for key in fused_decision_us serial_decision_us \
     exit 1
   fi
 done
-# Every write transaction commits on the fused path: its client waits on no
-# decision force, so a lone-participant (same-shard) transfer is no slower
-# than a two-participant (cross-shard) one. Both benches are simulated, so
-# these figures are deterministic.
+# A multi-participant commit takes the fused path: its client waits on no
+# decision force. Both benches are simulated, so these figures are
+# deterministic.
 if ! awk '/"fused_client_path_forces_per_commit"/ { gsub(/[,"]/, ""); v = $2 }
           END { exit (v == 0) ? 0 : 1 }' BENCH_E2.json; then
   echo "FAIL: BENCH_E2.json fused_client_path_forces_per_commit is not 0" >&2
   exit 1
 fi
+# One-round commit (DESIGN.md §13.6): a deposit made as its body's final
+# call is decided at the bank, in call, batch, ack and reply. It must beat
+# the same deposit made with a plain call (fused 2PC), and cost at most 6
+# frames per commit: the call, the reply, one batch and one ack per backup.
+# Loss-free and simulated, so deterministic.
+if ! awk '/"lone_one_round_decision_us"/ { gsub(/[,"]/, ""); a = $2 }
+          /"lone_2pc_decision_us"/ { gsub(/[,"]/, ""); b = $2 }
+          /"lone_one_round_frames_per_commit"/ { gsub(/[,"]/, ""); f = $2 }
+          END { exit (a > 0 && a < b && f > 0 && f <= 6) ? 0 : 1 }' \
+    BENCH_E2.json; then
+  echo "FAIL: BENCH_E2.json one-round commit is not faster than 2PC" \
+    "within 6 frames per commit" >&2
+  exit 1
+fi
+# A same-shard transfer decides at its one shard in one round (its final
+# call), a cross-shard one pays a 2PC round on top: crossing shards must
+# cost more.
 if ! awk '/"cross_shard_premium"/ { gsub(/[,"]/, ""); p = $2 }
           END { exit (p > 1) ? 0 : 1 }' BENCH_E13.json; then
   echo "FAIL: BENCH_E13.json cross_shard_premium is not above 1" >&2

@@ -555,11 +555,17 @@ TxnOutcome Cohort::LocalOutcome(Aid aid) const {
 }
 
 void Cohort::AnswerQuery(const vr::QueryMsg& m) {
+  // A settle request (DESIGN.md §13.6) is the primary's to decide; any
+  // other cohort sends the coordinator looking for it.
+  if (m.settle && IsActivePrimary()) {
+    tasks_.Spawn(AnswerSettle(m));
+    return;
+  }
   // "we allow any cohort to respond to a query whenever it knows the
   //  answer" — backups answer from their outcome tables too.
   vr::QueryReplyMsg reply;
   reply.aid = m.aid;
-  reply.outcome = LocalOutcome(m.aid);
+  reply.outcome = m.settle ? TxnOutcome::kUnknown : LocalOutcome(m.aid);
   SendMsg(m.reply_to, reply);
 }
 

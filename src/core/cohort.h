@@ -141,7 +141,6 @@ class ProcContext {
   // Effects in acquisition order: uid -> mode (write dominates).
   std::vector<std::pair<std::string, vr::LockMode>> effect_order_;
   std::map<std::string, vr::LockMode> effect_mode_;
-  std::vector<GroupId> nested_groups_;
 
   void NoteEffect(const std::string& uid, vr::LockMode mode);
 };
@@ -169,12 +168,32 @@ class TxnHandle {
                 std::vector<std::uint8_t>(args.begin(), args.end()));
   }
 
+  // The body's last call. When `group` is the only group the transaction
+  // has called, the group runs the call and decides the outcome itself: one
+  // round, no prepare, commit or done (DESIGN.md §13.6). Once it decided,
+  // the body may make no further call. Otherwise this is a plain Call. The
+  // result is empty when the decision arrived without the call's reply (a
+  // retransmission or a settle request answered it).
+  host::Task<std::vector<std::uint8_t>> FinalCall(
+      GroupId group, std::string proc, std::vector<std::uint8_t> args);
+  host::Task<std::vector<std::uint8_t>> FinalCall(GroupId group,
+                                                 std::string proc,
+                                                 const std::string& args) {
+    return FinalCall(group, std::move(proc),
+                     std::vector<std::uint8_t>(args.begin(), args.end()));
+  }
+
  private:
   friend class Cohort;
   TxnHandle(Cohort& cohort, Aid aid) : cohort_(&cohort), aid_(aid) {}
+  // True when no group but `group` has been called or is in the pset.
+  bool OnlyTouches(GroupId group) const;
   Cohort* cohort_;
   Aid aid_;
   Pset pset_;
+  // Set when a final call's group committed the transaction, or when the
+  // coordinator lost its group while settling one (kUnknown).
+  std::optional<TxnOutcome> decided_;
   // Every group an attempt was sent to — abort notifications must reach
   // groups whose replies never arrived (they may hold locks).
   std::vector<GroupId> touched_groups_;
@@ -214,6 +233,11 @@ struct CohortStats {
   // resolves through the replicated record or §3.4 queries, never silently).
   std::uint64_t fused_commits = 0;
   std::uint64_t fused_decision_forces_failed = 0;
+  // One-round commit (DESIGN.md §13.6). As coordinator: transactions
+  // committed by their lone participant's final call, and settle requests
+  // sent after a final call got no decided reply.
+  std::uint64_t one_round_commits = 0;
+  std::uint64_t settle_requests_sent = 0;
   // As participant: commit decisions that arrived while a (re)transmitted
   // prepare was still forcing, stashed and applied after it resolved instead
   // of racing it, and prepares answered "prepared" because the post-force
@@ -531,8 +555,22 @@ class Cohort : public net::FrameHandler {
   // ---- server role (txn_server.cc) ----
   void OnCall(const vr::CallMsg& m);
   host::Task<void> RunCall(vr::CallMsg m);
+  // One-round commit, participant side (DESIGN.md §13.6). DecideAlone
+  // checks a final call's pset and commits, or aborts; kUnknown = the
+  // commit force failed. Settle answers a settle request, or a
+  // retransmitted final call of a settled transaction: committed if the
+  // outcome table says so, otherwise aborted, once the buffer tail is
+  // forced (kUnknown if it cannot be).
+  host::Task<TxnOutcome> DecideAlone(Aid aid, Pset pset);
+  host::Task<TxnOutcome> Settle(Aid aid);
+  host::Task<void> AnswerSettle(vr::QueryMsg m);
+  host::Task<void> AnswerSettledCall(vr::CallMsg m);
   void OnPrepare(const vr::PrepareMsg& m);
   host::Task<void> RunPrepare(vr::PrepareMsg m);
+  // The participant's checks on a transaction's pset (Fig. 3): false if a
+  // call it names did not survive into this view (compatible()); otherwise
+  // discards tentative versions of attempts the pset does not name (§3.6).
+  bool CheckPset(Aid aid, const Pset& pset);
   void OnCommit(const vr::CommitMsg& m);
   host::Task<void> RunCommit(vr::CommitMsg m);
   // Applies a commit decision stashed while a prepare for `aid` was in
@@ -589,18 +627,28 @@ class Cohort : public net::FrameHandler {
   // ---- client / coordinator role (txn_coord.cc) ----
   host::Task<void> TxnDriver(Aid aid, TxnBody body,
                             std::function<void(TxnOutcome)> on_done);
-  host::Task<std::vector<std::uint8_t>> ClientCall(TxnHandle& h, GroupId group,
-                                                  std::string proc,
-                                                  std::vector<std::uint8_t> args);
+  host::Task<std::vector<std::uint8_t>> ClientCall(
+      TxnHandle& h, GroupId group, std::string proc,
+      std::vector<std::uint8_t> args, bool final_call);
   host::Task<std::vector<std::uint8_t>> NestedCall(ProcContext& ctx,
                                                   GroupId group,
                                                   std::string proc,
                                                   std::vector<std::uint8_t> args);
   // One call attempt against (possibly changing) primaries. Does NOT retry
   // across no-reply — that is subaction policy. Returns nullopt on no reply.
+  // A final call carries `final_pset`; `sent` reports whether any
+  // transmission left.
   host::Task<std::optional<vr::ReplyMsg>> CallAttempt(
       SubAid sub_aid, GroupId group, std::string proc,
-      std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs);
+      std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs,
+      const Pset* final_pset = nullptr, bool* sent = nullptr);
+  // A final call to the transaction's lone participant (DESIGN.md §13.6).
+  host::Task<std::vector<std::uint8_t>> LoneCall(TxnHandle& h, GroupId group,
+                                                std::string proc,
+                                                std::vector<std::uint8_t> args);
+  // Asks `g`'s primary to settle `aid` until it answers committed or
+  // aborted; kUnknown once this cohort is no longer the active primary.
+  host::Task<TxnOutcome> SettleAt(Aid aid, GroupId g);
   host::Task<TxnOutcome> RunTwoPhaseCommit(Aid aid, Pset pset);
   struct PrepareJoin;
   host::Task<void> PrepareOne(Aid aid, Pset pset, GroupId g,

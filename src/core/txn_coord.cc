@@ -1,6 +1,7 @@
 // The client / coordinator role (Fig. 2): transactions, remote calls with
 // subaction retry (§3.6), two-phase commit, primary-location caching, and
 // the coordinator-server protocol for unreplicated clients (§3.5).
+#include <algorithm>
 #include <memory>
 
 #include "core/cohort.h"
@@ -42,23 +43,27 @@ host::Task<void> Cohort::TxnDriver(Aid aid, TxnBody body,
   }
 
   TxnOutcome outcome;
-  if (!want_commit || h.doomed_) {
+  if (h.decided_) {
+    // A final call's group decided (DESIGN.md §13.6): nothing is left to
+    // do here, whatever the body did after it.
+    outcome = *h.decided_;
+    if (outcome == TxnOutcome::kCommitted) ++stats_.one_round_commits;
+  } else if (!want_commit || h.doomed_) {
     co_await AbortEverywhere(aid, h.pset_, h.touched_groups_);
     outcome = TxnOutcome::kAborted;
-    ++stats_.txns_aborted;
   } else {
     outcome = co_await RunTwoPhaseCommit(aid, h.pset_);
-    switch (outcome) {
-      case TxnOutcome::kCommitted:
-        ++stats_.txns_committed;
-        break;
-      case TxnOutcome::kAborted:
-        ++stats_.txns_aborted;
-        break;
-      default:
-        ++stats_.txns_unknown;
-        break;
-    }
+  }
+  switch (outcome) {
+    case TxnOutcome::kCommitted:
+      ++stats_.txns_committed;
+      break;
+    case TxnOutcome::kAborted:
+      ++stats_.txns_aborted;
+      break;
+    default:
+      ++stats_.txns_unknown;
+      break;
   }
   EndCoordination(aid);
   if (on_done) on_done(outcome);
@@ -70,16 +75,36 @@ host::Task<void> Cohort::TxnDriver(Aid aid, TxnBody body,
 
 host::Task<std::vector<std::uint8_t>> TxnHandle::Call(
     GroupId group, std::string proc, std::vector<std::uint8_t> args) {
-  return cohort_->ClientCall(*this, group, std::move(proc), std::move(args));
+  return cohort_->ClientCall(*this, group, std::move(proc), std::move(args),
+                             false);
+}
+
+host::Task<std::vector<std::uint8_t>> TxnHandle::FinalCall(
+    GroupId group, std::string proc, std::vector<std::uint8_t> args) {
+  return cohort_->ClientCall(*this, group, std::move(proc), std::move(args),
+                             true);
+}
+
+bool TxnHandle::OnlyTouches(GroupId group) const {
+  return std::all_of(touched_groups_.begin(), touched_groups_.end(),
+                     [group](GroupId g) { return g == group; }) &&
+         std::all_of(pset_.begin(), pset_.end(),
+                     [group](const vr::PsetEntry& e) {
+                       return e.groupid == group;
+                     });
 }
 
 host::Task<std::vector<std::uint8_t>> Cohort::ClientCall(
     TxnHandle& h, GroupId group, std::string proc,
-    std::vector<std::uint8_t> args) {
+    std::vector<std::uint8_t> args, bool final_call) {
   if (h.doomed_) throw TxnError("transaction doomed: " + h.doom_reason_);
+  if (h.decided_) throw TxnError("transaction already decided");
   if (std::find(h.touched_groups_.begin(), h.touched_groups_.end(), group) ==
       h.touched_groups_.end()) {
     h.touched_groups_.push_back(group);
+  }
+  if (final_call && h.OnlyTouches(group)) {
+    co_return co_await LoneCall(h, group, std::move(proc), std::move(args));
   }
 
   const int attempts =
@@ -145,13 +170,73 @@ host::Task<std::vector<std::uint8_t>> Cohort::NestedCall(
     throw TxnError("nested call failed at group " + std::to_string(group));
   }
   vr::MergePset(ctx.pset_, r->pset);
-  ctx.nested_groups_.push_back(group);
   co_return std::move(r->result);
+}
+
+host::Task<std::vector<std::uint8_t>> Cohort::LoneCall(
+    TxnHandle& h, GroupId group, std::string proc,
+    std::vector<std::uint8_t> args) {
+  const std::uint32_t sub = options_.nested_call_retry ? h.next_sub_++ : 0;
+  bool sent = false;
+  auto r = co_await CallAttempt(SubAid{h.aid_, sub}, group, std::move(proc),
+                                std::move(args), h.dead_subs_, &h.pset_,
+                                &sent);
+  if (r && r->status == vr::ReplyStatus::kFailed) {
+    h.doomed_ = true;
+    h.doom_reason_.assign(r->result.begin(), r->result.end());
+    throw TxnError("call failed: " + h.doom_reason_);
+  }
+  if (r && r->outcome == TxnOutcome::kUnknown) {
+    // Undecided: the call made nested calls to other groups, so the
+    // transaction commits through 2PC as if this were a plain call.
+    vr::MergePset(h.pset_, r->pset);
+    co_return std::move(r->result);
+  }
+  TxnOutcome outcome = TxnOutcome::kAborted;
+  if (r) {
+    outcome = r->outcome;
+  } else if (sent) {
+    // No reply, or a wrong-view rejection: the call may have run and its
+    // group decided. A lost reply is not presumed aborted; the group's
+    // primary settles the transaction.
+    outcome = co_await SettleAt(h.aid_, group);
+  }
+  if (outcome == TxnOutcome::kAborted) {
+    h.doomed_ = true;
+    h.doom_reason_ = "aborted at group " + std::to_string(group);
+    throw TxnError(h.doom_reason_);
+  }
+  h.decided_ = outcome;
+  co_return r ? std::move(r->result) : std::vector<std::uint8_t>{};
+}
+
+host::Task<TxnOutcome> Cohort::SettleAt(Aid aid, GroupId g) {
+  // A group with no configuration cannot have run the call.
+  if (directory_.Lookup(g) == nullptr) co_return TxnOutcome::kAborted;
+  while (IsActivePrimary()) {
+    auto entry = co_await CacheLookup(g);
+    if (!entry) continue;  // CacheLookup paces itself with its probes
+    ++stats_.settle_requests_sent;
+    vr::QueryMsg q;
+    q.aid = aid;
+    q.reply_to = self_;
+    q.reply_group = group_;
+    q.settle = true;
+    SendMsg(entry->view.primary, q);
+    auto r = co_await query_waiters_.Await(aid, options_.probe_timeout);
+    if (r && (r->outcome == TxnOutcome::kCommitted ||
+              r->outcome == TxnOutcome::kAborted)) {
+      co_return r->outcome;
+    }
+    CacheInvalidate(g);  // not the primary, or no answer: look again
+  }
+  co_return TxnOutcome::kUnknown;
 }
 
 host::Task<std::optional<vr::ReplyMsg>> Cohort::CallAttempt(
     SubAid sub_aid, GroupId group, std::string proc,
-    std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs) {
+    std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs,
+    const Pset* final_pset, bool* sent) {
   // One duplicate-suppression key for every transmission of this attempt.
   const std::uint64_t call_seq = NextCallSeq();
 
@@ -169,7 +254,12 @@ host::Task<std::optional<vr::ReplyMsg>> Cohort::CallAttempt(
     msg.dead_subs = dead_subs;
     msg.proc = proc;
     msg.args = args;
+    if (final_pset != nullptr) {
+      msg.final_call = true;
+      msg.pset = *final_pset;
+    }
     SendMsg(entry->view.primary, msg);
+    if (sent != nullptr) *sent = true;
 
     auto r = co_await reply_waiters_.Await(msg.call_id, options_.call_timeout);
     if (!r) {

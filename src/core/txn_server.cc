@@ -619,6 +619,13 @@ void Cohort::OnCall(const vr::CallMsg& m) {
     SendMsg(m.reply_to, reject);
     return;
   }
+  // A retransmitted final call of a transaction settled here: its dedup
+  // entry went with the decision, so the outcome table answers it. A plain
+  // call of a settled transaction is refused in RunCall.
+  if (m.final_call && outcomes_.Lookup(m.sub_aid.aid) != TxnOutcome::kUnknown) {
+    tasks_.Spawn(AnswerSettledCall(m));
+    return;
+  }
   DedupEntry running;
   running.aid = m.sub_aid.aid;
   running.latest_call_id = m.call_id;
@@ -771,10 +778,72 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
   reply.result = std::move(result);
   reply.pset = ctx.pset_;
   reply.pset.push_back(vr::PsetEntry{group_, vs, m.sub_aid.sub});
+
+  // One-round commit (DESIGN.md §13.6): a final call whose transaction
+  // touched no other group is decided here. A call that made nested calls
+  // elsewhere replies undecided and the coordinator runs 2PC.
+  vr::Pset pset;
+  if (m.final_call) {
+    pset = m.pset;
+    vr::MergePset(pset, reply.pset);  // holds this call's own entry
+  }
+  if (m.final_call && vr::PsetGroups(pset).size() == 1) {
+    reply.outcome = co_await DecideAlone(m.sub_aid.aid, std::move(pset));
+    if (reply.outcome == TxnOutcome::kUnknown) co_return;  // view change
+    // Settled: later copies of this call are answered from the outcome
+    // table (OnCall), so the dedup entry goes now.
+    auto [cid, to] = latest();
+    reply.call_id = cid;
+    call_dedup_.erase(m.call_seq);
+    SendMsg(to, reply);
+    co_return;
+  }
   auto [cid, to] = latest();
   reply.call_id = cid;
   call_dedup_[m.call_seq] = DedupEntry{true, m.sub_aid.aid, reply};
   SendMsg(to, reply);
+}
+
+host::Task<TxnOutcome> Cohort::DecideAlone(Aid aid, Pset pset) {
+  if (!CheckPset(aid, pset)) {
+    ++stats_.prepares_refused;
+    LocalAbortTxn(aid);
+    co_return TxnOutcome::kAborted;
+  }
+  // The completed-call record and the committed record leave in one batch
+  // with one force. The reply waits for it: no coordinator record stands
+  // behind this decision, so it must be stable before anyone learns it.
+  const bool forced = co_await CommitAndRecord(aid);
+  if (!forced || !IsActivePrimary()) co_return TxnOutcome::kUnknown;
+  co_return TxnOutcome::kCommitted;
+}
+
+host::Task<TxnOutcome> Cohort::Settle(Aid aid) {
+  // LocalAbortTxn never rolls back a commit; anything else is aborted here
+  // for good, so a late copy of the call can no longer run (RunCall).
+  if (outcomes_.Lookup(aid) != TxnOutcome::kCommitted) LocalAbortTxn(aid);
+  const TxnOutcome outcome = outcomes_.Lookup(aid);
+  // The tail covers the outcome's record, or the newview record that
+  // carried it into this view.
+  const bool forced =
+      co_await Force(Viewstamp{cur_viewid_, buffer_.last_ts()});
+  if (!forced || !IsActivePrimary()) co_return TxnOutcome::kUnknown;
+  co_return outcome;
+}
+
+host::Task<void> Cohort::AnswerSettle(vr::QueryMsg m) {
+  vr::QueryReplyMsg reply;
+  reply.aid = m.aid;
+  reply.outcome = co_await Settle(m.aid);
+  // No answer when the force failed: the coordinator asks the next primary.
+  if (reply.outcome != TxnOutcome::kUnknown) SendMsg(m.reply_to, reply);
+}
+
+host::Task<void> Cohort::AnswerSettledCall(vr::CallMsg m) {
+  vr::ReplyMsg reply;
+  reply.call_id = m.call_id;
+  reply.outcome = co_await Settle(m.sub_aid.aid);
+  if (reply.outcome != TxnOutcome::kUnknown) SendMsg(m.reply_to, reply);
 }
 
 // ---------------------------------------------------------------------------
@@ -841,20 +910,10 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   }
   TxnMarker preparing(*this, m.aid, &TxnState::preparing);
 
-  // "If compatible(pset, history, mygroupid) ... Otherwise ... refus[e] the
-  //  prepare and abort the transaction."
-  if (!vr::Compatible(m.pset, group_, history_)) {
+  if (!CheckPset(m.aid, m.pset)) {
     refuse();
     co_return;
   }
-
-  // §3.6: tentative versions from call attempts that are not in the pset
-  // belong to aborted subactions and must never be installed.
-  std::set<std::uint32_t> live_subs;
-  for (const vr::PsetEntry& e : m.pset) {
-    if (e.groupid == group_) live_subs.insert(e.sub);
-  }
-  store_.DiscardSubsExcept(m.aid, live_subs);
 
   const bool read_only = !store_.HasWriteLocks(m.aid);
 
@@ -927,6 +986,20 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   DrainPendingCommit(m.aid);
 }
 
+bool Cohort::CheckPset(Aid aid, const Pset& pset) {
+  // "If compatible(pset, history, mygroupid) ... Otherwise ... refus[e] the
+  //  prepare and abort the transaction."
+  if (!vr::Compatible(pset, group_, history_)) return false;
+  // §3.6: tentative versions from call attempts that are not in the pset
+  // belong to aborted subactions and must never be installed.
+  std::set<std::uint32_t> live_subs;
+  for (const vr::PsetEntry& e : pset) {
+    if (e.groupid == group_) live_subs.insert(e.sub);
+  }
+  store_.DiscardSubsExcept(aid, live_subs);
+  return true;
+}
+
 void Cohort::PruneDedup(Aid aid) {
   std::erase_if(call_dedup_, [&](const auto& kv) {
     return kv.second.completed && kv.second.aid == aid;
@@ -943,9 +1016,13 @@ std::vector<std::string> Cohort::CommitLocally(Aid aid) {
 }
 
 host::Task<bool> Cohort::CommitAndRecord(Aid aid) {
-  const std::vector<std::string> installed = CommitLocally(aid);
+  // The committed record is buffered before the commit releases the locks.
+  // A waiter they wake runs at once and may read what this commit installs;
+  // its records must come after this one, so that whatever forces them
+  // forces this commit too. Otherwise a view change could keep a reader's
+  // records, and the reader's commit, without the commit it read from.
   const Viewstamp vs = AddRecord(vr::EventRecord::Committed(aid));
-  NoteInstalled(installed, vs);
+  NoteInstalled(CommitLocally(aid), vs);
   co_return co_await Force(vs);
 }
 

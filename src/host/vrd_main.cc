@@ -7,9 +7,10 @@
 //
 // Topology (mirrors examples/quickstart.cpp): a "bank" group of N replicas
 // holds the accounts; a single-member "client" group coordinates the
-// transactions (the paper's §3 client-module role). Each deposit is a full
-// distributed transaction: client primary -> bank primary call, 2PC
-// prepare/commit across the pset, forces to backup sub-majorities.
+// transactions (the paper's §3 client-module role). Each deposit is a
+// distributed transaction with one participant: the client primary's final
+// call to the bank primary, which commits it and forces its records to a
+// backup sub-majority before replying (one-round commit, DESIGN.md §13.6).
 //
 // With --kill-primary the bank primary is fail-stop crashed halfway
 // through; the run then demonstrates a live view change on the wall clock:

@@ -12,7 +12,8 @@
 //   Call/Reply    remote procedure call to a server group's primary (Fig. 2/3)
 //   Prepare/...   two-phase commit (Fig. 2/3)
 //   AbortSub      discard one subaction — a retried call attempt (§3.6)
-//   Query/...     outcome queries (§3.4)
+//   Query/...     outcome queries (§3.4), and the settle request of a
+//                 one-round commit (DESIGN.md §13.6)
 //   Probe/...     locating the current primary + viewid of a group (§3,
 //                 cache initialization)
 //   BeginTxn/...  the coordinator-server protocol for unreplicated
@@ -276,6 +277,13 @@ struct SnapshotAckMsg {
 // Remote calls
 // ---------------------------------------------------------------------------
 
+enum class TxnOutcome : std::uint8_t {
+  kUnknown = 0,
+  kActive = 1,
+  kCommitted = 2,
+  kAborted = 3,
+};
+
 struct CallMsg {
   static constexpr MsgType kType = MsgType::kCall;
   GroupId group = 0;  // destination group
@@ -296,11 +304,16 @@ struct CallMsg {
   std::vector<std::uint32_t> dead_subs;
   std::string proc;
   std::vector<std::uint8_t> args;
+  // One-round commit (DESIGN.md §13.6): the transaction's last call, to the
+  // only group it has called. `pset` holds the transaction's earlier entries
+  // (all for this group); the group checks them and decides the outcome.
+  bool final_call = false;
+  Pset pset;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.viewid, m.call_id, m.call_seq, m.reply_to, m.sub_aid,
-       m.dead_subs, m.proc, m.args);
+       m.dead_subs, m.proc, m.args, m.final_call, m.pset);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static CallMsg Decode(wire::Reader& r) { return r.Read<CallMsg>(); }
@@ -325,12 +338,16 @@ struct ReplyMsg {
   bool view_known = false;
   ViewId new_viewid;
   View new_view;
+  // A final call's decision, forced at the group before this reply left:
+  // kCommitted or kAborted. kUnknown for every other reply (undecided).
+  TxnOutcome outcome = TxnOutcome::kUnknown;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
     ar(m.call_id);
     ar.Enum(m.status, ReplyStatus::kFailed);
     ar(m.result, m.pset, m.view_known, m.new_viewid, m.new_view);
+    ar.Enum(m.outcome, TxnOutcome::kAborted);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static ReplyMsg Decode(wire::Reader& r) { return r.Read<ReplyMsg>(); }
@@ -456,22 +473,21 @@ struct AbortSubMsg {
 // Outcome queries (§3.4)
 // ---------------------------------------------------------------------------
 
-enum class TxnOutcome : std::uint8_t {
-  kUnknown = 0,
-  kActive = 1,
-  kCommitted = 2,
-  kAborted = 3,
-};
-
 struct QueryMsg {
   static constexpr MsgType kType = MsgType::kQuery;
   Aid aid;
   Mid reply_to = 0;
   GroupId reply_group = 0;
+  // The settle request (DESIGN.md §13.6): a coordinator that lost a final
+  // call's reply asks the participant group's primary to decide. Only an
+  // active primary settles: committed if its outcome table says so,
+  // otherwise aborted, answered after its buffer tail is forced. Any other
+  // cohort answers kUnknown.
+  bool settle = false;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.aid, m.reply_to, m.reply_group);
+    ar(m.aid, m.reply_to, m.reply_group, m.settle);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static QueryMsg Decode(wire::Reader& r) { return r.Read<QueryMsg>(); }

@@ -74,7 +74,7 @@ core::TxnBody MakeDepositTxn(vr::GroupId bank, std::string acct,
                              long long amt) {
   return [bank, acct = std::move(acct),
           amt](core::TxnHandle& h) -> host::Task<bool> {
-    co_await h.Call(bank, "deposit", acct + "=" + std::to_string(amt));
+    co_await h.FinalCall(bank, "deposit", acct + "=" + std::to_string(amt));
     co_return true;
   };
 }
@@ -89,7 +89,10 @@ core::TxnBody MakeTransferTxn(vr::GroupId from_bank, std::string from_acct,
     // transaction aborts atomically — the deposit never happens.
     co_await h.Call(from_bank, "withdraw",
                     from_acct + "=" + std::to_string(amt));
-    co_await h.Call(to_bank, "deposit", to_acct + "=" + std::to_string(amt));
+    // Within one bank the deposit decides the transfer; across banks this
+    // is a plain call and 2PC follows.
+    co_await h.FinalCall(to_bank, "deposit",
+                         to_acct + "=" + std::to_string(amt));
     co_return true;
   };
 }

@@ -31,10 +31,12 @@ void RegisterBankProcs(client::Cluster& cluster, vr::GroupId group);
 long long CommittedBankTotal(client::Cluster& cluster, vr::GroupId group,
                              int num_accounts);
 
-// Transaction bodies (run at a client group's primary).
+// Transaction bodies (run at a client group's primary). A deposit is one
+// final call: the bank decides it in one round (DESIGN.md §13.6).
 core::TxnBody MakeDepositTxn(vr::GroupId bank, std::string acct, long long amt);
 // Transfers between two accounts that may live in different bank groups —
-// the two-participant 2PC case.
+// the two-participant 2PC case. Within one bank group the deposit is the
+// final call and the group decides the transfer (one-round commit).
 core::TxnBody MakeTransferTxn(vr::GroupId from_bank, std::string from_acct,
                               vr::GroupId to_bank, std::string to_acct,
                               long long amt);

@@ -160,13 +160,14 @@ core::TxnBody MakeShardedTransferTxn(client::ShardRouter& router,
       // acquires its write locks in a single global order — opposing pairs
       // (a->b racing b->a) would otherwise deadlock and burn the full
       // lock_wait_timeout. Atomicity makes the op order invisible; when the
-      // accounts live on different shards this is a genuine two-group 2PC.
+      // accounts live on different shards this is a genuine two-group 2PC,
+      // and within one shard the second call decides it (one-round commit).
       if (from <= to) {
         co_await h.Call(gf, "withdraw", from + "=" + std::to_string(amt));
-        co_await h.Call(gt, "deposit", to + "=" + std::to_string(amt));
+        co_await h.FinalCall(gt, "deposit", to + "=" + std::to_string(amt));
       } else {
         co_await h.Call(gt, "deposit", to + "=" + std::to_string(amt));
-        co_await h.Call(gf, "withdraw", from + "=" + std::to_string(amt));
+        co_await h.FinalCall(gf, "withdraw", from + "=" + std::to_string(amt));
       }
     } catch (const core::TxnError& e) {
       // A wrong-shard refusal means our cached placement is stale (a move

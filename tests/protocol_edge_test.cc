@@ -718,7 +718,8 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
 }
 
 // Matrix row 1 for a lone participant (DESIGN.md §13.2): a single-group
-// deposit fuses like a cross-shard transfer. The coordinator reports
+// deposit made with a plain call (no final-call mark, so no one-round
+// commit, §13.6) fuses like a cross-shard transfer. The coordinator reports
 // kCommitted with the committing record buffered and no commit message ever
 // sent, and crashes in that same virtual instant — so the only copies of the
 // decision that survive are the frames the fused path's force put on the
@@ -753,7 +754,11 @@ TEST(CommitFusion, SingleGroupDepositResolvesCommittedAfterCoordinatorCrash) {
   bool done = false;
   std::uint64_t commits_at_report = 0;
   coord->SpawnTransaction(
-      workload::MakeDepositTxn(bank, "a0", 7), [&](vr::TxnOutcome o) {
+      [bank](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(bank, "deposit", std::string("a0=7"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) {
         outcome = o;
         done = true;
         commits_at_report = commits_sent();
@@ -984,6 +989,508 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
         << "cohort " << c->mid() << " still holds the prepared transaction";
   }
   cluster.network().Heal();
+}
+
+// -- one-round commit (DESIGN.md §13.6) -------------------------------------
+
+namespace {
+
+// A 3-replica bank holding a0 = 100 and a 3-replica client group.
+struct BankWorld {
+  explicit BankWorld(std::uint64_t seed) : cluster(ClusterOptions{.seed = seed}) {
+    bank = cluster.AddGroup("bank", 3);
+    client_g = cluster.AddGroup("client", 3);
+    workload::RegisterBankProcs(cluster, bank);
+    cluster.Start();
+  }
+  // Opens a0 with a plain call and lets its 2PC fan-out settle.
+  bool Open() {
+    if (!cluster.RunUntilStable()) return false;
+    const bool ok = test::RunOneCall(cluster, client_g, bank, "open",
+                                     "a0=100") == vr::TxnOutcome::kCommitted;
+    cluster.RunFor(500 * sim::kMillisecond);
+    return ok;
+  }
+  long long Balance() { return workload::CommittedBankTotal(cluster, bank, 1); }
+  std::uint64_t FramesSent(vr::MsgType t) {
+    const auto& by_type = cluster.network().stats().sent_by_type;
+    const auto it = by_type.find(static_cast<std::uint16_t>(t));
+    return it == by_type.end() ? 0 : it->second;
+  }
+  // Runs until `done` holds or `limit` of virtual time passes.
+  bool RunUntil(const std::function<bool()>& done, sim::Duration limit) {
+    const sim::Time deadline = cluster.sim().Now() + limit;
+    while (!done() && cluster.sim().Now() < deadline) {
+      cluster.RunFor(1 * sim::kMillisecond);
+    }
+    return done();
+  }
+  // Recovers every crashed cohort, waits for stable views, and reports any
+  // quiescence violation in either group.
+  void ExpectQuiescent() {
+    for (vr::GroupId g : {bank, client_g}) {
+      for (auto* c : cluster.Cohorts(g)) {
+        if (c->status() == core::Status::kCrashed) c->Recover();
+      }
+    }
+    ASSERT_TRUE(cluster.RunUntilStable());
+    cluster.RunFor(2 * sim::kSecond);
+    for (vr::GroupId g : {bank, client_g}) {
+      for (const std::string& v : check::CheckQuiescent(cluster, g)) {
+        ADD_FAILURE() << v;
+      }
+    }
+    for (auto* c : cluster.Cohorts(bank)) {
+      EXPECT_TRUE(c->objects().ActiveTxns().empty())
+          << "cohort " << c->mid() << " still holds locks";
+    }
+  }
+
+  Cluster cluster;
+  vr::GroupId bank = 0;
+  vr::GroupId client_g = 0;
+};
+
+}  // namespace
+
+// The happy path: the deposit's one call commits it. No prepare, commit or
+// done round, and the coordinator writes no record for it.
+TEST(OneRoundCommit, LoneDepositCommitsWithoutPrepareOrCommit) {
+  BankWorld w(110);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  ASSERT_NE(coord, nullptr);
+  const std::uint64_t prepares = w.FramesSent(vr::MsgType::kPrepare);
+  const std::uint64_t commits = w.FramesSent(vr::MsgType::kCommit);
+  const std::uint64_t coord_records = coord->buffer().last_ts();
+
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 7),
+                          [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 5 * sim::kSecond));
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  EXPECT_EQ(coord->stats().one_round_commits, 1u);
+  EXPECT_EQ(coord->stats().settle_requests_sent, 0u);
+  EXPECT_EQ(w.Balance(), 107);
+  w.cluster.RunFor(1 * sim::kSecond);
+  EXPECT_EQ(w.FramesSent(vr::MsgType::kPrepare), prepares);
+  EXPECT_EQ(w.FramesSent(vr::MsgType::kCommit), commits);
+  EXPECT_EQ(coord->buffer().last_ts(), coord_records);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 107);
+}
+
+// The final call's first reply is lost. Its retransmission finds the
+// transaction settled and no dedup entry: the outcome table answers it, so
+// the coordinator learns the decision without a settle request.
+TEST(OneRoundCommit, LostReplyIsAnsweredByTheRetransmission) {
+  BankWorld w(111);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  core::Cohort* bp = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(bp, nullptr);
+
+  // Cut the coordinator-bank link as the call lands, so the reply (sent
+  // after the decision force) is dropped; heal well before the
+  // retransmission.
+  bool cut = false;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    if (cut || static_cast<vr::MsgType>(f.type) != vr::MsgType::kCall ||
+        f.to != bp->mid()) {
+      return;
+    }
+    cut = true;
+    w.cluster.network().SetLinkDown(coord->mid(), bp->mid(), true);
+    w.cluster.sim().scheduler().After(10 * sim::kMillisecond, [&] {
+      w.cluster.network().SetLinkDown(coord->mid(), bp->mid(), false);
+    });
+  });
+  const std::uint64_t replies = w.FramesSent(vr::MsgType::kReply);
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 7),
+                          [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 5 * sim::kSecond));
+  w.cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(cut);
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  EXPECT_EQ(w.FramesSent(vr::MsgType::kReply) - replies, 2u);
+  EXPECT_EQ(coord->stats().settle_requests_sent, 0u);
+  EXPECT_EQ(w.Balance(), 107);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 107);
+}
+
+// Crash matrix row 1: the bank primary runs the final call, but its batch
+// reaches no backup before it crashes. The backups' new view never saw the
+// call, so the settle request aborts it there.
+TEST(OneRoundCommit, ParticipantCrashBeforeItsBatchLeavesSettlesAborted) {
+  BankWorld w(112);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  core::Cohort* bp = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(bp, nullptr);
+  for (auto* c : w.cluster.Cohorts(w.bank)) {
+    if (c != bp) w.cluster.network().SetLinkDown(bp->mid(), c->mid(), true);
+  }
+  bool crashed = false;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    if (crashed || static_cast<vr::MsgType>(f.type) != vr::MsgType::kCall ||
+        f.to != bp->mid()) {
+      return;
+    }
+    crashed = true;
+    // After the call ran and its batch left into the cut links. They heal
+    // once every frame in flight has been dropped.
+    w.cluster.sim().scheduler().After(0, [&] {
+      EXPECT_EQ(bp->objects().ReadCommitted("a0").value_or(""), "107");
+      bp->Crash();
+    });
+    w.cluster.sim().scheduler().After(5 * sim::kMillisecond, [&] {
+      for (auto* c : w.cluster.Cohorts(w.bank)) {
+        w.cluster.network().SetLinkDown(bp->mid(), c->mid(), false);
+      }
+    });
+  });
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 7),
+                          [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 10 * sim::kSecond));
+  w.cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(crashed);
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kAborted);
+  EXPECT_GE(coord->stats().settle_requests_sent, 1u);
+  EXPECT_EQ(w.Balance(), 100);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 100);
+}
+
+// Crash matrix row 2: one backup acknowledged the call's batch (its
+// completed-call and committed records), then the bank primary crashed
+// before it could reply. That backup carries the decision into the new
+// view, so the settle request finds it committed.
+TEST(OneRoundCommit, ParticipantCrashAfterOneBackupAckSettlesCommitted) {
+  BankWorld w(113);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  core::Cohort* bp = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(bp, nullptr);
+  bool called = false;
+  bool crashed = false;
+  std::uint64_t committed_ts = 0;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    const auto type = static_cast<vr::MsgType>(f.type);
+    if (type == vr::MsgType::kCall && f.to == bp->mid()) {
+      called = true;
+      // Once the call ran, its committed record is the last one buffered.
+      w.cluster.sim().scheduler().After(
+          0, [&] { committed_ts = bp->buffer().last_ts(); });
+      return;
+    }
+    if (!called || crashed || committed_ts == 0 ||
+        type != vr::MsgType::kBufferAck || f.to != bp->mid()) {
+      return;
+    }
+    const auto ack = vr::DecodeFrame<vr::BufferAckMsg>(f.payload);
+    if (!ack || ack->ts < committed_ts) return;
+    crashed = true;
+    bp->Crash();  // before the ack is processed: no reply ever leaves
+  });
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 7),
+                          [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 10 * sim::kSecond));
+  w.cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(crashed);
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  EXPECT_GE(coord->stats().settle_requests_sent, 1u);
+  EXPECT_EQ(w.Balance(), 107);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 107);
+}
+
+// Crash matrix row 3: the coordinator primary crashes as its final call
+// lands. The bank decides alone, and the balance moves exactly once.
+TEST(OneRoundCommit, CoordinatorCrashAfterTheFinalCallCommitsOnce) {
+  BankWorld w(114);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  core::Cohort* bp = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(bp, nullptr);
+  bool crashed = false;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    if (crashed || static_cast<vr::MsgType>(f.type) != vr::MsgType::kCall ||
+        f.to != bp->mid()) {
+      return;
+    }
+    crashed = true;
+    w.cluster.sim().scheduler().After(0, [coord] { coord->Crash(); });
+  });
+  bool reported = false;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 7),
+                          [&](vr::TxnOutcome) { reported = true; });
+  ASSERT_TRUE(w.RunUntil([&] { return w.Balance() == 107; }, 5 * sim::kSecond));
+  w.cluster.network().set_observer(nullptr);
+  EXPECT_TRUE(crashed);
+  EXPECT_FALSE(reported);  // the coordinator died with the transaction
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 107);
+}
+
+// Crash matrix row 4: the final call makes a nested call to another group.
+// The bank cannot decide alone, replies undecided, and the transaction
+// commits through 2PC at both groups.
+TEST(OneRoundCommit, NestedCallToAnotherGroupFallsBackToTwoPhaseCommit) {
+  BankWorld w(115);
+  const vr::GroupId ledger = w.cluster.AddGroup("ledger", 3);
+  RegisterKvProcs(w.cluster, ledger);
+  w.cluster.Start(ledger);
+  w.cluster.RegisterProc(
+      w.bank, "deposit-logged",
+      [ledger](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+        auto v = co_await ctx.ReadForUpdate("a0");
+        const long long cur = v && !v->empty() ? std::stoll(*v) : 0;
+        co_await ctx.Write("a0", std::to_string(cur + 7));
+        co_await ctx.Call(ledger, "put", test::Bytes("log=7"));
+        co_return test::Bytes("ok");
+      });
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  ASSERT_NE(coord, nullptr);
+  const std::uint64_t prepares = w.FramesSent(vr::MsgType::kPrepare);
+  const std::uint64_t fused = coord->stats().fused_commits;
+
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(
+      [&w](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.FinalCall(w.bank, "deposit-logged", std::string("a0"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 5 * sim::kSecond));
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  EXPECT_EQ(coord->stats().one_round_commits, 0u);
+  EXPECT_EQ(coord->stats().fused_commits - fused, 1u);
+  EXPECT_EQ(w.FramesSent(vr::MsgType::kPrepare) - prepares, 2u);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 107);
+  EXPECT_EQ(test::CommittedValue(w.cluster, ledger, "log"), "7");
+  for (const std::string& v : check::CheckQuiescent(w.cluster, ledger)) {
+    ADD_FAILURE() << v;
+  }
+}
+
+// Crash matrix row 5: the transaction's first call ran at a bank primary
+// whose records never reached a backup, and that primary crashed. The
+// final call runs at the new primary, whose history does not know the
+// first call: compatible() refuses and the bank aborts the transaction.
+TEST(OneRoundCommit, EarlierCallLostInAViewChangeIsRefused) {
+  BankWorld w(116);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  core::Cohort* bp = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(bp, nullptr);
+  for (auto* c : w.cluster.Cohorts(w.bank)) {
+    if (c != bp) w.cluster.network().SetLinkDown(bp->mid(), c->mid(), true);
+  }
+  bool crashed = false;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    if (crashed || static_cast<vr::MsgType>(f.type) != vr::MsgType::kReply ||
+        f.from != bp->mid()) {
+      return;
+    }
+    crashed = true;
+    w.cluster.sim().scheduler().After(0, [&] { bp->Crash(); });
+    w.cluster.sim().scheduler().After(5 * sim::kMillisecond, [&] {
+      for (auto* c : w.cluster.Cohorts(w.bank)) {
+        w.cluster.network().SetLinkDown(bp->mid(), c->mid(), false);
+      }
+    });
+  });
+  sim::Scheduler* sched = &w.cluster.sim().scheduler();
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(
+      [&w, sched](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(w.bank, "deposit", std::string("a0=1"));
+        co_await sim::Sleep(*sched, 3 * sim::kSecond);
+        co_await h.FinalCall(w.bank, "deposit", std::string("a0=2"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+  // The backups form a view without the first call's record.
+  ASSERT_TRUE(w.RunUntil(
+      [&] {
+        core::Cohort* p = w.cluster.AnyPrimary(w.bank);
+        return crashed && p != nullptr && p != bp;
+      },
+      3 * sim::kSecond));
+  w.cluster.network().set_observer(nullptr);
+  // A second transaction finds the old primary dead, which sends the
+  // coordinator to the new view for the final call.
+  EXPECT_EQ(test::RunOneCall(w.cluster, w.client_g, w.bank, "balance", "a0"),
+            vr::TxnOutcome::kAborted);
+  ASSERT_FALSE(outcome.has_value());
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 10 * sim::kSecond));
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kAborted);
+  std::uint64_t refused = 0;
+  for (auto* c : w.cluster.Cohorts(w.bank)) refused += c->stats().prepares_refused;
+  EXPECT_GE(refused, 1u);
+  EXPECT_EQ(coord->stats().settle_requests_sent, 0u);
+  EXPECT_EQ(w.Balance(), 100);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 100);
+}
+
+// Crash matrix row 6: a delayed duplicate of a committed transaction's
+// final call arrives after a later deposit. It is answered from the outcome
+// table and runs nowhere.
+TEST(OneRoundCommit, DelayedDuplicateOfTheFinalCallDoesNotRunAgain) {
+  BankWorld w(117);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  core::Cohort* bp = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(bp, nullptr);
+  std::optional<net::Frame> final_call;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    if (!final_call && static_cast<vr::MsgType>(f.type) == vr::MsgType::kCall) {
+      final_call = f;
+    }
+  });
+  std::optional<vr::TxnOutcome> first;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 7),
+                          [&](vr::TxnOutcome o) { first = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return first.has_value(); }, 5 * sim::kSecond));
+  w.cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(final_call.has_value());
+  EXPECT_EQ(*first, vr::TxnOutcome::kCommitted);
+  std::optional<vr::TxnOutcome> second;
+  coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 5),
+                          [&](vr::TxnOutcome o) { second = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return second.has_value(); }, 5 * sim::kSecond));
+  EXPECT_EQ(*second, vr::TxnOutcome::kCommitted);
+  w.cluster.RunFor(500 * sim::kMillisecond);
+
+  const std::uint64_t executed = bp->stats().calls_executed;
+  const std::uint64_t replies = w.FramesSent(vr::MsgType::kReply);
+  w.cluster.network().Send(final_call->from, final_call->to, final_call->type,
+                           final_call->payload);
+  w.cluster.RunFor(3 * sim::kSecond);  // well past idle_txn_timeout
+  EXPECT_EQ(bp->stats().calls_executed, executed);
+  EXPECT_EQ(w.FramesSent(vr::MsgType::kReply) - replies, 1u);  // answered
+  EXPECT_EQ(w.Balance(), 112);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 112);
+}
+
+// Conflicting one-round transfers inside one bank, its primary crashed
+// three times. A commit releases its locks and wakes a waiter in the same
+// instant, and the waiter may decide in that instant too. Its records must
+// come after the commit it read from: were they buffered first, its force
+// could complete while a crash drops the earlier commit, and the bank
+// would keep a transfer built on a transfer it then aborts.
+TEST(OneRoundCommit, TransfersConserveMoneyAcrossBankPrimaryCrashes) {
+  for (std::uint64_t seed : {8006u, 8007u}) {
+    BankWorld w(seed);
+    ASSERT_TRUE(w.cluster.RunUntilStable());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(test::RunOneCall(w.cluster, w.client_g, w.bank, "open",
+                                 "a" + std::to_string(i) + "=1000"),
+                vr::TxnOutcome::kCommitted);
+    }
+    for (int c = 0; c < 3; ++c) {
+      w.cluster.sim().scheduler().After(
+          (500 + static_cast<sim::Duration>(c) * 2500) * sim::kMillisecond,
+          [&w] {
+            auto cohorts = w.cluster.Cohorts(w.bank);
+            for (auto* p : cohorts) {
+              if (!p->IsActivePrimary()) continue;
+              // Recover the previous victim first, so a majority of
+              // up-to-date cohorts remains.
+              for (auto* c : cohorts) {
+                if (c->status() == core::Status::kCrashed) c->Recover();
+              }
+              p->Crash();
+              return;
+            }
+          });
+    }
+    sim::Rng rng(seed);
+    workload::ClosedLoopDriver driver(
+        w.cluster, w.client_g,
+        [&](std::uint64_t i) {
+          const int from = static_cast<int>(i % 4);
+          const int to = (from + 1 + static_cast<int>(rng.Index(3))) % 4;
+          return workload::MakeTransferTxn(w.bank, "a" + std::to_string(from),
+                                           w.bank, "a" + std::to_string(to), 1);
+        },
+        workload::DriverOptions{.total_txns = 200,
+                                .max_inflight = 2,
+                                .deadline = 120 * sim::kSecond});
+    driver.Run();
+    EXPECT_GT(driver.accounting().committed, 0u) << "seed " << seed;
+    EXPECT_EQ(driver.accounting().unknown, 0u) << "seed " << seed;
+    w.ExpectQuiescent();
+    EXPECT_EQ(workload::CommittedBankTotal(w.cluster, w.bank, 4), 4000)
+        << "seed " << seed;
+  }
+}
+
+// Crash matrix row 7: a group calls itself with a final call. It writes no
+// committing or done record as coordinator, so its committed outcome is
+// never erased and a late duplicate of the call is still refused (the hole
+// DESIGN.md §15 names for the 2PC path is closed on this one).
+TEST(OneRoundCommit, SelfCallKeepsItsOutcomeAndRefusesALateDuplicate) {
+  Cluster cluster(ClusterOptions{.seed = 118});
+  auto kv = cluster.AddGroup("kv", 3);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  core::Cohort* primary = cluster.AnyPrimary(kv);
+  ASSERT_NE(primary, nullptr);
+
+  std::optional<net::Frame> final_call;
+  cluster.network().set_observer([&](const net::Frame& f) {
+    if (!final_call && static_cast<vr::MsgType>(f.type) == vr::MsgType::kCall) {
+      final_call = f;
+    }
+  });
+  vr::Aid aid;
+  std::optional<vr::TxnOutcome> outcome;
+  primary->SpawnTransaction(
+      [kv, &aid](core::TxnHandle& h) -> sim::Task<bool> {
+        aid = h.aid();
+        co_await h.FinalCall(kv, "put", std::string("x=1"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+  const sim::Time deadline = cluster.sim().Now() + 5 * sim::kSecond;
+  while (!outcome && cluster.sim().Now() < deadline) {
+    cluster.RunFor(1 * sim::kMillisecond);
+  }
+  cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(final_call.has_value());
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  ASSERT_EQ(test::RunOneCall(cluster, kv, kv, "put", "x=2"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(1 * sim::kSecond);
+  for (auto* c : cluster.Cohorts(kv)) {
+    EXPECT_EQ(c->outcomes().Lookup(aid), vr::TxnOutcome::kCommitted)
+        << "cohort " << c->mid();
+  }
+
+  cluster.network().Send(final_call->from, final_call->to, final_call->type,
+                         final_call->payload);
+  cluster.RunFor(3 * sim::kSecond);  // well past idle_txn_timeout
+  EXPECT_EQ(test::CommittedValue(cluster, kv, "x"), "2");
+  for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
+    ADD_FAILURE() << v;
+  }
 }
 
 // -- backup read leases (DESIGN.md §14) -------------------------------------

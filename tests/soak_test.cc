@@ -301,8 +301,10 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
 // repeatedly crashes coordinator and shard primaries mid-stream on a
 // duplicating, lossy network and then demands EXACT conservation: every
 // transfer moved money atomically, exactly once or not at all. A third of
-// the transfers stay inside one shard, so lone-participant fused decisions
-// face the same crashes. CHECK_SOAK=1 multiplies the rounds ~10x.
+// the transfers stay inside one shard; their final call commits them in
+// one round at the shard (DESIGN.md §13.6), so one-round decisions, lost
+// replies and settle requests face the same crashes. CHECK_SOAK=1
+// multiplies the rounds ~10x.
 TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
   const char* soak_env = std::getenv("CHECK_SOAK");
   const bool long_run = soak_env != nullptr && soak_env[0] == '1';
@@ -414,10 +416,16 @@ TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
       ADD_FAILURE() << v;
     }
   }
-  // The soak must actually exercise the fused path, lone participants too.
+  // The soak must actually exercise both paths: fused 2PC across shards
+  // and one-round commits inside one.
   std::uint64_t fused = 0;
-  for (auto* c : groups[bank.client_group]) fused += c->stats().fused_commits;
+  std::uint64_t one_round = 0;
+  for (auto* c : groups[bank.client_group]) {
+    fused += c->stats().fused_commits;
+    one_round += c->stats().one_round_commits;
+  }
   EXPECT_GT(fused, 0u);
+  EXPECT_GT(one_round, 0u);
   EXPECT_GT(same_shard_committed, 0);
 }
 

@@ -269,6 +269,8 @@ TEST(Messages, CallRoundTrip) {
   m.sub_aid = {vr::Aid{1, {2, 3}, 4}, 2};
   m.proc = "transfer";
   m.args = {1, 2, 3, 4};
+  m.final_call = true;
+  m.pset = SamplePset();
   auto out = RoundTrip(m);
   EXPECT_EQ(out.group, m.group);
   EXPECT_EQ(out.viewid, m.viewid);
@@ -277,6 +279,8 @@ TEST(Messages, CallRoundTrip) {
   EXPECT_EQ(out.sub_aid, m.sub_aid);
   EXPECT_EQ(out.proc, m.proc);
   EXPECT_EQ(out.args, m.args);
+  EXPECT_TRUE(out.final_call);
+  EXPECT_EQ(out.pset, m.pset);
 }
 
 TEST(Messages, ReplyRoundTrip) {
@@ -288,10 +292,12 @@ TEST(Messages, ReplyRoundTrip) {
   m.view_known = true;
   m.new_viewid = {4, 2};
   m.new_view = vr::View{1, {2, 3}};
+  m.outcome = vr::TxnOutcome::kCommitted;
   auto out = RoundTrip(m);
   EXPECT_EQ(out.pset, m.pset);
   EXPECT_EQ(out.new_view, m.new_view);
   EXPECT_EQ(out.result, m.result);
+  EXPECT_EQ(out.outcome, vr::TxnOutcome::kCommitted);
 }
 
 TEST(Messages, PrepareAndReplyRoundTrip) {
@@ -697,7 +703,9 @@ TEST(Messages, QueryAndOutcomeRoundTrip) {
   q.aid = {1, {2, 3}, 4};
   q.reply_to = 9;
   q.reply_group = 2;
+  q.settle = true;
   EXPECT_EQ(RoundTrip(q).aid, q.aid);
+  EXPECT_TRUE(RoundTrip(q).settle);
 
   vr::QueryReplyMsg qr;
   qr.aid = q.aid;
@@ -782,14 +790,17 @@ auto SampleFrames() {
                   .sub_aid = {kAid, 2},
                   .dead_subs = {1},
                   .proc = "put",
-                  .args = {'k', '=', '1'}},
+                  .args = {'k', '=', '1'},
+                  .final_call = true,
+                  .pset = SamplePset()},
       vr::ReplyMsg{.call_id = 99,
                    .status = vr::ReplyStatus::kWrongView,
                    .result = {4, 2},
                    .pset = SamplePset(),
                    .view_known = true,
                    .new_viewid = {6, 2},
-                   .new_view = kView},
+                   .new_view = kView,
+                   .outcome = vr::TxnOutcome::kCommitted},
       vr::PrepareMsg{
           .group = 3, .aid = kAid, .pset = SamplePset(), .reply_to = 11},
       vr::PrepareReplyMsg{.aid = kAid,
@@ -808,7 +819,8 @@ auto SampleFrames() {
                         .new_view = kView},
       vr::AbortMsg{.group = 3, .aid = kAid},
       vr::AbortSubMsg{.group = 3, .sub_aid = {kAid, 2}},
-      vr::QueryMsg{.aid = kAid, .reply_to = 11, .reply_group = 7},
+      vr::QueryMsg{
+          .aid = kAid, .reply_to = 11, .reply_group = 7, .settle = true},
       vr::QueryReplyMsg{.aid = kAid, .outcome = vr::TxnOutcome::kCommitted},
       vr::ProbeMsg{.group = 3, .req_id = 77, .reply_to = 11},
       vr::ProbeReplyMsg{.group = 3,
@@ -931,12 +943,15 @@ const GoldenFrame kGoldenFrames[] = {
     {vr::MsgType::kCall,
      "0300000000000000050000000000000001000000630000000000000011000000"
      "020000000b000000010000000000000002000000000000000200000009000000"
-     "0000000002000000010000000100000003000000707574030000006b3d31"},
+     "0000000002000000010000000100000003000000707574030000006b3d310102"
+     "00000007000000000000000300000000000000020000000e0000000000000001"
+     "0000000900000000000000050000000000000001000000020000000000000000"
+     "000000"},
     {vr::MsgType::kReply,
      "6300000000000000010200000004020200000007000000000000000300000000"
      "000000020000000e000000000000000100000009000000000000000500000000"
      "0000000100000002000000000000000000000001060000000000000002000000"
-     "01000000020000000200000003000000"},
+     "0100000002000000020000000300000002"},
     {vr::MsgType::kPrepare,
      "0300000000000000010000000000000002000000000000000200000009000000"
      "000000000200000007000000000000000300000000000000020000000e000000"
@@ -961,7 +976,7 @@ const GoldenFrame kGoldenFrames[] = {
      "0000000002000000"},
     {vr::MsgType::kQuery,
      "010000000000000002000000000000000200000009000000000000000b000000"
-     "0700000000000000"},
+     "070000000000000001"},
     {vr::MsgType::kQueryReply,
      "0100000000000000020000000000000002000000090000000000000002"},
     {vr::MsgType::kProbe,
@@ -1180,6 +1195,9 @@ TEST(Messages, DecodeRejectsBadEnumTags) {
   ExpectTagRangeChecked(
       std::get<vr::ReplyMsg>(frames),
       [](auto& m, std::uint8_t v) { m.status = vr::ReplyStatus{v}; }, 2);
+  ExpectTagRangeChecked(
+      std::get<vr::ReplyMsg>(frames),
+      [](auto& m, std::uint8_t v) { m.outcome = vr::TxnOutcome{v}; }, 3);
   ExpectTagRangeChecked(
       std::get<vr::BeginTxnReplyMsg>(frames),
       [](auto& m, std::uint8_t v) { m.status = vr::ReplyStatus{v}; }, 2);
