@@ -183,6 +183,16 @@ if ! awk '/"cross_shard_premium"/ { gsub(/[,"]/, ""); p = $2 }
   echo "FAIL: BENCH_E13.json cross_shard_premium is not above 1" >&2
   exit 1
 fi
+# Failover at failure-detector speed (DESIGN.md §16): with the n=3 primary
+# crashed, the backups detect it within liveness_timeout + fd_check_interval
+# (160 ms) and the manager forms the view as soon as the other live backup
+# has answered, without waiting out the invite timer. Simulated, so
+# deterministic.
+if ! awk '/"n3_primary_crash_ms"/ { gsub(/[,"]/, ""); d = $2 }
+          END { exit (d > 0 && d < 160) ? 0 : 1 }' BENCH_E4.json; then
+  echo "FAIL: BENCH_E4.json n=3 primary crash took 160 ms or more" >&2
+  exit 1
+fi
 # The E15 backup-read experiment (DESIGN.md §14) must have produced both
 # sides of the lease ablation plus the serializability audit, and — on full
 # (non-smoke) runs — hit the >= 2x read scale-out the design promises.

@@ -35,7 +35,9 @@ void UnreplicatedClient::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kProbeReply: {
       auto m = vr::DecodeFrame<vr::ProbeReplyMsg>(frame.payload);
-      if (m) probe_waiters_.Fulfill(m->req_id, std::move(*m));
+      if (m && m->known && m->active) {
+        probe_waiters_.Fulfill(m->req_id, std::move(*m));
+      }
       break;
     }
     case vr::MsgType::kBeginTxnReply: {
@@ -249,20 +251,20 @@ UnreplicatedClient::CacheLookup(GroupId g) {
   if (auto it = cache_.find(g); it != cache_.end()) co_return it->second;
   const std::vector<Mid>* config = directory_.Lookup(g);
   if (config == nullptr) co_return std::nullopt;
+  // As core::Cohort::CacheLookup: one probe per member per round, and the
+  // first active answer wins.
   for (int round = 0; round < options_.probe_rounds; ++round) {
-    for (Mid target : *config) {
-      if (auto it = cache_.find(g); it != cache_.end()) co_return it->second;
-      vr::ProbeMsg probe;
-      probe.group = g;
-      probe.req_id = NextCorrId();
-      probe.reply_to = self_;
-      SendMsg(target, probe);
-      auto r = co_await probe_waiters_.Await(probe.req_id,
-                                             options_.probe_timeout);
-      if (r && r->known && r->active) {
-        cache_[g] = CacheEntry{r->viewid, r->view};
-        co_return cache_[g];
-      }
+    if (auto it = cache_.find(g); it != cache_.end()) co_return it->second;
+    vr::ProbeMsg probe;
+    probe.group = g;
+    probe.req_id = NextCorrId();
+    probe.reply_to = self_;
+    for (Mid target : *config) SendMsg(target, probe);
+    auto r = co_await probe_waiters_.Await(probe.req_id,
+                                           options_.probe_timeout);
+    if (r) {
+      cache_[g] = CacheEntry{r->viewid, r->view};
+      co_return cache_[g];
     }
   }
   co_return std::nullopt;

@@ -294,11 +294,14 @@ void Cohort::CheckLiveness() {
     return;
   }
 
-  // §4.1 policy to limit concurrent managers: cohort k defers in proportion
-  // to its configuration rank; the highest-priority live cohort moves first.
+  // §4.1 policy to limit concurrent managers: "a cohort would become a
+  // manager only if all higher-priority cohorts appear to be inaccessible".
+  // A cohort defers in proportion to the number of higher-ranked cohorts
+  // still alive, so the highest-priority live cohort moves at once.
   std::size_t rank = 0;
-  for (std::size_t i = 0; i < configuration_.size(); ++i) {
-    if (configuration_[i] == self_) rank = i;
+  for (Mid m : configuration_) {
+    if (m == self_) break;
+    if (std::find(alive.begin(), alive.end(), m) != alive.end()) ++rank;
   }
   // The current primary has top priority if it is the one reacting.
   if (cur_view_.primary == self_) rank = 0;
@@ -555,17 +558,18 @@ TxnOutcome Cohort::LocalOutcome(Aid aid) const {
 }
 
 void Cohort::AnswerQuery(const vr::QueryMsg& m) {
-  // A settle request (DESIGN.md §13.6) is the primary's to decide; any
-  // other cohort sends the coordinator looking for it.
-  if (m.settle && IsActivePrimary()) {
-    tasks_.Spawn(AnswerSettle(m));
+  // "we allow any cohort to respond to a query whenever it knows the
+  //  answer" — but only a stable outcome is known (DESIGN.md §13.7). The
+  // active primary forces its buffer tail before it answers. Any other
+  // cohort cannot tell whether its record will survive the next view
+  // change, so it answers kUnknown and the asker tries the next cohort.
+  if (IsActivePrimary()) {
+    tasks_.Spawn(AnswerQueryAsPrimary(m));
     return;
   }
-  // "we allow any cohort to respond to a query whenever it knows the
-  //  answer" — backups answer from their outcome tables too.
   vr::QueryReplyMsg reply;
   reply.aid = m.aid;
-  reply.outcome = m.settle ? TxnOutcome::kUnknown : LocalOutcome(m.aid);
+  reply.outcome = TxnOutcome::kUnknown;
   SendMsg(m.reply_to, reply);
 }
 

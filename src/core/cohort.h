@@ -41,6 +41,7 @@
 #include "vr/messages.h"
 #include "vr/snapshot.h"
 #include "vr/types.h"
+#include "vr/view_formation.h"
 
 namespace vsr::core {
 
@@ -462,6 +463,10 @@ class Cohort : public net::FrameHandler {
   void OnAccept(const vr::AcceptMsg& m);
   void OnInitView(const vr::InitViewMsg& m);
   void TryFormView();
+  // True when every configuration member that has not accepted is suspected
+  // by the failure detector: heard from before, but not lately.
+  bool OnlySuspectsSilent() const;
+  std::vector<vr::Acceptance> Acceptances() const;
   void StartViewAsPrimary(View v, ViewId vid);
   void FinishStartViewAsPrimary(View v, ViewId vid);
   void AdoptNewView(const vr::EventRecord& newview, ViewId vid,
@@ -563,7 +568,12 @@ class Cohort : public net::FrameHandler {
   // forced (kUnknown if it cannot be).
   host::Task<TxnOutcome> DecideAlone(Aid aid, Pset pset);
   host::Task<TxnOutcome> Settle(Aid aid);
-  host::Task<void> AnswerSettle(vr::QueryMsg m);
+  // A §3.4 query or settle request at the active primary: a committed or
+  // aborted answer leaves only once the buffer tail is forced.
+  host::Task<void> AnswerQueryAsPrimary(vr::QueryMsg m);
+  // Forces the whole buffer; true if it became stable and this cohort is
+  // still the active primary.
+  host::Task<bool> ForceTail();
   host::Task<void> AnswerSettledCall(vr::CallMsg m);
   void OnPrepare(const vr::PrepareMsg& m);
   host::Task<void> RunPrepare(vr::PrepareMsg m);
@@ -731,15 +741,7 @@ class Cohort : public net::FrameHandler {
   bool log_replay_active_ = false;
 
   // ---- view change bookkeeping ----
-  struct AcceptRecord {
-    Mid from;
-    bool crashed;
-    bool recovered;
-    Viewstamp last_vs;
-    bool was_primary;
-    ViewId crash_viewid;
-  };
-  std::map<Mid, AcceptRecord> accepts_;  // responses to our invitation
+  std::map<Mid, vr::Acceptance> accepts_;  // responses to our invitation
   host::TimerId invite_timer_ = host::kNoTimer;
   host::TimerId underling_timer_ = host::kNoTimer;
   std::uint64_t start_view_epoch_ = 0;  // cancels stale FinishStartView

@@ -339,6 +339,14 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   // Commit point: "add a <'committing', plist, aid> record to the buffer ...
   // and then do a force-to(new_vs)".
   if (!IsActivePrimary()) co_return TxnOutcome::kUnknown;
+  // §3.1: a coordinator view change aborts the group's in-flight
+  // transactions. A view this cohort was left out of may already have
+  // answered a participant's query with the presumed abort (LocalOutcome),
+  // so a transaction begun in an older view never commits, even here.
+  if (cur_viewid_ != aid.view) {
+    co_await AbortEverywhere(aid, pset);
+    co_return TxnOutcome::kAborted;
+  }
 
   // §3.7: all participants read-only. Each of them already added and forced
   // its own <committed> record when it prepared, holds no locks now, and
@@ -560,20 +568,20 @@ host::Task<std::optional<Cohort::CacheEntry>> Cohort::CacheLookup(GroupId g) {
   //  the configuration to determine the current primary and viewid."
   const std::vector<Mid>* config = directory_.Lookup(g);
   if (config == nullptr) co_return std::nullopt;
+  // Each round probes every member at once; the first active answer wins
+  // (OnProbeReply drops the others), so a dead member costs nothing.
   for (int round = 0; round < options_.probe_rounds; ++round) {
-    for (Mid target : *config) {
-      if (auto e = CacheGet(g)) co_return e;  // filled concurrently
-      vr::ProbeMsg probe;
-      probe.group = g;
-      probe.req_id = NextCorrId();
-      probe.reply_to = self_;
-      SendMsg(target, probe);
-      auto r = co_await probe_waiters_.Await(probe.req_id,
-                                             options_.probe_timeout);
-      if (r && r->known && r->active) {
-        CacheUpdate(g, r->viewid, r->view);
-        co_return CacheGet(g);
-      }
+    if (auto e = CacheGet(g)) co_return e;  // filled concurrently
+    vr::ProbeMsg probe;
+    probe.group = g;
+    probe.req_id = NextCorrId();
+    probe.reply_to = self_;
+    for (Mid target : *config) SendMsg(target, probe);
+    auto r = co_await probe_waiters_.Await(probe.req_id,
+                                           options_.probe_timeout);
+    if (r) {
+      CacheUpdate(g, r->viewid, r->view);
+      co_return CacheGet(g);
     }
   }
   co_return std::nullopt;
@@ -593,7 +601,7 @@ void Cohort::OnProbe(const vr::ProbeMsg& m) {
 }
 
 void Cohort::OnProbeReply(const vr::ProbeReplyMsg& m) {
-  probe_waiters_.Fulfill(m.req_id, m);
+  if (m.known && m.active) probe_waiters_.Fulfill(m.req_id, m);
 }
 
 // ---------------------------------------------------------------------------

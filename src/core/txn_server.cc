@@ -818,25 +818,43 @@ host::Task<TxnOutcome> Cohort::DecideAlone(Aid aid, Pset pset) {
   co_return TxnOutcome::kCommitted;
 }
 
+host::Task<bool> Cohort::ForceTail() {
+  // The tail covers every record buffered so far, and the newview record
+  // that carried older ones into this view.
+  const bool forced =
+      co_await Force(Viewstamp{cur_viewid_, buffer_.last_ts()});
+  co_return forced && IsActivePrimary();
+}
+
 host::Task<TxnOutcome> Cohort::Settle(Aid aid) {
   // LocalAbortTxn never rolls back a commit; anything else is aborted here
   // for good, so a late copy of the call can no longer run (RunCall).
   if (outcomes_.Lookup(aid) != TxnOutcome::kCommitted) LocalAbortTxn(aid);
   const TxnOutcome outcome = outcomes_.Lookup(aid);
-  // The tail covers the outcome's record, or the newview record that
-  // carried it into this view.
-  const bool forced =
-      co_await Force(Viewstamp{cur_viewid_, buffer_.last_ts()});
-  if (!forced || !IsActivePrimary()) co_return TxnOutcome::kUnknown;
-  co_return outcome;
+  const bool stable = co_await ForceTail();
+  co_return stable ? outcome : TxnOutcome::kUnknown;
 }
 
-host::Task<void> Cohort::AnswerSettle(vr::QueryMsg m) {
+host::Task<void> Cohort::AnswerQueryAsPrimary(vr::QueryMsg m) {
   vr::QueryReplyMsg reply;
   reply.aid = m.aid;
-  reply.outcome = co_await Settle(m.aid);
-  // No answer when the force failed: the coordinator asks the next primary.
-  if (reply.outcome != TxnOutcome::kUnknown) SendMsg(m.reply_to, reply);
+  if (m.settle) {
+    reply.outcome = co_await Settle(m.aid);
+    // No answer when the force failed: the coordinator asks the next
+    // primary.
+    if (reply.outcome == TxnOutcome::kUnknown) co_return;
+  } else {
+    reply.outcome = LocalOutcome(m.aid);
+    if (reply.outcome == TxnOutcome::kCommitted ||
+        reply.outcome == TxnOutcome::kAborted) {
+      // An outcome is announced only once it is stable: an unforced record
+      // dies with a deposed primary, and the next view may decide the
+      // other way (DESIGN.md §13.7).
+      const bool stable = co_await ForceTail();
+      if (!stable) reply.outcome = TxnOutcome::kUnknown;
+    }
+  }
+  SendMsg(m.reply_to, reply);
 }
 
 host::Task<void> Cohort::AnswerSettledCall(vr::CallMsg m) {
@@ -1082,8 +1100,8 @@ host::Task<void> Cohort::RunCommit(vr::CommitMsg m) {
     // finds the outcome presumed aborted, and a committed transaction is
     // rolled back. Forcing the buffer tail covers the committed record
     // wherever it sits.
-    const bool ok = co_await Force(Viewstamp{cur_viewid_, buffer_.last_ts()});
-    if (!ok || !IsActivePrimary()) co_return;  // view change resolves it
+    const bool stable = co_await ForceTail();
+    if (!stable) co_return;  // view change resolves it
   }
   vr::CommitDoneMsg done;
   done.aid = m.aid;

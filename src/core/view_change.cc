@@ -7,7 +7,6 @@
 //           init-view message (becoming primary) or the newview record
 //           (becoming a backup); time out into managing.
 #include "core/cohort.h"
-#include "vr/view_formation.h"
 
 namespace vsr::core {
 
@@ -50,7 +49,7 @@ void Cohort::MakeInvitations() {
   max_viewid_ = vid;
   accepts_.clear();
   // Record our own response.
-  AcceptRecord self;
+  vr::Acceptance self;
   self.from = self_;
   // A half-installed snapshot means our gstate is about to be wholesale
   // replaced: for view formation we know nothing (crashed-equivalent), just
@@ -149,39 +148,54 @@ void Cohort::OnInvite(const vr::InviteMsg& m) {
 void Cohort::OnAccept(const vr::AcceptMsg& m) {
   if (status_ != Status::kViewManager) return;
   if (m.invite_viewid != max_viewid_) return;
-  AcceptRecord rec;
-  rec.from = m.from;
-  rec.crashed = m.crashed;
-  rec.recovered = m.recovered;
-  rec.last_vs = m.last_vs;
-  rec.was_primary = m.was_primary;
-  rec.crash_viewid = m.crash_viewid;
-  accepts_[m.from] = rec;
-  if (accepts_.size() == configuration_.size()) {
-    // Everyone answered; no need to wait out the timer.
+  vr::Acceptance& a = accepts_[m.from];
+  a.from = m.from;
+  a.crashed = m.crashed;
+  a.recovered = m.recovered;
+  a.last_vs = m.last_vs;
+  a.was_primary = m.was_primary;
+  a.crash_viewid = m.crash_viewid;
+  // Everyone answered, or everyone still silent is a cohort the failure
+  // detector reports dead and the acceptances in hand already form a view:
+  // the rest of the invite wait buys nothing (DESIGN.md §16). A formation
+  // that would fail keeps waiting for the timer.
+  if (accepts_.size() == configuration_.size() ||
+      (OnlySuspectsSilent() &&
+       vr::TryFormView(Acceptances(), configuration_.size()))) {
     host_.timers().Cancel(invite_timer_);
     invite_timer_ = host::kNoTimer;
     TryFormView();
   }
 }
 
+bool Cohort::OnlySuspectsSilent() const {
+  const host::Time now = host_.Now();
+  for (Mid m : configuration_) {
+    if (accepts_.count(m) != 0) continue;
+    // Never heard from counts as alive: a just-recovered manager knows
+    // nothing yet and waits out the timer.
+    auto it = last_heard_.find(m);
+    if (it == last_heard_.end() ||
+        now - it->second <= options_.liveness_timeout) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<vr::Acceptance> Cohort::Acceptances() const {
+  std::vector<vr::Acceptance> responses;
+  responses.reserve(accepts_.size());
+  for (const auto& [mid, a] : accepts_) responses.push_back(a);
+  return responses;
+}
+
 void Cohort::TryFormView() {
   if (status_ != Status::kViewManager) return;
 
   // The §4 formation rule lives in vr::TryFormView (pure, unit-tested);
-  // here we marshal the collected acceptances and act on the outcome.
-  std::vector<vr::Acceptance> responses;
-  responses.reserve(accepts_.size());
-  for (const auto& [mid, a] : accepts_) {
-    vr::Acceptance r;
-    r.from = a.from;
-    r.crashed = a.crashed;
-    r.recovered = a.recovered;
-    r.last_vs = a.last_vs;
-    r.was_primary = a.was_primary;
-    r.crash_viewid = a.crash_viewid;
-    responses.push_back(r);
-  }
+  // here we act on its outcome.
+  const std::vector<vr::Acceptance> responses = Acceptances();
   auto formed = vr::TryFormView(responses, configuration_.size());
 
   if (!formed) {

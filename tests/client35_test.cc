@@ -1,6 +1,8 @@
 // Tests for §3.5: unreplicated clients using a replicated coordinator-server.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "client/unreplicated_client.h"
 #include "tests/test_util.h"
 
@@ -55,6 +57,44 @@ TEST(CoordinatorServer, ClientCommitsThroughIt) {
   w.cluster.RunFor(1 * sim::kSecond);
   EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "x"), "5");
   EXPECT_EQ(c.stats().txns_committed, 1u);
+}
+
+// The client probes every member of a group at once (DESIGN.md §16): with
+// the first member of both the coordinator and the server group dead, a
+// cold client still finds both primaries within a round trip each.
+TEST(CoordinatorServer, ColdClientSkipsDeadFirstMembers) {
+  World w(43);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  w.cluster.Crash(w.server, 0);
+  w.cluster.Crash(w.coord, 0);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  w.cluster.RunFor(500 * sim::kMillisecond);
+  const core::CohortOptions options;
+  UnreplicatedClient c(w.cluster.sim(), w.cluster.network(),
+                       w.cluster.directory(), w.cluster.AllocateMid(), w.coord,
+                       options);
+
+  std::optional<vr::TxnOutcome> outcome;
+  const sim::Time began = w.cluster.sim().Now();
+  sim::Time done_at = 0;
+  c.Spawn(
+      [&](ClientTxn& t) -> sim::Task<bool> {
+        co_await t.Call(w.server, "put", std::string("z=3"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) {
+        outcome = o;
+        done_at = w.cluster.sim().Now();
+      });
+  const sim::Time end = began + 2 * sim::kSecond;
+  while (!outcome && w.cluster.sim().Now() < end) {
+    w.cluster.RunFor(1 * sim::kMillisecond);
+  }
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  // Begin, call and commit request, each after a probe round: well inside
+  // the one probe timeout a dead first member used to cost per lookup.
+  EXPECT_LT(done_at - began, options.probe_timeout);
 }
 
 TEST(CoordinatorServer, AbortDiscardsEffects) {

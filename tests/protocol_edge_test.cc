@@ -7,6 +7,8 @@
 //    a view change (demonstrated, as an ablation)
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 
 #include "check/invariants.h"
 #include "client/shard_router.h"
@@ -1673,6 +1675,226 @@ TEST(Leases, StaleLeaseNeverServesASessionFromTheFuture) {
   ASSERT_EQ(healed->status, vr::ReadStatus::kOk);
   EXPECT_EQ(std::string(healed->value.begin(), healed->value.end()), "new");
   EXPECT_GT(healed->served_vs.view, old_view);
+}
+
+// -- atomicity across view changes (DESIGN.md §13.7) ------------------------
+
+namespace {
+
+// Two 3-replica bank shards (g0 owns a000, g1 owns a005) and a client
+// group, on the serial commit ladder with a fixed link delay so each
+// interleaving below is exact.
+struct XferWorld {
+  explicit XferWorld(std::uint64_t seed) : cluster(Options(seed)) {
+    bank = workload::SetupShardedBank(cluster, 2, 3, 10);
+    cluster.Start();
+  }
+  static ClusterOptions Options(std::uint64_t seed) {
+    ClusterOptions o;
+    o.seed = seed;
+    o.net.delay_min = o.net.delay_max = 300 * sim::kMicrosecond;
+    o.cohort.commit_fusion = false;
+    return o;
+  }
+  bool Fund() {
+    if (!cluster.RunUntilStable()) return false;
+    const bool ok = workload::FundShardedAccounts(cluster, bank, 100) == 10;
+    cluster.RunFor(500 * sim::kMillisecond);
+    return ok;
+  }
+  // Cuts (or restores) every link between `a` and the cohorts of `g`.
+  void Cut(core::Cohort* a, vr::GroupId g, bool down = true) {
+    for (auto* c : cluster.Cohorts(g)) {
+      if (c != a) cluster.network().SetLinkDown(a->mid(), c->mid(), down);
+    }
+  }
+  bool RunUntil(const std::function<bool()>& done, sim::Duration limit) {
+    const sim::Time deadline = cluster.sim().Now() + limit;
+    while (!done() && cluster.sim().Now() < deadline) {
+      cluster.RunFor(1 * sim::kMillisecond);
+    }
+    return done();
+  }
+  // Heals everything, recovers every crashed cohort and lets every
+  // transaction settle.
+  void Settle() {
+    cluster.network().set_observer(nullptr);
+    cluster.network().Heal();
+    for (auto g : cluster.AllGroups()) {
+      for (auto* c : cluster.Cohorts(g)) {
+        for (auto* d : cluster.Cohorts(g)) {
+          cluster.network().SetLinkDown(c->mid(), d->mid(), false);
+        }
+        for (auto h : cluster.AllGroups()) Cut(c, h, false);
+        if (c->status() == core::Status::kCrashed) c->Recover();
+      }
+    }
+    ASSERT_TRUE(cluster.RunUntilStable());
+    cluster.RunFor(5 * sim::kSecond);
+  }
+  long long Balance(const std::string& account) {
+    return workload::ShardedCommittedBalance(cluster, account);
+  }
+
+  Cluster cluster;
+  workload::ShardedBank bank;
+};
+
+}  // namespace
+
+// §3.4 queries are answered only from stable outcomes. Shard 0's primary
+// runs the withdrawal and streams its records to one backup, whose ack is
+// cut off with the primary. The prepare reaches the cut-off primary, which
+// cannot force it, refuses, and records an abort that never replicates;
+// the refusal is lost with the coordinator link. Shard 1 prepares, loses
+// the coordinator, and asks its sibling shard 0. The coordinator's retry
+// prepares at shard 0's next primary, which has the call, and commits. The
+// deposed primary must not answer the sibling query "aborted" from its
+// unreplicated record: shard 1 would abort what shard 0 commits.
+TEST(Atomicity, DeposedPrimaryDoesNotAnswerFromAnUnforcedAbort) {
+  XferWorld w(431);
+  ASSERT_TRUE(w.Fund());
+  const vr::GroupId g0 = w.bank.shards[0];
+  const vr::GroupId g1 = w.bank.shards[1];
+  const vr::GroupId cg = w.bank.client_group;
+  core::Cohort* a0 = w.cluster.AnyPrimary(g0);
+  core::Cohort* coord = w.cluster.AnyPrimary(cg);
+  ASSERT_NE(a0, nullptr);
+  ASSERT_NE(coord, nullptr);
+  // Shard 1 asks shard 0's cohorts in configuration order; the deposed
+  // primary comes first.
+  ASSERT_EQ(a0, w.cluster.Cohorts(g0)[0]);
+  // The coordinator retries the prepare only after the deposed primary has
+  // given up its force and recorded the abort.
+  coord->mutable_options().prepare_timeout = 300 * sim::kMillisecond;
+
+  std::optional<vr::Aid> aid;
+  bool records_out = false, prepare_in = false, b_prepared = false;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    const auto type = static_cast<vr::MsgType>(f.type);
+    if (!aid && type == vr::MsgType::kCall && f.to == a0->mid()) {
+      if (auto m = vr::DecodeFrame<vr::CallMsg>(f.payload)) aid = m->sub_aid.aid;
+    } else if (aid && !records_out && type == vr::MsgType::kBufferBatch &&
+               f.from == a0->mid()) {
+      auto m = vr::DecodeFrame<vr::BufferBatchMsg>(f.payload);
+      for (const vr::EventRecord& e : m->events) {
+        if (e.sub_aid.aid == *aid) records_out = true;
+      }
+      // This backup holds the call; its ack, and everything after, is lost.
+      if (records_out) w.Cut(a0, g0);
+    } else if (records_out && !prepare_in && type == vr::MsgType::kPrepare &&
+               f.to == a0->mid()) {
+      prepare_in = true;
+      w.Cut(a0, cg);  // the refusal never reaches the coordinator
+    } else if (prepare_in && !b_prepared &&
+               type == vr::MsgType::kPrepareReply && f.to == coord->mid()) {
+      auto m = vr::DecodeFrame<vr::PrepareReplyMsg>(f.payload);
+      if (m->from_group != g1) return;
+      b_prepared = true;
+      for (auto* b : w.cluster.Cohorts(g1)) w.Cut(b, cg);
+    }
+  });
+
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(
+      [g0, g1](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(g0, "withdraw", std::string("a000=5"));
+        co_await h.Call(g1, "deposit", std::string("a005=5"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); },
+                         10 * sim::kSecond));
+  ASSERT_TRUE(records_out && prepare_in && b_prepared);
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  // Shard 1 resolves through its sibling without any heal.
+  ASSERT_TRUE(w.RunUntil([&] { return w.Balance("a005") != 100; },
+                         10 * sim::kSecond));
+  EXPECT_EQ(w.Balance("a005"), 105);
+  EXPECT_GE(a0->stats().prepares_refused, 1u);
+  EXPECT_NE(a0->status(), core::Status::kActive);
+  w.Settle();
+  EXPECT_EQ(w.Balance("a000"), 95);
+  EXPECT_EQ(w.Balance("a005"), 105);
+}
+
+// §3.1: a coordinator view change aborts the transactions in flight. The
+// coordinator's primary is cut off mid-prepare and left out of the next
+// view, whose primary answers shard 0's query with the presumed abort. The
+// old primary becomes primary again in a later view while the transaction
+// is still waiting for shard 1's vote; it must abort, not commit.
+TEST(Atomicity, CoordinatorCommitsOnlyInTheViewItsTransactionBegan) {
+  XferWorld w(432);
+  ASSERT_TRUE(w.Fund());
+  const vr::GroupId g0 = w.bank.shards[0];
+  const vr::GroupId g1 = w.bank.shards[1];
+  const vr::GroupId cg = w.bank.client_group;
+  auto coords = w.cluster.Cohorts(cg);
+  core::Cohort* c0 = w.cluster.AnyPrimary(cg);
+  ASSERT_EQ(c0, coords[0]);
+  core::Cohort* b0 = w.cluster.AnyPrimary(g1);
+  ASSERT_NE(b0, nullptr);
+  // Room for the view changes below within the prepare retries.
+  c0->mutable_options().prepare_attempts = 10;
+  const vr::ViewId began_in = c0->cur_viewid();
+
+  bool a_prepared = false;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    if (a_prepared || static_cast<vr::MsgType>(f.type) !=
+                          vr::MsgType::kPrepareReply ||
+        f.to != c0->mid()) {
+      return;
+    }
+    auto m = vr::DecodeFrame<vr::PrepareReplyMsg>(f.payload);
+    if (m->from_group != g0) return;
+    a_prepared = true;
+    // Cut the coordinator off from its group and from shard 0 once shard 0
+    // has voted yes.
+    w.Cut(c0, cg);
+    w.Cut(c0, g0);
+  });
+
+  std::optional<vr::TxnOutcome> outcome;
+  net::Network* net = &w.cluster.network();
+  c0->SpawnTransaction(
+      [g0, g1, net, c0, b0](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(g0, "withdraw", std::string("a000=5"));
+        co_await h.Call(g1, "deposit", std::string("a005=5"));
+        // Shard 1's primary never hears the prepare until it is restored.
+        net->SetLinkDown(c0->mid(), b0->mid(), true);
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+
+  ASSERT_TRUE(w.RunUntil([&] { return a_prepared; }, 1 * sim::kSecond));
+  // The next view's primary presumes the transaction aborted, and shard 0
+  // aborts it on that answer.
+  core::Cohort* a0 = w.cluster.AnyPrimary(g0);
+  ASSERT_TRUE(w.RunUntil([&] { return a0->objects().ActiveTxns().empty(); },
+                         5 * sim::kSecond));
+  core::Cohort* c1 = w.cluster.AnyPrimary(cg);
+  ASSERT_NE(c1, nullptr);
+  ASSERT_NE(c1, c0);
+  // The old primary rejoins as a backup, then becomes primary again when
+  // the view's primary crashes.
+  w.Cut(c0, cg, false);
+  ASSERT_TRUE(w.RunUntil([&] {
+    return c0->status() == core::Status::kActive && c1->IsActivePrimary() &&
+           c1->cur_view().Contains(c0->mid());
+  }, 5 * sim::kSecond));
+  c1->Crash();
+  ASSERT_TRUE(w.RunUntil([&] { return c0->IsActivePrimary(); },
+                         5 * sim::kSecond));
+  ASSERT_FALSE(outcome.has_value());
+  ASSERT_NE(c0->cur_viewid(), began_in);
+  net->SetLinkDown(c0->mid(), b0->mid(), false);
+
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); },
+                         10 * sim::kSecond));
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kAborted);
+  w.Settle();
+  EXPECT_EQ(w.Balance("a000"), 100);
+  EXPECT_EQ(w.Balance("a005"), 100);
 }
 
 }  // namespace

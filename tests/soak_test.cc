@@ -24,11 +24,12 @@ struct SoakParams {
   int rounds;
   double loss;
   bool nested;
+  bool commit_fusion = true;  // false = the serial 2PC ladder
 };
 
 void PrintTo(const SoakParams& p, std::ostream* os) {
   *os << "seed" << p.seed << "_r" << p.rounds << "_loss" << p.loss
-      << (p.nested ? "_nested" : "");
+      << (p.nested ? "_nested" : "") << (p.commit_fusion ? "" : "_serial");
 }
 
 class SoakTest : public ::testing::TestWithParam<SoakParams> {};
@@ -45,6 +46,7 @@ TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
   opts.net.loss_probability = p.loss;
   opts.net.duplicate_probability = p.loss;
   opts.cohort.nested_call_retry = p.nested;
+  opts.cohort.commit_fusion = p.commit_fusion;
   Cluster cluster(opts);
   sim::Rng rng(p.seed * 6151 + 11);
 
@@ -209,7 +211,14 @@ INSTANTIATE_TEST_SUITE_P(
                       SoakParams{103, 1500, 0.03, true},
                       SoakParams{104, 2000, 0.06, true},
                       SoakParams{105, 2000, 0.08, false},
-                      SoakParams{106, 2500, 0.05, true}));
+                      SoakParams{106, 2500, 0.05, true},
+                      // Serial-ladder worlds that lose updates without a
+                      // fix: 231 takes a deposed primary's unforced abort
+                      // as a query answer; 662 commits a transaction in a
+                      // later view of its coordinator than the one it
+                      // began in.
+                      SoakParams{231, 2500, 0.05, false, false},
+                      SoakParams{662, 2500, 0.05, false, false}));
 
 // DESIGN.md §9 GC-bound soak: one backup crashes permanently while the
 // surviving pair keeps committing. Without the StableTs() - window GC floor
