@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/group_client.h"
+
 namespace vsr::client {
 
 ReadClient::ReadClient(host::Host& hst, net::Transport& transport,
@@ -47,11 +49,11 @@ host::Task<std::optional<std::string>> ReadClient::Read(vr::GroupId group,
     co_return std::nullopt;
   }
   // One "attempt" is a round trip (or its timeout); a bounce-then-primary
-  // pair burns two. call_attempts bounds the total so a partitioned group
+  // pair burns two. kCallAttempts bounds the total so a partitioned group
   // fails the read instead of spinning.
   vr::Mid target = PickTarget(group, *config);
   bool via_hint = false;
-  for (int attempt = 0; attempt < options_.call_attempts; ++attempt) {
+  for (int attempt = 0; attempt < core::kCallAttempts; ++attempt) {
     vr::BackupReadMsg m;
     m.group = group;
     m.uid = uid;
@@ -59,7 +61,7 @@ host::Task<std::optional<std::string>> ReadClient::Read(vr::GroupId group,
     m.corr = next_corr_++;
     m.reply_to = self_;
     SendMsg(target, m);
-    auto r = co_await read_waiters_.Await(m.corr, options_.call_timeout);
+    auto r = co_await read_waiters_.Await(m.corr, core::kCallTimeout);
     if (!r) {
       ++stats_.read_timeouts;
       target = PickTarget(group, *config);

@@ -12,22 +12,26 @@
 // calls directly to server groups while accumulating the pset, and finally
 // ships the pset back in a commit-request; the coordinator-server runs 2PC
 // and answers the outcome. A client that vanishes mid-transaction is aborted
-// unilaterally by the coordinator-server's sweep.
+// unilaterally by the coordinator-server's sweep. The client reaches every
+// group through a core::GroupClient, the same primary cache, redirect rule,
+// call attempt and retried request loop the cohort's coordinator uses.
+//
+// Host-agnostic: constructed over host::Host + net::Transport, like
+// ReadClient.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/directory.h"
+#include "core/group_client.h"
 #include "core/options.h"
 #include "core/wait_table.h"
-#include "net/network.h"
-#include "sim/simulation.h"
-#include "sim/task.h"
+#include "host/host.h"
+#include "host/task.h"
+#include "net/transport.h"
 #include "vr/messages.h"
 #include "vr/types.h"
 
@@ -49,10 +53,10 @@ class ClientTxn {
 
   // Remote call; merges the reply pset. Throws core::TxnError on failure or
   // no reply (the §3.5 client has no subactions — uncertainty aborts).
-  sim::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
-                                            std::vector<std::uint8_t> args);
-  sim::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
-                                            const std::string& args) {
+  host::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
+                                             std::vector<std::uint8_t> args);
+  host::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
+                                             const std::string& args) {
     return Call(group, std::move(proc),
                 std::vector<std::uint8_t>(args.begin(), args.end()));
   }
@@ -76,14 +80,15 @@ struct ClientStats {
 
 class UnreplicatedClient : public net::FrameHandler {
  public:
-  UnreplicatedClient(sim::Simulation& simulation, net::Network& network,
-                     core::Directory& directory, Mid self,
+  // `self` must be a node id the transport serves and no other handler owns.
+  UnreplicatedClient(host::Host& hst, net::Transport& transport,
+                     const core::Directory& directory, Mid self,
                      GroupId coordinator_group, core::CohortOptions options);
   ~UnreplicatedClient() override;
 
   // Runs `body`; on true, commits via the coordinator-server; on false or
   // throw, aborts. `on_done` gets the final outcome.
-  void Spawn(std::function<sim::Task<bool>(ClientTxn&)> body,
+  void Spawn(std::function<host::Task<bool>(ClientTxn&)> body,
              std::function<void(TxnOutcome)> on_done = nullptr);
 
   // Queries the coordinator-server for a transaction's outcome (recovery
@@ -102,50 +107,28 @@ class UnreplicatedClient : public net::FrameHandler {
  private:
   friend class ClientTxn;
 
-  struct CacheEntry {
-    vr::ViewId viewid;
-    vr::View view;
-  };
+  host::Task<void> TxnDriver(std::function<host::Task<bool>(ClientTxn&)> body,
+                             std::function<void(TxnOutcome)> on_done);
+  host::Task<std::optional<Aid>> BeginTxn();
+  host::Task<TxnOutcome> CommitTxn(Aid aid, const Pset& pset);
+  host::Task<std::vector<std::uint8_t>> DoCall(
+      ClientTxn& txn, GroupId group, std::string proc,
+      std::vector<std::uint8_t> args);
+  host::Task<TxnOutcome> DoQueryOutcome(Aid aid);
 
-  template <typename M>
-  void SendMsg(Mid to, const M& m) {
-    net_.Send(self_, to, static_cast<std::uint16_t>(M::kType),
-              vr::EncodeMsg(m));
-  }
-  std::uint64_t NextCorrId() { return next_corr_id_++; }
-  std::uint64_t NextCallSeq() {
-    return (static_cast<std::uint64_t>(self_) << 32) | next_call_seq_++;
-  }
-
-  sim::Task<void> TxnDriver(std::function<sim::Task<bool>(ClientTxn&)> body,
-                            std::function<void(TxnOutcome)> on_done);
-  sim::Task<std::optional<Aid>> BeginTxn();
-  sim::Task<TxnOutcome> CommitTxn(Aid aid, const Pset& pset);
-  sim::Task<std::vector<std::uint8_t>> DoCall(ClientTxn& txn, GroupId group,
-                                              std::string proc,
-                                              std::vector<std::uint8_t> args);
-  sim::Task<std::optional<CacheEntry>> CacheLookup(GroupId g);
-  sim::Task<TxnOutcome> DoQueryOutcome(Aid aid);
-
-  sim::Simulation& sim_;
-  net::Network& net_;
-  core::Directory& directory_;
+  net::Transport& transport_;
+  const core::Directory& directory_;
   const Mid self_;
   const GroupId coordinator_group_;
-  core::CohortOptions options_;
-
-  std::uint64_t next_corr_id_ = 1;
-  std::uint32_t next_call_seq_ = 1;
-  std::map<GroupId, CacheEntry> cache_;
+  const core::CohortOptions options_;
+  core::GroupClient groups_;
   ClientStats stats_;
 
-  core::WaitTable<vr::ReplyMsg> reply_waiters_;
-  core::WaitTable<vr::ProbeReplyMsg> probe_waiters_;
   core::WaitTable<vr::BeginTxnReplyMsg> begin_waiters_;
   core::WaitTable<vr::CommitReqReplyMsg> commit_waiters_;
   core::WaitTable<vr::QueryReplyMsg, Aid> query_waiters_;  // keyed by aid
 
-  sim::TaskRegistry tasks_;
+  host::TaskRegistry tasks_;
 };
 
 }  // namespace vsr::client

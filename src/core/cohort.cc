@@ -60,11 +60,16 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
           [this](Mid to, const vr::SnapshotChunkMsg& m) { SendMsg(to, m); }),
       elog_(hst, stable, options.event_log,
             "elog/" + std::to_string(self), self),
-      reply_waiters_(hst.timers()),
+      group_client_(hst.timers(), network, directory, self, options_,
+                    [this](GroupId g) -> std::optional<GroupClient::Entry> {
+                      if (g != group_ || status_ != Status::kActive) {
+                        return std::nullopt;
+                      }
+                      return GroupClient::Entry{cur_viewid_, cur_view_};
+                    }),
       prepare_waiters_(hst.timers()),
       commit_waiters_(hst.timers()),
       query_waiters_(hst.timers()),
-      probe_waiters_(hst.timers()),
       bool_waiters_(hst.timers()),
       tasks_(hst.timers()) {
   net_.Register(self_, this);
@@ -139,7 +144,7 @@ void Cohort::ResetVolatileState() {
   lease_grant_seq_ = 0;
   object_commit_vs_.clear();
   commit_vs_floor_ = Viewstamp{};
-  cache_.clear();
+  group_client_.Clear();
   last_heard_.clear();
   ++start_view_epoch_;  // invalidates in-flight stable-storage callbacks
   auto& sched = host_.timers();
@@ -408,7 +413,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kReply: {
       auto m = vr::DecodeFrame<vr::ReplyMsg>(frame.payload);
-      if (m) reply_waiters_.Fulfill(m->call_id, std::move(*m));
+      if (m) group_client_.OnReply(std::move(*m));
       break;
     }
     case vr::MsgType::kPrepare: {
@@ -458,7 +463,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kProbeReply: {
       auto m = vr::DecodeFrame<vr::ProbeReplyMsg>(frame.payload);
-      if (m) OnProbeReply(*m);
+      if (m) group_client_.OnProbeReply(*m);
       break;
     }
     case vr::MsgType::kBeginTxn: {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/directory.h"
+#include "core/group_client.h"
 #include "core/options.h"
 #include "core/wait_table.h"
 #include "net/transport.h"
@@ -444,9 +445,15 @@ class Cohort : public net::FrameHandler {
       __attribute__((format(printf, 2, 3)))
 #endif
       ;
-  std::uint64_t NextCorrId() { return next_corr_id_++; }
-  std::uint64_t NextCallSeq() {
-    return (static_cast<std::uint64_t>(self_) << 32) | next_call_seq_++;
+  // Fills a wrong-primary reply's redirect hint with this cohort's view when
+  // it has an active one (§3: "send back a rejection message containing the
+  // new viewid and view").
+  template <typename R>
+  void FillRedirect(R& r) const {
+    if (status_ != Status::kActive) return;
+    r.view_known = true;
+    r.new_viewid = cur_viewid_;
+    r.new_view = cur_view_;
   }
   void NoteAlive(Mid peer);
   void CheckLiveness();
@@ -605,6 +612,11 @@ class Cohort : public net::FrameHandler {
   host::Task<bool> Force(Viewstamp vs);
   // Awaitable strict-2PL lock acquisition (false = timeout/abort).
   host::Task<bool> AcquireLock(std::string uid, Aid aid, vr::LockMode mode);
+  // Runs `start`, which reports through the callback it is handed, now or
+  // later, and awaits that report for up to `timeout` (false on timeout).
+  host::Task<bool> AwaitCallback(
+      host::Duration timeout,
+      std::function<void(std::function<void(bool)>)> start);
   // Adds a record to the buffer and mirrors its outcome bookkeeping (the
   // primary-side counterpart of ApplyRecord).
   Viewstamp AddRecord(vr::EventRecord rec);
@@ -644,14 +656,6 @@ class Cohort : public net::FrameHandler {
                                                   GroupId group,
                                                   std::string proc,
                                                   std::vector<std::uint8_t> args);
-  // One call attempt against (possibly changing) primaries. Does NOT retry
-  // across no-reply — that is subaction policy. Returns nullopt on no reply.
-  // A final call carries `final_pset`; `sent` reports whether any
-  // transmission left.
-  host::Task<std::optional<vr::ReplyMsg>> CallAttempt(
-      SubAid sub_aid, GroupId group, std::string proc,
-      std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs,
-      const Pset* final_pset = nullptr, bool* sent = nullptr);
   // A final call to the transaction's lone participant (DESIGN.md §13.6).
   host::Task<std::vector<std::uint8_t>> LoneCall(TxnHandle& h, GroupId group,
                                                 std::string proc,
@@ -660,18 +664,25 @@ class Cohort : public net::FrameHandler {
   // aborted; kUnknown once this cohort is no longer the active primary.
   host::Task<TxnOutcome> SettleAt(Aid aid, GroupId g);
   host::Task<TxnOutcome> RunTwoPhaseCommit(Aid aid, Pset pset);
-  struct PrepareJoin;
-  host::Task<void> PrepareOne(Aid aid, Pset pset, GroupId g,
-                             std::shared_ptr<PrepareJoin> join);
+  // Runs `one(g)` for every group at once and waits until all of them
+  // finished, or `deadline` passed: true iff all finished and returned true.
+  host::Task<bool> FanOut(std::vector<GroupId> groups, host::Duration deadline,
+                          std::function<host::Task<bool>(GroupId)> one);
+  struct FanOutJoin;
+  host::Task<void> JoinOne(host::Task<bool> one,
+                          std::shared_ptr<FanOutJoin> join);
+  // Prepares `g`; true when it prepared, and then a group that is not
+  // read-only joins `plist`.
+  host::Task<bool> PrepareOne(Aid aid, Pset pset, GroupId g,
+                             std::shared_ptr<std::vector<GroupId>> plist);
   // The commit_fusion = false ablation (bench E2): force the committing
   // record at `decision_vs` before reporting, then run phase two.
   host::Task<TxnOutcome> SerialCommitPhase(Aid aid, std::vector<GroupId> plist,
                                            Viewstamp decision_vs);
   // Phase two: the commit fan-out to the plist and the done record.
   host::Task<void> FinishCommitPhase(Aid aid, std::vector<GroupId> plist);
-  struct CommitJoin;
-  host::Task<void> CommitOne(Aid aid, GroupId g,
-                            std::shared_ptr<CommitJoin> join);
+  // Sends the commit to `g`; true when it acknowledged.
+  host::Task<bool> CommitOne(Aid aid, GroupId g);
   host::Task<void> AbortEverywhere(Aid aid, Pset pset,
                                   std::vector<GroupId> extra_groups = {});
   void OnBeginTxn(const vr::BeginTxnMsg& m);
@@ -679,18 +690,7 @@ class Cohort : public net::FrameHandler {
   host::Task<void> RunCommitReq(vr::CommitReqMsg m);
   void OnAbortReq(const vr::AbortReqMsg& m);
 
-  // Cache of other groups' primaries (§3: "It stores this information in a
-  // local cache").
-  struct CacheEntry {
-    ViewId viewid;
-    View view;
-  };
-  std::optional<CacheEntry> CacheGet(GroupId g) const;
-  void CacheUpdate(GroupId g, ViewId vid, const View& v);
-  void CacheInvalidate(GroupId g);
-  host::Task<std::optional<CacheEntry>> CacheLookup(GroupId g);
   void OnProbe(const vr::ProbeMsg& m);
-  void OnProbeReply(const vr::ProbeReplyMsg& m);
 
   // ---- wiring ----
   host::Host& host_;
@@ -911,16 +911,14 @@ class Cohort : public net::FrameHandler {
 
   // ---- client role ----
   std::uint64_t next_txn_seq_ = 1;
-  std::uint64_t next_corr_id_ = 1;
-  std::uint32_t next_call_seq_ = 1;
-  std::map<GroupId, CacheEntry> cache_;
-  WaitTable<vr::ReplyMsg> reply_waiters_;
+  // Other groups' primaries, calls and retried requests (§3, Fig. 2); its
+  // counter issues every correlation id of this cohort.
+  GroupClient group_client_;
   // 2PC and query replies are routed by the key they carry: prepare and
   // commit replies by (aid, replying group), query replies by aid.
   WaitTable<vr::PrepareReplyMsg, std::pair<Aid, GroupId>> prepare_waiters_;
   WaitTable<vr::CommitDoneMsg, std::pair<Aid, GroupId>> commit_waiters_;
   WaitTable<vr::QueryReplyMsg, Aid> query_waiters_;
-  WaitTable<vr::ProbeReplyMsg> probe_waiters_;
   // Force and lock completions are routed through a wait table rather than
   // raw coroutine handles so that coroutine teardown (crash) can never leave
   // the buffer or lock manager holding a dangling resume path.

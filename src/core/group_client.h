@@ -1,0 +1,185 @@
+// Reaching a group's current primary (§3, Fig. 2; DESIGN.md §16.1).
+//
+// "To find a server it has not used before, a cohort fetches the
+//  configuration from the location server and communicates with members of
+//  the configuration to determine the current primary and viewid. It stores
+//  this information in a local cache." GroupClient is that client role, once:
+// the cohort's coordinator (core::Cohort) and the §3.5 client
+// (client::UnreplicatedClient) each own one. It holds
+//   * the primary cache: get, monotone update, invalidate, and the lookup
+//     that probes every configuration member at once on a miss;
+//   * the redirect rule: a wrong-primary reply's hint updates the cache when
+//     it names a view, and otherwise invalidates the entry;
+//   * the call attempt (Fig. 2 "Making a remote call"): one duplicate-
+//     suppression key, retransmitted to the cached primary, never retried at
+//     another primary after a wrong-view rejection;
+//   * the retried request loop for idempotent requests (prepare, commit,
+//     begin, commit-request): look up, send, await, follow a redirect,
+//     invalidate after silence, for a bounded number of transmissions.
+//
+// Host-agnostic: built over host::TimerService, net::Transport and the
+// Directory, like every protocol module.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
+#include <type_traits>
+#include <utility>
+
+#include "core/directory.h"
+#include "core/options.h"
+#include "core/wait_table.h"
+#include "host/task.h"
+#include "host/timer.h"
+#include "net/transport.h"
+#include "vr/messages.h"
+#include "vr/types.h"
+
+namespace vsr::core {
+
+// Fixed timing of the client role.
+// One call transmission waits this long for its reply.
+inline constexpr host::Duration kCallTimeout = 60 * host::kMillisecond;
+// Transmissions of one call (and of a §3.5 begin) before "no reply".
+inline constexpr int kCallAttempts = 3;
+// Probe rounds of one cache lookup before the group counts as unreachable.
+inline constexpr int kProbeRounds = 4;
+// A commit (or commit-request) transmission waits this long, plus the
+// participant's force, for its acknowledgement.
+inline constexpr host::Duration kCommitAckTimeout = 80 * host::kMillisecond;
+
+// Whether a reply is a wrong-primary rejection carrying a redirect hint.
+inline bool Redirected(const vr::ReplyMsg& r) {
+  return r.status == vr::ReplyStatus::kWrongView;
+}
+inline bool Redirected(const vr::PrepareReplyMsg& r) {
+  return r.status == vr::PrepareStatus::kWrongPrimary;
+}
+inline bool Redirected(const vr::CommitDoneMsg& r) { return r.wrong_primary; }
+inline bool Redirected(const vr::BeginTxnReplyMsg& r) {
+  return r.status == vr::ReplyStatus::kWrongView;
+}
+// Replies that can carry one. Only the coordinator-server's primary answers
+// a commit request, so its reply carries none.
+template <typename R>
+concept CarriesRedirect = requires(const R& r) { Redirected(r); };
+
+class GroupClient {
+ public:
+  // A group's primary as last learned: its view and viewid.
+  struct Entry {
+    vr::ViewId viewid;
+    vr::View view;
+  };
+  // The owner's own group, answered without the cache (a cohort knows its
+  // own view while active); nullopt defers to the cache.
+  using OwnView = std::function<std::optional<Entry>(vr::GroupId)>;
+
+  // Probes wait options.probe_timeout, read at each probe.
+  GroupClient(host::TimerService& timers, net::Transport& transport,
+              const Directory& directory, vr::Mid self,
+              const CohortOptions& options, OwnView own = nullptr);
+  GroupClient(const GroupClient&) = delete;
+  GroupClient& operator=(const GroupClient&) = delete;
+
+  // The owner's correlation ids: probes, calls and requests draw from the
+  // same counter as the owner's other waits.
+  std::uint64_t NextId() { return next_id_++; }
+
+  template <typename M>
+  void Send(vr::Mid to, const M& m) {
+    transport_.Send(self_, to, static_cast<std::uint16_t>(M::kType),
+                    vr::EncodeMsg(m));
+  }
+
+  // ---- the primary cache ----
+  std::optional<Entry> Get(vr::GroupId g) const;
+  // Takes the view only if it is newer than the cached one.
+  void Update(vr::GroupId g, vr::ViewId vid, const vr::View& v);
+  void Invalidate(vr::GroupId g) { cache_.erase(g); }
+  void Clear() { cache_.clear(); }
+  // The cached entry, or the first active answer to a round of probes sent
+  // to every member of the configuration; nullopt after kProbeRounds silent
+  // rounds or for a group the directory does not know.
+  host::Task<std::optional<Entry>> Lookup(vr::GroupId g);
+
+  // The redirect rule, for a reply that Redirected().
+  template <typename R>
+  void Follow(vr::GroupId g, const R& r) {
+    if (r.view_known) {
+      Update(g, r.new_viewid, r.new_view);
+    } else {
+      Invalidate(g);
+    }
+  }
+
+  // ---- reply intake (the owner's frame dispatch) ----
+  void OnProbeReply(const vr::ProbeReplyMsg& m);
+  void OnReply(vr::ReplyMsg m) {
+    reply_waiters_.Fulfill(m.call_id, std::move(m));
+  }
+
+  // ---- the call attempt (Fig. 2) ----
+  // Sends `msg` (group, subaction, procedure and arguments filled in) to the
+  // group's primary under one duplicate-suppression key, up to
+  // kCallAttempts transmissions, and returns a kOk or kFailed reply. nullopt
+  // when no primary was found, none answered (the entry is then
+  // invalidated), or the primary rejected the call's view: a duplicate may
+  // have run in the old view, so the call is never retried at another
+  // primary. `sent` reports whether any transmission left.
+  host::Task<std::optional<vr::ReplyMsg>> Call(vr::CallMsg msg,
+                                              bool* sent = nullptr);
+
+  // ---- the retried request loop ----
+  // Sends an idempotent request to g's primary until it answers with
+  // anything but a redirect, for up to `attempts` transmissions: `send`
+  // builds and sends one transmission to the given primary and returns the
+  // key its reply arrives under in `replies`. A redirect is followed and a
+  // silent transmission invalidates the entry before the next attempt.
+  // nullopt when no primary was found or the attempts ran out.
+  template <typename Reply, typename Key>
+  host::Task<std::optional<Reply>> Request(
+      vr::GroupId g, int attempts, host::Duration timeout,
+      WaitTable<Reply, Key>& replies,
+      std::type_identity_t<std::function<Key(const Entry&)>> send) {
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      auto entry = co_await Lookup(g);
+      if (!entry) co_return std::nullopt;
+      const Key key = send(*entry);
+      auto r = co_await replies.Await(key, timeout);
+      if (!r) {
+        Invalidate(g);
+        continue;
+      }
+      if constexpr (CarriesRedirect<Reply>) {
+        if (Redirected(*r)) {
+          Follow(g, *r);
+          continue;
+        }
+      }
+      co_return r;
+    }
+    co_return std::nullopt;
+  }
+
+ private:
+  std::uint64_t NextCallSeq() {
+    return (static_cast<std::uint64_t>(self_) << 32) | next_call_seq_++;
+  }
+
+  net::Transport& transport_;
+  const Directory& directory_;
+  const vr::Mid self_;
+  const CohortOptions& options_;
+  const OwnView own_;
+
+  std::uint64_t next_id_ = 1;
+  std::uint32_t next_call_seq_ = 1;
+  std::map<vr::GroupId, Entry> cache_;
+  WaitTable<vr::ProbeReplyMsg> probe_waiters_;
+  WaitTable<vr::ReplyMsg> reply_waiters_;
+};
+
+}  // namespace vsr::core

@@ -55,14 +55,11 @@ struct CohortOptions {
   // sharding has nothing to show.
   host::Duration call_service_time = 0;
   host::Duration lock_wait_timeout = 150 * host::kMillisecond;
-  host::Duration call_timeout = 60 * host::kMillisecond;  // per attempt
-  int call_attempts = 3;                                // probes before "no reply"
+  // The client role's fixed call and probe timing is in core/group_client.h.
   host::Duration prepare_timeout = 80 * host::kMillisecond;
   int prepare_attempts = 3;
-  host::Duration commit_ack_timeout = 80 * host::kMillisecond;
   int commit_attempts = 5;
   host::Duration probe_timeout = 50 * host::kMillisecond;
-  int probe_rounds = 4;
   // Blocked prepared participants query the coordinator group this often
   // (§3.4).
   host::Duration query_interval = 250 * host::kMillisecond;

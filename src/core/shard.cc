@@ -83,7 +83,7 @@ host::Task<void> Cohort::SendShardPull() {
   const std::uint64_t id = shard_pull_->id;
   // Resolve the source group's current primary (probing if the cache is
   // cold/stale) — the pull must reach a primary to be served.
-  auto entry = co_await CacheLookup(shard_pull_->from_group);
+  auto entry = co_await group_client_.Lookup(shard_pull_->from_group);
   if (!shard_pull_ || shard_pull_->id != id) co_return;
   if (!IsActivePrimary()) {
     ResetShardPull(false);
@@ -105,7 +105,7 @@ host::Task<void> Cohort::SendShardPull() {
       host_.timers().After(options_.shard_pull_retry, [this, id] {
         if (!shard_pull_ || shard_pull_->id != id) return;
         shard_pull_->retry_timer = host::kNoTimer;
-        CacheInvalidate(shard_pull_->from_group);
+        group_client_.Invalidate(shard_pull_->from_group);
         shard_pull_->sink.Reset();
         tasks_.Spawn(SendShardPull());
       });

@@ -1,12 +1,29 @@
 // The client / coordinator role (Fig. 2): transactions, remote calls with
-// subaction retry (§3.6), two-phase commit, primary-location caching, and
-// the coordinator-server protocol for unreplicated clients (§3.5).
+// subaction retry (§3.6), two-phase commit, and the coordinator-server
+// protocol for unreplicated clients (§3.5). Reaching other groups' primaries
+// is GroupClient's (core/group_client.h).
 #include <algorithm>
 #include <memory>
 
 #include "core/cohort.h"
 
 namespace vsr::core {
+
+namespace {
+
+vr::CallMsg MakeCall(SubAid sub_aid, GroupId group, std::string proc,
+                     std::vector<std::uint8_t> args,
+                     std::vector<std::uint32_t> dead_subs) {
+  vr::CallMsg msg;
+  msg.group = group;
+  msg.sub_aid = sub_aid;
+  msg.dead_subs = std::move(dead_subs);
+  msg.proc = std::move(proc);
+  msg.args = std::move(args);
+  return msg;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Application entry points
@@ -116,7 +133,8 @@ host::Task<std::vector<std::uint8_t>> Cohort::ClientCall(
         options_.nested_call_retry ? h.next_sub_++ : 0;
     const SubAid sid{h.aid_, sub};
 
-    auto r = co_await CallAttempt(sid, group, proc, args, h.dead_subs_);
+    auto r = co_await group_client_.Call(
+        MakeCall(sid, group, proc, args, h.dead_subs_));
     if (r && r->status == vr::ReplyStatus::kOk) {
       // "add the elements of the pset in the reply message to the
       //  transaction's pset."
@@ -136,7 +154,7 @@ host::Task<std::vector<std::uint8_t>> Cohort::ClientCall(
     // subaction."
     if (a + 1 < attempts) {
       ++stats_.subaction_retries;
-      if (auto entry = CacheGet(group)) {
+      if (auto entry = group_client_.Get(group)) {
         vr::AbortSubMsg abort_sub;
         abort_sub.group = group;
         abort_sub.sub_aid = sid;
@@ -147,7 +165,7 @@ host::Task<std::vector<std::uint8_t>> Cohort::ClientCall(
       // tentative versions before executing (§3.6).
       h.dead_subs_.push_back(sub);
       vr::ErasePsetSub(h.pset_, sub);
-      CacheInvalidate(group);
+      group_client_.Invalidate(group);
     }
   }
 
@@ -162,8 +180,8 @@ host::Task<std::vector<std::uint8_t>> Cohort::NestedCall(
   // A server's nested call inherits the caller's subaction, so an aborted
   // attempt discards the nested effects too, and the prepare-time pset check
   // covers them (§3.6).
-  auto r = co_await CallAttempt(ctx.sub_aid(), group, std::move(proc),
-                                std::move(args), ctx.dead_subs_);
+  auto r = co_await group_client_.Call(MakeCall(
+      ctx.sub_aid(), group, std::move(proc), std::move(args), ctx.dead_subs_));
   if (!r) throw TxnError("nested call: no reply from group " +
                          std::to_string(group));
   if (r->status != vr::ReplyStatus::kOk) {
@@ -177,10 +195,12 @@ host::Task<std::vector<std::uint8_t>> Cohort::LoneCall(
     TxnHandle& h, GroupId group, std::string proc,
     std::vector<std::uint8_t> args) {
   const std::uint32_t sub = options_.nested_call_retry ? h.next_sub_++ : 0;
+  vr::CallMsg msg = MakeCall(SubAid{h.aid_, sub}, group, std::move(proc),
+                             std::move(args), h.dead_subs_);
+  msg.final_call = true;
+  msg.pset = h.pset_;
   bool sent = false;
-  auto r = co_await CallAttempt(SubAid{h.aid_, sub}, group, std::move(proc),
-                                std::move(args), h.dead_subs_, &h.pset_,
-                                &sent);
+  auto r = co_await group_client_.Call(std::move(msg), &sent);
   if (r && r->status == vr::ReplyStatus::kFailed) {
     h.doomed_ = true;
     h.doom_reason_.assign(r->result.begin(), r->result.end());
@@ -214,8 +234,8 @@ host::Task<TxnOutcome> Cohort::SettleAt(Aid aid, GroupId g) {
   // A group with no configuration cannot have run the call.
   if (directory_.Lookup(g) == nullptr) co_return TxnOutcome::kAborted;
   while (IsActivePrimary()) {
-    auto entry = co_await CacheLookup(g);
-    if (!entry) continue;  // CacheLookup paces itself with its probes
+    auto entry = co_await group_client_.Lookup(g);
+    if (!entry) continue;  // Lookup paces itself with its probes
     ++stats_.settle_requests_sent;
     vr::QueryMsg q;
     q.aid = aid;
@@ -228,107 +248,59 @@ host::Task<TxnOutcome> Cohort::SettleAt(Aid aid, GroupId g) {
               r->outcome == TxnOutcome::kAborted)) {
       co_return r->outcome;
     }
-    CacheInvalidate(g);  // not the primary, or no answer: look again
+    group_client_.Invalidate(g);  // not the primary, or no answer: look again
   }
   co_return TxnOutcome::kUnknown;
-}
-
-host::Task<std::optional<vr::ReplyMsg>> Cohort::CallAttempt(
-    SubAid sub_aid, GroupId group, std::string proc,
-    std::vector<std::uint8_t> args, std::vector<std::uint32_t> dead_subs,
-    const Pset* final_pset, bool* sent) {
-  // One duplicate-suppression key for every transmission of this attempt.
-  const std::uint64_t call_seq = NextCallSeq();
-
-  for (int attempt = 1; attempt <= options_.call_attempts; ++attempt) {
-    auto entry = co_await CacheLookup(group);
-    if (!entry) co_return std::nullopt;  // "If a more recent view cannot be
-                                         //  discovered, abort" (Fig. 2)
-    vr::CallMsg msg;
-    msg.group = group;
-    msg.viewid = entry->viewid;
-    msg.call_id = NextCorrId();
-    msg.call_seq = call_seq;
-    msg.reply_to = self_;
-    msg.sub_aid = sub_aid;
-    msg.dead_subs = dead_subs;
-    msg.proc = proc;
-    msg.args = args;
-    if (final_pset != nullptr) {
-      msg.final_call = true;
-      msg.pset = *final_pset;
-    }
-    SendMsg(entry->view.primary, msg);
-    if (sent != nullptr) *sent = true;
-
-    auto r = co_await reply_waiters_.Await(msg.call_id, options_.call_timeout);
-    if (!r) {
-      // Retransmit to the same primary; the server's dedup table makes this
-      // safe within a view. (Retrying at a *different* primary would risk
-      // double execution, which is why no-reply ultimately aborts — Fig. 2.)
-      if (attempt == options_.call_attempts) {
-        // "we also attempt to update the cache, so that the next use of the
-        //  server will not cause an abort."
-        CacheInvalidate(group);
-      }
-      continue;
-    }
-    if (r->status == vr::ReplyStatus::kWrongView) {
-      // Fig. 2 step 4 would "update the cache, if possible, and go to step
-      // 1", but a duplicate of this transmission may have executed in the
-      // old view: "If duplicate messages are possible, we must abort the
-      // transaction in this case too" (§3.1) — or retry as a fresh subaction
-      // when nested transactions are on (§3.6). The cache update still
-      // serves the next call.
-      if (r->view_known) {
-        CacheUpdate(group, r->new_viewid, r->new_view);
-      } else {
-        CacheInvalidate(group);
-      }
-      co_return std::nullopt;  // possibly executed in the old view
-    }
-    co_return r;  // kOk or kFailed
-  }
-  co_return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
 // Two-phase commit, coordinator side (Fig. 2)
 // ---------------------------------------------------------------------------
 
-struct Cohort::PrepareJoin {
+struct Cohort::FanOutJoin {
   std::size_t remaining = 0;
   bool all_ok = true;
-  std::vector<GroupId> plist;  // non-read-only participants
   std::uint64_t corr = 0;
-  Cohort* cohort = nullptr;
 };
 
-struct Cohort::CommitJoin {
-  std::size_t remaining = 0;
-  std::size_t acked = 0;
-  std::uint64_t corr = 0;
-  Cohort* cohort = nullptr;
-};
+host::Task<bool> Cohort::FanOut(std::vector<GroupId> groups,
+                                host::Duration deadline,
+                                std::function<host::Task<bool>(GroupId)> one) {
+  if (groups.empty()) co_return true;
+  auto join = std::make_shared<FanOutJoin>();
+  join->remaining = groups.size();
+  join->corr = group_client_.NextId();
+  for (GroupId g : groups) tasks_.Spawn(JoinOne(one(g), join));
+  auto all_ok = co_await bool_waiters_.Await(join->corr, deadline);
+  co_return all_ok.value_or(false);
+}
+
+host::Task<void> Cohort::JoinOne(host::Task<bool> one,
+                                 std::shared_ptr<FanOutJoin> join) {
+  const bool ok = co_await std::move(one);
+  if (!ok) join->all_ok = false;
+  if (--join->remaining == 0) bool_waiters_.Fulfill(join->corr, join->all_ok);
+}
 
 host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   // "It determines who the participants are from the pset."
   const std::vector<GroupId> participants = vr::PsetGroups(pset);
   if (participants.empty()) co_return TxnOutcome::kCommitted;
 
-  // Phase one, in parallel.
-  auto join = std::make_shared<PrepareJoin>();
-  join->remaining = participants.size();
-  join->corr = NextCorrId();
-  join->cohort = this;
-  for (GroupId g : participants) tasks_.Spawn(PrepareOne(aid, pset, g, join));
-  const auto all_ok = co_await bool_waiters_.Await(
-      join->corr,
+  // Phase one, in parallel. "the plist is a list of non-read-only
+  // participants", in the order they prepared.
+  auto plist = std::make_shared<std::vector<GroupId>>();
+  const auto prepare = [&](GroupId g) {
+    return PrepareOne(aid, pset, g, plist);
+  };
+  const bool all_ok = co_await FanOut(
+      participants,
       static_cast<host::Duration>(options_.prepare_attempts + 1) *
           (options_.prepare_timeout + options_.probe_timeout +
-           options_.buffer.force_timeout));
+           options_.buffer.force_timeout),
+      prepare);
 
-  if (!all_ok.value_or(false)) {
+  if (!all_ok) {
     // "If there is no answer after repeated tries ... or if any participant
     //  refuses to prepare, discard any local locks and versions ... and send
     //  abort messages to the participants."
@@ -355,15 +327,14 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   // would replicate a decision nobody reads — skip the lot. Gated on the
   // force_read_only_prepare knob so the unsafe ablation keeps the classic
   // ladder for comparison.
-  if (join->plist.empty() && options_.force_read_only_prepare) {
+  if (plist->empty() && options_.force_read_only_prepare) {
     ++stats_.read_only_commits_skipped;
     co_return TxnOutcome::kCommitted;
   }
 
-  const Viewstamp vs =
-      AddRecord(vr::EventRecord::Committing(aid, join->plist));
+  const Viewstamp vs = AddRecord(vr::EventRecord::Committing(aid, *plist));
   if (!options_.commit_fusion) {
-    co_return co_await SerialCommitPhase(aid, join->plist, vs);
+    co_return co_await SerialCommitPhase(aid, *plist, vs);
   }
 
   // Fused path (DESIGN.md §13), for any number of participants: the decision
@@ -384,7 +355,7 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   } else {
     ++stats_.fused_decision_forces_failed;
   }
-  tasks_.Spawn(FinishCommitPhase(aid, join->plist));
+  tasks_.Spawn(FinishCommitPhase(aid, *plist));
   co_return TxnOutcome::kCommitted;
 }
 
@@ -404,71 +375,38 @@ host::Task<TxnOutcome> Cohort::SerialCommitPhase(Aid aid,
   co_return TxnOutcome::kCommitted;
 }
 
-host::Task<void> Cohort::PrepareOne(Aid aid, Pset pset, GroupId g,
-                                   std::shared_ptr<PrepareJoin> join) {
-  bool ok = false;
-  bool read_only = false;
-  for (int attempt = 0; attempt < options_.prepare_attempts;) {
-    auto entry = co_await CacheLookup(g);
-    if (!entry) break;
+host::Task<bool> Cohort::PrepareOne(
+    Aid aid, Pset pset, GroupId g,
+    std::shared_ptr<std::vector<GroupId>> plist) {
+  // "update the cache, if possible, and retry the prepare" — prepares are
+  // idempotent at the participant.
+  const auto send = [&](const GroupClient::Entry& entry) {
     vr::PrepareMsg m;
     m.group = g;
     m.aid = aid;
     m.pset = pset;
     m.reply_to = self_;
-    SendMsg(entry->view.primary, m);
-    auto r = co_await prepare_waiters_.Await(
-        {aid, g}, options_.prepare_timeout + options_.buffer.force_timeout);
-    if (!r) {
-      // "update the cache, if possible, and retry the prepare" — prepares
-      // are idempotent at the participant.
-      CacheInvalidate(g);
-      ++attempt;
-      continue;
-    }
-    if (r->status == vr::PrepareStatus::kPrepared) {
-      ok = true;
-      read_only = r->read_only;
-      break;
-    }
-    if (r->status == vr::PrepareStatus::kRefused) break;
-    // kWrongPrimary: follow the redirect.
-    if (r->view_known) {
-      CacheUpdate(g, r->new_viewid, r->new_view);
-    } else {
-      CacheInvalidate(g);
-    }
-    ++attempt;
-  }
-  if (!ok) {
-    join->all_ok = false;
-  } else if (!read_only) {
-    // "the plist is a list of non-read-only participants."
-    join->plist.push_back(g);
-  }
-  if (--join->remaining == 0) {
-    bool_waiters_.Fulfill(join->corr, join->all_ok);
-  }
+    SendMsg(entry.view.primary, m);
+    return std::pair{aid, g};
+  };
+  auto r = co_await group_client_.Request(
+      g, options_.prepare_attempts,
+      options_.prepare_timeout + options_.buffer.force_timeout,
+      prepare_waiters_, send);
+  if (!r || r->status != vr::PrepareStatus::kPrepared) co_return false;
+  if (!r->read_only) plist->push_back(g);
+  co_return true;
 }
 
 host::Task<void> Cohort::FinishCommitPhase(Aid aid,
                                           std::vector<GroupId> plist) {
-  bool all_acked = true;
-  if (!plist.empty()) {
-    auto join = std::make_shared<CommitJoin>();
-    join->remaining = plist.size();
-    join->corr = NextCorrId();
-    join->cohort = this;
-    for (GroupId g : plist) {
-      tasks_.Spawn(CommitOne(aid, g, join));
-    }
-    auto r = co_await bool_waiters_.Await(
-        join->corr,
-        static_cast<host::Duration>(options_.commit_attempts + 1) *
-            (options_.commit_ack_timeout + options_.probe_timeout +
-             options_.buffer.force_timeout));
-    all_acked = r.value_or(false) && join->acked == plist.size();
-  }
+  const auto commit = [&](GroupId g) { return CommitOne(aid, g); };
+  const bool all_acked = co_await FanOut(
+      plist,
+      static_cast<host::Duration>(options_.commit_attempts + 1) *
+          (kCommitAckTimeout + options_.probe_timeout +
+           options_.buffer.force_timeout),
+      commit);
   // "when all of them acknowledge the commit, add a <'done', aid> record."
   // The done record garbage-collects the outcome entry — which is only safe
   // once every participant really acknowledged (an unreached participant
@@ -478,35 +416,21 @@ host::Task<void> Cohort::FinishCommitPhase(Aid aid,
   }
 }
 
-host::Task<void> Cohort::CommitOne(Aid aid, GroupId g,
-                                  std::shared_ptr<CommitJoin> join) {
-  for (int attempt = 0; attempt < options_.commit_attempts;) {
-    auto entry = co_await CacheLookup(g);
-    if (!entry) break;
+host::Task<bool> Cohort::CommitOne(Aid aid, GroupId g) {
+  const auto send = [&](const GroupClient::Entry& entry) {
     vr::CommitMsg m;
     m.group = g;
     m.aid = aid;
     m.reply_to = self_;
-    SendMsg(entry->view.primary, m);
-    auto r = co_await commit_waiters_.Await(
-        {aid, g}, options_.commit_ack_timeout + options_.buffer.force_timeout);
-    if (r && !r->wrong_primary) {
-      ++join->acked;
-      break;
-    }
-    if (r && r->wrong_primary) {
-      if (r->view_known) {
-        CacheUpdate(g, r->new_viewid, r->new_view);
-      } else {
-        CacheInvalidate(g);
-      }
-    } else {
-      CacheInvalidate(g);
-    }
-    ++attempt;
-    // Unreached participants resolve the outcome via queries (§3.4).
-  }
-  if (--join->remaining == 0) bool_waiters_.Fulfill(join->corr, true);
+    SendMsg(entry.view.primary, m);
+    return std::pair{aid, g};
+  };
+  // Unreached participants resolve the outcome via queries (§3.4).
+  auto r = co_await group_client_.Request(
+      g, options_.commit_attempts,
+      kCommitAckTimeout + options_.buffer.force_timeout, commit_waiters_,
+      send);
+  co_return r.has_value();
 }
 
 host::Task<void> Cohort::AbortEverywhere(Aid aid, Pset pset,
@@ -522,7 +446,7 @@ host::Task<void> Cohort::AbortEverywhere(Aid aid, Pset pset,
     }
   }
   for (GroupId g : groups) {
-    auto entry = co_await CacheLookup(g);
+    auto entry = co_await group_client_.Lookup(g);
     if (entry) {
       vr::AbortMsg m;
       m.group = g;
@@ -541,51 +465,8 @@ host::Task<void> Cohort::AbortEverywhere(Aid aid, Pset pset,
 }
 
 // ---------------------------------------------------------------------------
-// Primary-location cache and probes (§3)
+// Probes (§3): the server side of GroupClient::Lookup
 // ---------------------------------------------------------------------------
-
-std::optional<Cohort::CacheEntry> Cohort::CacheGet(GroupId g) const {
-  if (g == group_ && status_ == Status::kActive) {
-    return CacheEntry{cur_viewid_, cur_view_};
-  }
-  auto it = cache_.find(g);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second;
-}
-
-void Cohort::CacheUpdate(GroupId g, ViewId vid, const View& v) {
-  auto it = cache_.find(g);
-  if (it != cache_.end() && it->second.viewid >= vid) return;  // not newer
-  cache_[g] = CacheEntry{vid, v};
-}
-
-void Cohort::CacheInvalidate(GroupId g) { cache_.erase(g); }
-
-host::Task<std::optional<Cohort::CacheEntry>> Cohort::CacheLookup(GroupId g) {
-  if (auto e = CacheGet(g)) co_return e;
-  // "To find a server it has not used before, a cohort fetches the
-  //  configuration from the location server and communicates with members of
-  //  the configuration to determine the current primary and viewid."
-  const std::vector<Mid>* config = directory_.Lookup(g);
-  if (config == nullptr) co_return std::nullopt;
-  // Each round probes every member at once; the first active answer wins
-  // (OnProbeReply drops the others), so a dead member costs nothing.
-  for (int round = 0; round < options_.probe_rounds; ++round) {
-    if (auto e = CacheGet(g)) co_return e;  // filled concurrently
-    vr::ProbeMsg probe;
-    probe.group = g;
-    probe.req_id = NextCorrId();
-    probe.reply_to = self_;
-    for (Mid target : *config) SendMsg(target, probe);
-    auto r = co_await probe_waiters_.Await(probe.req_id,
-                                           options_.probe_timeout);
-    if (r) {
-      CacheUpdate(g, r->viewid, r->view);
-      co_return CacheGet(g);
-    }
-  }
-  co_return std::nullopt;
-}
 
 void Cohort::OnProbe(const vr::ProbeMsg& m) {
   vr::ProbeReplyMsg r;
@@ -600,10 +481,6 @@ void Cohort::OnProbe(const vr::ProbeMsg& m) {
   SendMsg(m.reply_to, r);
 }
 
-void Cohort::OnProbeReply(const vr::ProbeReplyMsg& m) {
-  if (m.known && m.active) probe_waiters_.Fulfill(m.req_id, m);
-}
-
 // ---------------------------------------------------------------------------
 // Coordinator-server protocol (§3.5)
 // ---------------------------------------------------------------------------
@@ -613,11 +490,7 @@ void Cohort::OnBeginTxn(const vr::BeginTxnMsg& m) {
   r.req_id = m.req_id;
   if (!IsActivePrimary() || m.viewid != cur_viewid_) {
     r.status = vr::ReplyStatus::kWrongView;
-    if (status_ == Status::kActive) {
-      r.view_known = true;
-      r.new_viewid = cur_viewid_;
-      r.new_view = cur_view_;
-    }
+    FillRedirect(r);
     SendMsg(m.reply_to, r);
     return;
   }

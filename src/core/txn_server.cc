@@ -21,37 +21,37 @@ bool HasStoreEffect(vr::EventType t) {
 // Awaitable primitives
 // ---------------------------------------------------------------------------
 
-host::Task<bool> Cohort::Force(Viewstamp vs) {
-  if (!buffer_.active()) co_return false;
-  const std::uint64_t corr = NextCorrId();
-  // ForceTo may complete synchronously (watermark already reached); the
-  // shared flag captures that case before we suspend.
-  auto sync = std::make_shared<std::pair<bool, bool>>(false, false);
-  buffer_.ForceTo(vs, [this, corr, sync](bool ok) {
-    sync->first = true;
-    sync->second = ok;
+host::Task<bool> Cohort::AwaitCallback(
+    host::Duration timeout,
+    std::function<void(std::function<void(bool)>)> start) {
+  const std::uint64_t corr = group_client_.NextId();
+  // The callback may run synchronously (a force whose watermark is already
+  // reached, a free lock); the shared flag captures that before we suspend.
+  auto sync = std::make_shared<std::optional<bool>>();
+  start([this, corr, sync](bool ok) {
+    *sync = ok;
     bool_waiters_.Fulfill(corr, ok);
   });
-  if (sync->first) co_return sync->second;
-  auto r = co_await bool_waiters_.Await(
-      corr, options_.buffer.force_timeout + 100 * host::kMillisecond);
+  if (*sync) co_return **sync;
+  auto r = co_await bool_waiters_.Await(corr, timeout);
   co_return r.value_or(false);
+}
+
+host::Task<bool> Cohort::Force(Viewstamp vs) {
+  if (!buffer_.active()) co_return false;
+  co_return co_await AwaitCallback(
+      options_.buffer.force_timeout + 100 * host::kMillisecond,
+      [this, vs](auto done) { buffer_.ForceTo(vs, std::move(done)); });
 }
 
 host::Task<bool> Cohort::AcquireLock(std::string uid, Aid aid,
                                     vr::LockMode mode) {
-  const std::uint64_t corr = NextCorrId();
-  auto sync = std::make_shared<std::pair<bool, bool>>(false, false);
-  store_.Acquire(uid, aid, mode, options_.lock_wait_timeout,
-                 [this, corr, sync](bool ok) {
-                   sync->first = true;
-                   sync->second = ok;
-                   bool_waiters_.Fulfill(corr, ok);
-                 });
-  if (sync->first) co_return sync->second;
-  auto r = co_await bool_waiters_.Await(
-      corr, options_.lock_wait_timeout + 100 * host::kMillisecond);
-  co_return r.value_or(false);
+  return AwaitCallback(
+      options_.lock_wait_timeout + 100 * host::kMillisecond,
+      [this, uid = std::move(uid), aid, mode](auto done) {
+        store_.Acquire(uid, aid, mode, options_.lock_wait_timeout,
+                       std::move(done));
+      });
 }
 
 void Cohort::NoteOutcome(const vr::EventRecord& rec) {
@@ -611,11 +611,7 @@ void Cohort::OnCall(const vr::CallMsg& m) {
     vr::ReplyMsg reject;
     reject.call_id = m.call_id;
     reject.status = vr::ReplyStatus::kWrongView;
-    if (status_ == Status::kActive) {
-      reject.view_known = true;
-      reject.new_viewid = cur_viewid_;
-      reject.new_view = cur_view_;
-    }
+    FillRedirect(reject);
     SendMsg(m.reply_to, reject);
     return;
   }
@@ -874,11 +870,7 @@ void Cohort::OnPrepare(const vr::PrepareMsg& m) {
     r.aid = m.aid;
     r.from_group = group_;
     r.status = vr::PrepareStatus::kWrongPrimary;
-    if (status_ == Status::kActive) {
-      r.view_known = true;
-      r.new_viewid = cur_viewid_;
-      r.new_view = cur_view_;
-    }
+    FillRedirect(r);
     SendMsg(m.reply_to, r);
     return;
   }
@@ -1050,11 +1042,7 @@ void Cohort::OnCommit(const vr::CommitMsg& m) {
     r.aid = m.aid;
     r.from_group = group_;
     r.wrong_primary = true;
-    if (status_ == Status::kActive) {
-      r.view_known = true;
-      r.new_viewid = cur_viewid_;
-      r.new_view = cur_view_;
-    }
+    FillRedirect(r);
     SendMsg(m.reply_to, r);
     return;
   }

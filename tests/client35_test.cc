@@ -207,6 +207,50 @@ TEST(CoordinatorServer, SurvivesCoordinatorPrimaryCrash) {
   EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "k"), "2");
 }
 
+// A call to a crashed data-group primary goes unanswered; the client then
+// drops its cache entry (Fig. 2: "so that the next use of the server will
+// not cause an abort"), so only a transaction that still used the dead
+// primary aborts, and the next ones find the new primary.
+TEST(CoordinatorServer, SurvivesServerPrimaryCrash) {
+  World w(46);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  UnreplicatedClient c(w.cluster.sim(), w.cluster.network(),
+                       w.cluster.directory(), w.cluster.AllocateMid(), w.coord,
+                       core::CohortOptions{});
+  auto first = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+    co_await t.Call(w.server, "put", std::string("s=0"));
+    co_return true;
+  });
+  ASSERT_EQ(first, vr::TxnOutcome::kCommitted);
+  for (auto* co : w.cluster.Cohorts(w.server)) {
+    if (co->IsActivePrimary()) {
+      co->Crash();
+      break;
+    }
+  }
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  w.cluster.RunFor(1 * sim::kSecond);
+
+  int committed = 0;
+  std::string last;
+  for (int i = 1; i <= 5; ++i) {
+    const std::string put = "s=" + std::to_string(i);
+    auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+      co_await t.Call(w.server, "put", put);
+      co_return true;
+    });
+    // The first may abort: its call went to the dead primary (Fig. 2's
+    // no-reply rule).
+    if (outcome == vr::TxnOutcome::kCommitted) {
+      ++committed;
+      last = std::to_string(i);
+    }
+  }
+  EXPECT_GE(committed, 4);
+  w.cluster.RunFor(1 * sim::kSecond);
+  EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "s"), last);
+}
+
 TEST(CoordinatorServer, QueriesResolveThenDoneRecordGarbageCollects) {
   World w(45);
   ASSERT_TRUE(w.cluster.RunUntilStable());

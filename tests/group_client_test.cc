@@ -1,0 +1,263 @@
+// Unit tests for core::GroupClient (§3, Fig. 2; DESIGN.md §16.1): the
+// primary cache, the redirect rule and the call attempt, driven on the
+// simulator's clock over a transport that records what it is asked to send.
+// Replies are handed to the client directly, at chosen instants.
+#include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "core/group_client.h"
+#include "sim/simulation.h"
+#include "sim/task.h"
+
+namespace vsr {
+namespace {
+
+using core::GroupClient;
+
+constexpr vr::GroupId kGroup = 7;
+constexpr vr::Mid kSelf = 100;
+
+class RecordingTransport : public net::Transport {
+ public:
+  void Register(net::NodeId, net::FrameHandler*) override {}
+  void Unregister(net::NodeId) override {}
+  void SetNodeUp(net::NodeId, bool) override {}
+  void Send(net::NodeId from, net::NodeId to, std::uint16_t type,
+            std::vector<std::uint8_t> payload) override {
+    sent.push_back(net::Frame{from, to, type, std::move(payload)});
+  }
+
+  // Every frame of type M sent so far, with its destination.
+  template <typename M>
+  std::vector<std::pair<vr::Mid, M>> Sent() const {
+    std::vector<std::pair<vr::Mid, M>> out;
+    for (const net::Frame& f : sent) {
+      if (f.type != static_cast<std::uint16_t>(M::kType)) continue;
+      auto m = vr::DecodeFrame<M>(f.payload);
+      if (m) out.emplace_back(f.to, std::move(*m));
+    }
+    return out;
+  }
+
+  std::vector<net::Frame> sent;
+};
+
+vr::View ViewWithPrimary(vr::Mid primary) {
+  vr::View v;
+  v.primary = primary;
+  for (vr::Mid m : {1u, 2u, 3u}) {
+    if (m != primary) v.backups.push_back(m);
+  }
+  return v;
+}
+
+struct World {
+  World() { directory.RegisterGroup(kGroup, {1, 2, 3}); }
+
+  void RunFor(sim::Duration d) {
+    sim.scheduler().RunUntil(sim.Now() + d);
+  }
+
+  sim::Simulation sim{1};
+  RecordingTransport net;
+  core::Directory directory;
+  core::CohortOptions options;
+  GroupClient client{sim.scheduler(), net, directory, kSelf, options};
+  // Declared last: tears suspended coroutines down before the client.
+  host::TaskRegistry tasks{sim.scheduler()};
+};
+
+vr::ProbeReplyMsg ProbeReply(std::uint64_t req_id, bool active,
+                             vr::ViewId vid, vr::Mid primary) {
+  vr::ProbeReplyMsg r;
+  r.group = kGroup;
+  r.req_id = req_id;
+  r.known = true;
+  r.active = active;
+  r.viewid = vid;
+  r.view = ViewWithPrimary(primary);
+  return r;
+}
+
+// One probe round goes to every member; an inactive member's answer is
+// ignored, and the first active answer settles the lookup even when a later
+// one names a newer view.
+TEST(GroupClient, FirstActiveProbeAnswerWins) {
+  World w;
+  std::optional<GroupClient::Entry> found;
+  bool done = false;
+  w.tasks.Spawn([](World& w, std::optional<GroupClient::Entry>& found,
+                   bool& done) -> host::Task<void> {
+    found = co_await w.client.Lookup(kGroup);
+    done = true;
+  }(w, found, done));
+
+  const auto probes = w.net.Sent<vr::ProbeMsg>();
+  ASSERT_EQ(probes.size(), 3u);
+  EXPECT_EQ(probes[0].first, 1u);
+  EXPECT_EQ(probes[1].first, 2u);
+  EXPECT_EQ(probes[2].first, 3u);
+  const std::uint64_t req = probes[0].second.req_id;
+
+  w.client.OnProbeReply(ProbeReply(req, /*active=*/false, {9, 1}, 1));
+  EXPECT_FALSE(done);
+  w.client.OnProbeReply(ProbeReply(req, /*active=*/true, {4, 2}, 2));
+  ASSERT_TRUE(done);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->viewid, (vr::ViewId{4, 2}));
+  EXPECT_EQ(found->view.primary, 2u);
+
+  w.client.OnProbeReply(ProbeReply(req, /*active=*/true, {6, 3}, 3));
+  auto cached = w.client.Get(kGroup);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->viewid, (vr::ViewId{4, 2}));
+  EXPECT_EQ(w.net.Sent<vr::ProbeMsg>().size(), 3u);  // no second round
+}
+
+// The cache only moves forward: a redirect naming an older view than the
+// cached one leaves the entry alone, a newer one replaces it.
+TEST(GroupClient, OlderRedirectNeverReplacesNewerView) {
+  World w;
+  w.client.Update(kGroup, {5, 1}, ViewWithPrimary(1));
+
+  vr::ReplyMsg stale;
+  stale.status = vr::ReplyStatus::kWrongView;
+  stale.view_known = true;
+  stale.new_viewid = {3, 2};
+  stale.new_view = ViewWithPrimary(2);
+  ASSERT_TRUE(core::Redirected(stale));
+  w.client.Follow(kGroup, stale);
+  ASSERT_TRUE(w.client.Get(kGroup).has_value());
+  EXPECT_EQ(w.client.Get(kGroup)->viewid, (vr::ViewId{5, 1}));
+  EXPECT_EQ(w.client.Get(kGroup)->view.primary, 1u);
+
+  w.client.Update(kGroup, {4, 3}, ViewWithPrimary(3));  // probe answer
+  EXPECT_EQ(w.client.Get(kGroup)->viewid, (vr::ViewId{5, 1}));
+
+  vr::ReplyMsg fresh = stale;
+  fresh.new_viewid = {6, 2};
+  w.client.Follow(kGroup, fresh);
+  EXPECT_EQ(w.client.Get(kGroup)->viewid, (vr::ViewId{6, 2}));
+  EXPECT_EQ(w.client.Get(kGroup)->view.primary, 2u);
+}
+
+// A wrong-primary answer from a cohort with no active view carries no hint:
+// the retried request loop drops the entry, so its next attempt probes.
+TEST(GroupClient, RedirectWithoutKnownViewInvalidates) {
+  World w;
+  w.client.Update(kGroup, {5, 1}, ViewWithPrimary(1));
+  core::WaitTable<vr::PrepareReplyMsg, std::pair<vr::Aid, vr::GroupId>>
+      replies(w.sim.scheduler());
+  const vr::Aid aid{kGroup, {5, 1}, 1};
+  std::optional<vr::PrepareReplyMsg> got;
+  bool done = false;
+  w.tasks.Spawn([](World& w, decltype(replies)& replies, vr::Aid aid,
+                   std::optional<vr::PrepareReplyMsg>& got,
+                   bool& done) -> host::Task<void> {
+    const auto send = [&](const GroupClient::Entry& e) {
+      vr::PrepareMsg m;
+      m.group = kGroup;
+      m.aid = aid;
+      m.reply_to = kSelf;
+      w.client.Send(e.view.primary, m);
+      return std::pair{aid, kGroup};
+    };
+    got = co_await w.client.Request(kGroup, 1, 100 * sim::kMillisecond,
+                                    replies, send);
+    done = true;
+  }(w, replies, aid, got, done));
+  ASSERT_EQ(w.net.Sent<vr::PrepareMsg>().size(), 1u);
+  EXPECT_EQ(w.net.Sent<vr::PrepareMsg>()[0].first, 1u);
+
+  vr::PrepareReplyMsg r;
+  r.aid = aid;
+  r.from_group = kGroup;
+  r.status = vr::PrepareStatus::kWrongPrimary;  // view_known stays false
+  replies.Fulfill({aid, kGroup}, r);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(got.has_value());  // its one attempt was spent
+  EXPECT_FALSE(w.client.Get(kGroup).has_value());
+}
+
+// Fig. 2: retransmissions go to the same primary under one duplicate-
+// suppression key, and only after the last of them goes unanswered is the
+// entry invalidated, so the next call probes instead of reusing it.
+TEST(GroupClient, CallInvalidatesAfterItsLastSilentTransmission) {
+  World w;
+  w.client.Update(kGroup, {5, 1}, ViewWithPrimary(1));
+  std::optional<vr::ReplyMsg> got;
+  bool done = false;
+  bool sent = false;
+  w.tasks.Spawn([](World& w, std::optional<vr::ReplyMsg>& got, bool& done,
+                   bool& sent) -> host::Task<void> {
+    vr::CallMsg m;
+    m.group = kGroup;
+    m.proc = "put";
+    got = co_await w.client.Call(std::move(m), &sent);
+    done = true;
+  }(w, got, done, sent));
+  EXPECT_TRUE(sent);
+
+  w.RunFor((core::kCallAttempts - 1) * core::kCallTimeout +
+           core::kCallTimeout / 2);
+  EXPECT_FALSE(done);
+  EXPECT_TRUE(w.client.Get(kGroup).has_value());  // not before the last
+
+  w.RunFor(core::kCallTimeout);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_FALSE(w.client.Get(kGroup).has_value());
+
+  const auto calls = w.net.Sent<vr::CallMsg>();
+  ASSERT_EQ(calls.size(), static_cast<std::size_t>(core::kCallAttempts));
+  for (const auto& [to, m] : calls) {
+    EXPECT_EQ(to, 1u);
+    EXPECT_EQ(m.call_seq, calls[0].second.call_seq);
+    EXPECT_EQ(m.viewid, (vr::ViewId{5, 1}));
+    EXPECT_EQ(m.reply_to, kSelf);
+  }
+  EXPECT_NE(calls[0].second.call_id, calls[1].second.call_id);
+}
+
+// A wrong-view rejection ends the attempt: a duplicate may have run in the
+// old view, so the call is not sent to the new primary, whose view the
+// cache keeps for the next call.
+TEST(GroupClient, CallNeverRetriesAtAnotherPrimaryAfterWrongView) {
+  World w;
+  w.client.Update(kGroup, {5, 1}, ViewWithPrimary(1));
+  std::optional<vr::ReplyMsg> got;
+  bool done = false;
+  w.tasks.Spawn([](World& w, std::optional<vr::ReplyMsg>& got,
+                   bool& done) -> host::Task<void> {
+    vr::CallMsg m;
+    m.group = kGroup;
+    m.proc = "put";
+    got = co_await w.client.Call(std::move(m));
+    done = true;
+  }(w, got, done));
+  auto calls = w.net.Sent<vr::CallMsg>();
+  ASSERT_EQ(calls.size(), 1u);
+
+  vr::ReplyMsg reject;
+  reject.call_id = calls[0].second.call_id;
+  reject.status = vr::ReplyStatus::kWrongView;
+  reject.view_known = true;
+  reject.new_viewid = {6, 2};
+  reject.new_view = ViewWithPrimary(2);
+  w.client.OnReply(reject);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(got.has_value());
+
+  w.RunFor(1 * sim::kSecond);
+  calls = w.net.Sent<vr::CallMsg>();
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].first, 1u);
+  ASSERT_TRUE(w.client.Get(kGroup).has_value());
+  EXPECT_EQ(w.client.Get(kGroup)->view.primary, 2u);
+}
+
+}  // namespace
+}  // namespace vsr
