@@ -10,14 +10,12 @@ UnreplicatedClient::UnreplicatedClient(host::Host& hst,
                                        Mid self, GroupId coordinator_group,
                                        core::CohortOptions options)
     : transport_(transport),
-      directory_(directory),
       self_(self),
       coordinator_group_(coordinator_group),
       options_(std::move(options)),
-      groups_(hst.timers(), transport, directory, self, options_),
+      groups_(hst.timers(), transport, directory, self),
       begin_waiters_(hst.timers()),
       commit_waiters_(hst.timers()),
-      query_waiters_(hst.timers()),
       tasks_(hst.timers()) {
   transport_.Register(self_, this);
 }
@@ -51,7 +49,7 @@ void UnreplicatedClient::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kQueryReply: {
       auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
-      if (m) query_waiters_.Fulfill(m->aid, std::move(*m));
+      if (m) groups_.OnQueryReply(std::move(*m));
       break;
     }
     default:
@@ -166,22 +164,9 @@ void UnreplicatedClient::QueryOutcome(
 }
 
 host::Task<TxnOutcome> UnreplicatedClient::DoQueryOutcome(Aid aid) {
-  const std::vector<Mid>* config = directory_.Lookup(aid.coordinator_group);
-  if (config == nullptr) co_return TxnOutcome::kUnknown;
-  for (int round = 0; round < core::kProbeRounds; ++round) {
-    for (Mid target : *config) {
-      vr::QueryMsg q;
-      q.aid = aid;
-      q.reply_to = self_;
-      groups_.Send(target, q);
-      auto r = co_await query_waiters_.Await(aid, options_.probe_timeout);
-      if (r && (r->outcome == TxnOutcome::kCommitted ||
-                r->outcome == TxnOutcome::kAborted)) {
-        co_return r->outcome;
-      }
-    }
-  }
-  co_return TxnOutcome::kUnknown;
+  const TxnOutcome o = co_await groups_.AskOutcome(
+      aid.coordinator_group, aid, /*settle=*/false, core::kCallAttempts);
+  co_return o == TxnOutcome::kActive ? TxnOutcome::kUnknown : o;
 }
 
 host::Task<std::vector<std::uint8_t>> ClientTxn::Call(

@@ -91,8 +91,10 @@ class UnreplicatedClient : public net::FrameHandler {
   void Spawn(std::function<host::Task<bool>(ClientTxn&)> body,
              std::function<void(TxnOutcome)> on_done = nullptr);
 
-  // Queries the coordinator-server for a transaction's outcome (recovery
-  // after an unknown result). Note the §3.1 garbage-collection contract:
+  // Asks the coordinator-server's primary for a transaction's outcome
+  // (recovery after an unknown result): kCommitted, kAborted, or kUnknown
+  // when it is undecided, unknown there, or no primary answered. Note the
+  // §3.1 garbage-collection contract:
   // once every participant acknowledged a commit, the coordinator logs a
   // "done" record and may forget the outcome — queries are a recovery
   // mechanism for in-doubt parties, not a transaction-history API.
@@ -114,10 +116,10 @@ class UnreplicatedClient : public net::FrameHandler {
   host::Task<std::vector<std::uint8_t>> DoCall(
       ClientTxn& txn, GroupId group, std::string proc,
       std::vector<std::uint8_t> args);
+  // One bounded outcome request to the coordinator group.
   host::Task<TxnOutcome> DoQueryOutcome(Aid aid);
 
   net::Transport& transport_;
-  const core::Directory& directory_;
   const Mid self_;
   const GroupId coordinator_group_;
   const core::CohortOptions options_;
@@ -126,7 +128,6 @@ class UnreplicatedClient : public net::FrameHandler {
 
   core::WaitTable<vr::BeginTxnReplyMsg> begin_waiters_;
   core::WaitTable<vr::CommitReqReplyMsg> commit_waiters_;
-  core::WaitTable<vr::QueryReplyMsg, Aid> query_waiters_;  // keyed by aid
 
   host::TaskRegistry tasks_;
 };

@@ -60,7 +60,7 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
           [this](Mid to, const vr::SnapshotChunkMsg& m) { SendMsg(to, m); }),
       elog_(hst, stable, options.event_log,
             "elog/" + std::to_string(self), self),
-      group_client_(hst.timers(), network, directory, self, options_,
+      group_client_(hst.timers(), network, directory, self,
                     [this](GroupId g) -> std::optional<GroupClient::Entry> {
                       if (g != group_ || status_ != Status::kActive) {
                         return std::nullopt;
@@ -69,7 +69,6 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
                     }),
       prepare_waiters_(hst.timers()),
       commit_waiters_(hst.timers()),
-      query_waiters_(hst.timers()),
       bool_waiters_(hst.timers()),
       tasks_(hst.timers()) {
   net_.Register(self_, this);
@@ -453,7 +452,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
     }
     case vr::MsgType::kQueryReply: {
       auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
-      if (m) query_waiters_.Fulfill(m->aid, std::move(*m));
+      if (m) group_client_.OnQueryReply(std::move(*m));
       break;
     }
     case vr::MsgType::kProbe: {
@@ -560,22 +559,6 @@ TxnOutcome Cohort::LocalOutcome(Aid aid) const {
     }
   }
   return TxnOutcome::kUnknown;
-}
-
-void Cohort::AnswerQuery(const vr::QueryMsg& m) {
-  // "we allow any cohort to respond to a query whenever it knows the
-  //  answer" — but only a stable outcome is known (DESIGN.md §13.7). The
-  // active primary forces its buffer tail before it answers. Any other
-  // cohort cannot tell whether its record will survive the next view
-  // change, so it answers kUnknown and the asker tries the next cohort.
-  if (IsActivePrimary()) {
-    tasks_.Spawn(AnswerQueryAsPrimary(m));
-    return;
-  }
-  vr::QueryReplyMsg reply;
-  reply.aid = m.aid;
-  reply.outcome = TxnOutcome::kUnknown;
-  SendMsg(m.reply_to, reply);
 }
 
 }  // namespace vsr::core

@@ -396,7 +396,7 @@ class Cohort : public net::FrameHandler {
   // Coroutines waiting on a prepare, commit or query reply.
   std::size_t PendingTxnReplies() const {
     return prepare_waiters_.pending() + commit_waiters_.pending() +
-           query_waiters_.pending();
+           group_client_.PendingOutcomeRequests();
   }
 
   // -- Shard rebalancing (shard.cc, DESIGN.md §11) -----------------------
@@ -458,7 +458,6 @@ class Cohort : public net::FrameHandler {
   void NoteAlive(Mid peer);
   void CheckLiveness();
   void SendPings();
-  void AnswerQuery(const vr::QueryMsg& m);
   TxnOutcome LocalOutcome(Aid aid) const;
   void ResetVolatileState();
 
@@ -567,21 +566,22 @@ class Cohort : public net::FrameHandler {
   // ---- server role (txn_server.cc) ----
   void OnCall(const vr::CallMsg& m);
   host::Task<void> RunCall(vr::CallMsg m);
-  // One-round commit, participant side (DESIGN.md §13.6). DecideAlone
-  // checks a final call's pset and commits, or aborts; kUnknown = the
-  // commit force failed. Settle answers a settle request, or a
-  // retransmitted final call of a settled transaction: committed if the
-  // outcome table says so, otherwise aborted, once the buffer tail is
-  // forced (kUnknown if it cannot be).
+  // One-round commit, participant side (DESIGN.md §13.6): checks a final
+  // call's pset and commits, or aborts; kUnknown = the commit force failed.
   host::Task<TxnOutcome> DecideAlone(Aid aid, Pset pset);
-  host::Task<TxnOutcome> Settle(Aid aid);
-  // A §3.4 query or settle request at the active primary: a committed or
-  // aborted answer leaves only once the buffer tail is forced.
-  host::Task<void> AnswerQueryAsPrimary(vr::QueryMsg m);
+  // A §3.4 query or settle request: the active primary answers it
+  // (AnswerOutcome), any other cohort redirects.
+  void AnswerQuery(const vr::QueryMsg& m);
+  // Sends `reply` (a QueryReplyMsg, or the ReplyMsg of a retransmitted final
+  // call of a settled transaction) with this primary's outcome for `aid`.
+  // A settle first aborts an undecided transaction. A committed or aborted
+  // answer leaves only once the buffer tail is forced (DESIGN.md §13.7);
+  // when it cannot be, a settle gets no answer and a query hears kUnknown.
+  template <typename Reply>
+  host::Task<void> AnswerOutcome(Aid aid, bool settle, Mid to, Reply reply);
   // Forces the whole buffer; true if it became stable and this cohort is
   // still the active primary.
   host::Task<bool> ForceTail();
-  host::Task<void> AnswerSettledCall(vr::CallMsg m);
   void OnPrepare(const vr::PrepareMsg& m);
   host::Task<void> RunPrepare(vr::PrepareMsg m);
   // The participant's checks on a transaction's pset (Fig. 3): false if a
@@ -599,6 +599,9 @@ class Cohort : public net::FrameHandler {
   void ArmQueryTimer();
   void QueryBlockedTxns();
   host::Task<void> ResolveBlockedTxn(Aid aid);
+  // Applies a committed or aborted outcome learned by a query, or recorded
+  // here meanwhile, to this participant's copy of the transaction.
+  host::Task<void> ApplyOutcome(Aid aid, TxnOutcome outcome);
   // Installs the commit and returns the uids whose base version changed;
   // the caller stamps them (NoteInstalled) with the committed record's
   // viewstamp once it exists.
@@ -647,6 +650,8 @@ class Cohort : public net::FrameHandler {
   host::Task<void> RunBackupRead(vr::BackupReadMsg m);
 
   // ---- client / coordinator role (txn_coord.cc) ----
+  // Counts a coordinated transaction's outcome in stats_.
+  void CountOutcome(TxnOutcome outcome);
   host::Task<void> TxnDriver(Aid aid, TxnBody body,
                             std::function<void(TxnOutcome)> on_done);
   host::Task<std::vector<std::uint8_t>> ClientCall(
@@ -914,11 +919,10 @@ class Cohort : public net::FrameHandler {
   // Other groups' primaries, calls and retried requests (§3, Fig. 2); its
   // counter issues every correlation id of this cohort.
   GroupClient group_client_;
-  // 2PC and query replies are routed by the key they carry: prepare and
-  // commit replies by (aid, replying group), query replies by aid.
+  // 2PC replies are routed by the key they carry, (aid, replying group);
+  // query replies go to group_client_.
   WaitTable<vr::PrepareReplyMsg, std::pair<Aid, GroupId>> prepare_waiters_;
   WaitTable<vr::CommitDoneMsg, std::pair<Aid, GroupId>> commit_waiters_;
-  WaitTable<vr::QueryReplyMsg, Aid> query_waiters_;
   // Force and lock completions are routed through a wait table rather than
   // raw coroutine handles so that coroutine teardown (crash) can never leave
   // the buffer or lock manager holding a dangling resume path.

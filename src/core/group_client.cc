@@ -4,14 +4,14 @@ namespace vsr::core {
 
 GroupClient::GroupClient(host::TimerService& timers, net::Transport& transport,
                          const Directory& directory, vr::Mid self,
-                         const CohortOptions& options, OwnView own)
+                         OwnView own)
     : transport_(transport),
       directory_(directory),
       self_(self),
-      options_(options),
       own_(std::move(own)),
       probe_waiters_(timers),
-      reply_waiters_(timers) {}
+      reply_waiters_(timers),
+      query_waiters_(timers) {}
 
 std::optional<GroupClient::Entry> GroupClient::Get(vr::GroupId g) const {
   if (own_) {
@@ -42,8 +42,7 @@ host::Task<std::optional<GroupClient::Entry>> GroupClient::Lookup(
     probe.req_id = NextId();
     probe.reply_to = self_;
     for (vr::Mid target : *config) Send(target, probe);
-    auto r = co_await probe_waiters_.Await(probe.req_id,
-                                           options_.probe_timeout);
+    auto r = co_await probe_waiters_.Await(probe.req_id, kProbeTimeout);
     if (r) {
       Update(g, r->viewid, r->view);
       co_return Get(g);
@@ -95,6 +94,23 @@ host::Task<std::optional<vr::ReplyMsg>> GroupClient::Call(vr::CallMsg msg,
     co_return r;  // kOk or kFailed
   }
   co_return std::nullopt;
+}
+
+host::Task<vr::TxnOutcome> GroupClient::AskOutcome(vr::GroupId g,
+                                                   vr::Aid aid, bool settle,
+                                                   int attempts,
+                                                   std::uint64_t* sent) {
+  const auto send = [&](const Entry& entry) {
+    vr::QueryMsg q;
+    q.aid = aid;
+    q.reply_to = self_;
+    q.settle = settle;
+    Send(entry.view.primary, q);
+    if (sent != nullptr) ++*sent;
+    return std::pair{aid, g};
+  };
+  auto r = co_await Request(g, attempts, kProbeTimeout, query_waiters_, send);
+  co_return r ? r->outcome : vr::TxnOutcome::kUnknown;
 }
 
 }  // namespace vsr::core

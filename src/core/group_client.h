@@ -15,7 +15,9 @@
 //     another primary after a wrong-view rejection;
 //   * the retried request loop for idempotent requests (prepare, commit,
 //     begin, commit-request): look up, send, await, follow a redirect,
-//     invalidate after silence, for a bounded number of transmissions.
+//     invalidate after silence, for a bounded number of transmissions;
+//   * the outcome request (§3.4 queries, DESIGN.md §13.6 settles) on that
+//     loop, with the query replies' waiter table.
 //
 // Host-agnostic: built over host::TimerService, net::Transport and the
 // Directory, like every protocol module.
@@ -29,7 +31,6 @@
 #include <utility>
 
 #include "core/directory.h"
-#include "core/options.h"
 #include "core/wait_table.h"
 #include "host/task.h"
 #include "host/timer.h"
@@ -46,6 +47,8 @@ inline constexpr host::Duration kCallTimeout = 60 * host::kMillisecond;
 inline constexpr int kCallAttempts = 3;
 // Probe rounds of one cache lookup before the group counts as unreachable.
 inline constexpr int kProbeRounds = 4;
+// One probe round, or one outcome-request transmission, waits this long.
+inline constexpr host::Duration kProbeTimeout = 50 * host::kMillisecond;
 // A commit (or commit-request) transmission waits this long, plus the
 // participant's force, for its acknowledgement.
 inline constexpr host::Duration kCommitAckTimeout = 80 * host::kMillisecond;
@@ -61,6 +64,7 @@ inline bool Redirected(const vr::CommitDoneMsg& r) { return r.wrong_primary; }
 inline bool Redirected(const vr::BeginTxnReplyMsg& r) {
   return r.status == vr::ReplyStatus::kWrongView;
 }
+inline bool Redirected(const vr::QueryReplyMsg& r) { return r.wrong_primary; }
 // Replies that can carry one. Only the coordinator-server's primary answers
 // a commit request, so its reply carries none.
 template <typename R>
@@ -77,10 +81,8 @@ class GroupClient {
   // own view while active); nullopt defers to the cache.
   using OwnView = std::function<std::optional<Entry>(vr::GroupId)>;
 
-  // Probes wait options.probe_timeout, read at each probe.
   GroupClient(host::TimerService& timers, net::Transport& transport,
-              const Directory& directory, vr::Mid self,
-              const CohortOptions& options, OwnView own = nullptr);
+              const Directory& directory, vr::Mid self, OwnView own = nullptr);
   GroupClient(const GroupClient&) = delete;
   GroupClient& operator=(const GroupClient&) = delete;
 
@@ -119,6 +121,13 @@ class GroupClient {
   void OnProbeReply(const vr::ProbeReplyMsg& m);
   void OnReply(vr::ReplyMsg m) {
     reply_waiters_.Fulfill(m.call_id, std::move(m));
+  }
+  void OnQueryReply(vr::QueryReplyMsg m) {
+    query_waiters_.Fulfill({m.aid, m.from_group}, std::move(m));
+  }
+  // Outcome requests waiting for their reply (DESIGN.md §15).
+  std::size_t PendingOutcomeRequests() const {
+    return query_waiters_.pending();
   }
 
   // ---- the call attempt (Fig. 2) ----
@@ -164,6 +173,18 @@ class GroupClient {
     co_return std::nullopt;
   }
 
+  // ---- the outcome request (§3.4; DESIGN.md §13.6, §13.7) ----
+  // Asks g's primary for the outcome of `aid` on the retried request loop,
+  // up to `attempts` transmissions of kProbeTimeout each; with `settle` the
+  // primary decides an undecided transaction (aborted) first. Only the
+  // active primary answers, and only a stable outcome: kCommitted,
+  // kAborted, kActive (the coordinator is still deciding) or kUnknown (it
+  // has no record). kUnknown too when no primary answered. `sent`, when
+  // given, counts the transmissions.
+  host::Task<vr::TxnOutcome> AskOutcome(vr::GroupId g, vr::Aid aid,
+                                        bool settle, int attempts,
+                                        std::uint64_t* sent = nullptr);
+
  private:
   std::uint64_t NextCallSeq() {
     return (static_cast<std::uint64_t>(self_) << 32) | next_call_seq_++;
@@ -172,7 +193,6 @@ class GroupClient {
   net::Transport& transport_;
   const Directory& directory_;
   const vr::Mid self_;
-  const CohortOptions& options_;
   const OwnView own_;
 
   std::uint64_t next_id_ = 1;
@@ -180,6 +200,10 @@ class GroupClient {
   std::map<vr::GroupId, Entry> cache_;
   WaitTable<vr::ProbeReplyMsg> probe_waiters_;
   WaitTable<vr::ReplyMsg> reply_waiters_;
+  // Keyed by aid and answering group: the reply names no correlation id,
+  // and one aid may be asked of several groups in turn.
+  WaitTable<vr::QueryReplyMsg, std::pair<vr::Aid, vr::GroupId>>
+      query_waiters_;
 };
 
 }  // namespace vsr::core

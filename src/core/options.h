@@ -10,6 +10,18 @@
 
 namespace vsr::core {
 
+// Fixed timing of the server role's outcome path (nothing varies it).
+// A primary looks for blocked prepared participants this often (§3.4).
+inline constexpr host::Duration kQueryInterval = 250 * host::kMillisecond;
+// §3.4: a participant holding locks for a transaction that has gone quiet
+// (no call/prepare/commit activity) this long queries the coordinator group
+// — abort messages are best-effort, so this is the net that frees locks left
+// by vanished or doomed transactions.
+inline constexpr host::Duration kIdleTxnTimeout = 700 * host::kMillisecond;
+// §3.5: a coordinator-server aborts an externally driven transaction
+// unilaterally when the client has gone quiet this long.
+inline constexpr host::Duration kExternalTxnTimeout = 2 * host::kSecond;
+
 struct CohortOptions {
   // ---- Failure detection (§4: "I'm alive" messages) ----
   host::Duration ping_interval = 30 * host::kMillisecond;
@@ -55,22 +67,12 @@ struct CohortOptions {
   // sharding has nothing to show.
   host::Duration call_service_time = 0;
   host::Duration lock_wait_timeout = 150 * host::kMillisecond;
-  // The client role's fixed call and probe timing is in core/group_client.h.
+  // The client role's fixed call, probe and query timing is in
+  // core/group_client.h; the server role's is kQueryInterval,
+  // kIdleTxnTimeout and kExternalTxnTimeout below.
   host::Duration prepare_timeout = 80 * host::kMillisecond;
   int prepare_attempts = 3;
   int commit_attempts = 5;
-  host::Duration probe_timeout = 50 * host::kMillisecond;
-  // Blocked prepared participants query the coordinator group this often
-  // (§3.4).
-  host::Duration query_interval = 250 * host::kMillisecond;
-  // §3.5: a coordinator-server aborts an externally driven transaction
-  // unilaterally when the client has gone quiet this long.
-  host::Duration external_txn_timeout = 2 * host::kSecond;
-  // §3.4: a participant holding locks for a transaction that has gone quiet
-  // (no call/prepare/commit activity) queries the coordinator group after
-  // this long — abort messages are best-effort, so this is the net that
-  // frees locks left by vanished or doomed transactions.
-  host::Duration idle_txn_timeout = 700 * host::kMillisecond;
 
   // ---- Backup read leases (DESIGN.md §14) ----
   // Opt-in: the primary grants per-backup read leases (renewed on the

@@ -48,6 +48,20 @@ void Cohort::SpawnTransaction(TxnBody body,
   tasks_.Spawn(TxnDriver(aid, std::move(body), std::move(on_done)));
 }
 
+void Cohort::CountOutcome(TxnOutcome outcome) {
+  switch (outcome) {
+    case TxnOutcome::kCommitted:
+      ++stats_.txns_committed;
+      break;
+    case TxnOutcome::kAborted:
+      ++stats_.txns_aborted;
+      break;
+    default:
+      ++stats_.txns_unknown;
+      break;
+  }
+}
+
 host::Task<void> Cohort::TxnDriver(Aid aid, TxnBody body,
                                   std::function<void(TxnOutcome)> on_done) {
   TxnHandle h(*this, aid);
@@ -71,17 +85,7 @@ host::Task<void> Cohort::TxnDriver(Aid aid, TxnBody body,
   } else {
     outcome = co_await RunTwoPhaseCommit(aid, h.pset_);
   }
-  switch (outcome) {
-    case TxnOutcome::kCommitted:
-      ++stats_.txns_committed;
-      break;
-    case TxnOutcome::kAborted:
-      ++stats_.txns_aborted;
-      break;
-    default:
-      ++stats_.txns_unknown;
-      break;
-  }
+  CountOutcome(outcome);
   EndCoordination(aid);
   if (on_done) on_done(outcome);
 }
@@ -233,22 +237,13 @@ host::Task<std::vector<std::uint8_t>> Cohort::LoneCall(
 host::Task<TxnOutcome> Cohort::SettleAt(Aid aid, GroupId g) {
   // A group with no configuration cannot have run the call.
   if (directory_.Lookup(g) == nullptr) co_return TxnOutcome::kAborted;
+  // One transmission per check: a deposed coordinator stops asking.
   while (IsActivePrimary()) {
-    auto entry = co_await group_client_.Lookup(g);
-    if (!entry) continue;  // Lookup paces itself with its probes
-    ++stats_.settle_requests_sent;
-    vr::QueryMsg q;
-    q.aid = aid;
-    q.reply_to = self_;
-    q.reply_group = group_;
-    q.settle = true;
-    SendMsg(entry->view.primary, q);
-    auto r = co_await query_waiters_.Await(aid, options_.probe_timeout);
-    if (r && (r->outcome == TxnOutcome::kCommitted ||
-              r->outcome == TxnOutcome::kAborted)) {
-      co_return r->outcome;
+    const TxnOutcome outcome = co_await group_client_.AskOutcome(
+        g, aid, /*settle=*/true, 1, &stats_.settle_requests_sent);
+    if (outcome == TxnOutcome::kCommitted || outcome == TxnOutcome::kAborted) {
+      co_return outcome;
     }
-    group_client_.Invalidate(g);  // not the primary, or no answer: look again
   }
   co_return TxnOutcome::kUnknown;
 }
@@ -296,7 +291,7 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   const bool all_ok = co_await FanOut(
       participants,
       static_cast<host::Duration>(options_.prepare_attempts + 1) *
-          (options_.prepare_timeout + options_.probe_timeout +
+          (options_.prepare_timeout + kProbeTimeout +
            options_.buffer.force_timeout),
       prepare);
 
@@ -404,7 +399,7 @@ host::Task<void> Cohort::FinishCommitPhase(Aid aid,
   const bool all_acked = co_await FanOut(
       plist,
       static_cast<host::Duration>(options_.commit_attempts + 1) *
-          (kCommitAckTimeout + options_.probe_timeout +
+          (kCommitAckTimeout + kProbeTimeout +
            options_.buffer.force_timeout),
       commit);
   // "when all of them acknowledge the commit, add a <'done', aid> record."
@@ -525,17 +520,7 @@ host::Task<void> Cohort::RunCommitReq(vr::CommitReqMsg m) {
       txns_[m.aid].committing_external = true;
       outcome = co_await RunTwoPhaseCommit(m.aid, m.pset);
       EndCoordination(m.aid);
-      switch (outcome) {
-        case TxnOutcome::kCommitted:
-          ++stats_.txns_committed;
-          break;
-        case TxnOutcome::kAborted:
-          ++stats_.txns_aborted;
-          break;
-        default:
-          ++stats_.txns_unknown;
-          break;
-      }
+      CountOutcome(outcome);
     }
   }
   vr::CommitReqReplyMsg r;
@@ -560,7 +545,7 @@ void Cohort::SweepExternalTxns() {
   std::vector<Aid> expired;
   for (const auto& [aid, t] : txns_) {
     if (!t.external_since || t.committing_external) continue;
-    if (now - *t.external_since >= options_.external_txn_timeout) {
+    if (now - *t.external_since >= kExternalTxnTimeout) {
       expired.push_back(aid);
     }
   }

@@ -619,7 +619,10 @@ void Cohort::OnCall(const vr::CallMsg& m) {
   // entry went with the decision, so the outcome table answers it. A plain
   // call of a settled transaction is refused in RunCall.
   if (m.final_call && outcomes_.Lookup(m.sub_aid.aid) != TxnOutcome::kUnknown) {
-    tasks_.Spawn(AnswerSettledCall(m));
+    vr::ReplyMsg reply;
+    reply.call_id = m.call_id;
+    tasks_.Spawn(AnswerOutcome(m.sub_aid.aid, /*settle=*/true, m.reply_to,
+                               reply));
     return;
   }
   DedupEntry running;
@@ -822,42 +825,43 @@ host::Task<bool> Cohort::ForceTail() {
   co_return forced && IsActivePrimary();
 }
 
-host::Task<TxnOutcome> Cohort::Settle(Aid aid) {
-  // LocalAbortTxn never rolls back a commit; anything else is aborted here
-  // for good, so a late copy of the call can no longer run (RunCall).
-  if (outcomes_.Lookup(aid) != TxnOutcome::kCommitted) LocalAbortTxn(aid);
-  const TxnOutcome outcome = outcomes_.Lookup(aid);
-  const bool stable = co_await ForceTail();
-  co_return stable ? outcome : TxnOutcome::kUnknown;
-}
-
-host::Task<void> Cohort::AnswerQueryAsPrimary(vr::QueryMsg m) {
+void Cohort::AnswerQuery(const vr::QueryMsg& m) {
+  // "we allow any cohort to respond to a query whenever it knows the
+  //  answer" — but only a stable outcome is known (DESIGN.md §13.7), and
+  //  only the active primary can tell: a backup never learns which of its
+  //  records a sub-majority holds. Any other cohort redirects.
   vr::QueryReplyMsg reply;
   reply.aid = m.aid;
-  if (m.settle) {
-    reply.outcome = co_await Settle(m.aid);
-    // No answer when the force failed: the coordinator asks the next
-    // primary.
-    if (reply.outcome == TxnOutcome::kUnknown) co_return;
-  } else {
-    reply.outcome = LocalOutcome(m.aid);
-    if (reply.outcome == TxnOutcome::kCommitted ||
-        reply.outcome == TxnOutcome::kAborted) {
-      // An outcome is announced only once it is stable: an unforced record
-      // dies with a deposed primary, and the next view may decide the
-      // other way (DESIGN.md §13.7).
-      const bool stable = co_await ForceTail();
-      if (!stable) reply.outcome = TxnOutcome::kUnknown;
-    }
+  reply.from_group = group_;
+  if (IsActivePrimary()) {
+    tasks_.Spawn(AnswerOutcome(m.aid, m.settle, m.reply_to, reply));
+    return;
   }
+  reply.wrong_primary = true;
+  FillRedirect(reply);
   SendMsg(m.reply_to, reply);
 }
 
-host::Task<void> Cohort::AnswerSettledCall(vr::CallMsg m) {
-  vr::ReplyMsg reply;
-  reply.call_id = m.call_id;
-  reply.outcome = co_await Settle(m.sub_aid.aid);
-  if (reply.outcome != TxnOutcome::kUnknown) SendMsg(m.reply_to, reply);
+template <typename Reply>
+host::Task<void> Cohort::AnswerOutcome(Aid aid, bool settle, Mid to,
+                                       Reply reply) {
+  // LocalAbortTxn never rolls back a commit; anything else is aborted here
+  // for good, so a late copy of the call can no longer run (RunCall).
+  if (settle && outcomes_.Lookup(aid) != TxnOutcome::kCommitted) {
+    LocalAbortTxn(aid);
+  }
+  reply.outcome = LocalOutcome(aid);
+  // An outcome is announced only once it is stable: an unforced record dies
+  // with a deposed primary, and the next view may decide the other way.
+  if (reply.outcome == TxnOutcome::kCommitted ||
+      reply.outcome == TxnOutcome::kAborted) {
+    const bool stable = co_await ForceTail();
+    // A settle gets no answer then, and the coordinator asks the next
+    // primary; a query hears kUnknown.
+    if (!stable && settle) co_return;
+    if (!stable) reply.outcome = TxnOutcome::kUnknown;
+  }
+  SendMsg(to, reply);
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,7 +1142,7 @@ void Cohort::OnAbortSub(const vr::AbortSubMsg& m) {
 
 void Cohort::ArmQueryTimer() {
   host_.timers().Cancel(query_timer_);
-  query_timer_ = host_.timers().After(options_.query_interval,
+  query_timer_ = host_.timers().After(kQueryInterval,
                                         [this] { QueryBlockedTxns(); });
 }
 
@@ -1153,7 +1157,7 @@ void Cohort::QueryBlockedTxns() {
   // The idle-transaction janitor (§3.4): abort messages are best-effort, so
   // a transaction whose client vanished (or doomed itself after a no-reply)
   // can leave locks behind. Any lock-holding transaction with no activity
-  // for idle_txn_timeout gets queried at its coordinator group. Our own
+  // for kIdleTxnTimeout gets queried at its coordinator group. Our own
   // in-flight transactions are exempt.
   const host::Time now = host_.Now();
   for (const Aid& aid : store_.ActiveTxns()) {
@@ -1165,7 +1169,7 @@ void Cohort::QueryBlockedTxns() {
       txns_[aid].last_activity = now;
       continue;
     }
-    if (now - *t->last_activity >= options_.idle_txn_timeout) {
+    if (now - *t->last_activity >= kIdleTxnTimeout) {
       blocked.push_back(aid);
     }
   }
@@ -1173,72 +1177,58 @@ void Cohort::QueryBlockedTxns() {
 }
 
 host::Task<void> Cohort::ResolveBlockedTxn(Aid aid) {
-  // The aid embeds the coordinator's groupid (§3.4), so we know whom to ask;
-  // any cohort of that group that knows the outcome may answer. If the whole
-  // coordinator group is unreachable (partitioned away mid-decision), fall
-  // back to the sibling participants the prepare's pset named (§3.6): a
-  // sibling that already applied the decision answers authoritatively from
-  // its outcome table, so this group need not stay wedged until the
+  // The aid embeds the coordinator's groupid (§3.4), so we know whom to ask.
+  // If the coordinator group cannot answer (partitioned away mid-decision),
+  // fall back to the sibling participants the prepare's pset named (§3.6):
+  // a sibling that already applied the decision answers authoritatively
+  // from its outcome table, so this group need not stay wedged until the
   // partition heals.
   TxnMarker querying(*this, aid, &TxnState::querying);
-  // The coordinator group's cohorts first; the siblings are read only once
-  // those are exhausted.
-  for (const bool sibling : {false, true}) {
-    std::vector<GroupId> groups;
-    if (!sibling) {
-      groups.push_back(aid.coordinator_group);
-    } else if (const TxnState* t = FindTxn(aid); t != nullptr && t->prepared) {
-      groups = *t->prepared;
-    }
-    for (GroupId group : groups) {
-      const std::vector<Mid>* config = directory_.Lookup(group);
-      if (config == nullptr) continue;
-      for (Mid target : *config) {
-        // Resolved meanwhile, or recorded by this group's own coordinator
-        // role; the store may still hold the transaction.
-        const TxnOutcome known = outcomes_.Lookup(aid);
-        if (known == TxnOutcome::kAborted) {
-          LocalAbortTxn(aid);
-          co_return;
-        }
-        if (known == TxnOutcome::kCommitted) {
-          if (store_.Holds(aid) && IsActivePrimary()) {
-            co_await CommitAndRecord(aid);
-          } else {
-            Forget(aid);
-          }
-          co_return;
-        }
-        ++stats_.queries_sent;
-        vr::QueryMsg q;
-        q.aid = aid;
-        q.reply_to = self_;
-        q.reply_group = group_;
-        SendMsg(target, q);
-        auto r = co_await query_waiters_.Await(aid, options_.probe_timeout);
-        if (!r) continue;
-        if (r->outcome == TxnOutcome::kCommitted ||
-            r->outcome == TxnOutcome::kAborted) {
-          ++stats_.queries_resolved;
-          if (sibling) ++stats_.sibling_query_resolutions;
-          if (r->outcome == TxnOutcome::kAborted) {
-            LocalAbortTxn(aid);
-          } else if (IsActivePrimary()) {
-            // The commit decision is final and system-wide; our volatile
-            // prepared set may have been lost in a view change while the
-            // transaction's effects survived in the gstate, so install
-            // unconditionally.
-            co_await CommitAndRecord(aid);
-          }
-          co_return;
-        }
-        // A coordinator cohort answering kActive is authoritative: the
-        // decision is still being made. A sibling only reports outcomes it has
-        // durably recorded; kActive and kUnknown from it mean nothing
-        // authoritative — keep asking.
-        if (r->outcome == TxnOutcome::kActive && !sibling) co_return;
+  std::vector<GroupId> groups{aid.coordinator_group};
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    const bool sibling = i > 0;
+    // Resolved meanwhile, or recorded by this group's own coordinator role;
+    // the store may still hold the transaction.
+    TxnOutcome outcome = outcomes_.Lookup(aid);
+    if (outcome == TxnOutcome::kUnknown) {
+      outcome = co_await group_client_.AskOutcome(
+          groups[i], aid, /*settle=*/false, kCallAttempts,
+          &stats_.queries_sent);
+      if (outcome == TxnOutcome::kCommitted ||
+          outcome == TxnOutcome::kAborted) {
+        ++stats_.queries_resolved;
+        if (sibling) ++stats_.sibling_query_resolutions;
       }
     }
+    if (outcome == TxnOutcome::kCommitted || outcome == TxnOutcome::kAborted) {
+      co_await ApplyOutcome(aid, outcome);
+      co_return;
+    }
+    // The coordinator's primary answering kActive is authoritative: the
+    // decision is still being made. A sibling only reports outcomes it has
+    // durably recorded; kActive and kUnknown from it mean nothing
+    // authoritative — ask the next one.
+    if (outcome == TxnOutcome::kActive && !sibling) co_return;
+    if (const TxnState* t = FindTxn(aid);
+        !sibling && t != nullptr && t->prepared) {
+      groups.insert(groups.end(), t->prepared->begin(), t->prepared->end());
+    }
+  }
+}
+
+host::Task<void> Cohort::ApplyOutcome(Aid aid, TxnOutcome outcome) {
+  if (outcome == TxnOutcome::kAborted) {
+    LocalAbortTxn(aid);
+    co_return;
+  }
+  // The commit decision is final and system-wide; our volatile prepared set
+  // may have been lost in a view change while the transaction's effects
+  // survived in the gstate, so install unless it is installed already.
+  const bool recorded = outcomes_.Lookup(aid) == TxnOutcome::kCommitted;
+  if (IsActivePrimary() && (!recorded || store_.Holds(aid))) {
+    co_await CommitAndRecord(aid);
+  } else if (recorded) {
+    Forget(aid);
   }
 }
 

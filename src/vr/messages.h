@@ -477,17 +477,16 @@ struct QueryMsg {
   static constexpr MsgType kType = MsgType::kQuery;
   Aid aid;
   Mid reply_to = 0;
-  GroupId reply_group = 0;
   // The settle request (DESIGN.md §13.6): a coordinator that lost a final
   // call's reply asks the participant group's primary to decide. Only an
   // active primary settles: committed if its outcome table says so,
   // otherwise aborted, answered after its buffer tail is forced. Any other
-  // cohort answers kUnknown.
+  // cohort redirects, as for a plain query.
   bool settle = false;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.aid, m.reply_to, m.reply_group, m.settle);
+    ar(m.aid, m.reply_to, m.settle);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static QueryMsg Decode(wire::Reader& r) { return r.Read<QueryMsg>(); }
@@ -496,12 +495,21 @@ struct QueryMsg {
 struct QueryReplyMsg {
   static constexpr MsgType kType = MsgType::kQueryReply;
   Aid aid;
+  // The answering group: one aid may be asked of several groups (§3.6).
+  GroupId from_group = 0;
   TxnOutcome outcome = TxnOutcome::kUnknown;
+  // Redirect: the receiver was not the active primary, the only cohort
+  // that answers a query (DESIGN.md §13.7).
+  bool wrong_primary = false;
+  bool view_known = false;
+  ViewId new_viewid;
+  View new_view;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.aid);
+    ar(m.aid, m.from_group);
     ar.Enum(m.outcome, TxnOutcome::kAborted);
+    ar(m.wrong_primary, m.view_known, m.new_viewid, m.new_view);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static QueryReplyMsg Decode(wire::Reader& r) {

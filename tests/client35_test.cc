@@ -94,7 +94,7 @@ TEST(CoordinatorServer, ColdClientSkipsDeadFirstMembers) {
   EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
   // Begin, call and commit request, each after a probe round: well inside
   // the one probe timeout a dead first member used to cost per lookup.
-  EXPECT_LT(done_at - began, options.probe_timeout);
+  EXPECT_LT(done_at - began, core::kProbeTimeout);
 }
 
 TEST(CoordinatorServer, AbortDiscardsEffects) {
@@ -285,6 +285,86 @@ TEST(CoordinatorServer, QueriesResolveThenDoneRecordGarbageCollects) {
     EXPECT_EQ(cohort->outcomes().Lookup(aid), vr::TxnOutcome::kUnknown)
         << "cohort " << cohort->mid() << " still holds the outcome";
   }
+}
+
+// The client asks the coordinator-server's primary for an outcome through
+// its primary cache. After a view change the cached primary is a backup;
+// it redirects, and the client asks the new primary, which answers from the
+// replicated committing record. The coordinator never sends the commit, so
+// no done record garbage-collects the outcome meanwhile.
+TEST(CoordinatorServer, QueryAfterAViewChangeFollowsTheRedirect) {
+  World w(46);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  core::Cohort* old_primary = w.cluster.AnyPrimary(w.coord);
+  ASSERT_NE(old_primary, nullptr);
+  old_primary->mutable_options().commit_attempts = 0;
+  const vr::Mid client_mid = w.cluster.AllocateMid();
+  UnreplicatedClient c(w.cluster.sim(), w.cluster.network(),
+                       w.cluster.directory(), client_mid, w.coord,
+                       core::CohortOptions{});
+  vr::Aid aid{};
+  ASSERT_EQ(RunClientTxn(w, c,
+                         [&](ClientTxn& t) -> sim::Task<bool> {
+                           aid = t.aid();
+                           co_await t.Call(w.server, "put",
+                                           std::string("q=2"));
+                           co_return true;
+                         }),
+            vr::TxnOutcome::kCommitted);
+  w.cluster.RunFor(10 * sim::kMillisecond);
+
+  // The old primary is cut off until its group forms a view without it,
+  // then rejoins as a backup.
+  const auto cut = [&](bool down) {
+    for (auto* other : w.cluster.Cohorts(w.coord)) {
+      if (other != old_primary) {
+        w.cluster.network().SetLinkDown(old_primary->mid(), other->mid(),
+                                        down);
+      }
+    }
+  };
+  cut(true);
+  core::Cohort* new_primary = nullptr;
+  const auto run_until = [&](const std::function<bool()>& done) {
+    const sim::Time end = w.cluster.sim().Now() + 5 * sim::kSecond;
+    while (!done() && w.cluster.sim().Now() < end) {
+      w.cluster.RunFor(1 * sim::kMillisecond);
+    }
+    return done();
+  };
+  ASSERT_TRUE(run_until([&] {
+    new_primary = w.cluster.AnyPrimary(w.coord);
+    return new_primary != nullptr && new_primary != old_primary;
+  }));
+  cut(false);
+  ASSERT_TRUE(run_until([&] {
+    return old_primary->status() == core::Status::kActive &&
+           old_primary->cur_viewid() == new_primary->cur_viewid() &&
+           new_primary->IsActivePrimary();
+  }));
+
+  std::vector<vr::Mid> asked;
+  std::vector<vr::QueryReplyMsg> replies;
+  w.cluster.network().set_observer([&](const net::Frame& f) {
+    const auto type = static_cast<vr::MsgType>(f.type);
+    if (type == vr::MsgType::kQuery && f.from == client_mid) {
+      asked.push_back(f.to);
+    } else if (type == vr::MsgType::kQueryReply && f.to == client_mid) {
+      replies.push_back(*vr::DecodeFrame<vr::QueryReplyMsg>(f.payload));
+    }
+  });
+  std::optional<vr::TxnOutcome> queried;
+  c.QueryOutcome(aid, [&](vr::TxnOutcome o) { queried = o; });
+  ASSERT_TRUE(run_until([&] { return queried.has_value(); }));
+  w.cluster.network().set_observer(nullptr);
+  EXPECT_EQ(*queried, vr::TxnOutcome::kCommitted);
+  ASSERT_EQ(asked.size(), 2u);
+  EXPECT_EQ(asked[0], old_primary->mid());
+  EXPECT_EQ(asked[1], new_primary->mid());
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_TRUE(core::Redirected(replies[0]));
+  EXPECT_EQ(replies[0].new_view.primary, new_primary->mid());
+  EXPECT_EQ(replies[1].outcome, vr::TxnOutcome::kCommitted);
 }
 
 }  // namespace

@@ -64,8 +64,7 @@ struct World {
   sim::Simulation sim{1};
   RecordingTransport net;
   core::Directory directory;
-  core::CohortOptions options;
-  GroupClient client{sim.scheduler(), net, directory, kSelf, options};
+  GroupClient client{sim.scheduler(), net, directory, kSelf};
   // Declared last: tears suspended coroutines down before the client.
   host::TaskRegistry tasks{sim.scheduler()};
 };
@@ -257,6 +256,46 @@ TEST(GroupClient, CallNeverRetriesAtAnotherPrimaryAfterWrongView) {
   EXPECT_EQ(calls[0].first, 1u);
   ASSERT_TRUE(w.client.Get(kGroup).has_value());
   EXPECT_EQ(w.client.Get(kGroup)->view.primary, 2u);
+}
+
+// One aid is asked of several groups in turn (§3.6), so a query reply is
+// matched by aid and answering group: a late redirect from another group
+// must neither end this request nor move this group's cache entry.
+TEST(GroupClient, OutcomeRequestIgnoresAnotherGroupsReply) {
+  World w;
+  constexpr vr::GroupId kOther = 8;
+  w.client.Update(kGroup, {5, 1}, ViewWithPrimary(1));
+  const vr::Aid aid{kOther, {2, 4}, 1};
+  std::optional<vr::TxnOutcome> got;
+  w.tasks.Spawn([](World& w, vr::Aid aid,
+                   std::optional<vr::TxnOutcome>& got) -> host::Task<void> {
+    got = co_await w.client.AskOutcome(kGroup, aid, /*settle=*/false, 1);
+  }(w, aid, got));
+  const auto queries = w.net.Sent<vr::QueryMsg>();
+  ASSERT_EQ(queries.size(), 1u);
+  EXPECT_EQ(queries[0].first, 1u);
+
+  vr::QueryReplyMsg stale;
+  stale.aid = aid;
+  stale.from_group = kOther;
+  stale.wrong_primary = true;
+  stale.view_known = true;
+  stale.new_viewid = {9, 2};
+  stale.new_view = ViewWithPrimary(2);
+  w.client.OnQueryReply(stale);
+  EXPECT_FALSE(got.has_value());
+  ASSERT_TRUE(w.client.Get(kGroup).has_value());
+  EXPECT_EQ(w.client.Get(kGroup)->viewid, (vr::ViewId{5, 1}));
+  EXPECT_EQ(w.client.Get(kGroup)->view.primary, 1u);
+
+  vr::QueryReplyMsg answer;
+  answer.aid = aid;
+  answer.from_group = kGroup;
+  answer.outcome = vr::TxnOutcome::kCommitted;
+  w.client.OnQueryReply(answer);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, vr::TxnOutcome::kCommitted);
+  EXPECT_EQ(w.net.Sent<vr::QueryMsg>().size(), 1u);
 }
 
 }  // namespace

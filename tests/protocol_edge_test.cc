@@ -180,7 +180,7 @@ TEST(DuplicateSuppression, LateCallOfACommittedTxnDoesNotRunAgain) {
 
   cluster.network().Send(first_call->from, first_call->to, first_call->type,
                          first_call->payload);
-  cluster.RunFor(3 * sim::kSecond);  // well past idle_txn_timeout
+  cluster.RunFor(3 * sim::kSecond);  // well past core::kIdleTxnTimeout
   EXPECT_EQ(test::CommittedValue(cluster, kv, "x"), "2");
   for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
     ADD_FAILURE() << v;
@@ -577,6 +577,7 @@ core::CohortStats SumStats(client::Cluster& cluster, vr::GroupId g) {
     sum.commits_stashed_during_prepare += s.commits_stashed_during_prepare;
     sum.prepares_overtaken_by_commit += s.prepares_overtaken_by_commit;
     sum.commits_applied += s.commits_applied;
+    sum.queries_sent += s.queries_sent;
     sum.queries_resolved += s.queries_resolved;
     sum.sibling_query_resolutions += s.sibling_query_resolutions;
   }
@@ -1381,7 +1382,7 @@ TEST(OneRoundCommit, DelayedDuplicateOfTheFinalCallDoesNotRunAgain) {
   const std::uint64_t replies = w.FramesSent(vr::MsgType::kReply);
   w.cluster.network().Send(final_call->from, final_call->to, final_call->type,
                            final_call->payload);
-  w.cluster.RunFor(3 * sim::kSecond);  // well past idle_txn_timeout
+  w.cluster.RunFor(3 * sim::kSecond);  // well past core::kIdleTxnTimeout
   EXPECT_EQ(bp->stats().calls_executed, executed);
   EXPECT_EQ(w.FramesSent(vr::MsgType::kReply) - replies, 1u);  // answered
   EXPECT_EQ(w.Balance(), 112);
@@ -1488,11 +1489,102 @@ TEST(OneRoundCommit, SelfCallKeepsItsOutcomeAndRefusesALateDuplicate) {
 
   cluster.network().Send(final_call->from, final_call->to, final_call->type,
                          final_call->payload);
-  cluster.RunFor(3 * sim::kSecond);  // well past idle_txn_timeout
+  cluster.RunFor(3 * sim::kSecond);  // well past core::kIdleTxnTimeout
   EXPECT_EQ(test::CommittedValue(cluster, kv, "x"), "2");
   for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
     ADD_FAILURE() << v;
   }
+}
+
+// -- outcome queries reach the primary (DESIGN.md §13.7, §16.1) -------------
+
+// A blocked participant asks the coordinator group's primary, wherever it
+// sits in the configuration. The client group's first member crashes and
+// rejoins as a backup, so the primary is another member; the coordinator
+// buffers the decision and never sends the commit. The bank's janitor
+// resolves the prepared deposit with one query, not one per member in
+// configuration order.
+TEST(Queries, BlockedParticipantAsksOnlyTheCoordinatorPrimary) {
+  BankWorld w(120);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  w.cluster.Crash(w.client_g, 0);
+  ASSERT_TRUE(w.cluster.RunUntilStable());
+  w.cluster.Recover(w.client_g, 0);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* first = w.cluster.Cohorts(w.client_g)[0];
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  ASSERT_NE(coord, nullptr);
+  ASSERT_NE(coord, first);
+  ASSERT_EQ(first->status(), core::Status::kActive);
+  coord->mutable_options().commit_attempts = 0;
+  const core::CohortStats before = SumStats(w.cluster, w.bank);
+
+  std::optional<vr::TxnOutcome> outcome;
+  coord->SpawnTransaction(
+      [bank = w.bank](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(bank, "deposit", std::string("a0=7"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) { outcome = o; });
+  ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); }, 5 * sim::kSecond));
+  EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
+  ASSERT_TRUE(w.RunUntil([&] { return w.Balance() == 107; }, 5 * sim::kSecond));
+  const core::CohortStats after = SumStats(w.cluster, w.bank);
+  EXPECT_EQ(after.queries_sent - before.queries_sent, 1u);
+  EXPECT_EQ(after.queries_resolved - before.queries_resolved, 1u);
+  w.ExpectQuiescent();
+  EXPECT_EQ(w.Balance(), 107);
+}
+
+namespace {
+
+// Collects query replies sent to a raw test mid.
+struct QueryReplyCapture : net::FrameHandler {
+  std::vector<vr::QueryReplyMsg> replies;
+  void OnFrame(const net::Frame& f) override {
+    if (static_cast<vr::MsgType>(f.type) != vr::MsgType::kQueryReply) return;
+    if (auto m = vr::DecodeFrame<vr::QueryReplyMsg>(f.payload)) {
+      replies.push_back(std::move(*m));
+    }
+  }
+};
+
+}  // namespace
+
+// Only the active primary answers a query (DESIGN.md §13.7 rule 1). A
+// backup answers with the wrong-primary hint every other request gets: its
+// view, which names the primary.
+TEST(Queries, BackupRedirectsAQueryToItsPrimary) {
+  BankWorld w(121);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* primary = w.cluster.AnyPrimary(w.bank);
+  ASSERT_NE(primary, nullptr);
+  core::Cohort* backup = nullptr;
+  for (auto* c : w.cluster.Cohorts(w.bank)) {
+    if (c != primary) backup = c;
+  }
+  ASSERT_NE(backup, nullptr);
+  ASSERT_EQ(backup->status(), core::Status::kActive);
+
+  QueryReplyCapture capture;
+  const vr::Mid test_mid = w.cluster.AllocateMid();
+  w.cluster.network().Register(test_mid, &capture);
+  vr::QueryMsg q;
+  q.aid = vr::Aid{w.client_g, primary->cur_viewid(), 999};
+  q.reply_to = test_mid;
+  w.cluster.network().Send(test_mid, backup->mid(),
+                           static_cast<std::uint16_t>(vr::MsgType::kQuery),
+                           vr::EncodeMsg(q));
+  ASSERT_TRUE(w.RunUntil([&] { return !capture.replies.empty(); },
+                         100 * sim::kMillisecond));
+  const vr::QueryReplyMsg& r = capture.replies.front();
+  EXPECT_EQ(r.aid, q.aid);
+  EXPECT_TRUE(core::Redirected(r));
+  EXPECT_EQ(r.outcome, vr::TxnOutcome::kUnknown);
+  ASSERT_TRUE(r.view_known);
+  EXPECT_EQ(r.new_viewid, backup->cur_viewid());
+  EXPECT_EQ(r.new_view.primary, primary->mid());
+  w.cluster.network().Unregister(test_mid);
 }
 
 // -- backup read leases (DESIGN.md §14) -------------------------------------

@@ -576,7 +576,7 @@ TEST(Failover, CacheLookupSkipsADeadFirstMember) {
   EXPECT_EQ(*outcome, vr::TxnOutcome::kCommitted);
   // One probe round (three probes) and the call's round trip, well inside
   // one probe timeout.
-  EXPECT_LT(replied - began, coord->options().probe_timeout);
+  EXPECT_LT(replied - began, core::kProbeTimeout);
   EXPECT_EQ(probes_sent() - probes_before, 3u);
 }
 

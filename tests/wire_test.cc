@@ -702,15 +702,27 @@ TEST(Messages, QueryAndOutcomeRoundTrip) {
   vr::QueryMsg q;
   q.aid = {1, {2, 3}, 4};
   q.reply_to = 9;
-  q.reply_group = 2;
   q.settle = true;
   EXPECT_EQ(RoundTrip(q).aid, q.aid);
   EXPECT_TRUE(RoundTrip(q).settle);
 
   vr::QueryReplyMsg qr;
   qr.aid = q.aid;
+  qr.from_group = 5;
   qr.outcome = vr::TxnOutcome::kCommitted;
+  EXPECT_EQ(RoundTrip(qr).from_group, 5u);
   EXPECT_EQ(RoundTrip(qr).outcome, vr::TxnOutcome::kCommitted);
+  EXPECT_FALSE(RoundTrip(qr).wrong_primary);
+
+  qr.wrong_primary = true;
+  qr.view_known = true;
+  qr.new_viewid = {6, 2};
+  qr.new_view.primary = 4;
+  const vr::QueryReplyMsg redirect = RoundTrip(qr);
+  EXPECT_TRUE(redirect.wrong_primary);
+  EXPECT_TRUE(redirect.view_known);
+  EXPECT_EQ(redirect.new_viewid, qr.new_viewid);
+  EXPECT_EQ(redirect.new_view.primary, 4u);
 }
 
 TEST(Messages, CoordinatorServerMessagesRoundTrip) {
@@ -819,9 +831,14 @@ auto SampleFrames() {
                         .new_view = kView},
       vr::AbortMsg{.group = 3, .aid = kAid},
       vr::AbortSubMsg{.group = 3, .sub_aid = {kAid, 2}},
-      vr::QueryMsg{
-          .aid = kAid, .reply_to = 11, .reply_group = 7, .settle = true},
-      vr::QueryReplyMsg{.aid = kAid, .outcome = vr::TxnOutcome::kCommitted},
+      vr::QueryMsg{.aid = kAid, .reply_to = 11, .settle = true},
+      vr::QueryReplyMsg{.aid = kAid,
+                        .from_group = 3,
+                        .outcome = vr::TxnOutcome::kCommitted,
+                        .wrong_primary = true,
+                        .view_known = true,
+                        .new_viewid = {6, 2},
+                        .new_view = kView},
       vr::ProbeMsg{.group = 3, .req_id = 77, .reply_to = 11},
       vr::ProbeReplyMsg{.group = 3,
                         .req_id = 77,
@@ -975,10 +992,11 @@ const GoldenFrame kGoldenFrames[] = {
      "0300000000000000010000000000000002000000000000000200000009000000"
      "0000000002000000"},
     {vr::MsgType::kQuery,
-     "010000000000000002000000000000000200000009000000000000000b000000"
-     "070000000000000001"},
+     "010000000000000002000000000000000200000009000000000000000b00000001"},
     {vr::MsgType::kQueryReply,
-     "0100000000000000020000000000000002000000090000000000000002"},
+     "0100000000000000020000000000000002000000090000000000000003000000"
+     "0000000002010106000000000000000200000001000000020000000200000003"
+     "000000"},
     {vr::MsgType::kProbe,
      "03000000000000004d000000000000000b000000"},
     {vr::MsgType::kProbeReply,
