@@ -9,7 +9,9 @@
 // manages, one round; (b) a primary crash — a backup manages and hands off,
 // one round + one message; (c) a backup crash with unilateral tweaks on —
 // zero protocol messages. Swept over group sizes, plus the §3.3 eager/lazy
-// backup-apply ablation's effect on handoff time.
+// backup-apply ablation's effect on handoff time, and how long a call that
+// was in flight to a crashed primary takes to resolve (DESIGN.md §16 rule
+// 4: it ends when the new view forms, not after the call ladder).
 #include "baseline/models.h"
 #include "bench/bench_common.h"
 
@@ -87,6 +89,48 @@ ChangeCost MeasureChange(std::size_t n, bool crash_primary, bool unilateral,
   return cost;
 }
 
+// Crashes an n=3 group's primary with a call on the wire to it and returns
+// the time from the crash until the call's transaction resolved (aborted:
+// the call got no answer), or a negative duration if it never did.
+sim::Duration MeasureCallResolve() {
+  ClusterOptions opts;
+  opts.seed = 4100;
+  Cluster cluster(opts);
+  auto server = cluster.AddGroup("kv", 3);
+  auto client_g = cluster.AddGroup("client", 3);
+  test::RegisterKvProcs(cluster, server);
+  cluster.Start();
+  if (!cluster.RunUntilStable()) return -1;
+  bench::MeasureTxnPhases(cluster, client_g, server, 10);
+  cluster.RunFor(500 * sim::kMillisecond);
+  core::Cohort* coord = cluster.AnyPrimary(client_g);
+  auto cohorts = cluster.Cohorts(server);
+  std::size_t victim = cohorts.size();
+  for (std::size_t i = 0; i < cohorts.size(); ++i) {
+    if (cohorts[i]->IsActivePrimary()) victim = i;
+  }
+  if (coord == nullptr || victim == cohorts.size()) return -1;
+
+  bool done = false;
+  sim::Time resolved = 0;
+  const sim::Time crash_at = cluster.sim().Now();
+  coord->SpawnTransaction(
+      [server](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(server, "put", std::string("k=v"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome) {
+        done = true;
+        resolved = cluster.sim().Now();
+      });
+  cluster.Crash(server, victim);  // the call is on the wire to it
+  const sim::Time deadline = crash_at + 5 * sim::kSecond;
+  while (!done && cluster.sim().Now() < deadline) {
+    cluster.RunFor(1 * sim::kMillisecond);
+  }
+  return done ? resolved - crash_at : -1;
+}
+
 }  // namespace
 }  // namespace vsr
 
@@ -133,11 +177,19 @@ int main() {
                sim::FormatDuration(c.duration).c_str());
   }
 
+  const sim::Duration resolve = MeasureCallResolve();
+  bench::Row("\n  n=3 primary crash, call in flight to it: resolved after %s",
+             sim::FormatDuration(resolve).c_str());
+  bench::Metric("n3_call_resolve_ms",
+                static_cast<double>(resolve) / sim::kMillisecond);
+
   bench::Row("\n  Expect: protocol messages ~= the model (2(n-1), +1 for the");
   bench::Row("  init-view handoff; slightly more under retransmission), 0");
   bench::Row("  for unilateral tweaks. Duration is the failure detector's");
   bench::Row("  reaction plus a round trip: the manager forms the view once");
   bench::Row("  every live cohort has answered, so a tweak saves messages,");
-  bench::Row("  not time.");
+  bench::Row("  not time. A call in flight to the crashed primary resolves");
+  bench::Row("  once the new view is active (DESIGN.md §16 rule 4), not after");
+  bench::Row("  kCallAttempts x kCallTimeout (180 ms).");
   return 0;
 }

@@ -186,6 +186,14 @@ if ! awk '/"n3_primary_crash_ms"/ { gsub(/[,"]/, ""); d = $2 }
   echo "FAIL: BENCH_E4.json n=3 primary crash took 160 ms or more" >&2
   exit 1
 fi
+# A call in flight to that crashed primary ends when the new view forms
+# (DESIGN.md §16 rule 4), not after the 180 ms call ladder. Simulated, so
+# deterministic.
+if ! awk '/"n3_call_resolve_ms"/ { gsub(/[,"]/, ""); d = $2 }
+          END { exit (d > 0 && d < 160) ? 0 : 1 }' BENCH_E4.json; then
+  echo "FAIL: BENCH_E4.json n=3 call in flight took 160 ms or more" >&2
+  exit 1
+fi
 # Subactions (§3.6) re-run the calls of E5's burst that were still in
 # flight when the server primary crashed, and those transactions commit.
 # Simulated, so deterministic.

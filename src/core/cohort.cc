@@ -138,6 +138,7 @@ void Cohort::ResetVolatileState() {
   log_replay_active_ = false;
   rejoin_pending_ = false;
   call_dedup_.clear();
+  parked_probes_.clear();
   txns_.clear();
   RevokeLease();
   lease_grant_seq_ = 0;
@@ -220,7 +221,7 @@ void Cohort::Recover() {
     // members so the failure detector gives the rejoin a liveness window
     // before declaring anyone dead.
     for (Mid m : cur_view_.Members()) last_heard_[m] = host_.Now();
-    status_ = Status::kActive;
+    SetActive();
     rejoin_pending_ = true;
     rejoin_epoch_ =
         std::max(rejoin_epoch_ + 1, static_cast<std::uint64_t>(host_.Now()));

@@ -477,7 +477,13 @@ class Cohort : public net::FrameHandler {
   void FinishStartViewAsPrimary(View v, ViewId vid);
   void AdoptNewView(const vr::EventRecord& newview, ViewId vid,
                     std::uint64_t newview_ts);
+  // Adopts the view a batch opens with its first (newview) record, and
+  // holds the batch's later records for the view.
+  void AdoptFromBatch(const vr::BufferBatchMsg& m);
   void ArmUnderlingTimer();
+  // Every entry into the active state goes through here: it sets the
+  // status and answers the parked probes the view now satisfies.
+  void SetActive();
   void EnterActive();
   void MaybeUnilateralTweak(const std::vector<Mid>& alive);
 
@@ -696,6 +702,7 @@ class Cohort : public net::FrameHandler {
   void OnAbortReq(const vr::AbortReqMsg& m);
 
   void OnProbe(const vr::ProbeMsg& m);
+  void AnswerProbe(const vr::ProbeMsg& m);
 
   // ---- wiring ----
   host::Host& host_;
@@ -789,6 +796,10 @@ class Cohort : public net::FrameHandler {
   };
   std::unique_ptr<ShardPull> shard_pull_;
   std::uint64_t next_shard_pull_id_ = 1;
+
+  // Probes waiting for an active view past their floor, one per requester
+  // (the latest replaces the earlier); dropped at a crash (DESIGN.md §15).
+  std::map<Mid, vr::ProbeMsg> parked_probes_;
 
   // ---- failure detection ----
   std::map<Mid, host::Time> last_heard_;

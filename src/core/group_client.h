@@ -11,8 +11,13 @@
 //   * the redirect rule: a wrong-primary reply's hint updates the cache when
 //     it names a view, and otherwise invalidates the entry;
 //   * the call attempt (Fig. 2 "Making a remote call"): one duplicate-
-//     suppression key, retransmitted to the cached primary, never retried at
-//     another primary after a wrong-view rejection;
+//     suppression key, retransmitted to the primary it was first sent to,
+//     never retried at another primary after a wrong-view rejection;
+//   * the watch (DESIGN.md §16 rule 4): once a call transmission goes
+//     silent, one probe round asks the group for a view newer than the
+//     call's; the cohorts park it until such a view is active. The cache
+//     takes the answer, and every call that went silent on an older view
+//     of the group ends as if that view's primary had rejected it;
 //   * the retried request loop for idempotent requests (prepare, commit,
 //     begin, commit-request): look up, send, await, follow a redirect,
 //     invalidate after silence, for a bounded number of transmissions;
@@ -101,7 +106,13 @@ class GroupClient {
   // Takes the view only if it is newer than the cached one.
   void Update(vr::GroupId g, vr::ViewId vid, const vr::View& v);
   void Invalidate(vr::GroupId g) { cache_.erase(g); }
-  void Clear() { cache_.clear(); }
+  // Forgets the cache, the calls and the watches; the owner has destroyed
+  // every coroutine that waited on them.
+  void Clear() {
+    cache_.clear();
+    calls_.clear();
+    watches_.clear();
+  }
   // The cached entry, or the first active answer to a round of probes sent
   // to every member of the configuration; nullopt after kProbeRounds silent
   // rounds or for a group the directory does not know.
@@ -133,11 +144,14 @@ class GroupClient {
   // ---- the call attempt (Fig. 2) ----
   // Sends `msg` (group, subaction, procedure and arguments filled in) to the
   // group's primary under one duplicate-suppression key, up to
-  // kCallAttempts transmissions, and returns a kOk or kFailed reply. nullopt
-  // when no primary was found, none answered (the entry is then
-  // invalidated), or the primary rejected the call's view: a duplicate may
-  // have run in the old view, so the call is never retried at another
-  // primary. `sent` reports whether any transmission left.
+  // kCallAttempts transmissions to that one primary, and returns a kOk or
+  // kFailed reply. nullopt when no primary was found, none answered (the
+  // entry is then invalidated), or the call's view was rejected, by its
+  // primary, by a newer view the watch found, or by a newer view in the
+  // cache at a retransmission: a duplicate may have run in the old view,
+  // so the call is never retried at another primary. A silent transmission
+  // other than the last joins the group's watch, starting it if needed.
+  // `sent` reports whether any transmission left.
   host::Task<std::optional<vr::ReplyMsg>> Call(vr::CallMsg msg,
                                               bool* sent = nullptr);
 
@@ -189,6 +203,16 @@ class GroupClient {
   std::uint64_t NextCallSeq() {
     return (static_cast<std::uint64_t>(self_) << 32) | next_call_seq_++;
   }
+  // Starts g's watch unless one is running: one probe to every member of
+  // the configuration, answered once a view newer than `floor` is active.
+  void Watch(vr::GroupId g, vr::ViewId floor);
+  // The call under `call_seq` has its answer; the group's watch ends with
+  // the group's last waiting call.
+  void Leave(std::uint64_t call_seq, vr::GroupId g);
+  // The watch found view `vid` of g: the cache takes it, and every call
+  // that joined the watch gets the wrong-view rejection the old view's
+  // primary would send, with the new view as its hint.
+  void EndWatch(vr::GroupId g, vr::ViewId vid, const vr::View& v);
 
   net::Transport& transport_;
   const Directory& directory_;
@@ -198,6 +222,19 @@ class GroupClient {
   std::uint64_t next_id_ = 1;
   std::uint32_t next_call_seq_ = 1;
   std::map<vr::GroupId, Entry> cache_;
+  // Calls awaiting a reply, by duplicate-suppression key: the group and
+  // view they were sent to, the correlation id of their latest
+  // transmission, and whether an earlier one went silent (the call then
+  // waits on the group's watch).
+  struct PendingCall {
+    vr::GroupId group;
+    vr::ViewId viewid;
+    std::uint64_t call_id;
+    bool watching;
+  };
+  std::map<std::uint64_t, PendingCall> calls_;
+  // Running watches, by group: the viewid their probes must pass.
+  std::map<vr::GroupId, vr::ViewId> watches_;
   WaitTable<vr::ProbeReplyMsg> probe_waiters_;
   WaitTable<vr::ReplyMsg> reply_waiters_;
   // Keyed by aid and answering group: the reply names no correlation id,

@@ -166,10 +166,11 @@ host::Task<std::vector<std::uint8_t>> Cohort::ClientCall(
       }
       // The abort-sub may be lost; from now on every call of this
       // transaction carries the dead subaction so servers discard its
-      // tentative versions before executing (§3.6).
+      // tentative versions before executing (§3.6). The retry goes to the
+      // cached primary: a redirect or the watch left the newer view there,
+      // and a silent call already dropped the entry.
       h.dead_subs_.push_back(sub);
       vr::ErasePsetSub(h.pset_, sub);
-      group_client_.Invalidate(group);
     }
   }
 
@@ -338,10 +339,11 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   // the first CommitMsg and before the client callback runs — as soon as it
   // is buffered. Only the ack-counting of that force and the commit fan-out
   // run in background; durability additionally rides the write-behind event
-  // log (§10, already appended by AddRecord). An abandoned force (our group
-  // started a view change) is counted, not acted on: the record either
-  // survived into the new view or participants resolve via §3.4 queries
-  // against it.
+  // log (§10, already appended by AddRecord). A failed force (timed out, or
+  // the buffer already stopped) is counted here and one that a view change
+  // or crash abandons is counted by the buffer (forces_abandoned); neither
+  // is acted on: the record either survived into the new view or
+  // participants resolve via §3.4 queries against it.
   ++stats_.fused_commits;
   if (buffer_.active()) {
     buffer_.ForceTo(vs, [this](bool ok) {
@@ -464,16 +466,33 @@ host::Task<void> Cohort::AbortEverywhere(Aid aid, Pset pset,
 // ---------------------------------------------------------------------------
 
 void Cohort::OnProbe(const vr::ProbeMsg& m) {
+  // Answered only from an active view past the probe's floor; otherwise
+  // parked, one per requester, until the next activation (DESIGN.md §16.1).
+  if (status_ == Status::kActive && m.newer_than < cur_viewid_) {
+    AnswerProbe(m);
+  } else {
+    parked_probes_[m.reply_to] = m;
+  }
+}
+
+void Cohort::AnswerProbe(const vr::ProbeMsg& m) {
   vr::ProbeReplyMsg r;
   r.group = group_;
   r.req_id = m.req_id;
-  r.known = up_to_date_ && cur_viewid_.counter > 0;
-  r.active = status_ == Status::kActive;
-  if (r.known) {
-    r.viewid = cur_viewid_;
-    r.view = cur_view_;
-  }
+  r.viewid = cur_viewid_;
+  r.view = cur_view_;
   SendMsg(m.reply_to, r);
+}
+
+void Cohort::SetActive() {
+  status_ = Status::kActive;
+  // A parked probe whose floor this view passes is answered now; one whose
+  // floor it does not pass waits for a later view.
+  std::erase_if(parked_probes_, [this](const auto& entry) {
+    if (!(entry.second.newer_than < cur_viewid_)) return false;
+    AnswerProbe(entry.second);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------

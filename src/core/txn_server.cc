@@ -229,8 +229,7 @@ void Cohort::OnBufferBatch(const vr::BufferBatchMsg& m) {
   if (opens_view && !adopting_ && status_ == Status::kUnderling &&
       m.viewid == max_viewid_ && first.view.Contains(self_) &&
       m.from == first.view.primary) {
-    adopting_ = true;
-    AdoptNewView(first, m.viewid, first.ts);
+    AdoptFromBatch(m);
     return;
   }
 
@@ -240,8 +239,24 @@ void Cohort::OnBufferBatch(const vr::BufferBatchMsg& m) {
   if (opens_view && !adopting_ && m.viewid > max_viewid_ &&
       (status_ == Status::kActive || status_ == Status::kUnderling) &&
       first.view.Contains(self_) && m.from == first.view.primary) {
-    adopting_ = true;
-    AdoptNewView(first, m.viewid, first.ts);
+    AdoptFromBatch(m);
+    return;
+  }
+
+  // Path 2b — records of the accepted view that overtook its newview
+  // record, or arrived while its adoption is in flight: held until the
+  // cohort is active in the view (AdoptNewView drains them then). Dropping
+  // them would stall the new view's first force until the primary's
+  // retransmission deadline.
+  if (status_ == Status::kUnderling && m.viewid == max_viewid_ &&
+      (!adopting_ || m.from == cur_view_.primary)) {
+    // Before the adoption, applied_ts_ still counts the old view.
+    for (const vr::EventRecord& rec : m.events) {
+      if ((!adopting_ || rec.ts > applied_ts_) &&
+          batch_stash_.size() < kMaxBatchStash) {
+        batch_stash_.emplace(rec.ts, rec);
+      }
+    }
     return;
   }
 
@@ -274,6 +289,28 @@ void Cohort::OnBufferBatch(const vr::BufferBatchMsg& m) {
   const bool gap = !batch_stash_.empty();
   if (gap) ++stats_.gap_requests_sent;
   SendBufferAck(gap, gap ? batch_stash_.begin()->first - 1 : 0);
+}
+
+void Cohort::AdoptFromBatch(const vr::BufferBatchMsg& m) {
+  // Records of this view that overtook the newview one survive the install.
+  std::map<std::uint64_t, vr::EventRecord> early;
+  if (m.viewid == max_viewid_) early.swap(batch_stash_);
+  adopting_ = true;
+  AdoptNewView(m.events.front(), m.viewid, m.events.front().ts);
+  for (auto& [ts, rec] : early) {
+    if (ts > applied_ts_) batch_stash_.emplace(ts, std::move(rec));
+  }
+  if (!early.empty() && status_ == Status::kActive) {  // adopted at once
+    DrainBatchStash();
+    SendBufferAck();
+  }
+  // The records after the newview one in the same batch take the path of a
+  // later batch: held while the adoption is in flight, applied once active.
+  if (m.events.size() > 1) {
+    vr::BufferBatchMsg rest = m;
+    rest.events.erase(rest.events.begin());
+    OnBufferBatch(rest);
+  }
 }
 
 // Applies every stashed record that has become contiguous with applied_ts_;

@@ -48,6 +48,7 @@ void Cohort::MakeInvitations() {
   ViewId vid{max_viewid_.counter + 1, self_};
   max_viewid_ = vid;
   accepts_.clear();
+  batch_stash_.clear();  // it holds records of max_viewid_ only
   // Record our own response.
   vr::Acceptance self;
   self.from = self_;
@@ -127,6 +128,7 @@ void Cohort::OnInvite(const vr::InviteMsg& m) {
         m.from);
   DoAccept(m.new_viewid, m.from);
   status_ = Status::kUnderling;
+  batch_stash_.clear();  // an underling stashes records of max_viewid_ only
   host_.timers().Cancel(invite_timer_);
   invite_timer_ = host::kNoTimer;
   buffer_.Stop();
@@ -352,6 +354,7 @@ void Cohort::AdoptNewView(const vr::EventRecord& newview, ViewId vid,
     if (status_ == Status::kCrashed) return;
     up_to_date_ = true;
     EnterActive();
+    DrainBatchStash();
     SendBufferAck();
   };
   if (options_.write_viewid_durably) {
@@ -363,7 +366,7 @@ void Cohort::AdoptNewView(const vr::EventRecord& newview, ViewId vid,
 }
 
 void Cohort::EnterActive() {
-  status_ = Status::kActive;
+  SetActive();
   adopting_ = false;
   ++stats_.view_changes_completed;
   stats_.last_view_change_completed = host_.Now();

@@ -44,6 +44,7 @@ void CommBuffer::Stop() {
   flush_timer_ = retransmit_timer_ = force_check_timer_ = host::kNoTimer;
   // Drop pending forces without invoking callbacks: the continuations belong
   // to coroutines the cohort is about to destroy anyway.
+  stats_.forces_abandoned += forces_.size();
   forces_.clear();
   history_ = nullptr;
 }

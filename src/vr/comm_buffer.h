@@ -146,6 +146,9 @@ class CommBuffer {
     // primary" claim, measured in bench E2).
     std::uint64_t forces_immediate = 0;
     std::uint64_t forces_failed = 0;
+    // Forces still pending when the buffer stopped (a view change or a
+    // crash): dropped without their callbacks, so counted only here.
+    std::uint64_t forces_abandoned = 0;
     std::uint64_t batches_sent = 0;
     // Record transmissions, including re-sends. The windowed-replication
     // invariant: records_sent - records_retransmitted record deliveries were

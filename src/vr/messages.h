@@ -15,7 +15,8 @@
 //   Query/...     outcome queries (§3.4), and the settle request of a
 //                 one-round commit (DESIGN.md §13.6)
 //   Probe/...     locating the current primary + viewid of a group (§3,
-//                 cache initialization)
+//                 cache initialization), or a view newer than a silent
+//                 call's (DESIGN.md §16)
 //   BeginTxn/...  the coordinator-server protocol for unreplicated
 //                 clients (§3.5)
 //
@@ -521,15 +522,19 @@ struct QueryReplyMsg {
 // Primary location probes
 // ---------------------------------------------------------------------------
 
+// Answered only by a cohort active in a view newer than `newer_than`; any
+// other cohort parks the probe until it next becomes active (DESIGN.md
+// §16.1). The zero floor asks for any active view.
 struct ProbeMsg {
   static constexpr MsgType kType = MsgType::kProbe;
   GroupId group = 0;
   std::uint64_t req_id = 0;
   Mid reply_to = 0;
+  ViewId newer_than;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.group, m.req_id, m.reply_to);
+    ar(m.group, m.req_id, m.reply_to, m.newer_than);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static ProbeMsg Decode(wire::Reader& r) { return r.Read<ProbeMsg>(); }
@@ -539,14 +544,13 @@ struct ProbeReplyMsg {
   static constexpr MsgType kType = MsgType::kProbeReply;
   GroupId group = 0;
   std::uint64_t req_id = 0;
-  bool known = false;   // the replying cohort knows a current view
-  bool active = false;  // and that view is active at the replier
+  // The replier's view, active at the replier when it answered.
   ViewId viewid;
   View view;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.group, m.req_id, m.known, m.active, m.viewid, m.view);
+    ar(m.group, m.req_id, m.viewid, m.view);
   }
   void Encode(wire::Writer& w) const { w(*this); }
   static ProbeReplyMsg Decode(wire::Reader& r) {

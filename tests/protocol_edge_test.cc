@@ -805,6 +805,48 @@ TEST(CommitFusion, SingleGroupDepositResolvesCommittedAfterCoordinatorCrash) {
   EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 1), 107);
 }
 
+// A fused decision's force still pending when its coordinator crashes is
+// dropped with the buffer, callback and all: the buffer counts it as
+// abandoned, since the fused path's failed-force count never sees it.
+TEST(CommitFusion, CrashCountsTheAbandonedDecisionForce) {
+  Cluster cluster(ClusterOptions{.seed = 105});
+  const vr::GroupId bank = cluster.AddGroup("bank", 3);
+  const vr::GroupId client_g = cluster.AddGroup("client", 3);
+  workload::RegisterBankProcs(cluster, bank);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(test::RunOneCall(cluster, client_g, bank, "open", "a0=100"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(500 * sim::kMillisecond);
+
+  core::Cohort* coord = cluster.AnyPrimary(client_g);
+  ASSERT_NE(coord, nullptr);
+  const std::uint64_t abandoned_before =
+      coord->buffer().stats().forces_abandoned;
+  const std::uint64_t failed_before = coord->stats().fused_decision_forces_failed;
+  bool done = false;
+  coord->SpawnTransaction(
+      [bank](core::TxnHandle& h) -> sim::Task<bool> {
+        co_await h.Call(bank, "deposit", std::string("a0=7"));
+        co_return true;
+      },
+      [&](vr::TxnOutcome o) {
+        EXPECT_EQ(o, vr::TxnOutcome::kCommitted);
+        done = true;
+        // Same instant, after this event: the decision's force is pending,
+        // no ack has come back yet.
+        cluster.sim().scheduler().After(0, [coord] { coord->Crash(); });
+      });
+  const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  while (!done && cluster.sim().Now() < deadline) {
+    cluster.RunFor(100 * sim::kMicrosecond);
+  }
+  ASSERT_TRUE(done);
+  EXPECT_EQ(coord->status(), core::Status::kCrashed);
+  EXPECT_GE(coord->buffer().stats().forces_abandoned - abandoned_before, 1u);
+  EXPECT_EQ(coord->stats().fused_decision_forces_failed, failed_before);
+}
+
 // Matrix row 2 (DESIGN.md §13.4): the coordinator crashes mid-fan-out —
 // one participant received the commit, the other never will. The crash of
 // the shard-1 primary is staged inside on_done, which runs in the same

@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "tests/test_util.h"
+#include "workload/bank.h"
 
 namespace vsr {
 namespace {
@@ -578,6 +579,62 @@ TEST(Failover, CacheLookupSkipsADeadFirstMember) {
   // one probe timeout.
   EXPECT_LT(replied - began, core::kProbeTimeout);
   EXPECT_EQ(probes_sent() - probes_before, 3u);
+}
+
+// DESIGN.md §16 rule 4: a deposit whose final call went to a primary that
+// crashed before it arrived does not wait out the call ladder. Its silent
+// transmission starts a watch, the new view answers it as soon as it is
+// active, and the call ends as a wrong-view redirect; the new primary
+// settles the deposit, and the bank moves exactly as the outcome says.
+TEST(Failover, CallToACrashedPrimaryEndsWhenTheNewViewForms) {
+  Cluster cluster(ClusterOptions{.seed = 28});
+  auto bank = cluster.AddGroup("bank", 3);
+  auto client_g = cluster.AddGroup("client", 3);
+  workload::RegisterBankProcs(cluster, bank);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(RunOneCall(cluster, client_g, bank, "open", "a0=100"),
+            vr::TxnOutcome::kCommitted);
+  cluster.RunFor(500 * sim::kMillisecond);
+  const std::size_t old_primary = IndexOfPrimary(cluster, bank);
+  ASSERT_LT(old_primary, 3u);
+  core::Cohort* coord = cluster.AnyPrimary(client_g);
+  ASSERT_NE(coord, nullptr);
+
+  std::optional<vr::TxnOutcome> outcome;
+  sim::Time resolved = 0;
+  const sim::Time crashed_at = cluster.sim().Now();
+  coord->SpawnTransaction(workload::MakeDepositTxn(bank, "a0", 7),
+                          [&](vr::TxnOutcome o) {
+                            outcome = o;
+                            resolved = cluster.sim().Now();
+                          });
+  cluster.Crash(bank, old_primary);  // the call is on the wire to it
+  ASSERT_TRUE(RunUntil(cluster, [&] { return outcome.has_value(); },
+                       2 * sim::kSecond));
+  const std::size_t new_primary = IndexOfPrimary(cluster, bank);
+  ASSERT_LT(new_primary, 3u);
+  // The view serves once its primary is active and its backup has adopted
+  // it (the backup's ack makes the first force), which takes the backup's
+  // viewid write.
+  const sim::Time primary_active =
+      cluster.CohortAt(bank, new_primary).stats().last_view_change_completed;
+  sim::Time view_active = 0;
+  for (auto* c : cluster.Cohorts(bank)) {
+    if (c->status() != core::Status::kCrashed) {
+      view_active = std::max(view_active,
+                             c->stats().last_view_change_completed);
+    }
+  }
+  EXPECT_GT(primary_active, crashed_at);
+  EXPECT_GE(resolved, primary_active);
+  EXPECT_LE(resolved - view_active, 10 * sim::kMillisecond);
+  EXPECT_LT(resolved - crashed_at, core::kCallAttempts * core::kCallTimeout);
+
+  cluster.RunFor(500 * sim::kMillisecond);
+  const long long expected =
+      *outcome == vr::TxnOutcome::kCommitted ? 107 : 100;
+  EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 1), expected);
 }
 
 }  // namespace

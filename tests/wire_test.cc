@@ -839,13 +839,10 @@ auto SampleFrames() {
                         .view_known = true,
                         .new_viewid = {6, 2},
                         .new_view = kView},
-      vr::ProbeMsg{.group = 3, .req_id = 77, .reply_to = 11},
-      vr::ProbeReplyMsg{.group = 3,
-                        .req_id = 77,
-                        .known = true,
-                        .active = true,
-                        .viewid = {5, 1},
-                        .view = kView},
+      vr::ProbeMsg{
+          .group = 3, .req_id = 77, .reply_to = 11, .newer_than = {5, 1}},
+      vr::ProbeReplyMsg{
+          .group = 3, .req_id = 77, .viewid = {6, 2}, .view = kView},
       vr::BeginTxnMsg{.group = 3, .viewid = {5, 1}, .req_id = 77,
                       .reply_to = 11},
       vr::BeginTxnReplyMsg{.req_id = 77,
@@ -998,10 +995,10 @@ const GoldenFrame kGoldenFrames[] = {
      "0000000002010106000000000000000200000001000000020000000200000003"
      "000000"},
     {vr::MsgType::kProbe,
-     "03000000000000004d000000000000000b000000"},
+     "03000000000000004d000000000000000b000000050000000000000001000000"},
     {vr::MsgType::kProbeReply,
-     "03000000000000004d0000000000000001010500000000000000010000000100"
-     "0000020000000200000003000000"},
+     "03000000000000004d0000000000000006000000000000000200000001000000"
+     "020000000200000003000000"},
     {vr::MsgType::kBeginTxn,
      "03000000000000000500000000000000010000004d000000000000000b000000"},
     {vr::MsgType::kBeginTxnReply,
