@@ -223,6 +223,50 @@ if [[ "${CHECK_BENCH_SMOKE:-0}" != "1" ]]; then
     echo "FAIL: BENCH_E15.json read_throughput_multiplier is below 2x" >&2
     exit 1
   fi
+  # Committed baselines: every simulated bench runs in virtual time, so its
+  # full-run BENCH_<ID>.json is deterministic and must equal
+  # bench/baselines/<ID>.json byte for byte in metrics and rows. A change
+  # that moves a simulated figure updates the baseline and says why. Two
+  # exclusions, both host wall-clock rather than simulated time: E14 runs on
+  # the real host (threads and TCP loopback), and E12's section-1 rows print
+  # the wall time of a synchronous log replay.
+  echo "== bench baselines =="
+  python3 - <<'EOF'
+import difflib, glob, json, os, sys
+
+def comparable(path):
+    with open(path) as f:
+        d = json.load(f)
+    if d["id"].startswith("E12:"):
+        rows, skip = [], False
+        for r in d["rows"]:
+            if r.startswith("\n  1."):
+                skip = True
+            elif r.startswith("\n  2."):
+                skip = False
+            if not skip:
+                rows.append(r)
+        d["rows"] = rows
+    return json.dumps(d, indent=2).splitlines()
+
+failed = False
+for src in sorted(glob.glob("bench/bench_e*.cc")):
+    bid = os.path.basename(src).split("_")[1].upper()
+    if bid == "E14":
+        continue
+    base = f"bench/baselines/{bid}.json"
+    if not os.path.exists(base):
+        print(f"FAIL: {src} has no committed baseline {base}", file=sys.stderr)
+        failed = True
+        continue
+    want, got = comparable(base), comparable(f"BENCH_{bid}.json")
+    if want != got:
+        print(f"FAIL: BENCH_{bid}.json differs from {base}:", file=sys.stderr)
+        sys.stderr.writelines(l + "\n" for l in difflib.unified_diff(
+            want, got, base, f"BENCH_{bid}.json", lineterm="", n=1))
+        failed = True
+sys.exit(1 if failed else 0)
+EOF
 fi
 
 if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
