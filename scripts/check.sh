@@ -2,7 +2,9 @@
 # Full verification pipeline: build, test, regenerate every experiment, run
 # the examples. This is what CI would run. Matches the tier-1 recipe:
 #   cmake -B build -S . && cmake --build build -j && ctest -j
-# Ninja is used when present but never required.
+# Ninja is used when present but never required. In full mode (without
+# CHECK_BENCH_SMOKE) every simulated bench's BENCH_<ID>.json must equal its
+# committed baseline, bench/baselines/<ID>.json.
 #
 # CHECK_SANITIZE=1 additionally builds an ASan/UBSan tree (build-sanitize/)
 # and runs every test suite under it.
@@ -177,7 +179,7 @@ if ! awk '/"cross_shard_premium"/ { gsub(/[,"]/, ""); p = $2 }
   exit 1
 fi
 # Failover at failure-detector speed (DESIGN.md §16): with the n=3 primary
-# crashed, the backups detect it within liveness_timeout + fd_check_interval
+# crashed, the backups detect it within liveness_timeout + kFdCheckInterval
 # (160 ms) and the manager forms the view as soon as the other live backup
 # has answered, without waiting out the invite timer. Simulated, so
 # deterministic.

@@ -143,10 +143,8 @@ host::Task<TxnOutcome> UnreplicatedClient::CommitTxn(Aid aid,
   // The coordinator-server runs a full 2PC before answering.
   auto r = co_await groups_.Request(
       coordinator_group_, options_.commit_attempts,
-      core::kCommitAckTimeout +
-          static_cast<host::Duration>(options_.prepare_attempts) *
-              options_.prepare_timeout +
-          options_.buffer.force_timeout,
+      core::kCommitAckTimeout + core::kPrepareAttempts * core::kPrepareTimeout +
+          vr::kForceTimeout,
       commit_waiters_, send);
   if (r) co_return r->outcome;
   // Could not learn the decision; it may still have committed. Fall back to

@@ -110,8 +110,8 @@ void Cohort::Start() {
   up_to_date_ = true;  // a fresh cohort's (empty) gstate is meaningful
   net_.SetNodeUp(self_, true);
   SendPings();  // self-arms the periodic ping chain
-  fd_timer_ = host_.timers().After(options_.fd_check_interval,
-                                     [this] { CheckLiveness(); });
+  fd_timer_ = host_.timers().After(kFdCheckInterval,
+                                   [this] { CheckLiveness(); });
   ArmUnderlingTimer();
   ArmQueryTimer();
 }
@@ -186,8 +186,8 @@ void Cohort::Recover() {
   max_viewid_ = cur_viewid_;
   status_ = Status::kUnderling;  // alive again; the view change runs next
   SendPings();  // self-arms the periodic ping chain
-  fd_timer_ = host_.timers().After(options_.fd_check_interval,
-                                     [this] { CheckLiveness(); });
+  fd_timer_ = host_.timers().After(kFdCheckInterval,
+                                   [this] { CheckLiveness(); });
   ArmQueryTimer();
 
   // DESIGN.md §10: replay the durable event log before going amnesiac. The
@@ -250,15 +250,14 @@ void Cohort::SendPings() {
     if (peer == self_) continue;
     SendMsg(peer, vr::PingMsg{group_, self_});
   }
-  ping_timer_ = host_.timers().After(options_.ping_interval,
-                                       [this] { SendPings(); });
+  ping_timer_ = host_.timers().After(kPingInterval, [this] { SendPings(); });
 }
 
 void Cohort::NoteAlive(Mid peer) { last_heard_[peer] = host_.Now(); }
 
 void Cohort::CheckLiveness() {
-  fd_timer_ = host_.timers().After(options_.fd_check_interval,
-                                     [this] { CheckLiveness(); });
+  fd_timer_ = host_.timers().After(kFdCheckInterval,
+                                   [this] { CheckLiveness(); });
   if (status_ != Status::kActive) return;
 
   const host::Time now = host_.Now();
@@ -319,7 +318,7 @@ void Cohort::CheckLiveness() {
   if (deferred_vc_timer_ != host::kNoTimer) return;  // already counting down
   const ViewId armed_view = cur_viewid_;
   deferred_vc_timer_ = host_.timers().After(
-      static_cast<host::Duration>(rank) * options_.manager_stagger,
+      static_cast<host::Duration>(rank) * kManagerStagger,
       [this, armed_view] {
         deferred_vc_timer_ = host::kNoTimer;
         if (status_ == Status::kActive && cur_viewid_ == armed_view) {

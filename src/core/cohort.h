@@ -213,12 +213,7 @@ using TxnBody = std::function<host::Task<bool>(TxnHandle&)>;
 // Aggregate counters consumed by tests and the bench harness.
 struct CohortStats {
   std::uint64_t calls_executed = 0;
-  std::uint64_t calls_rejected_wrong_view = 0;
   std::uint64_t duplicate_calls_suppressed = 0;
-  // Delayed transmissions of subactions the caller already declared dead,
-  // refused before execution (§3.6 admission check).
-  std::uint64_t dead_sub_calls_refused = 0;
-  std::uint64_t prepares_ok = 0;
   std::uint64_t prepares_refused = 0;
   // Retransmitted prepares for txns already prepared/committed here, answered
   // idempotently without re-running the compatibility check or the force.
@@ -254,7 +249,6 @@ struct CohortStats {
   std::uint64_t unilateral_tweaks = 0;
   std::uint64_t queries_sent = 0;
   std::uint64_t queries_resolved = 0;
-  std::uint64_t records_applied_as_backup = 0;
   // Windowed backup replication: out-of-order batches stashed until the hole
   // fills, and gap requests (nacks) sent to the primary asking for it.
   std::uint64_t records_stashed_out_of_order = 0;
@@ -283,7 +277,6 @@ struct CohortStats {
   // primary, images installed (as primary or replicated to backups), and
   // ranges garbage-collected after a committed move.
   std::uint64_t shard_pulls_served = 0;
-  std::uint64_t shard_pulls_completed = 0;
   std::uint64_t shard_images_installed = 0;
   std::uint64_t shard_ranges_dropped = 0;
   // Backup read leases (DESIGN.md §14): grants taken as a backup, reads

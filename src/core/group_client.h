@@ -54,6 +54,10 @@ inline constexpr int kCallAttempts = 3;
 inline constexpr int kProbeRounds = 4;
 // One probe round, or one outcome-request transmission, waits this long.
 inline constexpr host::Duration kProbeTimeout = 50 * host::kMillisecond;
+// A prepare transmission waits this long, plus the participant's force, for
+// its vote; a participant gets kPrepareAttempts transmissions.
+inline constexpr host::Duration kPrepareTimeout = 80 * host::kMillisecond;
+inline constexpr int kPrepareAttempts = 3;
 // A commit (or commit-request) transmission waits this long, plus the
 // participant's force, for its acknowledgement.
 inline constexpr host::Duration kCommitAckTimeout = 80 * host::kMillisecond;

@@ -1,6 +1,7 @@
-// Tunables for a cohort. Defaults model a local-area network of the paper's
-// era scaled to the simulator's microsecond clock; every benchmark sweep
-// varies these explicitly.
+// A cohort's options. Each is set by a bench, a perfbench workload or a test
+// that isolates one mechanism, or is an ablation ROADMAP keeps; the note on
+// each field says which. Timings that no experiment varies are constants
+// next to the code that reads them (DESIGN.md §17 lists every one).
 #pragma once
 
 #include "host/time.h"
@@ -22,22 +23,33 @@ inline constexpr host::Duration kIdleTxnTimeout = 700 * host::kMillisecond;
 // unilaterally when the client has gone quiet this long.
 inline constexpr host::Duration kExternalTxnTimeout = 2 * host::kSecond;
 
+// Fixed timing of failure detection and view change. The "I'm alive" period
+// (§4), and how often a cohort checks its peers against liveness_timeout.
+inline constexpr host::Duration kPingInterval = 30 * host::kMillisecond;
+inline constexpr host::Duration kFdCheckInterval = 40 * host::kMillisecond;
+// §4.1's "fairly long" waits, so slow responders are not excluded: a manager
+// forms the view after kInviteResponseWait (or sooner, DESIGN.md §16) and
+// retries a failed formation after kViewFormRetry; an underling that sees no
+// view form within kUnderlingTimeout becomes a manager.
+inline constexpr host::Duration kInviteResponseWait = 150 * host::kMillisecond;
+inline constexpr host::Duration kViewFormRetry = 250 * host::kMillisecond;
+inline constexpr host::Duration kUnderlingTimeout = 400 * host::kMillisecond;
+// §4.1: "a cohort would become a manager only if all higher-priority cohorts
+// appear to be inaccessible"; it defers this long per live one.
+inline constexpr host::Duration kManagerStagger = 60 * host::kMillisecond;
+// A lock request waits this long for a conflicting holder (§3.7); an await
+// on a force or a lock gives its callback kAwaitSlack more.
+inline constexpr host::Duration kLockWaitTimeout = 150 * host::kMillisecond;
+inline constexpr host::Duration kAwaitSlack = 100 * host::kMillisecond;
+// An unfinished shard pull re-resolves the source group's primary and
+// re-sends the request after this long (DESIGN.md §11).
+inline constexpr host::Duration kShardPullRetry = 250 * host::kMillisecond;
+
 struct CohortOptions {
   // ---- Failure detection (§4: "I'm alive" messages) ----
-  host::Duration ping_interval = 30 * host::kMillisecond;
+  // A peer not heard from within this long is suspected. E11 and E12 raise
+  // it to isolate catch-up and replay from elections.
   host::Duration liveness_timeout = 120 * host::kMillisecond;
-  host::Duration fd_check_interval = 40 * host::kMillisecond;
-
-  // ---- View change (§4.1: use "fairly long" timeouts so slow responders
-  //      are not excluded, which would trigger cascading view changes) ----
-  host::Duration invite_response_wait = 150 * host::kMillisecond;
-  host::Duration view_form_retry = 250 * host::kMillisecond;
-  host::Duration underling_timeout = 400 * host::kMillisecond;
-  // Staggered manager eligibility (§4.1: "the cohorts could be ordered, and
-  // a cohort would become a manager only if all higher-priority cohorts
-  // appear to be inaccessible"). Cohort k in the configuration waits an
-  // extra k * manager_stagger before self-promoting to manager.
-  host::Duration manager_stagger = 60 * host::kMillisecond;
 
   // ---- Communication buffer ----
   vr::CommBufferOptions buffer;
@@ -46,61 +58,49 @@ struct CohortOptions {
   vr::SnapshotTransferOptions snapshot;
 
   // ---- Write-behind durable event log (DESIGN.md §10) ----
-  // Off by default: the paper's configuration is volatile and E9 must keep
-  // reproducing its catastrophe numbers. When enabled, applied records are
-  // group-committed to stable storage strictly behind the ack path and
-  // Recover() replays them to rejoin with state (view_formation.h cond. 4).
   storage::EventLogOptions event_log;
-
-  // ---- Shard rebalancing (DESIGN.md §11) ----
-  // An unfinished cross-group shard pull re-resolves the source group's
-  // primary and re-sends the pull request after this long (source primary
-  // crashed or stood down mid-transfer).
-  host::Duration shard_pull_retry = 250 * host::kMillisecond;
 
   // ---- Transactions ----
   // CPU cost of executing one procedure call at the primary, modeled as a
   // single serial resource per cohort (0 = calls are free, the default: the
   // simulator then charges only network and storage latency). Benches that
-  // measure capacity — e.g. E13's throughput-vs-shard-count sweep — turn
+  // measure capacity — E13's throughput-vs-shard-count sweep and E15 — turn
   // this on; with it off a single group can absorb unbounded load and
   // sharding has nothing to show.
   host::Duration call_service_time = 0;
-  host::Duration lock_wait_timeout = 150 * host::kMillisecond;
-  // The client role's fixed call, probe and query timing is in
-  // core/group_client.h; the server role's is kQueryInterval,
-  // kIdleTxnTimeout and kExternalTxnTimeout below.
-  host::Duration prepare_timeout = 80 * host::kMillisecond;
-  int prepare_attempts = 3;
+  // Commit transmissions per participant. Tests that must send no COMMIT set
+  // 0 (protocol_edge_test's CommitFusion and Queries cases, client35_test).
   int commit_attempts = 5;
 
   // ---- Backup read leases (DESIGN.md §14) ----
   // Opt-in: the primary grants per-backup read leases (renewed on the
   // existing replication-ack traffic) and backups serve single-object
   // committed reads under them. Off by default — with it off no lease or
-  // read frames exist and every delivered-frame digest is unchanged.
+  // read frames exist and every delivered-frame digest is unchanged. E15.
   bool backup_reads = false;
   // Validity of each grant from the moment the backup receives it. Renewed
   // at half-life on ack processing; must comfortably exceed the ack
-  // round-trip under load, and should stay below underling_timeout so a
+  // round-trip under load, and should stay below kUnderlingTimeout so a
   // partitioned leaseholder's staleness window is bounded by less than the
-  // time a new view needs to form and make progress.
+  // time a new view needs to form and make progress. Set to 60 s by
+  // Leases.StaleLeaseNeverServesASessionFromTheFuture to rule out expiry.
   host::Duration read_lease_duration = 60 * host::kMillisecond;
 
-  // ---- Design choices (ablations; see DESIGN.md §4) ----
+  // ---- Design choices (ROADMAP's ablation list; see DESIGN.md §4) ----
   // Backups apply event records as they arrive (fast primary handoff) vs.
-  // store them and replay on promotion (§3.3's trade-off).
+  // store them and replay on promotion (§3.3's trade-off). E4 compares.
   bool eager_backup_apply = true;
   // Force completed-call records even for read-only participants (§3.7).
   // Disabling this is UNSAFE — it exists to demonstrate the two-phase-
-  // locking violation the paper warns about.
+  // locking violation the paper warns about (protocol_edge_test).
   bool force_read_only_prepare = true;
   // Run each remote call as a subaction and retry on no-reply instead of
-  // aborting the whole transaction (§3.6 nested transactions).
+  // aborting the whole transaction (§3.6 nested transactions). E5 and E8
+  // compare; E5 also raises the retry count.
   bool nested_call_retry = false;
   int nested_retry_attempts = 3;
   // Active primary may unilaterally add/exclude backups while it retains a
-  // sub-majority (§4.1 last paragraph).
+  // sub-majority (§4.1 last paragraph). E4 compares.
   bool unilateral_view_tweaks = false;
   // Persist cur_viewid at the end of a view change (§4.2). Disabling models
   // the fully-volatile ablation and widens the catastrophe window (E9).

@@ -110,11 +110,10 @@ void Cohort::SendRejoinAck() {
   SendMsg(cur_view_.primary, ack);
   ++stats_.rejoin_acks_sent;
   host_.timers().Cancel(rejoin_timer_);
-  rejoin_timer_ =
-      host_.timers().After(options_.buffer.retransmit_interval, [this] {
-        rejoin_timer_ = host::kNoTimer;
-        SendRejoinAck();
-      });
+  rejoin_timer_ = host_.timers().After(vr::kRetransmitInterval, [this] {
+    rejoin_timer_ = host::kNoTimer;
+    SendRejoinAck();
+  });
 }
 
 void Cohort::ClearRejoin() {

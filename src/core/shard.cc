@@ -101,14 +101,13 @@ host::Task<void> Cohort::SendShardPull() {
   // Retry net: if the transfer has not completed by then (source primary
   // crashed, stood down, or the request was lost), re-resolve and re-send.
   // A completed transfer resets shard_pull_, which voids the timer via id.
-  shard_pull_->retry_timer =
-      host_.timers().After(options_.shard_pull_retry, [this, id] {
-        if (!shard_pull_ || shard_pull_->id != id) return;
-        shard_pull_->retry_timer = host::kNoTimer;
-        group_client_.Invalidate(shard_pull_->from_group);
-        shard_pull_->sink.Reset();
-        tasks_.Spawn(SendShardPull());
-      });
+  shard_pull_->retry_timer = host_.timers().After(kShardPullRetry, [this, id] {
+    if (!shard_pull_ || shard_pull_->id != id) return;
+    shard_pull_->retry_timer = host::kNoTimer;
+    group_client_.Invalidate(shard_pull_->from_group);
+    shard_pull_->sink.Reset();
+    tasks_.Spawn(SendShardPull());
+  });
 }
 
 void Cohort::OnShardChunk(const vr::SnapshotChunkMsg& m) {
@@ -159,7 +158,6 @@ host::Task<void> Cohort::FinishShardInstall(std::uint64_t pull_id,
   const Viewstamp vs = AddRecord(std::move(rec));
   const bool ok = co_await Force(vs);
   if (!shard_pull_ || shard_pull_->id != pull_id) co_return;
-  if (ok) ++stats_.shard_pulls_completed;
   ResetShardPull(ok);
 }
 

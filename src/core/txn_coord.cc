@@ -291,9 +291,8 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
   };
   const bool all_ok = co_await FanOut(
       participants,
-      static_cast<host::Duration>(options_.prepare_attempts + 1) *
-          (options_.prepare_timeout + kProbeTimeout +
-           options_.buffer.force_timeout),
+      static_cast<host::Duration>(kPrepareAttempts + 1) *
+          (kPrepareTimeout + kProbeTimeout + vr::kForceTimeout),
       prepare);
 
   if (!all_ok) {
@@ -387,8 +386,7 @@ host::Task<bool> Cohort::PrepareOne(
     return std::pair{aid, g};
   };
   auto r = co_await group_client_.Request(
-      g, options_.prepare_attempts,
-      options_.prepare_timeout + options_.buffer.force_timeout,
+      g, kPrepareAttempts, kPrepareTimeout + vr::kForceTimeout,
       prepare_waiters_, send);
   if (!r || r->status != vr::PrepareStatus::kPrepared) co_return false;
   if (!r->read_only) plist->push_back(g);
@@ -401,8 +399,7 @@ host::Task<void> Cohort::FinishCommitPhase(Aid aid,
   const bool all_acked = co_await FanOut(
       plist,
       static_cast<host::Duration>(options_.commit_attempts + 1) *
-          (kCommitAckTimeout + kProbeTimeout +
-           options_.buffer.force_timeout),
+          (kCommitAckTimeout + kProbeTimeout + vr::kForceTimeout),
       commit);
   // "when all of them acknowledge the commit, add a <'done', aid> record."
   // The done record garbage-collects the outcome entry — which is only safe
@@ -424,9 +421,8 @@ host::Task<bool> Cohort::CommitOne(Aid aid, GroupId g) {
   };
   // Unreached participants resolve the outcome via queries (§3.4).
   auto r = co_await group_client_.Request(
-      g, options_.commit_attempts,
-      kCommitAckTimeout + options_.buffer.force_timeout, commit_waiters_,
-      send);
+      g, options_.commit_attempts, kCommitAckTimeout + vr::kForceTimeout,
+      commit_waiters_, send);
   co_return r.has_value();
 }
 

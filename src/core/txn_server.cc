@@ -40,17 +40,16 @@ host::Task<bool> Cohort::AwaitCallback(
 host::Task<bool> Cohort::Force(Viewstamp vs) {
   if (!buffer_.active()) co_return false;
   co_return co_await AwaitCallback(
-      options_.buffer.force_timeout + 100 * host::kMillisecond,
+      vr::kForceTimeout + kAwaitSlack,
       [this, vs](auto done) { buffer_.ForceTo(vs, std::move(done)); });
 }
 
 host::Task<bool> Cohort::AcquireLock(std::string uid, Aid aid,
                                     vr::LockMode mode) {
   return AwaitCallback(
-      options_.lock_wait_timeout + 100 * host::kMillisecond,
+      kLockWaitTimeout + kAwaitSlack,
       [this, uid = std::move(uid), aid, mode](auto done) {
-        store_.Acquire(uid, aid, mode, options_.lock_wait_timeout,
-                       std::move(done));
+        store_.Acquire(uid, aid, mode, kLockWaitTimeout, std::move(done));
       });
 }
 
@@ -150,7 +149,6 @@ void Cohort::ApplyRecord(const vr::EventRecord& rec) {
   // Write-behind durable copy (self-guarding: disabled log or replay).
   // Newview records are excluded — each generation's checkpoint covers them.
   if (rec.type != vr::EventType::kNewView) LogApply(rec);
-  ++stats_.records_applied_as_backup;
   NoteOutcome(rec);
   switch (rec.type) {
     case vr::EventType::kCompletedCall:
@@ -644,7 +642,6 @@ void Cohort::OnCall(const vr::CallMsg& m) {
   //  cur_viewid, send back a rejection message containing the new viewid
   //  and view."
   if (!IsActivePrimary() || m.viewid != cur_viewid_) {
-    ++stats_.calls_rejected_wrong_view;
     vr::ReplyMsg reject;
     reject.call_id = m.call_id;
     reject.status = vr::ReplyStatus::kWrongView;
@@ -721,7 +718,6 @@ host::Task<void> Cohort::RunCall(vr::CallMsg m) {
   // tentative versions into the replacement's reads (the caller gave up on
   // this attempt, so no reply is owed).
   if (SubDead(m.sub_aid)) {
-    ++stats_.dead_sub_calls_refused;
     call_dedup_.erase(m.call_seq);
     co_return;
   }
@@ -1006,7 +1002,6 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   store_.ReleaseReadLocks(m.aid);
   r.status = vr::PrepareStatus::kPrepared;
   r.read_only = read_only;
-  ++stats_.prepares_ok;
   if (read_only) {
     // "If the transaction is read-only, add a <'committed', aid> record."
     AddRecord(vr::EventRecord::Committed(m.aid));

@@ -17,8 +17,7 @@ void Cohort::ArmUnderlingTimer() {
   }
   host_.timers().Cancel(underling_timer_);
   underling_timer_ = host_.timers().After(
-      options_.underling_timeout +
-          static_cast<host::Duration>(rank) * options_.manager_stagger,
+      kUnderlingTimeout + static_cast<host::Duration>(rank) * kManagerStagger,
       [this] {
         underling_timer_ = host::kNoTimer;
         if (status_ == Status::kUnderling) BecomeViewManager();
@@ -75,11 +74,10 @@ void Cohort::MakeInvitations() {
   }
 
   host_.timers().Cancel(invite_timer_);
-  invite_timer_ = host_.timers().After(options_.invite_response_wait,
-                                         [this] {
-                                           invite_timer_ = host::kNoTimer;
-                                           TryFormView();
-                                         });
+  invite_timer_ = host_.timers().After(kInviteResponseWait, [this] {
+    invite_timer_ = host::kNoTimer;
+    TryFormView();
+  });
 }
 
 void Cohort::DoAccept(ViewId vid, Mid inviter) {
@@ -208,7 +206,7 @@ void Cohort::TryFormView() {
     for (const auto& r : responses) normal_count += r.crashed ? 0 : 1;
     Trace("view formation failed (%zu accepts, %zu normal)", accepts_.size(),
           normal_count);
-    invite_timer_ = host_.timers().After(options_.view_form_retry, [this] {
+    invite_timer_ = host_.timers().After(kViewFormRetry, [this] {
       invite_timer_ = host::kNoTimer;
       if (status_ == Status::kViewManager) MakeInvitations();
     });

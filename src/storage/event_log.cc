@@ -12,9 +12,7 @@ void EventLog::Append(std::uint8_t kind, std::vector<std::uint8_t> payload) {
   ++stats_.appends;
   pending_bytes_ += payload.size() + 1;
   pending_.push_back(Entry{kind, std::move(payload)});
-  if (pending_.size() >= options_.max_batch ||
-      (options_.max_batch_bytes > 0 &&
-       pending_bytes_ >= options_.max_batch_bytes)) {
+  if (pending_.size() >= kMaxBatch || pending_bytes_ >= kMaxBatchBytes) {
     Flush();
     return;
   }
@@ -156,7 +154,7 @@ void EventLog::Erase() {
 
 void EventLog::ArmFlushTimer() {
   if (flush_timer_ != host::kNoTimer) return;
-  flush_timer_ = host_.timers().After(options_.flush_interval, [this] {
+  flush_timer_ = host_.timers().After(kFlushInterval, [this] {
     flush_timer_ = host::kNoTimer;
     Flush();
   });

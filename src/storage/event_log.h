@@ -41,17 +41,20 @@
 
 namespace vsr::storage {
 
+// Group commit: a pending batch is flushed once the oldest entry has waited
+// this long, so the log trails the ack path by at most one interval plus the
+// force latency.
+inline constexpr host::Duration kFlushInterval = 5 * host::kMillisecond;
+// Early-flush thresholds: entry count and pre-framing payload bytes.
+inline constexpr std::size_t kMaxBatch = 256;
+inline constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+
 struct EventLogOptions {
   // Off by default: the paper's configuration is volatile, and E9 must
-  // reproduce its catastrophe numbers unless the log is asked for.
+  // reproduce its catastrophe numbers unless the log is asked for. When on
+  // (E9, E12, perfbench sim-failover), applied records are group-committed
+  // strictly behind the ack path and Recover() replays them.
   bool enabled = false;
-  // Group commit: a pending batch is flushed once the oldest entry has
-  // waited this long, so the log trails the ack path by at most one
-  // interval plus the force latency.
-  host::Duration flush_interval = 5 * host::kMillisecond;
-  // Early-flush thresholds: entry count and pre-framing payload bytes.
-  std::size_t max_batch = 256;
-  std::size_t max_batch_bytes = 64 * 1024;
 };
 
 class EventLog {

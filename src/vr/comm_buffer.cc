@@ -85,10 +85,10 @@ void CommBuffer::ForceTo(Viewstamp vs, std::function<void(bool)> done) {
     return;
   }
   forces_.push_back(PendingForce{vs.ts, std::move(done),
-                                 host_.Now() + options_.force_timeout});
+                                 host_.Now() + kForceTimeout});
   if (force_check_timer_ == host::kNoTimer) {
     force_check_timer_ = host_.timers().After(
-        options_.force_timeout, [this] { CheckForceTimeouts(); });
+        kForceTimeout, [this] { CheckForceTimeouts(); });
   }
   ScheduleFlush(0);
 }
@@ -182,7 +182,7 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
   if (st.state_transfer || st.acked >= st.sent) {
     st.deadline = 0;
   } else if (progress) {
-    st.deadline = host_.Now() + options_.retransmit_interval;
+    st.deadline = host_.Now() + kRetransmitInterval;
   }
 
   // Explicit gap request: the backup saw records beyond ack.ts + 1 and asks
@@ -202,8 +202,8 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
       ++stats_.gap_requests;
       stats_.records_retransmitted += hi - lo;
       st.gap_resent_hi = hi;
-      st.gap_deadline = host_.Now() + options_.retransmit_interval / 2;
-      st.deadline = host_.Now() + options_.retransmit_interval;
+      st.gap_deadline = host_.Now() + kRetransmitInterval / 2;
+      st.deadline = host_.Now() + kRetransmitInterval;
       SendRange(ack.from, lo, hi);
     }
   }
@@ -345,7 +345,7 @@ bool CommBuffer::RouteThroughSnapshot(Mid backup, BackupState& st) {
 }
 
 // Advances `backup`'s send cursor: transmits every record past the cursor,
-// in max_batch chunks, up to the in-flight window. Never re-sends.
+// in kMaxBatch chunks, up to the in-flight window. Never re-sends.
 void CommBuffer::SendTo(Mid backup) {
   auto it = state_.find(backup);
   if (it == state_.end()) return;
@@ -359,24 +359,23 @@ void CommBuffer::SendTo(Mid backup) {
       return;
     }
     const std::uint64_t lo = st.sent;
-    const std::uint64_t hi =
-        std::min({last, limit, lo + options_.max_batch});
+    const std::uint64_t hi = std::min({last, limit, lo + kMaxBatch});
     st.sent = hi;
     if (st.deadline == 0) {
-      st.deadline = host_.Now() + options_.retransmit_interval;
+      st.deadline = host_.Now() + kRetransmitInterval;
     }
     SendRange(backup, lo, hi);
   }
 }
 
-// Transmits the records in (lo, hi], in max_batch chunks. lo is always at or
+// Transmits the records in (lo, hi], in kMaxBatch chunks. lo is always at or
 // above the GC watermark: a cursor never points below its backup's own ack,
 // and a backup whose ack fell below the watermark is in state-transfer mode
 // (RouteThroughSnapshot) and never reaches here.
 void CommBuffer::SendRange(Mid backup, std::uint64_t lo, std::uint64_t hi) {
   assert(lo >= base_ts_ && hi <= last_ts());
   while (lo < hi) {
-    const std::uint64_t end = std::min(hi, lo + options_.max_batch);
+    const std::uint64_t end = std::min(hi, lo + kMaxBatch);
     BufferBatchMsg batch;
     batch.group = group_;
     batch.viewid = viewid_;

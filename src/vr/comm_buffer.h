@@ -46,19 +46,22 @@
 
 namespace vsr::vr {
 
+// Per-backup ack deadline: in-flight records not acknowledged within this
+// window trigger a go-back-N resend to that backup only.
+inline constexpr host::Duration kRetransmitInterval = 20 * host::kMillisecond;
+// A force that has not satisfied a sub-majority within this window is
+// abandoned (communication failure ⇒ view change).
+inline constexpr host::Duration kForceTimeout = 400 * host::kMillisecond;
+// Max records per BufferBatch message.
+inline constexpr std::size_t kMaxBatch = 64;
+
 struct CommBufferOptions {
   // Background flush delay: how long Add()ed records may linger before being
-  // sent ("at a convenient time"). ForceTo flushes immediately.
+  // sent ("at a convenient time"). ForceTo flushes immediately. Swept by
+  // bench A1.
   host::Duration flush_delay = 500 * host::kMicrosecond;
-  // Per-backup ack deadline: in-flight records not acknowledged within this
-  // window trigger a go-back-N resend to that backup only.
-  host::Duration retransmit_interval = 20 * host::kMillisecond;
-  // A force that has not satisfied a sub-majority within this window is
-  // abandoned (communication failure ⇒ view change).
-  host::Duration force_timeout = 400 * host::kMillisecond;
-  // Max records per BufferBatch message.
-  std::size_t max_batch = 64;
-  // Max in-flight (sent but unacknowledged) records per backup.
+  // Max in-flight (sent but unacknowledged) records per backup. E11 and E12
+  // shrink it to reach the snapshot path.
   std::size_t window = 1024;
   // Snapshot-based catch-up (DESIGN.md §9): GC may release records past a
   // laggard's ack (bounding memory by `window` past StableTs()) and the
@@ -69,7 +72,9 @@ struct CommBufferOptions {
   // Backup read leases (DESIGN.md §14): when nonzero, processing an ack
   // from a backup re-grants it a read lease of this duration once at least
   // half the duration has elapsed since the previous grant — renewal rides
-  // the ack traffic, no dedicated timer. 0 disables granting entirely.
+  // the ack traffic, no dedicated timer. 0 disables granting entirely. The
+  // cohort sets it from CohortOptions::read_lease_duration when
+  // backup_reads is on.
   host::Duration lease_duration = 0;
 };
 

@@ -74,9 +74,7 @@ void SnapshotServer::Pump(Mid backup, Transfer& t) {
     stats_.bytes_sent += hi - lo;
     send_(backup, m);
   }
-  t.deadline = t.sent > t.acked
-                   ? host_.Now() + options_.retransmit_interval
-                   : 0;
+  t.deadline = t.sent > t.acked ? host_.Now() + kChunkRetransmitInterval : 0;
 }
 
 void SnapshotServer::OnAck(const SnapshotAckMsg& ack) {
@@ -102,7 +100,7 @@ void SnapshotServer::OnAck(const SnapshotAckMsg& ack) {
   if (ack.offset > t.acked) {
     t.acked = ack.offset;
     if (t.sent < t.acked) t.sent = t.acked;
-    t.deadline = host_.Now() + options_.retransmit_interval;
+    t.deadline = host_.Now() + kChunkRetransmitInterval;
     Pump(ack.from, t);
   } else if (ack.offset == 0 && t.acked > 0) {
     // The sink restarted from scratch (checksum reject): rewind.

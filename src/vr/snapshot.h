@@ -30,21 +30,24 @@
 
 namespace vsr::vr {
 
+// Per-backup ack deadline: unacked chunks past it trigger a go-back-N
+// resend from the acked offset (mirrors CommBuffer's record deadlines).
+inline constexpr host::Duration kChunkRetransmitInterval =
+    20 * host::kMillisecond;
+
 struct SnapshotTransferOptions {
-  // Payload bytes per SnapshotChunkMsg.
+  // Payload bytes per SnapshotChunkMsg. E11 sets it.
   std::size_t chunk_size = 4096;
-  // Max chunks in flight past the acked offset (flow control).
+  // Max chunks in flight past the acked offset (flow control). E11 sets it.
   std::size_t window = 8;
-  // Per-backup ack deadline: unacked chunks past it trigger a go-back-N
-  // resend from the acked offset (mirrors CommBuffer's record deadlines).
-  host::Duration retransmit_interval = 20 * host::kMillisecond;
   // Sink side: if no chunk of an in-flight transfer arrives for this long,
   // the partial payload is discarded wholesale (all-or-nothing) and the
   // cohort stops answering view changes as crashed-equivalent. The serving
   // primary retransmits on a much shorter deadline, so an idle stream means
   // it crashed or stood down; without this escape a mid-transfer primary
   // crash would leave the backup crashed-equivalent forever and could wedge
-  // view formation permanently (§4's conditions).
+  // view formation permanently (§4's conditions). Two snapshot_test cases,
+  // SnapshotIntegration.MidTransfer*, lengthen it to hold a sink mid-install.
   host::Duration install_abandon_timeout = 200 * host::kMillisecond;
 };
 

@@ -1899,8 +1899,8 @@ TEST(Atomicity, DeposedPrimaryDoesNotAnswerFromAnUnforcedAbort) {
   // primary comes first.
   ASSERT_EQ(a0, w.cluster.Cohorts(g0)[0]);
   // The coordinator retries the prepare only after the deposed primary has
-  // given up its force and recorded the abort.
-  coord->mutable_options().prepare_timeout = 300 * sim::kMillisecond;
+  // given up its force and recorded the abort: each prepare transmission
+  // waits kPrepareTimeout past the participant's force timeout.
 
   std::optional<vr::Aid> aid;
   bool records_out = false, prepare_in = false, b_prepared = false;
@@ -1968,8 +1968,6 @@ TEST(Atomicity, CoordinatorCommitsOnlyInTheViewItsTransactionBegan) {
   ASSERT_EQ(c0, coords[0]);
   core::Cohort* b0 = w.cluster.AnyPrimary(g1);
   ASSERT_NE(b0, nullptr);
-  // Room for the view changes below within the prepare retries.
-  c0->mutable_options().prepare_attempts = 10;
   const vr::ViewId began_in = c0->cur_viewid();
 
   bool a_prepared = false;

@@ -50,9 +50,6 @@ class EventLogTest : public ::testing::Test {
   static EventLogOptions LogOptions() {
     EventLogOptions o;
     o.enabled = true;
-    o.flush_interval = 5 * sim::kMillisecond;
-    o.max_batch = 256;
-    o.max_batch_bytes = 64 * 1024;
     return o;
   }
 
@@ -270,26 +267,25 @@ TEST_F(EventLogTest, TornHeadErasesStaleSegmentsSoGenerationReuseIsSafe) {
 }
 
 TEST_F(EventLogTest, BatchThresholdFlushesEarly) {
-  EventLogOptions o = LogOptions();
-  o.max_batch = 4;
-  EventLog log(sim_, store_, o, "elog/8", 8);
+  EventLog log(sim_, store_, LogOptions(), "elog/8", 8);
   log.BeginGeneration(E(1, {0xaa}));
   Settle();
   const auto before = log.stats().segments_written;
-  for (int i = 0; i < 4; ++i) log.Append(2, {static_cast<std::uint8_t>(i)});
-  // The 4th append tripped max_batch: flushed without waiting for the timer.
+  for (std::size_t i = 0; i < storage::kMaxBatch; ++i) {
+    log.Append(2, {static_cast<std::uint8_t>(i)});
+  }
+  // The last append tripped kMaxBatch: flushed without waiting for the timer.
   EXPECT_EQ(log.stats().segments_written, before + 1);
   EXPECT_EQ(log.pending_entries(), 0u);
 }
 
 TEST_F(EventLogTest, ByteBudgetFlushesEarly) {
-  EventLogOptions o = LogOptions();
-  o.max_batch_bytes = 64;
-  EventLog log(sim_, store_, o, "elog/9", 9);
+  EventLog log(sim_, store_, LogOptions(), "elog/9", 9);
   log.BeginGeneration(E(1, {0xaa}));
   Settle();
   const auto before = log.stats().segments_written;
-  log.Append(2, std::vector<std::uint8_t>(70, 0x55));  // over budget alone
+  // Over budget alone.
+  log.Append(2, std::vector<std::uint8_t>(storage::kMaxBatchBytes + 1, 0x55));
   EXPECT_EQ(log.stats().segments_written, before + 1);
 }
 

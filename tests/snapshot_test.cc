@@ -46,9 +46,7 @@ class SnapshotUnitTest : public ::testing::Test {
   }
 
   static SnapshotTransferOptions Options() {
-    return {.chunk_size = 10,
-            .window = 2,
-            .retransmit_interval = 20 * sim::kMillisecond};
+    return {.chunk_size = 10, .window = 2};
   }
 
   void Ack(std::uint64_t offset, Viewstamp vs) {
@@ -120,7 +118,7 @@ TEST_F(SnapshotUnitTest, DeadlineResendsFromAckedOffset) {
   server_.Serve(kBackup, vs_, payload_);
   outbox_.clear();  // the whole first window is lost
 
-  sim_.scheduler().RunUntil(sim_.Now() + Options().retransmit_interval + 1);
+  sim_.scheduler().RunUntil(sim_.Now() + kChunkRetransmitInterval + 1);
   // Go-back-N from the acked offset (0): both window chunks again.
   ASSERT_EQ(outbox_.size(), 2u);
   EXPECT_EQ(outbox_[0].second.offset, 0u);
@@ -148,7 +146,7 @@ TEST_F(SnapshotUnitTest, MidTransferLossRealignsViaCumulativeAck) {
 
   // The deadline rewinds the send cursor to the acked offset and the
   // transfer finishes.
-  sim_.scheduler().RunUntil(sim_.Now() + Options().retransmit_interval + 1);
+  sim_.scheduler().RunUntil(sim_.Now() + kChunkRetransmitInterval + 1);
   DeliverAll();
   EXPECT_TRUE(sink_.complete());
   EXPECT_EQ(sink_.payload(), *payload_);
@@ -272,7 +270,7 @@ TEST_F(SnapshotUnitTest, AckValidationRejectsForeignOrStale) {
   server_.Stop();
   EXPECT_FALSE(server_.Serving(kBackup));
   const std::size_t sent = outbox_.size();
-  sim_.scheduler().RunUntil(sim_.Now() + 10 * Options().retransmit_interval);
+  sim_.scheduler().RunUntil(sim_.Now() + 10 * kChunkRetransmitInterval);
   EXPECT_EQ(outbox_.size(), sent);  // no zombie retransmits
 }
 
@@ -336,7 +334,7 @@ TEST(SnapshotIntegration, PartitionedBackupCatchesUpViaStateTransfer) {
   // The dead backup no longer pins the buffer: resident records stay
   // O(window) and the laggard was routed through state transfer.
   EXPECT_LE(primary.buffer().records().size(),
-            opts.buffer.window + opts.buffer.max_batch);
+            opts.buffer.window + kMaxBatch);
   EXPECT_GE(primary.buffer().stats().snapshots_served, 1u);
   EXPECT_LT(laggard.applied_ts(), primary.buffer().base_ts());
 

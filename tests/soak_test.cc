@@ -257,7 +257,7 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
   dead.Crash();
 
   // window of unacked records + one flush batch still being assembled.
-  const std::size_t bound = copts.buffer.window + copts.buffer.max_batch;
+  const std::size_t bound = copts.buffer.window + vr::kMaxBatch;
   std::size_t max_resident = 0;
   for (int i = 0; i < rounds; ++i) {
     ASSERT_EQ(test::RunOneCallWithRetry(

@@ -363,9 +363,9 @@ TEST(Failover, PrimaryCrashFormsTheViewAtDetectionSpeed) {
     active = std::max(active, st.last_view_change_completed);
     failures += st.view_formation_failures;
   }
-  EXPECT_LE(detected - crashed_at, o.liveness_timeout + o.fd_check_interval);
+  EXPECT_LE(detected - crashed_at, o.liveness_timeout + core::kFdCheckInterval);
   EXPECT_LE(active - detected, 20 * sim::kMillisecond);
-  EXPECT_LT(active - detected, o.invite_response_wait);
+  EXPECT_LT(active - detected, core::kInviteResponseWait);
   EXPECT_EQ(failures, 0u);
   EXPECT_EQ(cluster.AnyPrimary(g)->cur_view().backups.size(), 1u);
 }
@@ -405,7 +405,7 @@ TEST(Failover, SlowButLiveCohortIsIncludedInTheView) {
   }
   const sim::Time done = slow_cohort.stats().last_view_change_completed;
   EXPECT_GE(done - began, 50 * sim::kMillisecond);
-  EXPECT_LT(done - began, slow_cohort.options().invite_response_wait);
+  EXPECT_LT(done - began, core::kInviteResponseWait);
 }
 
 // A cohort that has just recovered has heard from nobody, and a cohort it
@@ -437,7 +437,7 @@ TEST(Failover, JustRecoveredManagerWaitsForTheInviteTimer) {
     return manager.status() == core::Status::kActive;
   }, 2 * sim::kSecond));
   EXPECT_GE(manager.stats().last_view_change_completed - recovered_at,
-            manager.options().invite_response_wait);
+            core::kInviteResponseWait);
   EXPECT_EQ(manager.stats().view_formation_failures, 0u);
 }
 
@@ -468,12 +468,11 @@ TEST(Failover, EarlyAcceptancesThatCannotFormAViewKeepWaiting) {
     return manager.status() == core::Status::kViewManager;
   }, 2 * sim::kSecond));
   const sim::Time began = manager.stats().last_view_change_started;
-  const core::CohortOptions& o = manager.options();
   // The other survivor has accepted; the manager still waits.
   ASSERT_TRUE(RunUntil(cluster, [&] {
     return other.status() == core::Status::kUnderling;
   }, 100 * sim::kMillisecond));
-  cluster.RunFor(began + o.invite_response_wait - 5 * sim::kMillisecond -
+  cluster.RunFor(began + core::kInviteResponseWait - 5 * sim::kMillisecond -
                  cluster.sim().Now());
   EXPECT_EQ(manager.status(), core::Status::kViewManager);
   EXPECT_EQ(manager.stats().view_formation_failures, 0u);
@@ -502,7 +501,7 @@ TEST(Failover, NextLiveCohortManagesWithoutTheStagger) {
     return second.status() == core::Status::kViewManager;
   }, 1 * sim::kSecond));
   EXPECT_LE(cluster.sim().Now() - crashed_at,
-            o.liveness_timeout + o.fd_check_interval);
+            o.liveness_timeout + core::kFdCheckInterval);
   ASSERT_TRUE(cluster.RunUntilStable());
   EXPECT_EQ(third.stats().view_changes_started, third_started);
 }

@@ -234,7 +234,7 @@ TEST_F(CommBufferTest, ForceTimesOutWithoutAcks) {
     done = true;
     ok = o;
   });
-  sim_.scheduler().RunUntil(options_.force_timeout * 2);
+  sim_.scheduler().RunUntil(kForceTimeout * 2);
   EXPECT_TRUE(done);
   EXPECT_FALSE(ok);
   EXPECT_EQ(force_failures_, 1);
@@ -253,7 +253,7 @@ TEST_F(CommBufferTest, StableTsIsKthHighestAck) {
 
 TEST_F(CommBufferTest, RetransmitsUnackedRecords) {
   buffer_.Add(Rec());
-  sim_.scheduler().RunUntil(options_.retransmit_interval * 3);
+  sim_.scheduler().RunUntil(kRetransmitInterval * 3);
   // At least two transmissions to each backup (initial flush + retransmit).
   int to_backup2 = 0;
   for (auto& [to, b] : sent_) to_backup2 += to == 2 ? 1 : 0;
@@ -262,7 +262,7 @@ TEST_F(CommBufferTest, RetransmitsUnackedRecords) {
   sent_.clear();
   Ack(2, 1);
   Ack(3, 1);
-  sim_.scheduler().RunUntil(sim_.Now() + options_.retransmit_interval * 3);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval * 3);
   EXPECT_TRUE(sent_.empty());
 }
 
@@ -271,7 +271,7 @@ TEST_F(CommBufferTest, BatchesStartAfterAckedPrefix) {
   buffer_.Add(Rec());
   Ack(2, 1);
   sent_.clear();
-  sim_.scheduler().RunUntil(sim_.Now() + options_.retransmit_interval + 1);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval + 1);
   bool saw = false;
   for (auto& [to, b] : sent_) {
     if (to != 2) continue;
@@ -403,7 +403,7 @@ TEST_F(CommBufferTest, HealthyBackupsNeverReceiveARecordTwice) {
     Ack(2, buffer_.last_ts());
     Ack(3, buffer_.last_ts());
   }
-  sim_.scheduler().RunUntil(sim_.Now() + options_.retransmit_interval * 3);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval * 3);
   EXPECT_EQ(buffer_.stats().records_sent, 20u);  // 10 records × 2 backups
   EXPECT_EQ(buffer_.stats().records_retransmitted, 0u);
   EXPECT_EQ(buffer_.stats().retransmit_timeouts, 0u);
@@ -414,7 +414,7 @@ TEST_F(CommBufferTest, OnlyStalledBackupGetsRetransmission) {
   sim_.scheduler().RunUntil(options_.flush_delay + 1);
   Ack(2, 1);  // backup 2 healthy; backup 3 silent
   sent_.clear();
-  sim_.scheduler().RunUntil(sim_.Now() + options_.retransmit_interval * 2);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval * 2);
   ASSERT_FALSE(sent_.empty());
   for (auto& [to, b] : sent_) EXPECT_EQ(to, 3u);
   EXPECT_GE(buffer_.stats().retransmit_timeouts, 1u);
@@ -494,7 +494,7 @@ TEST_F(CommBufferTest, DeadBackupNoLongerPinsGarbageCollection) {
   EXPECT_LE(b.records().size(), o.window);
   // The dead backup's go-back-N deadline routes it into state transfer: one
   // snapshot request per episode, and no more record retransmissions.
-  sim_.scheduler().RunUntil(sim_.Now() + o.retransmit_interval * 3);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval * 3);
   ASSERT_EQ(snapshot_requests.size(), 1u);
   EXPECT_EQ(snapshot_requests[0], 3u);
   EXPECT_EQ(b.stats().snapshots_served, 1u);
@@ -561,7 +561,7 @@ TEST_F(CommBufferTest, LostGapResendIsReRequestedAfterDeadline) {
   EXPECT_EQ(sent_.size(), 1u);
   // ...but once the gap deadline passes, the repeated nack means the resend
   // itself was lost: honor it now, well before the go-back-N deadline.
-  sim_.scheduler().RunUntil(sim_.Now() + options_.retransmit_interval / 2 + 1);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval / 2 + 1);
   buffer_.OnAck(a);
   EXPECT_EQ(buffer_.stats().gap_requests, 2u);
   ASSERT_EQ(sent_.size(), 2u);
