@@ -162,7 +162,7 @@ int main() {
   // record bytes as the backlog-replay path (catch-up is snapshot + tail,
   // not the full lag) while the replay path's resident set has grown past
   // the bound the snapshot path obeys.
-  const std::size_t resid_bound = kWindow + 64;  // window + max_batch
+  const std::size_t resid_bound = kWindow + 64;  // window + vr::kMaxBatch
   const bool resid_ok = on_max.resident_peak <= resid_bound;
   const bool tail_ok = on_max.batch_bytes < off_max.batch_bytes;
   // Relative to the snapshot path so the check also holds for the shrunken

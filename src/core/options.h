@@ -48,7 +48,9 @@ inline constexpr host::Duration kShardPullRetry = 250 * host::kMillisecond;
 struct CohortOptions {
   // ---- Failure detection (§4: "I'm alive" messages) ----
   // A peer not heard from within this long is suspected. E11 and E12 raise
-  // it to isolate catch-up and replay from elections.
+  // it to isolate catch-up and replay from elections, and protocol_edge_test's
+  // Atomicity.DeposedPrimaryDoesNotAnswerFromAnUnforcedAbort raises one
+  // cohort's to keep a cut-off primary in its view until its force fails.
   host::Duration liveness_timeout = 120 * host::kMillisecond;
 
   // ---- Communication buffer ----

@@ -12,7 +12,7 @@ void EventLog::Append(std::uint8_t kind, std::vector<std::uint8_t> payload) {
   ++stats_.appends;
   pending_bytes_ += payload.size() + 1;
   pending_.push_back(Entry{kind, std::move(payload)});
-  if (pending_.size() >= kMaxBatch || pending_bytes_ >= kMaxBatchBytes) {
+  if (pending_.size() >= kMaxLogBatch || pending_bytes_ >= kMaxLogBatchBytes) {
     Flush();
     return;
   }

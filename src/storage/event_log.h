@@ -46,8 +46,8 @@ namespace vsr::storage {
 // force latency.
 inline constexpr host::Duration kFlushInterval = 5 * host::kMillisecond;
 // Early-flush thresholds: entry count and pre-framing payload bytes.
-inline constexpr std::size_t kMaxBatch = 256;
-inline constexpr std::size_t kMaxBatchBytes = 64 * 1024;
+inline constexpr std::size_t kMaxLogBatch = 256;
+inline constexpr std::size_t kMaxLogBatchBytes = 64 * 1024;
 
 struct EventLogOptions {
   // Off by default: the paper's configuration is volatile, and E9 must

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "vr/comm_buffer.h"
 #include "wire/buffer.h"
 
 namespace vsr::vr {
@@ -74,7 +75,7 @@ void SnapshotServer::Pump(Mid backup, Transfer& t) {
     stats_.bytes_sent += hi - lo;
     send_(backup, m);
   }
-  t.deadline = t.sent > t.acked ? host_.Now() + kChunkRetransmitInterval : 0;
+  t.deadline = t.sent > t.acked ? host_.Now() + kRetransmitInterval : 0;
 }
 
 void SnapshotServer::OnAck(const SnapshotAckMsg& ack) {
@@ -100,7 +101,7 @@ void SnapshotServer::OnAck(const SnapshotAckMsg& ack) {
   if (ack.offset > t.acked) {
     t.acked = ack.offset;
     if (t.sent < t.acked) t.sent = t.acked;
-    t.deadline = host_.Now() + kChunkRetransmitInterval;
+    t.deadline = host_.Now() + kRetransmitInterval;
     Pump(ack.from, t);
   } else if (ack.offset == 0 && t.acked > 0) {
     // The sink restarted from scratch (checksum reject): rewind.

@@ -13,7 +13,9 @@
 //
 // Both halves live here, transport-agnostic and unit-testable:
 //   SnapshotServer  primary side — one pipelined, deadline-retransmitted
-//                   transfer per lagging backup, sharing the payload bytes;
+//                   transfer per lagging backup, sharing the payload bytes
+//                   (unacked chunks are resent go-back-N after the comm
+//                   buffer's kRetransmitInterval);
 //   SnapshotSink    backup side — in-order chunk assembly, adoption of a
 //                   newer snapshot mid-transfer, checksum verification.
 #pragma once
@@ -29,11 +31,6 @@
 #include "vr/types.h"
 
 namespace vsr::vr {
-
-// Per-backup ack deadline: unacked chunks past it trigger a go-back-N
-// resend from the acked offset (mirrors CommBuffer's record deadlines).
-inline constexpr host::Duration kChunkRetransmitInterval =
-    20 * host::kMillisecond;
 
 struct SnapshotTransferOptions {
   // Payload bytes per SnapshotChunkMsg. E11 sets it.

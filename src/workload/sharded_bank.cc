@@ -159,7 +159,7 @@ core::TxnBody MakeShardedTransferTxn(client::ShardRouter& router,
       // Touch the two accounts in lexicographic order so every transfer
       // acquires its write locks in a single global order — opposing pairs
       // (a->b racing b->a) would otherwise deadlock and burn the full
-      // lock_wait_timeout. Atomicity makes the op order invisible; when the
+      // kLockWaitTimeout. Atomicity makes the op order invisible; when the
       // accounts live on different shards this is a genuine two-group 2PC,
       // and within one shard the second call decides it (one-round commit).
       if (from <= to) {

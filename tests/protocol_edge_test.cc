@@ -1881,10 +1881,11 @@ struct XferWorld {
 // cut off with the primary. The prepare reaches the cut-off primary, which
 // cannot force it, refuses, and records an abort that never replicates;
 // the refusal is lost with the coordinator link. Shard 1 prepares, loses
-// the coordinator, and asks its sibling shard 0. The coordinator's retry
-// prepares at shard 0's next primary, which has the call, and commits. The
-// deposed primary must not answer the sibling query "aborted" from its
-// unreplicated record: shard 1 would abort what shard 0 commits.
+// the coordinator, and asks its sibling shard 0, starting at the deposed
+// primary. The coordinator's retry prepares at shard 0's next primary,
+// which has the call, and commits. The deposed primary must not answer the
+// sibling query "aborted" from its unreplicated record: shard 1 would abort
+// what shard 0 commits.
 TEST(Atomicity, DeposedPrimaryDoesNotAnswerFromAnUnforcedAbort) {
   XferWorld w(431);
   ASSERT_TRUE(w.Fund());
@@ -1895,17 +1896,23 @@ TEST(Atomicity, DeposedPrimaryDoesNotAnswerFromAnUnforcedAbort) {
   core::Cohort* coord = w.cluster.AnyPrimary(cg);
   ASSERT_NE(a0, nullptr);
   ASSERT_NE(coord, nullptr);
-  // Shard 1 asks shard 0's cohorts in configuration order; the deposed
-  // primary comes first.
+  // Shard 0's cohorts answer shard 1's probe in configuration order, so
+  // shard 1 caches the deposed primary and asks it first.
   ASSERT_EQ(a0, w.cluster.Cohorts(g0)[0]);
-  // The coordinator retries the prepare only after the deposed primary has
-  // given up its force and recorded the abort: each prepare transmission
-  // waits kPrepareTimeout past the participant's force timeout.
+  // The deposed primary's failure detector waits out the test: it stays in
+  // its view until its force fails, so shard 1 can reach it, and it holds
+  // the unforced abort when shard 1 asks again.
+  a0->mutable_options().liveness_timeout = 100 * sim::kSecond;
 
   std::optional<vr::Aid> aid;
   bool records_out = false, prepare_in = false, b_prepared = false;
+  bool asked_after_refusal = false;
   w.cluster.network().set_observer([&](const net::Frame& f) {
     const auto type = static_cast<vr::MsgType>(f.type);
+    if (type == vr::MsgType::kQuery && f.to == a0->mid() &&
+        a0->stats().prepares_refused > 0) {
+      asked_after_refusal = true;
+    }
     if (!aid && type == vr::MsgType::kCall && f.to == a0->mid()) {
       if (auto m = vr::DecodeFrame<vr::CallMsg>(f.payload)) aid = m->sub_aid.aid;
     } else if (aid && !records_out && type == vr::MsgType::kBufferBatch &&
@@ -1946,6 +1953,8 @@ TEST(Atomicity, DeposedPrimaryDoesNotAnswerFromAnUnforcedAbort) {
                          10 * sim::kSecond));
   EXPECT_EQ(w.Balance("a005"), 105);
   EXPECT_GE(a0->stats().prepares_refused, 1u);
+  // The sibling query reached the deposed primary while it held the abort.
+  EXPECT_TRUE(asked_after_refusal);
   EXPECT_NE(a0->status(), core::Status::kActive);
   w.Settle();
   EXPECT_EQ(w.Balance("a000"), 95);
@@ -1970,11 +1979,14 @@ TEST(Atomicity, CoordinatorCommitsOnlyInTheViewItsTransactionBegan) {
   ASSERT_NE(b0, nullptr);
   const vr::ViewId began_in = c0->cur_viewid();
 
-  bool a_prepared = false;
+  bool a_prepared = false, restored = false, b_prepare_in = false;
   w.cluster.network().set_observer([&](const net::Frame& f) {
-    if (a_prepared || static_cast<vr::MsgType>(f.type) !=
-                          vr::MsgType::kPrepareReply ||
-        f.to != c0->mid()) {
+    const auto type = static_cast<vr::MsgType>(f.type);
+    if (restored && type == vr::MsgType::kPrepare && f.to == b0->mid()) {
+      b_prepare_in = true;
+      return;
+    }
+    if (a_prepared || type != vr::MsgType::kPrepareReply || f.to != c0->mid()) {
       return;
     }
     auto m = vr::DecodeFrame<vr::PrepareReplyMsg>(f.payload);
@@ -2020,9 +2032,13 @@ TEST(Atomicity, CoordinatorCommitsOnlyInTheViewItsTransactionBegan) {
   ASSERT_FALSE(outcome.has_value());
   ASSERT_NE(c0->cur_viewid(), began_in);
   net->SetLinkDown(c0->mid(), b0->mid(), false);
+  restored = true;
 
   ASSERT_TRUE(w.RunUntil([&] { return outcome.has_value(); },
                          10 * sim::kSecond));
+  // Shard 1 heard a prepare retry after the restore, so the abort is the
+  // §3.1 view check's, not the prepare attempts running out.
+  ASSERT_TRUE(b_prepare_in);
   EXPECT_EQ(*outcome, vr::TxnOutcome::kAborted);
   w.Settle();
   EXPECT_EQ(w.Balance("a000"), 100);

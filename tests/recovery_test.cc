@@ -271,10 +271,10 @@ TEST_F(EventLogTest, BatchThresholdFlushesEarly) {
   log.BeginGeneration(E(1, {0xaa}));
   Settle();
   const auto before = log.stats().segments_written;
-  for (std::size_t i = 0; i < storage::kMaxBatch; ++i) {
+  for (std::size_t i = 0; i < storage::kMaxLogBatch; ++i) {
     log.Append(2, {static_cast<std::uint8_t>(i)});
   }
-  // The last append tripped kMaxBatch: flushed without waiting for the timer.
+  // The last append tripped kMaxLogBatch: flushed without waiting for the timer.
   EXPECT_EQ(log.stats().segments_written, before + 1);
   EXPECT_EQ(log.pending_entries(), 0u);
 }
@@ -285,7 +285,7 @@ TEST_F(EventLogTest, ByteBudgetFlushesEarly) {
   Settle();
   const auto before = log.stats().segments_written;
   // Over budget alone.
-  log.Append(2, std::vector<std::uint8_t>(storage::kMaxBatchBytes + 1, 0x55));
+  log.Append(2, std::vector<std::uint8_t>(storage::kMaxLogBatchBytes + 1, 0x55));
   EXPECT_EQ(log.stats().segments_written, before + 1);
 }
 

@@ -118,7 +118,7 @@ TEST_F(SnapshotUnitTest, DeadlineResendsFromAckedOffset) {
   server_.Serve(kBackup, vs_, payload_);
   outbox_.clear();  // the whole first window is lost
 
-  sim_.scheduler().RunUntil(sim_.Now() + kChunkRetransmitInterval + 1);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval + 1);
   // Go-back-N from the acked offset (0): both window chunks again.
   ASSERT_EQ(outbox_.size(), 2u);
   EXPECT_EQ(outbox_[0].second.offset, 0u);
@@ -146,7 +146,7 @@ TEST_F(SnapshotUnitTest, MidTransferLossRealignsViaCumulativeAck) {
 
   // The deadline rewinds the send cursor to the acked offset and the
   // transfer finishes.
-  sim_.scheduler().RunUntil(sim_.Now() + kChunkRetransmitInterval + 1);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval + 1);
   DeliverAll();
   EXPECT_TRUE(sink_.complete());
   EXPECT_EQ(sink_.payload(), *payload_);
@@ -270,7 +270,7 @@ TEST_F(SnapshotUnitTest, AckValidationRejectsForeignOrStale) {
   server_.Stop();
   EXPECT_FALSE(server_.Serving(kBackup));
   const std::size_t sent = outbox_.size();
-  sim_.scheduler().RunUntil(sim_.Now() + 10 * kChunkRetransmitInterval);
+  sim_.scheduler().RunUntil(sim_.Now() + 10 * kRetransmitInterval);
   EXPECT_EQ(outbox_.size(), sent);  // no zombie retransmits
 }
 
