@@ -52,9 +52,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   cluster.directory().placement_epoch()));
   for (const auto& r : cluster.directory().ranges()) {
-    std::printf("  [%4s, %4s) -> group %u\n",
+    std::printf("  [%4s, %4s) -> group %llu\n",
                 r.lo.empty() ? "-inf" : r.lo.c_str(),
-                r.hi.empty() ? "+inf" : r.hi.c_str(), r.owner);
+                r.hi.empty() ? "+inf" : r.hi.c_str(),
+                static_cast<unsigned long long>(r.owner));
   }
 
   // The router caches placement and refreshes on wrong-shard rejections, so
@@ -69,10 +70,11 @@ int main(int argc, char** argv) {
     const core::ShardRange* r =
         cluster.directory().Route(workload::ShardAccountName(0));
     if (r == nullptr || r->owner == bank.shards[2]) return;
-    std::printf("[%s] rebalancing [%s, %s) from group %u to group %u\n",
+    std::printf("[%s] rebalancing [%s, %s) from group %llu to group %llu\n",
                 sim::FormatDuration(cluster.sim().Now()).c_str(),
                 r->lo.empty() ? "-inf" : r->lo.c_str(), r->hi.c_str(),
-                r->owner, bank.shards[2]);
+                static_cast<unsigned long long>(r->owner),
+                static_cast<unsigned long long>(bank.shards[2]));
     rebalancer.Move(r->lo, r->hi, bank.shards[2], [&](bool ok) {
       move_done = true;
       move_ok = ok;
@@ -116,9 +118,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   cluster.directory().placement_epoch()));
   for (const auto& r : cluster.directory().ranges()) {
-    std::printf("  [%4s, %4s) -> group %u\n",
+    std::printf("  [%4s, %4s) -> group %llu\n",
                 r.lo.empty() ? "-inf" : r.lo.c_str(),
-                r.hi.empty() ? "+inf" : r.hi.c_str(), r.owner);
+                r.hi.empty() ? "+inf" : r.hi.c_str(),
+                static_cast<unsigned long long>(r.owner));
   }
 
   // Audit: the placement map must still tile the key space, and summing the

@@ -22,9 +22,11 @@
 # permanently crashed, the primary's resident record vector must stay
 # O(window) (the StableTs() - window GC floor, DESIGN.md §9). It also scales
 # up the majority-loss storm soak (durable-log recovery + serializability
-# chain, DESIGN.md §10) and runs the six cross-group chaos worlds at 10x
+# chain, DESIGN.md §10) and runs the eight cross-group chaos worlds at 10x
 # rounds, whose quiescence check demands that no cohort keeps state for a
-# settled transaction (DESIGN.md §15).
+# settled transaction (DESIGN.md §15). Each soak stage runs even when an
+# earlier one failed; the pipeline then stops and names every failed stage.
+# The tier-1 ctest stage always runs without CHECK_SOAK.
 #
 # CHECK_REAL_HOST=1 builds a ThreadSanitizer tree (build-tsan/) and runs the
 # genuinely multithreaded code — host conformance + the socket-host
@@ -65,7 +67,9 @@ generator_for() {
 
 cmake -B build -S . $(generator_for build)
 cmake --build build -j "$JOBS"
-ctest --test-dir build --output-on-failure -j "$JOBS"
+# Tier-1 runs at its own scale: CHECK_SOAK=1 belongs to the soak stages
+# below, and soak_test would otherwise run them inside ctest.
+env -u CHECK_SOAK ctest --test-dir build --output-on-failure -j "$JOBS"
 
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   echo "== sanitizers (ASan + UBSan) =="
@@ -92,16 +96,29 @@ if [[ "${CHECK_REAL_HOST:-0}" == "1" ]]; then
 fi
 
 if [[ "${CHECK_SOAK:-0}" == "1" ]]; then
-  echo "== soak (dead backup, GC bound) =="
-  CHECK_SOAK=1 build/tests/soak_test --gtest_filter='DeadBackupSoak.*'
-  echo "== soak (fused commits under coordinator crashes) =="
-  CHECK_SOAK=1 build/tests/soak_test --gtest_filter='CommitFusionCrashSoak.*'
-  echo "== soak (cross-group chaos worlds, per-transaction state stays flat) =="
-  CHECK_SOAK=1 build/tests/soak_test --gtest_filter='Worlds/SoakTest.*'
-  echo "== soak (majority-loss storms, durable-log recovery) =="
-  CHECK_SOAK=1 build/tests/recovery_test --gtest_filter='StormSoak.*'
-  echo "== soak (backup-read leases across primary crashes) =="
-  CHECK_SOAK=1 build/tests/lease_read_test --gtest_filter='LeaseSoak.*'
+  # Every soak stage runs even after one fails; the block then fails naming
+  # each stage that did.
+  soak_failed=()
+  soak() {
+    local title="$1"
+    shift
+    echo "== soak (${title}) =="
+    CHECK_SOAK=1 "$@" || soak_failed+=("${title}")
+  }
+  soak "dead backup, GC bound" \
+    build/tests/soak_test --gtest_filter='DeadBackupSoak.*'
+  soak "fused commits under coordinator crashes" \
+    build/tests/soak_test --gtest_filter='CommitFusionCrashSoak.*'
+  soak "cross-group chaos worlds, per-transaction state stays flat" \
+    build/tests/soak_test --gtest_filter='Worlds/SoakTest.*'
+  soak "majority-loss storms, durable-log recovery" \
+    build/tests/recovery_test --gtest_filter='StormSoak.*'
+  soak "backup-read leases across primary crashes" \
+    build/tests/lease_read_test --gtest_filter='LeaseSoak.*'
+  if (( ${#soak_failed[@]} > 0 )); then
+    printf 'FAIL: soak stage failed: %s\n' "${soak_failed[@]}" >&2
+    exit 1
+  fi
 fi
 
 echo "== experiments =="

@@ -21,11 +21,9 @@ ReadClient::ReadClient(host::Host& hst, net::Transport& transport,
 ReadClient::~ReadClient() { transport_.Unregister(self_); }
 
 void ReadClient::OnFrame(const net::Frame& frame) {
-  if (static_cast<vr::MsgType>(frame.type) != vr::MsgType::kBackupReadReply) {
-    return;
-  }
-  auto m = vr::DecodeFrame<vr::BackupReadReplyMsg>(frame.payload);
-  if (m) read_waiters_.Fulfill(m->corr, std::move(*m));
+  vr::VisitFrame(frame.type, frame.payload, [this](vr::BackupReadReplyMsg m) {
+    read_waiters_.Fulfill(m.corr, std::move(m));
+  });
 }
 
 vr::Mid ReadClient::PickTarget(vr::GroupId group,
@@ -81,7 +79,6 @@ host::Task<std::optional<std::string>> ReadClient::Read(vr::GroupId group,
       if (r->primary_hint != 0 && r->primary_hint != target) {
         target = r->primary_hint;
         via_hint = true;
-        ++stats_.primary_fallbacks;
       } else {
         target = PickTarget(group, *config);
         via_hint = false;
@@ -93,10 +90,7 @@ host::Task<std::optional<std::string>> ReadClient::Read(vr::GroupId group,
     auto& h = horizon_[group];
     h = std::max(h, r->served_vs);
     if (via_hint) benched_until_.clear();  // new primary answered; re-probe
-    if (r->status == vr::ReadStatus::kNotFound) {
-      ++stats_.reads_not_found;
-      co_return std::nullopt;
-    }
+    if (r->status == vr::ReadStatus::kNotFound) co_return std::nullopt;
     ++stats_.reads_ok;
     co_return std::string(r->value.begin(), r->value.end());
   }

@@ -43,11 +43,8 @@ namespace vsr::client {
 
 struct ReadClientStats {
   std::uint64_t reads_ok = 0;
-  std::uint64_t reads_not_found = 0;
   // Wrong-lease rejections observed (each costs one extra round trip).
   std::uint64_t bounces = 0;
-  // Reads that fell back to the hinted primary after a bounce.
-  std::uint64_t primary_fallbacks = 0;
   std::uint64_t read_timeouts = 0;
   // Reads that exhausted every attempt without an answer.
   std::uint64_t reads_failed = 0;

@@ -16,7 +16,6 @@ void ShardRebalancer::Move(std::string lo, std::string hi, vr::GroupId to,
   done_ = std::move(done);
   ++move_id_;
   move_began_ = cluster_.sim().Now();
-  ++stats_.moves_started;
   cluster_.directory().BeginMove(lo_, hi_, to_);
   phase_ = Phase::kBulk;
   StartBulkPull();
@@ -58,7 +57,6 @@ void ShardRebalancer::PollDrain() {
     Finish(false);
     return;
   }
-  ++stats_.drain_polls;
   core::Cohort* src = cluster_.AnyPrimary(from_);
   // Strict 2PL: no holders/tentatives/waiters in the range means every
   // transaction that ever touched it here has committed or aborted, and the
@@ -115,10 +113,7 @@ void ShardRebalancer::Commit() {
 }
 
 void ShardRebalancer::Finish(bool ok) {
-  if (!ok && phase_ != Phase::kIdle) {
-    cluster_.directory().CancelMove(lo_, hi_);
-    ++stats_.moves_cancelled;
-  }
+  if (!ok && phase_ != Phase::kIdle) cluster_.directory().CancelMove(lo_, hi_);
   if (ok) {
     ++stats_.moves_completed;
     stats_.last_move_duration = cluster_.sim().Now() - move_began_;

@@ -52,12 +52,9 @@ class ShardRebalancer {
   bool active() const { return phase_ != Phase::kIdle; }
 
   struct Stats {
-    std::uint64_t moves_started = 0;
     std::uint64_t moves_completed = 0;
-    std::uint64_t moves_cancelled = 0;
     std::uint64_t bulk_pulls = 0;    // pull attempts during phase 2
     std::uint64_t settle_pulls = 0;  // pull attempts during phase 3
-    std::uint64_t drain_polls = 0;
     // Simulated time from BeginHandoff to CommitMove of the last move —
     // the window in which the range is unavailable.
     sim::Duration last_handoff_window = 0;

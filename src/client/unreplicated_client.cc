@@ -14,8 +14,6 @@ UnreplicatedClient::UnreplicatedClient(host::Host& hst,
       coordinator_group_(coordinator_group),
       options_(std::move(options)),
       groups_(hst.timers(), transport, directory, self),
-      begin_waiters_(hst.timers()),
-      commit_waiters_(hst.timers()),
       tasks_(hst.timers()) {
   transport_.Register(self_, this);
 }
@@ -26,35 +24,9 @@ UnreplicatedClient::~UnreplicatedClient() {
 }
 
 void UnreplicatedClient::OnFrame(const net::Frame& frame) {
-  switch (static_cast<vr::MsgType>(frame.type)) {
-    case vr::MsgType::kReply: {
-      auto m = vr::DecodeFrame<vr::ReplyMsg>(frame.payload);
-      if (m) groups_.OnReply(std::move(*m));
-      break;
-    }
-    case vr::MsgType::kProbeReply: {
-      auto m = vr::DecodeFrame<vr::ProbeReplyMsg>(frame.payload);
-      if (m) groups_.OnProbeReply(*m);
-      break;
-    }
-    case vr::MsgType::kBeginTxnReply: {
-      auto m = vr::DecodeFrame<vr::BeginTxnReplyMsg>(frame.payload);
-      if (m) begin_waiters_.Fulfill(m->req_id, std::move(*m));
-      break;
-    }
-    case vr::MsgType::kCommitReqReply: {
-      auto m = vr::DecodeFrame<vr::CommitReqReplyMsg>(frame.payload);
-      if (m) commit_waiters_.Fulfill(m->req_id, std::move(*m));
-      break;
-    }
-    case vr::MsgType::kQueryReply: {
-      auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
-      if (m) groups_.OnQueryReply(std::move(*m));
-      break;
-    }
-    default:
-      break;
-  }
+  vr::VisitFrame(frame.type, frame.payload, [this]<core::RequestReply R>(R m) {
+    groups_.OnReply(std::move(m));
+  });
 }
 
 void UnreplicatedClient::Spawn(
@@ -119,8 +91,8 @@ host::Task<std::optional<Aid>> UnreplicatedClient::BeginTxn() {
     groups_.Send(entry.view.primary, m);
     return m.req_id;
   };
-  auto r = co_await groups_.Request(coordinator_group_, core::kCallAttempts,
-                                    core::kCallTimeout, begin_waiters_, send);
+  auto r = co_await groups_.Request<vr::BeginTxnReplyMsg>(
+      coordinator_group_, core::kCallAttempts, core::kCallTimeout, send);
   if (!r || r->status != vr::ReplyStatus::kOk) co_return std::nullopt;
   co_return r->aid;
 }
@@ -141,11 +113,11 @@ host::Task<TxnOutcome> UnreplicatedClient::CommitTxn(Aid aid,
     return m.req_id;
   };
   // The coordinator-server runs a full 2PC before answering.
-  auto r = co_await groups_.Request(
+  auto r = co_await groups_.Request<vr::CommitReqReplyMsg>(
       coordinator_group_, options_.commit_attempts,
       core::kCommitAckTimeout + core::kPrepareAttempts * core::kPrepareTimeout +
           vr::kForceTimeout,
-      commit_waiters_, send);
+      send);
   if (r) co_return r->outcome;
   // Could not learn the decision; it may still have committed. Fall back to
   // a query (§3.4).
@@ -184,12 +156,10 @@ host::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
   auto r = co_await groups_.Call(std::move(m));
   if (r && r->status == vr::ReplyStatus::kOk) {
     vr::MergePset(txn.pset_, r->pset);
-    ++stats_.calls_ok;
     co_return std::move(r->result);
   }
   // Failed, or no reply: the §3.5 client has no subactions to retry with,
   // so either dooms the transaction.
-  ++stats_.calls_failed;
   txn.doomed_ = true;
   if (r) throw core::TxnError(std::string(r->result.begin(), r->result.end()));
   throw core::TxnError("no reply from group " + std::to_string(group));

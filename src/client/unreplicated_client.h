@@ -28,7 +28,6 @@
 #include "core/directory.h"
 #include "core/group_client.h"
 #include "core/options.h"
-#include "core/wait_table.h"
 #include "host/host.h"
 #include "host/task.h"
 #include "net/transport.h"
@@ -74,8 +73,6 @@ struct ClientStats {
   std::uint64_t txns_committed = 0;
   std::uint64_t txns_aborted = 0;
   std::uint64_t txns_unknown = 0;
-  std::uint64_t calls_ok = 0;
-  std::uint64_t calls_failed = 0;
 };
 
 class UnreplicatedClient : public net::FrameHandler {
@@ -125,9 +122,6 @@ class UnreplicatedClient : public net::FrameHandler {
   const core::CohortOptions options_;
   core::GroupClient groups_;
   ClientStats stats_;
-
-  core::WaitTable<vr::BeginTxnReplyMsg> begin_waiters_;
-  core::WaitTable<vr::CommitReqReplyMsg> commit_waiters_;
 
   host::TaskRegistry tasks_;
 };

@@ -7,6 +7,12 @@
 namespace vsr::core {
 
 namespace {
+// A frame visitor made of one handler per message type.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
 // The buffer grants leases only when backup reads are on: with the option
 // off no lease frames exist at all (DESIGN.md §14 determinism contract).
 vr::CommBufferOptions BufferOptionsFor(const CohortOptions& o) {
@@ -67,8 +73,6 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
                       }
                       return GroupClient::Entry{cur_viewid_, cur_view_};
                     }),
-      prepare_waiters_(hst.timers()),
-      commit_waiters_(hst.timers()),
       bool_waiters_(hst.timers()),
       tasks_(hst.timers()) {
   net_.Register(self_, this);
@@ -337,174 +341,74 @@ void Cohort::OnFrame(const net::Frame& frame) {
       std::find(configuration_.begin(), configuration_.end(), frame.from) !=
       configuration_.end();
   if (from_peer) NoteAlive(frame.from);
-  // Intra-group protocol messages (view change, buffer replication) are
-  // only meaningful from the group's own cohorts; the configuration is
+  // A message addressed to a group is for that group's cohorts only.
+  const auto ours = [this]<typename M>(void (Cohort::*on)(const M&)) {
+    return [this, on](const M& m) {
+      if (m.group == group_) (this->*on)(m);
+    };
+  };
+  // Intra-group protocol messages (view change, buffer replication, leases)
+  // are only meaningful from the group's own cohorts; the configuration is
   // fixed at creation (§2), so anything else is a stray or malformed frame.
-  // Snapshot chunks/acks are NOT on this list: the §9 machinery doubles as
-  // the shard bulk-move primitive (DESIGN.md §11), whose transfers cross
-  // group boundaries — they are gated per-case below instead.
-  switch (static_cast<vr::MsgType>(frame.type)) {
-    case vr::MsgType::kInvite:
-    case vr::MsgType::kAccept:
-    case vr::MsgType::kInitView:
-    case vr::MsgType::kBufferBatch:
-    case vr::MsgType::kBufferAck:
-    case vr::MsgType::kLeaseGrant:
-      if (!from_peer) return;
-      break;
-    default:
-      break;
-  }
-  switch (static_cast<vr::MsgType>(frame.type)) {
-    case vr::MsgType::kPing: {
-      break;  // liveness noted above; a ping carries nothing else
-    }
-    case vr::MsgType::kInvite: {
-      auto m = vr::DecodeFrame<vr::InviteMsg>(frame.payload);
-      if (m && m->group == group_) OnInvite(*m);
-      break;
-    }
-    case vr::MsgType::kAccept: {
-      auto m = vr::DecodeFrame<vr::AcceptMsg>(frame.payload);
-      if (m && m->group == group_) OnAccept(*m);
-      break;
-    }
-    case vr::MsgType::kInitView: {
-      auto m = vr::DecodeFrame<vr::InitViewMsg>(frame.payload);
-      if (m && m->group == group_) OnInitView(*m);
-      break;
-    }
-    case vr::MsgType::kBufferBatch: {
-      auto m = vr::DecodeFrame<vr::BufferBatchMsg>(frame.payload);
-      if (m && m->group == group_) OnBufferBatch(*m);
-      break;
-    }
-    case vr::MsgType::kBufferAck: {
-      auto m = vr::DecodeFrame<vr::BufferAckMsg>(frame.payload);
-      if (m && m->group == group_ && IsActivePrimary()) buffer_.OnAck(*m);
-      break;
-    }
-    case vr::MsgType::kSnapshotChunk: {
-      auto m = vr::DecodeFrame<vr::SnapshotChunkMsg>(frame.payload);
-      if (!m) break;
-      if (m->group == group_) {
-        // Intra-group catch-up transfer: only our own primary streams these.
-        if (from_peer) OnSnapshotChunk(*m);
-      } else {
-        // Chunks of a cross-group shard pull, stamped with the SOURCE
-        // group's id; OnShardChunk validates them against the active pull.
-        OnShardChunk(*m);
-      }
-      break;
-    }
-    case vr::MsgType::kSnapshotAck: {
-      auto m = vr::DecodeFrame<vr::SnapshotAckMsg>(frame.payload);
+  // Snapshot chunks/acks are NOT among them: the §9 machinery doubles as the
+  // shard bulk-move primitive (DESIGN.md §11), whose transfers cross group
+  // boundaries — they are gated per message instead.
+  const auto ours_from_peer =
+      [this, from_peer]<typename M>(void (Cohort::*on)(const M&)) {
+        return [this, on, from_peer](const M& m) {
+          if (from_peer && m.group == group_) (this->*on)(m);
+        };
+      };
+  const auto handle = Overloaded{
+      // Replies to this cohort's own requests.
+      [this]<RequestReply R>(R m) { group_client_.OnReply(std::move(m)); },
+      [](const vr::PingMsg&) {},  // liveness noted above
+      ours_from_peer(&Cohort::OnInvite),
+      ours_from_peer(&Cohort::OnAccept),
+      ours_from_peer(&Cohort::OnInitView),
+      ours_from_peer(&Cohort::OnBufferBatch),
+      ours_from_peer(&Cohort::OnLeaseGrant),
+      [&](const vr::BufferAckMsg& m) {
+        if (from_peer && m.group == group_ && IsActivePrimary()) {
+          buffer_.OnAck(m);
+        }
+      },
+      [&](const vr::SnapshotChunkMsg& m) {
+        if (m.group == group_) {
+          // Intra-group catch-up transfer: only our own primary streams
+          // these.
+          if (from_peer) OnSnapshotChunk(m);
+        } else {
+          // Chunks of a cross-group shard pull, stamped with the SOURCE
+          // group's id; OnShardChunk validates them against the active pull.
+          OnShardChunk(m);
+        }
+      },
       // Acks for shard transfers come from the pulling group's primary —
       // not a peer — carrying our group id copied from the chunks; the
       // server validates viewid/vs/offset per registered transfer.
-      if (m && m->group == group_ && IsActivePrimary()) OnSnapshotAck(*m);
-      break;
-    }
-    case vr::MsgType::kCall: {
-      auto m = vr::DecodeFrame<vr::CallMsg>(frame.payload);
-      if (m && m->group == group_) OnCall(*m);
-      break;
-    }
-    case vr::MsgType::kReply: {
-      auto m = vr::DecodeFrame<vr::ReplyMsg>(frame.payload);
-      if (m) group_client_.OnReply(std::move(*m));
-      break;
-    }
-    case vr::MsgType::kPrepare: {
-      auto m = vr::DecodeFrame<vr::PrepareMsg>(frame.payload);
-      if (m && m->group == group_) OnPrepare(*m);
-      break;
-    }
-    case vr::MsgType::kPrepareReply: {
-      auto m = vr::DecodeFrame<vr::PrepareReplyMsg>(frame.payload);
-      if (m) prepare_waiters_.Fulfill({m->aid, m->from_group}, std::move(*m));
-      break;
-    }
-    case vr::MsgType::kCommit: {
-      auto m = vr::DecodeFrame<vr::CommitMsg>(frame.payload);
-      if (m && m->group == group_) OnCommit(*m);
-      break;
-    }
-    case vr::MsgType::kCommitDone: {
-      auto m = vr::DecodeFrame<vr::CommitDoneMsg>(frame.payload);
-      if (m) commit_waiters_.Fulfill({m->aid, m->from_group}, std::move(*m));
-      break;
-    }
-    case vr::MsgType::kAbort: {
-      auto m = vr::DecodeFrame<vr::AbortMsg>(frame.payload);
-      if (m && m->group == group_) OnAbort(*m);
-      break;
-    }
-    case vr::MsgType::kAbortSub: {
-      auto m = vr::DecodeFrame<vr::AbortSubMsg>(frame.payload);
-      if (m && m->group == group_) OnAbortSub(*m);
-      break;
-    }
-    case vr::MsgType::kQuery: {
-      auto m = vr::DecodeFrame<vr::QueryMsg>(frame.payload);
-      if (m) AnswerQuery(*m);
-      break;
-    }
-    case vr::MsgType::kQueryReply: {
-      auto m = vr::DecodeFrame<vr::QueryReplyMsg>(frame.payload);
-      if (m) group_client_.OnQueryReply(std::move(*m));
-      break;
-    }
-    case vr::MsgType::kProbe: {
-      auto m = vr::DecodeFrame<vr::ProbeMsg>(frame.payload);
-      if (m && m->group == group_) OnProbe(*m);
-      break;
-    }
-    case vr::MsgType::kProbeReply: {
-      auto m = vr::DecodeFrame<vr::ProbeReplyMsg>(frame.payload);
-      if (m) group_client_.OnProbeReply(*m);
-      break;
-    }
-    case vr::MsgType::kBeginTxn: {
-      auto m = vr::DecodeFrame<vr::BeginTxnMsg>(frame.payload);
-      if (m && m->group == group_) OnBeginTxn(*m);
-      break;
-    }
-    case vr::MsgType::kBeginTxnReply:
-    case vr::MsgType::kCommitReqReply: {
-      // Consumed by client::UnreplicatedClient, not by cohorts.
-      break;
-    }
-    case vr::MsgType::kCommitReq: {
-      auto m = vr::DecodeFrame<vr::CommitReqMsg>(frame.payload);
-      if (m && m->group == group_) OnCommitReq(*m);
-      break;
-    }
-    case vr::MsgType::kAbortReq: {
-      auto m = vr::DecodeFrame<vr::AbortReqMsg>(frame.payload);
-      if (m && m->group == group_) OnAbortReq(*m);
-      break;
-    }
-    case vr::MsgType::kShardPull: {
-      auto m = vr::DecodeFrame<vr::ShardPullMsg>(frame.payload);
-      if (m && m->group == group_) OnShardPull(*m);
-      break;
-    }
-    case vr::MsgType::kLeaseGrant: {
-      auto m = vr::DecodeFrame<vr::LeaseGrantMsg>(frame.payload);
-      if (m && m->group == group_) OnLeaseGrant(*m);
-      break;
-    }
-    case vr::MsgType::kBackupRead: {
-      auto m = vr::DecodeFrame<vr::BackupReadMsg>(frame.payload);
-      if (m && m->group == group_) OnBackupRead(*m);
-      break;
-    }
-    case vr::MsgType::kBackupReadReply: {
-      // Consumed by client::ReadClient, not by cohorts.
-      break;
-    }
-  }
+      [this](const vr::SnapshotAckMsg& m) {
+        if (m.group == group_ && IsActivePrimary()) OnSnapshotAck(m);
+      },
+      ours(&Cohort::OnCall),
+      ours(&Cohort::OnPrepare),
+      ours(&Cohort::OnCommit),
+      ours(&Cohort::OnAbort),
+      ours(&Cohort::OnAbortSub),
+      ours(&Cohort::OnProbe),
+      ours(&Cohort::OnBeginTxn),
+      ours(&Cohort::OnCommitReq),
+      ours(&Cohort::OnAbortReq),
+      ours(&Cohort::OnShardPull),
+      ours(&Cohort::OnBackupRead),
+      // A query names no group: any cohort may be asked (§3.4).
+      [this](const vr::QueryMsg& m) { AnswerQuery(m); },
+      // A client::ReadClient's reply, never a cohort's.
+      [](const vr::BackupReadReplyMsg&) {},
+  };
+  static_assert(vr::kVisitsEveryMessage<decltype(handle)>,
+                "every message type needs a handler");
+  vr::VisitFrame(frame.type, frame.payload, handle);
 }
 
 // ---------------------------------------------------------------------------

@@ -388,8 +388,9 @@ class Cohort : public net::FrameHandler {
   }
   // Coroutines waiting on a prepare, commit or query reply.
   std::size_t PendingTxnReplies() const {
-    return prepare_waiters_.pending() + commit_waiters_.pending() +
-           group_client_.PendingOutcomeRequests();
+    return group_client_.Pending<vr::PrepareReplyMsg>() +
+           group_client_.Pending<vr::CommitDoneMsg>() +
+           group_client_.Pending<vr::QueryReplyMsg>();
   }
 
   // -- Shard rebalancing (shard.cc, DESIGN.md §11) -----------------------
@@ -920,13 +921,10 @@ class Cohort : public net::FrameHandler {
 
   // ---- client role ----
   std::uint64_t next_txn_seq_ = 1;
-  // Other groups' primaries, calls and retried requests (§3, Fig. 2); its
-  // counter issues every correlation id of this cohort.
+  // Other groups' primaries, calls and retried requests (§3, Fig. 2), and
+  // every reply to them; its counter issues every correlation id of this
+  // cohort.
   GroupClient group_client_;
-  // 2PC replies are routed by the key they carry, (aid, replying group);
-  // query replies go to group_client_.
-  WaitTable<vr::PrepareReplyMsg, std::pair<Aid, GroupId>> prepare_waiters_;
-  WaitTable<vr::CommitDoneMsg, std::pair<Aid, GroupId>> commit_waiters_;
   // Force and lock completions are routed through a wait table rather than
   // raw coroutine handles so that coroutine teardown (crash) can never leave
   // the buffer or lock manager holding a dangling resume path.

@@ -11,9 +11,7 @@ GroupClient::GroupClient(host::TimerService& timers, net::Transport& transport,
       directory_(directory),
       self_(self),
       own_(std::move(own)),
-      probe_waiters_(timers),
-      reply_waiters_(timers),
-      query_waiters_(timers) {}
+      waiters_(timers) {}
 
 std::optional<GroupClient::Entry> GroupClient::Get(vr::GroupId g) const {
   if (own_) {
@@ -51,7 +49,7 @@ void GroupClient::EndWatch(vr::GroupId g, vr::ViewId vid, const vr::View& v) {
   // Each resumed call runs on at once, so the ids are collected first.
   for (std::uint64_t id : ended) {
     reject.call_id = id;
-    reply_waiters_.Fulfill(id, reject);
+    Waiters<vr::ReplyMsg>().Fulfill(id, reject);
   }
 }
 
@@ -70,7 +68,8 @@ host::Task<std::optional<GroupClient::Entry>> GroupClient::Lookup(
     probe.req_id = NextId();
     probe.reply_to = self_;
     for (vr::Mid target : *config) Send(target, probe);
-    auto r = co_await probe_waiters_.Await(probe.req_id, kProbeTimeout);
+    auto r = co_await Waiters<vr::ProbeReplyMsg>().Await(probe.req_id,
+                                                         kProbeTimeout);
     if (r) {
       Update(g, r->viewid, r->view);
       co_return Get(g);
@@ -101,15 +100,15 @@ void GroupClient::Leave(std::uint64_t call_seq, vr::GroupId g) {
   watches_.erase(g);
 }
 
-void GroupClient::OnProbeReply(const vr::ProbeReplyMsg& m) {
+void GroupClient::OnReply(vr::ProbeReplyMsg r) {
   // Any answer past a running watch's floor ends it, whichever probe it
   // answers: a cohort parks one probe per requester, so a lookup's probe
   // may have replaced the watch's.
-  auto w = watches_.find(m.group);
-  if (w != watches_.end() && w->second < m.viewid) {
-    EndWatch(m.group, m.viewid, m.view);
+  auto w = watches_.find(r.group);
+  if (w != watches_.end() && w->second < r.viewid) {
+    EndWatch(r.group, r.viewid, r.view);
   }
-  probe_waiters_.Fulfill(m.req_id, m);
+  Waiters<vr::ProbeReplyMsg>().Fulfill(r.req_id, std::move(r));
 }
 
 host::Task<std::optional<vr::ReplyMsg>> GroupClient::Call(vr::CallMsg msg,
@@ -133,7 +132,7 @@ host::Task<std::optional<vr::ReplyMsg>> GroupClient::Call(vr::CallMsg msg,
     if (sent != nullptr) *sent = true;
     calls_[msg.call_seq] =
         PendingCall{msg.group, msg.viewid, msg.call_id, attempt > 1};
-    r = co_await reply_waiters_.Await(msg.call_id, kCallTimeout);
+    r = co_await Waiters<vr::ReplyMsg>().Await(msg.call_id, kCallTimeout);
     // Retransmit to the same primary; the server's dedup table makes this
     // safe within a view. From now on the call waits on the group's watch
     // too, whose newer view ends it as a redirect: retrying at a
@@ -173,7 +172,8 @@ host::Task<vr::TxnOutcome> GroupClient::AskOutcome(vr::GroupId g,
     if (sent != nullptr) ++*sent;
     return std::pair{aid, g};
   };
-  auto r = co_await Request(g, attempts, kProbeTimeout, query_waiters_, send);
+  auto r = co_await Request<vr::QueryReplyMsg>(g, attempts, kProbeTimeout,
+                                               send);
   co_return r ? r->outcome : vr::TxnOutcome::kUnknown;
 }
 

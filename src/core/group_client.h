@@ -22,7 +22,10 @@
 //     begin, commit-request): look up, send, await, follow a redirect,
 //     invalidate after silence, for a bounded number of transmissions;
 //   * the outcome request (§3.4 queries, DESIGN.md §13.6 settles) on that
-//     loop, with the query replies' waiter table.
+//     loop;
+//   * the reply intake: every reply to a request the owner made (call,
+//     probe, prepare, commit, query, begin, commit-request) lands here,
+//     keyed by what it carries, in one wait table per reply type.
 //
 // Host-agnostic: built over host::TimerService, net::Transport and the
 // Directory, like every protocol module.
@@ -32,7 +35,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "core/directory.h"
@@ -78,6 +80,34 @@ inline bool Redirected(const vr::QueryReplyMsg& r) { return r.wrong_primary; }
 // a commit request, so its reply carries none.
 template <typename R>
 concept CarriesRedirect = requires(const R& r) { Redirected(r); };
+
+// The key a reply to a request arrives under: the correlation id of a call,
+// probe or §3.5 request, and (aid, answering group) for 2PC and query
+// replies, which name no correlation id — one aid may be asked of several
+// groups in turn.
+using AidAtGroup = std::pair<vr::Aid, vr::GroupId>;
+inline std::uint64_t ReplyKey(const vr::ReplyMsg& r) { return r.call_id; }
+inline std::uint64_t ReplyKey(const vr::ProbeReplyMsg& r) { return r.req_id; }
+inline AidAtGroup ReplyKey(const vr::PrepareReplyMsg& r) {
+  return {r.aid, r.from_group};
+}
+inline AidAtGroup ReplyKey(const vr::CommitDoneMsg& r) {
+  return {r.aid, r.from_group};
+}
+inline AidAtGroup ReplyKey(const vr::QueryReplyMsg& r) {
+  return {r.aid, r.from_group};
+}
+inline std::uint64_t ReplyKey(const vr::BeginTxnReplyMsg& r) {
+  return r.req_id;
+}
+inline std::uint64_t ReplyKey(const vr::CommitReqReplyMsg& r) {
+  return r.req_id;
+}
+// The replies GroupClient takes: every reply to a request its owner made.
+template <typename R>
+concept RequestReply = requires(const R& r) { ReplyKey(r); };
+template <RequestReply R>
+using ReplyKeyOf = decltype(ReplyKey(std::declval<const R&>()));
 
 class GroupClient {
  public:
@@ -133,16 +163,20 @@ class GroupClient {
   }
 
   // ---- reply intake (the owner's frame dispatch) ----
-  void OnProbeReply(const vr::ProbeReplyMsg& m);
-  void OnReply(vr::ReplyMsg m) {
-    reply_waiters_.Fulfill(m.call_id, std::move(m));
+  // Resumes the request waiting under the reply's key; a late or duplicate
+  // reply is dropped.
+  template <RequestReply R>
+  void OnReply(R r) {
+    const ReplyKeyOf<R> key = ReplyKey(r);
+    Waiters<R>().Fulfill(key, std::move(r));
   }
-  void OnQueryReply(vr::QueryReplyMsg m) {
-    query_waiters_.Fulfill({m.aid, m.from_group}, std::move(m));
-  }
-  // Outcome requests waiting for their reply (DESIGN.md §15).
-  std::size_t PendingOutcomeRequests() const {
-    return query_waiters_.pending();
+  // A probe reply also ends the watch of a group it shows a newer view of.
+  void OnReply(vr::ProbeReplyMsg r);
+  // Requests waiting for a reply of type R (DESIGN.md §15).
+  template <RequestReply R>
+  std::size_t Pending() const {
+    const WaitTable<R, ReplyKeyOf<R>>& waiters = waiters_;
+    return waiters.pending();
   }
 
   // ---- the call attempt (Fig. 2) ----
@@ -163,19 +197,17 @@ class GroupClient {
   // Sends an idempotent request to g's primary until it answers with
   // anything but a redirect, for up to `attempts` transmissions: `send`
   // builds and sends one transmission to the given primary and returns the
-  // key its reply arrives under in `replies`. A redirect is followed and a
-  // silent transmission invalidates the entry before the next attempt.
-  // nullopt when no primary was found or the attempts ran out.
-  template <typename Reply, typename Key>
+  // key its Reply arrives under. A redirect is followed and a silent
+  // transmission invalidates the entry before the next attempt. nullopt
+  // when no primary was found or the attempts ran out.
+  template <RequestReply Reply>
   host::Task<std::optional<Reply>> Request(
       vr::GroupId g, int attempts, host::Duration timeout,
-      WaitTable<Reply, Key>& replies,
-      std::type_identity_t<std::function<Key(const Entry&)>> send) {
+      std::function<ReplyKeyOf<Reply>(const Entry&)> send) {
     for (int attempt = 0; attempt < attempts; ++attempt) {
       auto entry = co_await Lookup(g);
       if (!entry) co_return std::nullopt;
-      const Key key = send(*entry);
-      auto r = co_await replies.Await(key, timeout);
+      auto r = co_await Waiters<Reply>().Await(send(*entry), timeout);
       if (!r) {
         Invalidate(g);
         continue;
@@ -239,12 +271,20 @@ class GroupClient {
   std::map<std::uint64_t, PendingCall> calls_;
   // Running watches, by group: the viewid their probes must pass.
   std::map<vr::GroupId, vr::ViewId> watches_;
-  WaitTable<vr::ProbeReplyMsg> probe_waiters_;
-  WaitTable<vr::ReplyMsg> reply_waiters_;
-  // Keyed by aid and answering group: the reply names no correlation id,
-  // and one aid may be asked of several groups in turn.
-  WaitTable<vr::QueryReplyMsg, std::pair<vr::Aid, vr::GroupId>>
-      query_waiters_;
+  // One wait table per reply type, each keyed by ReplyKey.
+  template <typename... R>
+  struct ReplyWaiters : WaitTable<R, ReplyKeyOf<R>>... {
+    explicit ReplyWaiters(host::TimerService& timers)
+        : WaitTable<R, ReplyKeyOf<R>>(timers)... {}
+  };
+  template <RequestReply R>
+  WaitTable<R, ReplyKeyOf<R>>& Waiters() {
+    return waiters_;
+  }
+  ReplyWaiters<vr::ReplyMsg, vr::ProbeReplyMsg, vr::PrepareReplyMsg,
+               vr::CommitDoneMsg, vr::QueryReplyMsg, vr::BeginTxnReplyMsg,
+               vr::CommitReqReplyMsg>
+      waiters_;
 };
 
 }  // namespace vsr::core

@@ -385,9 +385,8 @@ host::Task<bool> Cohort::PrepareOne(
     SendMsg(entry.view.primary, m);
     return std::pair{aid, g};
   };
-  auto r = co_await group_client_.Request(
-      g, kPrepareAttempts, kPrepareTimeout + vr::kForceTimeout,
-      prepare_waiters_, send);
+  auto r = co_await group_client_.Request<vr::PrepareReplyMsg>(
+      g, kPrepareAttempts, kPrepareTimeout + vr::kForceTimeout, send);
   if (!r || r->status != vr::PrepareStatus::kPrepared) co_return false;
   if (!r->read_only) plist->push_back(g);
   co_return true;
@@ -420,9 +419,9 @@ host::Task<bool> Cohort::CommitOne(Aid aid, GroupId g) {
     return std::pair{aid, g};
   };
   // Unreached participants resolve the outcome via queries (§3.4).
-  auto r = co_await group_client_.Request(
+  auto r = co_await group_client_.Request<vr::CommitDoneMsg>(
       g, options_.commit_attempts, kCommitAckTimeout + vr::kForceTimeout,
-      commit_waiters_, send);
+      send);
   co_return r.has_value();
 }
 

@@ -6,9 +6,8 @@
 // itself on destruction, so destroying a suspended coroutine (node crash,
 // transaction teardown) leaves no dangling resume path.
 //
-// The key is whatever the response carries: a correlation id for calls and
-// probes, the aid for §3.4 query replies, (aid, replying group) for 2PC
-// replies.
+// The key is whatever the response carries (core::ReplyKey for the replies
+// core::GroupClient takes).
 #pragma once
 
 #include <coroutine>

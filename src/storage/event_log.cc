@@ -135,7 +135,6 @@ std::vector<EventLog::Entry> EventLog::Replay() {
       e.kind = body[0];
       e.payload.assign(body.begin() + 1, body.end());
       out.push_back(std::move(e));
-      ++stats_.entries_replayed;
     }
   }
   if (bad) ++stats_.entries_rejected;

@@ -121,7 +121,6 @@ class EventLog {
     std::uint64_t segments_written = 0;
     std::uint64_t bytes_logged = 0;
     std::uint64_t generations = 0;
-    std::uint64_t entries_replayed = 0;
     std::uint64_t entries_rejected = 0;  // torn/corrupt suffix at replay
   };
   const Stats& stats() const { return stats_; }

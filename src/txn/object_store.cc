@@ -31,7 +31,6 @@ bool ObjectStore::TryAcquire(const std::string& uid, Aid aid, LockMode mode) {
   if (!LockCompatible(obj, aid, mode)) return false;
   GrantLock(obj, aid, mode);
   touched_[aid].insert(uid);
-  ++stats_.acquisitions;
   return true;
 }
 
@@ -263,7 +262,6 @@ void ObjectStore::PumpWaiters(const std::string& uid) {
     if (!LockCompatible(obj, w.aid, w.mode)) break;  // FIFO: head blocks rest
     GrantLock(obj, w.aid, w.mode);
     touched_[w.aid].insert(uid);
-    ++stats_.acquisitions;
     host_.timers().Cancel(w.timer);
     granted.push_back(std::move(w.done));
     q.pop_front();

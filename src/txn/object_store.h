@@ -163,7 +163,6 @@ class ObjectStore {
   void Clear();
 
   struct Stats {
-    std::uint64_t acquisitions = 0;
     std::uint64_t waits = 0;
     std::uint64_t wait_timeouts = 0;
     std::uint64_t commits = 0;

@@ -75,7 +75,6 @@ void CommBuffer::ForceTo(Viewstamp vs, std::function<void(bool)> done) {
   // A stopped buffer never replicated these events: the caller must not
   // treat them as durable (the view change decides their fate).
   if (!active_) {
-    ++stats_.forces_failed;
     done(false);
     return;
   }
@@ -126,7 +125,6 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
     ++stats_.acks_rejected;
     return;
   }
-  ++stats_.acks_received;
   BackupState& st = it->second;
   bool rejoin_serviced = false;
   if (ack.rejoin) {
@@ -297,7 +295,6 @@ void CommBuffer::CheckForceTimeouts() {
         host_.timers().At(next_deadline, [this] { CheckForceTimeouts(); });
   }
   if (!expired.empty()) {
-    stats_.forces_failed += expired.size();
     for (auto& cb : expired) cb(false);
     // "If communication with some backups is impossible, the call of
     //  force-to will be abandoned, and the cohort will switch to running the

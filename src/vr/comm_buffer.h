@@ -150,7 +150,6 @@ class CommBuffer {
     // (§3.7's "prepare messages are usually processed entirely at the
     // primary" claim, measured in bench E2).
     std::uint64_t forces_immediate = 0;
-    std::uint64_t forces_failed = 0;
     // Forces still pending when the buffer stopped (a view change or a
     // crash): dropped without their callbacks, so counted only here.
     std::uint64_t forces_abandoned = 0;
@@ -183,8 +182,6 @@ class CommBuffer {
     // Duplicate rejoin acks dropped: their recovery epoch was already
     // serviced, so rewinding again would only thrash the stream.
     std::uint64_t rejoins_ignored = 0;
-    // Acks accepted from backups of this view.
-    std::uint64_t acks_received = 0;
     // Read-lease grants issued on the ack path (DESIGN.md §14).
     std::uint64_t leases_granted = 0;
   };

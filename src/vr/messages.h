@@ -21,15 +21,20 @@
 //                 clients (§3.5)
 //
 // Each message lists its wire layout once, as a Fields walk (wire/buffer.h
-// maps field types to bytes); Encode and Decode just run that walk. A frame
-// is decoded with DecodeFrame, which accepts only a clean parse that uses
+// maps field types to bytes); Encode and Decode just run that walk. Which
+// struct a frame's tag names is written once too, in the message list
+// (VSR_MESSAGES): every frame handler decodes through VisitFrame, built
+// from that list on DecodeFrame, which accepts only a clean parse that uses
 // every byte.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "vr/events.h"
@@ -39,45 +44,76 @@
 
 namespace vsr::vr {
 
+// The message list, the one table of the wire protocol's frames: each row
+// names a message (its struct is Name##Msg, its MsgType enumerator k##Name),
+// its wire tag and its printable name, in tag order. MsgType, kLastMsgType,
+// MsgTypeName and VisitFrame are built from it; a new message is one more
+// row here plus its struct below.
+#define VSR_MESSAGES(X)                       \
+  X(Ping, 1, "ping")                          \
+  X(Invite, 2, "invite")                      \
+  X(Accept, 3, "accept")                      \
+  X(InitView, 4, "init-view")                 \
+  X(BufferBatch, 5, "buffer-batch")           \
+  X(BufferAck, 6, "buffer-ack")               \
+  X(SnapshotChunk, 7, "snapshot-chunk")       \
+  X(SnapshotAck, 8, "snapshot-ack")           \
+  X(Call, 10, "call")                         \
+  X(Reply, 11, "reply")                       \
+  X(Prepare, 12, "prepare")                   \
+  X(PrepareReply, 13, "prepare-reply")        \
+  X(Commit, 14, "commit")                     \
+  X(CommitDone, 15, "commit-done")            \
+  X(Abort, 16, "abort")                       \
+  X(AbortSub, 17, "abort-sub")                \
+  X(Query, 18, "query")                       \
+  X(QueryReply, 19, "query-reply")            \
+  X(Probe, 20, "probe")                       \
+  X(ProbeReply, 21, "probe-reply")            \
+  X(BeginTxn, 22, "begin-txn")                \
+  X(BeginTxnReply, 23, "begin-txn-reply")     \
+  X(CommitReq, 24, "commit-req")              \
+  X(CommitReqReply, 25, "commit-req-reply")   \
+  X(AbortReq, 26, "abort-req")                \
+  X(ShardPull, 27, "shard-pull")              \
+  X(LeaseGrant, 28, "lease-grant")            \
+  X(BackupRead, 29, "backup-read")            \
+  X(BackupReadReply, 30, "backup-read-reply")
+
 enum class MsgType : std::uint16_t {
-  kPing = 1,
-  kInvite = 2,
-  kAccept = 3,
-  kInitView = 4,
-  kBufferBatch = 5,
-  kBufferAck = 6,
-  kSnapshotChunk = 7,
-  kSnapshotAck = 8,
-
-  kCall = 10,
-  kReply = 11,
-  kPrepare = 12,
-  kPrepareReply = 13,
-  kCommit = 14,
-  kCommitDone = 15,
-  kAbort = 16,
-  kAbortSub = 17,
-  kQuery = 18,
-  kQueryReply = 19,
-
-  kProbe = 20,
-  kProbeReply = 21,
-  kBeginTxn = 22,
-  kBeginTxnReply = 23,
-  kCommitReq = 24,
-  kCommitReqReply = 25,
-  kAbortReq = 26,
-
-  kShardPull = 27,
-
-  kLeaseGrant = 28,
-  kBackupRead = 29,
-  kBackupReadReply = 30,
+#define VSR_ENUMERATOR(Name, tag, name) k##Name = tag,
+  VSR_MESSAGES(VSR_ENUMERATOR)
+#undef VSR_ENUMERATOR
 };
-// The highest tag in use: a new type goes after it and moves this bound.
-inline constexpr MsgType kLastMsgType = MsgType::kBackupReadReply;
 
-const char* MsgTypeName(MsgType t);
+// The tags in use, in list order.
+inline constexpr std::uint16_t kMsgTags[] = {
+#define VSR_TAG(Name, tag, name) tag,
+    VSR_MESSAGES(VSR_TAG)
+#undef VSR_TAG
+};
+static_assert(
+    [] {
+      for (std::size_t i = 1; i < std::size(kMsgTags); ++i) {
+        if (kMsgTags[i - 1] >= kMsgTags[i]) return false;
+      }
+      return true;
+    }(),
+    "message tags must be unique and listed in ascending order");
+// The highest tag in use.
+inline constexpr MsgType kLastMsgType{std::end(kMsgTags)[-1]};
+
+// The message's name, or "?" for a tag no message has.
+constexpr const char* MsgTypeName(MsgType t) {
+  switch (t) {
+#define VSR_NAME(Name, tag, name) \
+  case MsgType::k##Name:          \
+    return name;
+    VSR_MESSAGES(VSR_NAME)
+#undef VSR_NAME
+  }
+  return "?";
+}
 
 // ---------------------------------------------------------------------------
 // Failure detection & view change
@@ -779,6 +815,39 @@ std::optional<M> DecodeFrame(std::span<const std::uint8_t> payload) {
   M m = r.Read<M>();
   if (!r.ok() || !r.AtEnd()) return std::nullopt;
   return m;
+}
+
+#define VSR_KTYPE_MATCHES(Name, tag, name)              \
+  static_assert(Name##Msg::kType == MsgType::k##Name, \
+                #Name "Msg::kType is not its row's tag");
+VSR_MESSAGES(VSR_KTYPE_MATCHES)
+#undef VSR_KTYPE_MATCHES
+
+// Whether `visit` takes every message of the list: a dispatch that may drop
+// no message type unseen asserts this of its visitor.
+template <typename Visit>
+inline constexpr bool kVisitsEveryMessage =
+#define VSR_TAKES(Name, tag, name) std::is_invocable_v<Visit&, Name##Msg&&>&&
+    VSR_MESSAGES(VSR_TAKES) true;
+#undef VSR_TAKES
+
+// The one decode step of every frame handler: decodes a frame of tag `type`
+// as the message the list pairs with that tag, with DecodeFrame, and hands
+// it to `visit`. A message `visit` does not take is dropped undecoded, as
+// is a tag no message has; a payload DecodeFrame rejects is dropped.
+template <typename Visit>
+void VisitFrame(std::uint16_t type, std::span<const std::uint8_t> payload,
+                Visit&& visit) {
+  switch (static_cast<MsgType>(type)) {
+#define VSR_VISIT(Name, tag, name)                                          \
+  case MsgType::k##Name:                                                    \
+    if constexpr (std::is_invocable_v<Visit&, Name##Msg&&>) {               \
+      if (auto m = DecodeFrame<Name##Msg>(payload)) visit(std::move(*m));   \
+    }                                                                       \
+    return;
+    VSR_MESSAGES(VSR_VISIT)
+#undef VSR_VISIT
+  }
 }
 
 }  // namespace vsr::vr

@@ -103,15 +103,15 @@ TEST(GroupClient, FirstActiveProbeAnswerWins) {
   EXPECT_EQ(probes[0].second.newer_than, vr::ViewId{});
   const std::uint64_t req = probes[0].second.req_id;
 
-  w.client.OnProbeReply(ProbeReply(req + 1, {9, 1}, 1));  // another probe's
+  w.client.OnReply(ProbeReply(req + 1, {9, 1}, 1));  // another probe's
   EXPECT_FALSE(done);
-  w.client.OnProbeReply(ProbeReply(req, {4, 2}, 2));
+  w.client.OnReply(ProbeReply(req, {4, 2}, 2));
   ASSERT_TRUE(done);
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->viewid, (vr::ViewId{4, 2}));
   EXPECT_EQ(found->view.primary, 2u);
 
-  w.client.OnProbeReply(ProbeReply(req, {6, 3}, 3));
+  w.client.OnReply(ProbeReply(req, {6, 3}, 3));
   auto cached = w.client.Get(kGroup);
   ASSERT_TRUE(cached.has_value());
   EXPECT_EQ(cached->viewid, (vr::ViewId{4, 2}));
@@ -150,12 +150,10 @@ TEST(GroupClient, OlderRedirectNeverReplacesNewerView) {
 TEST(GroupClient, RedirectWithoutKnownViewInvalidates) {
   World w;
   w.client.Update(kGroup, {5, 1}, ViewWithPrimary(1));
-  core::WaitTable<vr::PrepareReplyMsg, std::pair<vr::Aid, vr::GroupId>>
-      replies(w.sim.scheduler());
   const vr::Aid aid{kGroup, {5, 1}, 1};
   std::optional<vr::PrepareReplyMsg> got;
   bool done = false;
-  w.tasks.Spawn([](World& w, decltype(replies)& replies, vr::Aid aid,
+  w.tasks.Spawn([](World& w, vr::Aid aid,
                    std::optional<vr::PrepareReplyMsg>& got,
                    bool& done) -> host::Task<void> {
     const auto send = [&](const GroupClient::Entry& e) {
@@ -166,10 +164,10 @@ TEST(GroupClient, RedirectWithoutKnownViewInvalidates) {
       w.client.Send(e.view.primary, m);
       return std::pair{aid, kGroup};
     };
-    got = co_await w.client.Request(kGroup, 1, 100 * sim::kMillisecond,
-                                    replies, send);
+    got = co_await w.client.Request<vr::PrepareReplyMsg>(
+        kGroup, 1, 100 * sim::kMillisecond, send);
     done = true;
-  }(w, replies, aid, got, done));
+  }(w, aid, got, done));
   ASSERT_EQ(w.net.Sent<vr::PrepareMsg>().size(), 1u);
   EXPECT_EQ(w.net.Sent<vr::PrepareMsg>()[0].first, 1u);
 
@@ -177,7 +175,7 @@ TEST(GroupClient, RedirectWithoutKnownViewInvalidates) {
   r.aid = aid;
   r.from_group = kGroup;
   r.status = vr::PrepareStatus::kWrongPrimary;  // view_known stays false
-  replies.Fulfill({aid, kGroup}, r);
+  w.client.OnReply(r);
   ASSERT_TRUE(done);
   EXPECT_FALSE(got.has_value());  // its one attempt was spent
   EXPECT_FALSE(w.client.Get(kGroup).has_value());
@@ -340,8 +338,8 @@ TEST(GroupClient, WatchAnswerAtOrBelowTheFloorEndsNothing) {
   const auto probes = w.net.Sent<vr::ProbeMsg>();
   ASSERT_EQ(probes.size(), 3u);
   const std::uint64_t req = probes[0].second.req_id;
-  w.client.OnProbeReply(ProbeReply(req, {5, 1}, 1));
-  w.client.OnProbeReply(ProbeReply(req, {4, 3}, 3));
+  w.client.OnReply(ProbeReply(req, {5, 1}, 1));
+  w.client.OnReply(ProbeReply(req, {4, 3}, 3));
   EXPECT_FALSE(c.done);
   EXPECT_EQ(w.client.Get(kGroup)->viewid, (vr::ViewId{5, 1}));
   w.RunFor(core::kCallTimeout);
@@ -386,7 +384,7 @@ TEST(GroupClient, NewerViewEndsEveryWaitingCallAsARedirect) {
     if (m.group == kGroup) req = m.req_id;
   }
   ASSERT_NE(req, 0u);
-  w.client.OnProbeReply(ProbeReply(req, {6, 2}, 2));
+  w.client.OnReply(ProbeReply(req, {6, 2}, 2));
   ASSERT_TRUE(first.done);
   ASSERT_TRUE(second.done);
   EXPECT_FALSE(first.got.has_value());
@@ -504,7 +502,7 @@ TEST(GroupClient, OutcomeRequestIgnoresAnotherGroupsReply) {
   stale.view_known = true;
   stale.new_viewid = {9, 2};
   stale.new_view = ViewWithPrimary(2);
-  w.client.OnQueryReply(stale);
+  w.client.OnReply(stale);
   EXPECT_FALSE(got.has_value());
   ASSERT_TRUE(w.client.Get(kGroup).has_value());
   EXPECT_EQ(w.client.Get(kGroup)->viewid, (vr::ViewId{5, 1}));
@@ -514,7 +512,7 @@ TEST(GroupClient, OutcomeRequestIgnoresAnotherGroupsReply) {
   answer.aid = aid;
   answer.from_group = kGroup;
   answer.outcome = vr::TxnOutcome::kCommitted;
-  w.client.OnQueryReply(answer);
+  w.client.OnReply(answer);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, vr::TxnOutcome::kCommitted);
   EXPECT_EQ(w.net.Sent<vr::QueryMsg>().size(), 1u);

@@ -1629,6 +1629,56 @@ TEST(Queries, BackupRedirectsAQueryToItsPrimary) {
   w.cluster.network().Unregister(test_mid);
 }
 
+// An active primary answers a query only from a stable outcome (DESIGN.md
+// §13.7 rule 1), so it forces its buffer tail before it answers committed or
+// aborted. Cut off from its backups, the primary takes an abort whose record
+// cannot be forced: a next view need not hold it, and may commit the
+// transaction. The query must hear kUnknown, not kAborted.
+TEST(Queries, PrimaryDoesNotAnswerFromAnUnforcedAbort) {
+  BankWorld w(122);
+  ASSERT_TRUE(w.Open());
+  core::Cohort* primary = w.cluster.AnyPrimary(w.bank);
+  core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+  ASSERT_NE(primary, nullptr);
+  ASSERT_NE(coord, nullptr);
+  for (auto* c : w.cluster.Cohorts(w.bank)) {
+    if (c != primary) {
+      w.cluster.network().SetLinkDown(primary->mid(), c->mid(), true);
+    }
+  }
+
+  QueryReplyCapture capture;
+  const vr::Mid test_mid = w.cluster.AllocateMid();
+  w.cluster.network().Register(test_mid, &capture);
+  const vr::Aid aid{w.client_g, coord->cur_viewid(), 999};
+  vr::AbortMsg abort;
+  abort.group = w.bank;
+  abort.aid = aid;
+  w.cluster.network().Send(test_mid, primary->mid(),
+                           static_cast<std::uint16_t>(vr::MsgType::kAbort),
+                           vr::EncodeMsg(abort));
+  ASSERT_TRUE(w.RunUntil(
+      [&] {
+        return primary->outcomes().Lookup(aid) == vr::TxnOutcome::kAborted;
+      },
+      100 * sim::kMillisecond));
+  // The abort record sits in the tail unforced while the query arrives.
+  ASSERT_TRUE(primary->IsActivePrimary());
+  vr::QueryMsg q;
+  q.aid = aid;
+  q.reply_to = test_mid;
+  w.cluster.network().Send(test_mid, primary->mid(),
+                           static_cast<std::uint16_t>(vr::MsgType::kQuery),
+                           vr::EncodeMsg(q));
+  ASSERT_TRUE(w.RunUntil([&] { return !capture.replies.empty(); },
+                         2 * sim::kSecond));
+  const vr::QueryReplyMsg& r = capture.replies.front();
+  EXPECT_EQ(r.aid, aid);
+  EXPECT_FALSE(core::Redirected(r));
+  EXPECT_EQ(r.outcome, vr::TxnOutcome::kUnknown);
+  w.cluster.network().Unregister(test_mid);
+}
+
 // -- backup read leases (DESIGN.md §14) -------------------------------------
 
 namespace {

@@ -8,9 +8,11 @@
 // Wall-clock, nondeterministic by design: NOT part of the digest suites.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "host/loopback.h"
@@ -223,6 +225,13 @@ TEST(SocketHost, RunsExactlyOneThreadPerNode) {
   EXPECT_EQ(cluster.NodeCount(), 4u);
   EXPECT_EQ(threads(), before + cluster.NodeCount());
   cluster.Shutdown();
+  // A joined thread's task entry can outlive the join briefly: wait up to
+  // one second for the count to settle, then require it exactly.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (threads() != before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(threads(), before);
 }
 
