@@ -22,7 +22,15 @@ namespace vsr::bench {
 // Every bench also writes BENCH_<ID>.json next to where it ran (ID is the
 // leading token of the PrintHeader id, e.g. "E13"): the header, every Row()
 // line, and any named Metric() values. CI and plotting scripts consume these
-// instead of scraping stdout.
+// instead of scraping stdout. A smoke run (below) writes
+// BENCH_<ID>.smoke.json instead, so it never overwrites a full run's output.
+
+// CHECK_BENCH_SMOKE=1 shrinks each bench's workload ~10x so the full
+// experiment sweep doubles as a fast CI smoke gate (scripts/check.sh).
+inline bool SmokeMode() {
+  const char* v = std::getenv("CHECK_BENCH_SMOKE");
+  return v != nullptr && v[0] == '1';
+}
 
 namespace detail {
 
@@ -65,13 +73,13 @@ inline std::string JsonEscape(const std::string& s) {
 inline void WriteJson() {
   JsonSink& s = Sink();
   if (s.id.empty()) return;
-  const std::string path = "BENCH_" + s.id + ".json";
+  const std::string path =
+      "BENCH_" + s.id + (SmokeMode() ? ".smoke" : "") + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"id\": \"%s\",\n  \"claim\": \"%s\",\n",
                JsonEscape(s.full_id).c_str(), JsonEscape(s.claim).c_str());
-  std::fprintf(f, "  \"smoke\": %s,\n",
-               std::getenv("CHECK_BENCH_SMOKE") ? "true" : "false");
+  std::fprintf(f, "  \"smoke\": %s,\n", SmokeMode() ? "true" : "false");
   std::fprintf(f, "  \"metrics\": {");
   for (std::size_t i = 0; i < s.metrics.size(); ++i) {
     std::fprintf(f, "%s\n    \"%s\": %.6g", i ? "," : "",
@@ -114,13 +122,6 @@ inline void PrintHeader(const std::string& id, const std::string& claim) {
     s.armed = true;
     std::atexit(detail::WriteJson);
   }
-}
-
-// CHECK_BENCH_SMOKE=1 shrinks each bench's workload ~10x so the full
-// experiment sweep doubles as a fast CI smoke gate (scripts/check.sh).
-inline bool SmokeMode() {
-  const char* v = std::getenv("CHECK_BENCH_SMOKE");
-  return v != nullptr && v[0] == '1';
 }
 
 inline int Scaled(int full) {

@@ -11,7 +11,9 @@
 #
 # CHECK_BENCH_SMOKE=1 runs every bench binary at ~1/10th workload (see
 # bench::Scaled) and bench_micro for a single tiny iteration — catches bench
-# bit-rot in seconds instead of waiting for full experiment runs. It also
+# bit-rot in seconds instead of waiting for full experiment runs. Smoke runs
+# write BENCH_<ID>.smoke.json, which the smoke gates read, so they leave the
+# last full run's BENCH_<ID>.json in place. It also
 # replays real traffic through the codec: a one-second traced perfbench
 # sim-failover run (built in build-perfbench/) must report "correct": true,
 # which perfbench withholds when a sampled frame fails to decode or
@@ -122,6 +124,18 @@ if [[ "${CHECK_SOAK:-0}" == "1" ]]; then
 fi
 
 echo "== experiments =="
+# Each bench writes BENCH_<ID>.json, or BENCH_<ID>.smoke.json in a smoke run
+# (bench_common.h); the gates below read the files of the mode that ran.
+bench_json() {
+  if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
+    echo "BENCH_$1.smoke.json"
+  else
+    echo "BENCH_$1.json"
+  fi
+}
+bench_id() {
+  basename "$1" | sed -E 's/^bench_(e[0-9]+).*/\U\1/'
+}
 # Driven by the bench sources, not by whatever sits in build/bench/: a reused
 # build tree keeps binaries of benches that were since deleted, and those
 # must neither run nor be gated.
@@ -133,6 +147,10 @@ for src in bench/bench_*.cc; do
     exit 1
   fi
   benches+=("$b")
+  # A file left by an earlier run must not pass for this run's output.
+  if [[ "$(basename "$b")" == bench_e* ]]; then
+    rm -f "$(bench_json "$(bench_id "$b")")"
+  fi
 done
 for b in "${benches[@]}"; do
   if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
@@ -149,19 +167,24 @@ done
 # (bench_common.h JsonSink) in the working directory it ran from.
 for b in "${benches[@]}"; do
   [[ "$(basename "$b")" == bench_e* ]] || continue
-  id="$(basename "$b" | sed -E 's/^bench_(e[0-9]+).*/\U\1/')"
-  if [[ ! -s "BENCH_${id}.json" ]]; then
-    echo "FAIL: $(basename "$b") did not write BENCH_${id}.json" >&2
+  out="$(bench_json "$(bench_id "$b")")"
+  if [[ ! -s "$out" ]]; then
+    echo "FAIL: $(basename "$b") did not write $out" >&2
     exit 1
   fi
 done
+E2_JSON="$(bench_json E2)"
+E4_JSON="$(bench_json E4)"
+E5_JSON="$(bench_json E5)"
+E13_JSON="$(bench_json E13)"
+E15_JSON="$(bench_json E15)"
 # The E2 commit-fusion ablation (DESIGN.md §13) must have produced both
 # sides of the fused-vs-serial comparison.
 for key in fused_decision_us serial_decision_us \
            fused_client_path_forces_per_commit \
            serial_client_path_forces_per_commit; do
-  if ! grep -q "\"${key}\"" BENCH_E2.json; then
-    echo "FAIL: BENCH_E2.json is missing the fusion-ablation metric ${key}" >&2
+  if ! grep -q "\"${key}\"" "$E2_JSON"; then
+    echo "FAIL: ${E2_JSON} is missing the fusion-ablation metric ${key}" >&2
     exit 1
   fi
 done
@@ -169,8 +192,8 @@ done
 # decision force. Both benches are simulated, so these figures are
 # deterministic.
 if ! awk '/"fused_client_path_forces_per_commit"/ { gsub(/[,"]/, ""); v = $2 }
-          END { exit (v == 0) ? 0 : 1 }' BENCH_E2.json; then
-  echo "FAIL: BENCH_E2.json fused_client_path_forces_per_commit is not 0" >&2
+          END { exit (v == 0) ? 0 : 1 }' "$E2_JSON"; then
+  echo "FAIL: ${E2_JSON} fused_client_path_forces_per_commit is not 0" >&2
   exit 1
 fi
 # One-round commit (DESIGN.md §13.6): a deposit made as its body's final
@@ -182,8 +205,8 @@ if ! awk '/"lone_one_round_decision_us"/ { gsub(/[,"]/, ""); a = $2 }
           /"lone_2pc_decision_us"/ { gsub(/[,"]/, ""); b = $2 }
           /"lone_one_round_frames_per_commit"/ { gsub(/[,"]/, ""); f = $2 }
           END { exit (a > 0 && a < b && f > 0 && f <= 6) ? 0 : 1 }' \
-    BENCH_E2.json; then
-  echo "FAIL: BENCH_E2.json one-round commit is not faster than 2PC" \
+    "$E2_JSON"; then
+  echo "FAIL: ${E2_JSON} one-round commit is not faster than 2PC" \
     "within 6 frames per commit" >&2
   exit 1
 fi
@@ -191,8 +214,8 @@ fi
 # call), a cross-shard one pays a 2PC round on top: crossing shards must
 # cost more.
 if ! awk '/"cross_shard_premium"/ { gsub(/[,"]/, ""); p = $2 }
-          END { exit (p > 1) ? 0 : 1 }' BENCH_E13.json; then
-  echo "FAIL: BENCH_E13.json cross_shard_premium is not above 1" >&2
+          END { exit (p > 1) ? 0 : 1 }' "$E13_JSON"; then
+  echo "FAIL: ${E13_JSON} cross_shard_premium is not above 1" >&2
   exit 1
 fi
 # Failover at failure-detector speed (DESIGN.md §16): with the n=3 primary
@@ -201,24 +224,24 @@ fi
 # has answered, without waiting out the invite timer. Simulated, so
 # deterministic.
 if ! awk '/"n3_primary_crash_ms"/ { gsub(/[,"]/, ""); d = $2 }
-          END { exit (d > 0 && d < 160) ? 0 : 1 }' BENCH_E4.json; then
-  echo "FAIL: BENCH_E4.json n=3 primary crash took 160 ms or more" >&2
+          END { exit (d > 0 && d < 160) ? 0 : 1 }' "$E4_JSON"; then
+  echo "FAIL: ${E4_JSON} n=3 primary crash took 160 ms or more" >&2
   exit 1
 fi
 # A call in flight to that crashed primary ends when the new view forms
 # (DESIGN.md §16 rule 4), not after the 180 ms call ladder. Simulated, so
 # deterministic.
 if ! awk '/"n3_call_resolve_ms"/ { gsub(/[,"]/, ""); d = $2 }
-          END { exit (d > 0 && d < 160) ? 0 : 1 }' BENCH_E4.json; then
-  echo "FAIL: BENCH_E4.json n=3 call in flight took 160 ms or more" >&2
+          END { exit (d > 0 && d < 160) ? 0 : 1 }' "$E4_JSON"; then
+  echo "FAIL: ${E4_JSON} n=3 call in flight took 160 ms or more" >&2
   exit 1
 fi
 # Subactions (§3.6) re-run the calls of E5's burst that were still in
 # flight when the server primary crashed, and those transactions commit.
 # Simulated, so deterministic.
 if ! awk '/"short_gap_subactions_committed"/ { gsub(/[,"]/, ""); c = $2 }
-          END { exit (c > 0) ? 0 : 1 }' BENCH_E5.json; then
-  echo "FAIL: BENCH_E5.json: no transaction survived by re-running a call" >&2
+          END { exit (c > 0) ? 0 : 1 }' "$E5_JSON"; then
+  echo "FAIL: ${E5_JSON}: no transaction survived by re-running a call" >&2
   exit 1
 fi
 # The E15 backup-read experiment (DESIGN.md §14) must have produced both
@@ -226,14 +249,14 @@ fi
 # (non-smoke) runs — hit the >= 2x read scale-out the design promises.
 for key in reads_per_s_off reads_per_s_on read_throughput_multiplier \
            backup_reads_served leases_granted serializability_violations; do
-  if ! grep -q "\"${key}\"" BENCH_E15.json; then
-    echo "FAIL: BENCH_E15.json is missing the lease metric ${key}" >&2
+  if ! grep -q "\"${key}\"" "$E15_JSON"; then
+    echo "FAIL: ${E15_JSON} is missing the lease metric ${key}" >&2
     exit 1
   fi
 done
 if ! awk '/"serializability_violations"/ { gsub(/[,"]/, ""); v = $2 }
-          END { exit (v == 0) ? 0 : 1 }' BENCH_E15.json; then
-  echo "FAIL: BENCH_E15.json reports serializability violations" >&2
+          END { exit (v == 0) ? 0 : 1 }' "$E15_JSON"; then
+  echo "FAIL: ${E15_JSON} reports serializability violations" >&2
   exit 1
 fi
 if [[ "${CHECK_BENCH_SMOKE:-0}" != "1" ]]; then

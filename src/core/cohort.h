@@ -237,10 +237,8 @@ struct CohortStats {
   std::uint64_t settle_requests_sent = 0;
   // As participant: commit decisions that arrived while a (re)transmitted
   // prepare was still forcing, stashed and applied after it resolved instead
-  // of racing it, and prepares answered "prepared" because the post-force
-  // re-check found the commit had already landed.
+  // of racing it.
   std::uint64_t commits_stashed_during_prepare = 0;
-  std::uint64_t prepares_overtaken_by_commit = 0;
   std::uint64_t subaction_retries = 0;
   std::uint64_t view_changes_started = 0;   // became manager
   std::uint64_t view_changes_completed = 0; // entered a new active view

@@ -988,7 +988,6 @@ host::Task<void> Cohort::RunPrepare(vr::PrepareMsg m) {
   // installed the versions and released the locks, and a prepared entry
   // would resurrect a dead blocked-txn query target.
   if (outcomes_.Lookup(m.aid) == TxnOutcome::kCommitted) {
-    ++stats_.prepares_overtaken_by_commit;
     r.status = vr::PrepareStatus::kPrepared;
     r.read_only = read_only;
     SendMsg(m.reply_to, r);

@@ -575,7 +575,6 @@ core::CohortStats SumStats(client::Cluster& cluster, vr::GroupId g) {
     sum.fused_commits += s.fused_commits;
     sum.duplicate_prepares_answered += s.duplicate_prepares_answered;
     sum.commits_stashed_during_prepare += s.commits_stashed_during_prepare;
-    sum.prepares_overtaken_by_commit += s.prepares_overtaken_by_commit;
     sum.commits_applied += s.commits_applied;
     sum.queries_sent += s.queries_sent;
     sum.queries_resolved += s.queries_resolved;
@@ -969,7 +968,6 @@ TEST(CommitFusion, DuplicatedLossyNetworkKeepsFusedCommitsExactlyOnce) {
     shard_sum.duplicate_prepares_answered += s.duplicate_prepares_answered;
     shard_sum.commits_stashed_during_prepare +=
         s.commits_stashed_during_prepare;
-    shard_sum.prepares_overtaken_by_commit += s.prepares_overtaken_by_commit;
   }
   // The dup/loss mix must actually exercise the idempotence paths.
   EXPECT_GT(shard_sum.duplicate_prepares_answered, 0u);
@@ -1388,6 +1386,43 @@ TEST(OneRoundCommit, EarlierCallLostInAViewChangeIsRefused) {
   EXPECT_EQ(w.Balance(), 100);
   w.ExpectQuiescent();
   EXPECT_EQ(w.Balance(), 100);
+}
+
+// The outcome table stores runs of seqs (DESIGN.md §15): each coordinator
+// view's one-round deposits are one run, so the gstate that the bank's next
+// newview record ships does not grow with the number of deposits decided.
+TEST(OneRoundCommit, NewViewGstateDoesNotGrowWithDeposits) {
+  const auto newview_gstate_bytes = [](int deposits) -> std::size_t {
+    BankWorld w(120);
+    if (!w.Open()) return 0;
+    core::Cohort* coord = w.cluster.AnyPrimary(w.client_g);
+    for (int i = 0; i < deposits; ++i) {
+      // Depositing 0 keeps the balance, and with it the store image's size.
+      std::optional<vr::TxnOutcome> outcome;
+      coord->SpawnTransaction(workload::MakeDepositTxn(w.bank, "a0", 0),
+                              [&](vr::TxnOutcome o) { outcome = o; });
+      if (!w.RunUntil([&] { return outcome.has_value(); }, 5 * sim::kSecond) ||
+          *outcome != vr::TxnOutcome::kCommitted) {
+        return 0;
+      }
+    }
+    std::size_t bytes = 0;
+    w.cluster.network().set_observer([&](const net::Frame& f) {
+      if (static_cast<vr::MsgType>(f.type) != vr::MsgType::kBufferBatch) return;
+      const auto batch = vr::DecodeFrame<vr::BufferBatchMsg>(f.payload);
+      if (!batch) return;
+      for (const vr::EventRecord& e : batch->events) {
+        if (e.type == vr::EventType::kNewView) bytes = e.gstate.size();
+      }
+    });
+    w.cluster.AnyPrimary(w.bank)->Crash();
+    w.RunUntil([&] { return bytes > 0; }, 5 * sim::kSecond);
+    w.cluster.network().set_observer(nullptr);
+    return bytes;
+  };
+  const std::size_t after_few = newview_gstate_bytes(20);
+  ASSERT_GT(after_few, 0u);
+  EXPECT_EQ(newview_gstate_bytes(2000), after_few);
 }
 
 // Crash matrix row 6: a delayed duplicate of a committed transaction's

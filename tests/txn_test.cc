@@ -2,6 +2,12 @@
 // versions, subaction discard, backup-side effect application, snapshots.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "sim/simulation.h"
 #include "txn/object_store.h"
 #include "txn/outcomes.h"
@@ -246,6 +252,126 @@ TEST(OutcomeTable, SnapshotRoundTrip) {
   EXPECT_EQ(out.Lookup(Aid{1, {1, 1}, 1}), vr::TxnOutcome::kCommitted);
   EXPECT_EQ(out.Lookup(Aid{1, {1, 1}, 2}), vr::TxnOutcome::kAborted);
   EXPECT_EQ(out.Lookup(Aid{1, {1, 1}, 3}), vr::TxnOutcome::kUnknown);
+}
+
+// The run table against the plain per-aid map it replaced: the same random
+// commits, aborts and done records, over several coordinator views and a
+// small seq range (so seqs are adjacent, re-recorded, and committed over an
+// abort), must leave every aid with the same answer after every step and
+// after each Snapshot/Restore round trip. Runs stay maximal throughout.
+TEST(OutcomeTable, RunsAnswerLikeAPlainMap) {
+  const std::vector<Aid> coords = {
+      Aid{1, {1, 1}, 0}, Aid{1, {2, 3}, 0}, Aid{2, {1, 1}, 0}};
+  constexpr std::uint64_t kMaxSeq = 24;
+  std::mt19937_64 rng(25);
+  OutcomeTable t;
+  std::map<Aid, vr::TxnOutcome> model;
+
+  // The first aid whose answers differ, or "" when all agree.
+  const auto mismatch = [&](const OutcomeTable& table) -> std::string {
+    for (Aid aid : coords) {
+      for (aid.seq = 0; aid.seq <= kMaxSeq + 1; ++aid.seq) {
+        const auto it = model.find(aid);
+        const vr::TxnOutcome want =
+            it == model.end() ? vr::TxnOutcome::kUnknown : it->second;
+        if (table.Lookup(aid) != want) return aid.ToString();
+      }
+    }
+    return "";
+  };
+  // Maximal runs: a run ends wherever the coordinator, the seq or the
+  // outcome does not continue.
+  const auto maximal_runs = [&] {
+    std::size_t runs = 0;
+    const std::pair<const Aid, vr::TxnOutcome>* prev = nullptr;
+    for (const auto& entry : model) {
+      const bool continues =
+          prev != nullptr &&
+          prev->first.coordinator_group == entry.first.coordinator_group &&
+          prev->first.view == entry.first.view &&
+          prev->first.seq + 1 == entry.first.seq &&
+          prev->second == entry.second;
+      if (!continues) ++runs;
+      prev = &entry;
+    }
+    return runs;
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    Aid aid = coords[rng() % coords.size()];
+    aid.seq = 1 + rng() % kMaxSeq;
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+        t.RecordAborted(aid);
+        model.emplace(aid, vr::TxnOutcome::kAborted);
+        break;
+      case 2:
+        t.RecordDone(aid);
+        model.erase(aid);
+        break;
+      default:
+        t.RecordCommitted(aid);
+        model[aid] = vr::TxnOutcome::kCommitted;
+        break;
+    }
+    ASSERT_EQ(mismatch(t), "") << "after step " << step;
+    ASSERT_EQ(t.run_count(), maximal_runs()) << "after step " << step;
+    if (step % 97 == 0) {
+      wire::Writer w;
+      t.Snapshot(w);
+      const auto bytes = w.Take();
+      OutcomeTable restored;
+      wire::Reader r(bytes);
+      restored.Restore(r);
+      ASSERT_TRUE(r.ok() && r.AtEnd());
+      ASSERT_EQ(mismatch(restored), "") << "restored after step " << step;
+      ASSERT_EQ(restored.run_count(), t.run_count());
+      t = std::move(restored);  // keep driving the restored table
+    }
+  }
+}
+
+// Pins the image's layout: a u32 run count, then one row per run in aid
+// order — the run's first aid (group u64, view counter u64, view mid u32,
+// seq u64), its last seq (u64) and its outcome (u8) — all little-endian.
+TEST(OutcomeTable, GoldenBytesRunImage) {
+  OutcomeTable t;
+  for (std::uint64_t seq : {2, 1, 3}) t.RecordCommitted(Aid{1, {1, 1}, seq});
+  t.RecordAborted(Aid{1, {1, 1}, 5});
+  t.RecordCommitted(Aid{2, {3, 2}, 7});
+  wire::Writer w;
+  t.Snapshot(w);
+  std::string hex;
+  for (std::uint8_t b : w.Take()) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", b);
+    hex += buf;
+  }
+  EXPECT_EQ(hex,
+            "03000000"
+            // t1/v1.1/1 .. 3 committed
+            "0100000000000000" "0100000000000000" "01000000"
+            "0100000000000000" "0300000000000000" "02"
+            // t1/v1.1/5 aborted
+            "0100000000000000" "0100000000000000" "01000000"
+            "0500000000000000" "0500000000000000" "03"
+            // t2/v3.2/7 committed
+            "0200000000000000" "0300000000000000" "02000000"
+            "0700000000000000" "0700000000000000" "02");
+}
+
+TEST(OutcomeTable, RestoreRejectsARunEndingBeforeItStarts) {
+  wire::Writer w;
+  w.U32(1);
+  w(Aid{1, {1, 1}, 5}, std::uint64_t{4});
+  w.U8(static_cast<std::uint8_t>(vr::TxnOutcome::kCommitted));
+  const auto bytes = w.Take();
+  OutcomeTable t;
+  wire::Reader r(bytes);
+  t.Restore(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(t.run_count(), 0u);
 }
 
 }  // namespace
