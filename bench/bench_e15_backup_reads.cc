@@ -90,7 +90,7 @@ WorldResult RunWorld(bool backup_reads) {
   cluster.RunFor(200 * sim::kMillisecond);  // let seeding acks drain
 
   sim::Scheduler& sched = cluster.sim().scheduler();
-  sim::TaskRegistry tasks(sched);
+  sim::TaskRegistry tasks;
   bool stop = false;
 
   // Closed-loop readers, one ReadClient each (distinct session horizons).

@@ -2,7 +2,8 @@
 # Full verification pipeline: build, test, regenerate every experiment, run
 # the examples. This is what CI would run. Matches the tier-1 recipe:
 #   cmake -B build -S . && cmake --build build -j && ctest -j
-# Ninja is used when present but never required. In full mode (without
+# Ninja is used when present but never required. The main tree (build/)
+# builds with warnings as errors. In full mode (without
 # CHECK_BENCH_SMOKE) every simulated bench's BENCH_<ID>.json must equal its
 # committed baseline, bench/baselines/<ID>.json.
 #
@@ -67,7 +68,8 @@ generator_for() {
   fi
 }
 
-cmake -B build -S . $(generator_for build)
+# A new -Wall -Wextra warning fails the pipeline.
+cmake -B build -S . $(generator_for build) -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$JOBS"
 # Tier-1 runs at its own scale: CHECK_SOAK=1 belongs to the soak stages
 # below, and soak_test would otherwise run them inside ctest.

@@ -69,8 +69,7 @@ StableClient::StableClient(sim::Simulation& simulation, net::Network& network,
       net_(network),
       self_(self),
       server_(server),
-      waiters_(simulation.scheduler()),
-      tasks_(simulation.scheduler()) {
+      waiters_(simulation.scheduler()) {
   net_.Register(self_, this);
 }
 

@@ -114,8 +114,7 @@ VotingClient::VotingClient(sim::Simulation& simulation, net::Network& network,
       self_(self),
       replicas_(std::move(replicas)),
       options_(options),
-      join_waiters_(simulation.scheduler()),
-      tasks_(simulation.scheduler()) {
+      join_waiters_(simulation.scheduler()) {
   if (options_.write_quorum == 0) options_.write_quorum = replicas_.size();
   net_.Register(self_, this);
 }
@@ -236,7 +235,6 @@ sim::Task<void> VotingClient::DoRead(
   auto acks = co_await Gather(VoteMsgType::kReadReq, wire::Encode(read),
                               options_.read_quorum, options_.read_quorum);
   if (acks.empty()) {
-    ++stats_.reads_failed;
     if (done) done(std::nullopt);
     co_return;
   }

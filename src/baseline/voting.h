@@ -84,7 +84,6 @@ struct VotingStats {
   std::uint64_t writes_ok = 0;
   std::uint64_t writes_failed = 0;  // lock conflict / timeout (deadlock!)
   std::uint64_t reads_ok = 0;
-  std::uint64_t reads_failed = 0;
 };
 
 // A voting client: performs quorum reads and two-round quorum writes

@@ -22,9 +22,8 @@
 
 namespace vsr::check {
 
-// Commit accounting for counter-increment workloads: each committed
-// transaction added exactly +1; unknown-outcome transactions may or may not
-// have applied. The final counter must land in [committed, committed+unknown].
+// Commit accounting: client-observed outcomes by kind. An unknown-outcome
+// transaction may or may not have applied.
 struct CommitAccounting {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
@@ -42,21 +41,6 @@ struct CommitAccounting {
         ++unknown;
         break;
     }
-  }
-
-  bool ValidateCounter(long long final_value, std::string* why = nullptr) const {
-    const long long lo = static_cast<long long>(committed);
-    const long long hi = static_cast<long long>(committed + unknown);
-    if (final_value < lo || final_value > hi) {
-      if (why != nullptr) {
-        *why = "final counter " + std::to_string(final_value) +
-               " outside [" + std::to_string(lo) + ", " + std::to_string(hi) +
-               "] (committed=" + std::to_string(committed) +
-               " unknown=" + std::to_string(unknown) + ")";
-      }
-      return false;
-    }
-    return true;
   }
 };
 

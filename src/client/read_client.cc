@@ -42,10 +42,7 @@ vr::Mid ReadClient::PickTarget(vr::GroupId group,
 host::Task<std::optional<std::string>> ReadClient::Read(vr::GroupId group,
                                                         std::string uid) {
   const std::vector<vr::Mid>* config = directory_.Lookup(group);
-  if (config == nullptr || config->empty()) {
-    ++stats_.reads_failed;
-    co_return std::nullopt;
-  }
+  if (config == nullptr || config->empty()) co_return std::nullopt;
   // One "attempt" is a round trip (or its timeout); a bounce-then-primary
   // pair burns two. kCallAttempts bounds the total so a partitioned group
   // fails the read instead of spinning.
@@ -94,7 +91,6 @@ host::Task<std::optional<std::string>> ReadClient::Read(vr::GroupId group,
     ++stats_.reads_ok;
     co_return std::string(r->value.begin(), r->value.end());
   }
-  ++stats_.reads_failed;
   co_return std::nullopt;
 }
 

@@ -46,8 +46,6 @@ struct ReadClientStats {
   // Wrong-lease rejections observed (each costs one extra round trip).
   std::uint64_t bounces = 0;
   std::uint64_t read_timeouts = 0;
-  // Reads that exhausted every attempt without an answer.
-  std::uint64_t reads_failed = 0;
 };
 
 class ReadClient : public net::FrameHandler {
@@ -59,8 +57,8 @@ class ReadClient : public net::FrameHandler {
   ~ReadClient() override;
 
   // One committed read. Resolves to the value, or nullopt if the object does
-  // not exist OR no server answered within the attempt budget — callers that
-  // must distinguish check stats().reads_failed. Safe to have many in flight.
+  // not exist OR no server answered within the attempt budget; the two are
+  // not told apart. Safe to have many in flight.
   host::Task<std::optional<std::string>> Read(vr::GroupId group,
                                               std::string uid);
 

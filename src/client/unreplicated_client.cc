@@ -13,8 +13,7 @@ UnreplicatedClient::UnreplicatedClient(host::Host& hst,
       self_(self),
       coordinator_group_(coordinator_group),
       options_(std::move(options)),
-      groups_(hst.timers(), transport, directory, self),
-      tasks_(hst.timers()) {
+      groups_(hst.timers(), transport, directory, self) {
   transport_.Register(self_, this);
 }
 

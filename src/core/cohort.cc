@@ -73,8 +73,7 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
                       }
                       return GroupClient::Entry{cur_viewid_, cur_view_};
                     }),
-      bool_waiters_(hst.timers()),
-      tasks_(hst.timers()) {
+      bool_waiters_(hst.timers()) {
   net_.Register(self_, this);
   // Identity is persisted at creation (§4.2: "mymid, configuration, and
   // mygroupid ... are stored on stable storage when the cohort is first

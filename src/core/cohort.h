@@ -352,9 +352,6 @@ class Cohort : public net::FrameHandler {
   bool IsActivePrimary() const {
     return status_ == Status::kActive && cur_view_.primary == self_;
   }
-  bool IsActiveBackup() const {
-    return status_ == Status::kActive && cur_view_.primary != self_;
-  }
   ViewId cur_viewid() const { return cur_viewid_; }
   const View& cur_view() const { return cur_view_; }
   ViewId max_viewid() const { return max_viewid_; }

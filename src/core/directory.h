@@ -107,13 +107,6 @@ class Directory {
 
   std::size_t group_count() const { return groups_.size(); }
 
-  std::vector<vr::GroupId> Groups() const {
-    std::vector<vr::GroupId> out;
-    out.reserve(groups_.size());
-    for (const auto& [g, entry] : groups_) out.push_back(g);
-    return out;
-  }
-
   // -- shard placement -----------------------------------------------------
 
   // Assigns [lo, hi) to `owner`. Ranges must be appended in key order and

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <limits>
 #include <system_error>
 
 namespace vsr::host {
@@ -25,8 +24,6 @@ Time SteadyNow() {
           std::chrono::steady_clock::now() - ProcessEpoch())
           .count());
 }
-
-constexpr Time kNever = std::numeric_limits<Time>::max();
 
 int CheckFd(int fd, const char* what) {
   if (fd < 0) throw std::system_error(errno, std::generic_category(), what);
@@ -104,9 +101,7 @@ TimerId EventLoop::At(Time deadline, std::function<void()> fn) {
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    id = next_id_++;
-    queue_.push(Entry{deadline, id, std::move(fn)});
-    live_.insert(id);
+    id = queue_.Push(deadline, std::move(fn));
     if (sleeping_ && deadline < sleep_until_) {
       sleep_until_ = deadline;
       wake = true;
@@ -123,7 +118,7 @@ TimerId EventLoop::After(Duration delay, std::function<void()> fn) {
 void EventLoop::Cancel(TimerId id) {
   if (id == kNoTimer) return;
   std::lock_guard<std::mutex> lock(mu_);
-  live_.erase(id);  // the heap entry becomes a tombstone, skipped at pop
+  queue_.Cancel(id);
 }
 
 void EventLoop::Wake() {
@@ -138,16 +133,12 @@ void EventLoop::Run() {
 bool EventLoop::FireDueTimers() {
   std::unique_lock<std::mutex> lock(mu_);
   const Time now = SteadyNow();
-  const TimerId horizon = next_id_;
-  while (!stop_ && !queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (top.deadline > now || top.id >= horizon) break;
-    // Move the callback out before unlocking; the entry may be a tombstone.
-    Entry e = std::move(const_cast<Entry&>(top));
-    queue_.pop();
-    if (live_.erase(e.id) == 0) continue;  // cancelled
+  const TimerId horizon = queue_.next_id();
+  while (!stop_) {
+    auto due = queue_.PopDue(now, horizon);
+    if (!due) break;
     lock.unlock();
-    e.fn();  // may call At/After/Cancel re-entrantly (different lock scope)
+    due->fn();  // may call At/After/Cancel re-entrantly (different lock scope)
     lock.lock();
   }
   return !stop_;
@@ -159,10 +150,8 @@ void EventLoop::PollIo() {
   bool sleeps;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // A cancelled entry on top would only wake the loop early.
-    while (!queue_.empty() && live_.count(queue_.top().id) == 0) queue_.pop();
-    sleep_until_ = queue_.empty() ? kNever : queue_.top().deadline;
-    if (sleep_until_ != kNever) {
+    sleep_until_ = queue_.NextDeadline();
+    if (sleep_until_ != TimerQueue::kNever) {
       const Time now = SteadyNow();
       const Duration left = sleep_until_ > now ? sleep_until_ - now : 0;
       timeout.tv_sec = static_cast<time_t>(left / kSecond);

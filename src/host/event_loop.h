@@ -16,10 +16,8 @@
 // Timers satisfy the TimerService contract:
 //   * At/After never run the callback synchronously, even with a zero or
 //     past deadline — the entry is queued and fires on the loop thread.
-//   * Earlier deadlines fire first; equal deadlines fire in scheduling
-//     order (a monotonically increasing sequence number breaks ties).
-//   * Cancel of a pending timer guarantees the callback never runs; Cancel
-//     of a fired or unknown id is a no-op.
+//   * Ordering and cancellation are the shared host::TimerQueue's, the
+//     same queue sim::Scheduler runs on.
 //   * Inside a callback scheduled for time T, Now() >= T.
 //
 // At/After/Cancel/Post are thread-safe (harness threads post work through
@@ -33,12 +31,10 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "host/timer.h"
+#include "host/timer_queue.h"
 
 namespace vsr::host {
 
@@ -72,8 +68,8 @@ class EventLoop final : public TimerService {
   // cross-thread-friendly name). Safe from any thread.
   void Post(std::function<void()> fn) { After(0, std::move(fn)); }
 
-  // True iff called from the loop thread (used by assertions in the
-  // conformance tests).
+  // True iff called from the loop thread (SocketTransport::Shutdown then
+  // tears down inline instead of posting and waiting on itself).
   bool OnLoopThread() const;
 
   // True between Start() and Stop(): posted work will run.
@@ -95,19 +91,6 @@ class EventLoop final : public TimerService {
   void Cancel(TimerId id) override;
 
  private:
-  struct Entry {
-    Time deadline = 0;
-    TimerId id = 0;  // allocation order doubles as the FIFO tiebreak
-    // std::priority_queue pops the LARGEST element, so "greater" ordering
-    // makes it a min-heap on (deadline, id).
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.deadline != b.deadline) return a.deadline > b.deadline;
-      return a.id > b.id;
-    }
-  };
   static constexpr int kMaxEvents = 64;
 
   void Run();
@@ -128,11 +111,7 @@ class EventLoop final : public TimerService {
   int ready_next_ = 0;
 
   mutable std::mutex mu_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  // Ids of queued-and-not-cancelled timers. Fire and Cancel both erase, so
-  // membership is the single source of truth for "will this fire?".
-  std::unordered_set<TimerId> live_;
-  TimerId next_id_ = 1;
+  TimerQueue queue_;
   // While the loop sleeps in epoll, the deadline it will wake for on its
   // own; At() only writes the eventfd for an earlier one.
   bool sleeping_ = false;

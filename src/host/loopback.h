@@ -100,10 +100,6 @@ class LoopbackCluster {
   std::uint64_t TotalCommitted(vr::GroupId g);
   std::uint64_t TotalAborted(vr::GroupId g);
 
-  SocketTransport::Stats TransportStats(std::size_t idx) const {
-    return nodes_[idx]->transport->stats();
-  }
-
  private:
   struct Node {
     vr::Mid mid = 0;

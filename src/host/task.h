@@ -29,12 +29,8 @@
 
 namespace vsr::host {
 
-template <typename T>
-class Task;
-
 namespace detail {
 
-template <typename T>
 class TaskPromiseBase {
  public:
   struct FinalAwaiter {
@@ -43,9 +39,12 @@ class TaskPromiseBase {
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<Promise> h) noexcept {
       auto& promise = h.promise();
-      if (promise.on_done_) promise.on_done_();
-      if (promise.continuation_) return promise.continuation_;
-      return std::noop_coroutine();
+      std::coroutine_handle<> next = promise.continuation_;
+      if (!next) next = std::noop_coroutine();
+      // The owner of a detached frame may destroy it inside `done`, so the
+      // callback leaves the promise before it runs.
+      if (auto done = std::move(promise.on_done_)) done();
+      return next;
     }
     void await_resume() noexcept {}
   };
@@ -67,22 +66,43 @@ class TaskPromiseBase {
   std::exception_ptr error_;
 };
 
+// The one part of a promise that depends on T: how the result is stored and
+// handed to the awaiter.
+template <typename T>
+class TaskResult {
+ public:
+  template <typename U>
+  void return_value(U&& v) {
+    value_.emplace(std::forward<U>(v));
+  }
+  T TakeResult() {
+    assert(value_.has_value());
+    return std::move(*value_);
+  }
+
+ private:
+  std::optional<T> value_;
+};
+
+template <>
+class TaskResult<void> {
+ public:
+  void return_void() {}
+  void TakeResult() {}
+};
+
 }  // namespace detail
 
-// A lazy coroutine returning T. The coroutine body does not start executing
-// until the Task is awaited or Start()ed.
+// A lazy coroutine returning T (or nothing, for Task<void>). The coroutine
+// body does not start executing until the Task is awaited or spawned into a
+// TaskRegistry.
 template <typename T>
 class Task {
  public:
-  struct promise_type : detail::TaskPromiseBase<T> {
+  struct promise_type : detail::TaskPromiseBase, detail::TaskResult<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    template <typename U>
-    void return_value(U&& v) {
-      value_.emplace(std::forward<U>(v));
-    }
-    std::optional<T> value_;
   };
 
   Task() = default;
@@ -99,9 +119,6 @@ class Task {
   Task& operator=(const Task&) = delete;
   ~Task() { Destroy(); }
 
-  bool valid() const { return static_cast<bool>(handle_); }
-  bool done() const { return handle_ && handle_.done(); }
-
   // Awaiting a Task starts it and suspends the awaiter until it completes.
   auto operator co_await() && noexcept {
     struct Awaiter {
@@ -114,8 +131,7 @@ class Task {
       }
       T await_resume() {
         h.promise().RethrowIfError();
-        assert(h.promise().value_.has_value());
-        return std::move(*h.promise().value_);
+        return h.promise().TakeResult();
       }
     };
     return Awaiter{handle_};
@@ -136,93 +152,37 @@ class Task {
   std::coroutine_handle<promise_type> handle_;
 };
 
-template <>
-class Task<void> {
- public:
-  struct promise_type : detail::TaskPromiseBase<void> {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    void return_void() {}
-  };
-
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  Task(Task&& o) noexcept : handle_(std::exchange(o.handle_, {})) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      Destroy();
-      handle_ = std::exchange(o.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { Destroy(); }
-
-  bool valid() const { return static_cast<bool>(handle_); }
-  bool done() const { return handle_ && handle_.done(); }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> h;
-      bool await_ready() const noexcept { return !h || h.done(); }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> awaiting) noexcept {
-        h.promise().set_continuation(awaiting);
-        return h;
-      }
-      void await_resume() { h.promise().RethrowIfError(); }
-    };
-    return Awaiter{handle_};
-  }
-
-  std::coroutine_handle<promise_type> Release() {
-    return std::exchange(handle_, {});
-  }
-
- private:
-  void Destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-  std::coroutine_handle<promise_type> handle_;
-};
-
 // Owns the frames of detached ("fire and forget") coroutines, e.g. the
-// handler coroutine a server spawns per incoming call. Frames are reaped via
-// a zero-delay timer after completion; DestroyAll() tears down all
-// still-live frames, which is exactly the semantics of a node crash.
+// handler coroutine a server spawns per incoming call. A frame is destroyed
+// from inside its own final awaiter, the moment it finishes; DestroyAll()
+// tears down all still-live frames, which is exactly the semantics of a
+// node crash.
 class TaskRegistry {
  public:
-  explicit TaskRegistry(TimerService& timers) : timers_(timers) {}
+  TaskRegistry() = default;
   TaskRegistry(const TaskRegistry&) = delete;
   TaskRegistry& operator=(const TaskRegistry&) = delete;
   ~TaskRegistry() { DestroyAll(); }
 
-  // Starts `t` and retains its frame until it finishes. Returns a token
-  // identifying the spawned task (usable with Alive()).
-  std::uint64_t Spawn(Task<void> t) {
+  // Starts `t` and retains its frame until it finishes.
+  void Spawn(Task<void> t) {
     auto h = t.Release();
-    if (!h) return 0;
+    if (!h) return;
     const std::uint64_t id = next_id_++;
-    h.promise().set_on_done([this, id] {
-      // The frame is suspended at final_suspend; destroying it here (from
-      // inside its own final awaiter) would be UB-adjacent, so defer.
-      timers_.After(0, [this, id] { Reap(id); });
+    h.promise().set_on_done([this, id, h] {
+      // Suspended at its final suspend point, the frame may be destroyed
+      // here. A frame DestroyAll() has already taken out of live_ is left
+      // to it.
+      if (live_.erase(id) != 0) h.destroy();
     });
     live_.emplace(id, h);
     h.resume();
-    return id;
   }
 
-  bool Alive(std::uint64_t id) const { return live_.count(id) != 0; }
   std::size_t live_count() const { return live_.size(); }
 
-  // Destroys every live frame. Safe against frames whose completion reap
-  // events are still queued: Reap() on a missing id is a no-op.
+  // Destroys every live frame. Frames are keyed by a spawn counter, not by
+  // address, so a crash tears them down in the same order on every run.
   void DestroyAll() {
     auto frames = std::move(live_);
     live_.clear();
@@ -230,16 +190,9 @@ class TaskRegistry {
   }
 
  private:
-  void Reap(std::uint64_t id) {
-    auto it = live_.find(id);
-    if (it == live_.end()) return;
-    it->second.destroy();
-    live_.erase(it);
-  }
-
-  TimerService& timers_;
   std::uint64_t next_id_ = 1;
-  std::unordered_map<std::uint64_t, std::coroutine_handle<Task<void>::promise_type>>
+  std::unordered_map<std::uint64_t,
+                     std::coroutine_handle<Task<void>::promise_type>>
       live_;
 };
 

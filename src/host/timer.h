@@ -12,11 +12,15 @@
 //                            thread when their deadline passes.
 //
 // Contract (what protocol code may assume — both hosts must satisfy it, and
-// tests/host_conformance_test.cc checks them side by side):
+// tests/host_conformance_test.cc checks them side by side). Both hosts keep
+// their timers in one host::TimerQueue (host/timer_queue.h), which alone
+// implements points 2 and 3:
 //
 //   1. Callbacks scheduled by At/After NEVER run synchronously inside the
-//      scheduling call, even with a zero delay. (Protocol code relies on
-//      this to escape re-entrancy, e.g. TaskRegistry reaping.)
+//      scheduling call, even with a zero delay or a past deadline. (Code
+//      relies on this to escape re-entrancy, e.g. SocketTransport's send
+//      to its own node, an EventLoop::Post, and CommBuffer re-arming its
+//      force-timeout check At a deadline that may already have passed.)
 //   2. Callbacks with earlier deadlines run before callbacks with later
 //      deadlines; callbacks with EQUAL deadlines run in scheduling order.
 //   3. Cancel() of a pending timer guarantees its callback never runs.

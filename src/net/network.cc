@@ -29,10 +29,6 @@ void Network::SetNodeUp(NodeId node, bool up) {
   }
 }
 
-bool Network::NodeUp(NodeId node) const {
-  return handlers_.count(node) != 0 && down_nodes_.count(node) == 0;
-}
-
 void Network::Partition(const std::vector<std::vector<NodeId>>& groups) {
   partition_of_.clear();
   partitioned_ = !groups.empty();

@@ -83,8 +83,6 @@ class Network final : public Transport {
 
   // -- Fault-injection control plane ------------------------------------
 
-  bool NodeUp(NodeId node) const;
-
   // Splits the network into the given groups; nodes in different groups
   // cannot communicate. Nodes not mentioned in any group are isolated.
   // An empty vector restores full connectivity.

@@ -1,66 +1,40 @@
 #include "sim/scheduler.h"
 
-#include <memory>
+#include <algorithm>
 #include <utility>
 
 namespace vsr::sim {
 
 TimerId Scheduler::At(Time at, std::function<void()> fn) {
-  if (at < now_) at = now_;
-  TimerId id = next_id_++;
-  pending_.insert(id);
-  queue_.push(Event{at, next_seq_++, id,
-                    std::make_shared<std::function<void()>>(std::move(fn))});
-  return id;
+  return queue_.Push(std::max(at, now_), std::move(fn));
 }
 
 TimerId Scheduler::After(Duration delay, std::function<void()> fn) {
   return At(now_ + delay, std::move(fn));
 }
 
-void Scheduler::Cancel(TimerId id) {
-  if (id == kNoTimer) return;
-  if (pending_.erase(id) != 0) cancelled_.insert(id);
+void Scheduler::Cancel(TimerId id) { queue_.Cancel(id); }
+
+bool Scheduler::RunNext(Time until) {
+  auto e = queue_.PopDue(until);
+  if (!e) return false;
+  now_ = e->deadline;
+  e->fn();
+  return true;
 }
 
-bool Scheduler::PopAndRun() {
-  while (!queue_.empty()) {
-    Event e = queue_.top();
-    queue_.pop();
-    if (auto it = cancelled_.find(e.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    pending_.erase(e.id);
-    now_ = e.at;
-    ++events_run_;
-    (*e.fn)();
-    return true;
-  }
-  return false;
-}
-
-bool Scheduler::Step() { return PopAndRun(); }
+bool Scheduler::Step() { return RunNext(host::TimerQueue::kNever); }
 
 std::uint64_t Scheduler::RunUntil(Time deadline) {
   std::uint64_t ran = 0;
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (cancelled_.count(top.id) != 0) {
-      cancelled_.erase(top.id);
-      queue_.pop();
-      continue;
-    }
-    if (top.at > deadline) break;
-    if (PopAndRun()) ++ran;
-  }
+  while (RunNext(deadline)) ++ran;
   if (now_ < deadline) now_ = deadline;
   return ran;
 }
 
 std::uint64_t Scheduler::RunToQuiescence(std::uint64_t max_events) {
   std::uint64_t ran = 0;
-  while (ran < max_events && PopAndRun()) ++ran;
+  while (ran < max_events && Step()) ++ran;
   return ran;
 }
 

@@ -2,8 +2,8 @@
 // deterministic implementation of the host seam's TimerService (host/timer.h).
 //
 // Every asynchronous action in the system — message delivery, timer expiry,
-// stable-storage write completion — is an Event in one priority queue,
-// ordered by (time, insertion sequence). The sequence number makes
+// stable-storage write completion — is an entry in one host::TimerQueue,
+// ordered by (time, timer id). Ids are issued in scheduling order, so
 // simultaneous events fire in a deterministic order, which in turn makes the
 // whole simulation a pure function of its seed. That ordering is exactly the
 // TimerService contract (equal deadlines fire in scheduling order), so the
@@ -13,12 +13,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
-#include <unordered_set>
-#include <vector>
 
 #include "host/timer.h"
+#include "host/timer_queue.h"
 #include "sim/time.h"
 
 namespace vsr::sim {
@@ -58,35 +55,14 @@ class Scheduler final : public host::TimerService {
   // `max_events` guards against runaway self-rescheduling loops.
   std::uint64_t RunToQuiescence(std::uint64_t max_events = UINT64_MAX);
 
-  bool Empty() const { return pending_.empty(); }
-
-  std::uint64_t EventsRun() const { return events_run_; }
+  bool Empty() const { return queue_.Empty(); }
 
  private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    TimerId id;
-    // Stored via shared_ptr so Event is copyable inside the priority_queue.
-    std::shared_ptr<std::function<void()>> fn;
-
-    bool operator>(const Event& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
-    }
-  };
-
-  bool PopAndRun();
+  // Runs the earliest pending event if it is due by `until`.
+  bool RunNext(Time until);
 
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  TimerId next_id_ = 1;
-  std::uint64_t events_run_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::unordered_set<TimerId> cancelled_;
-  // Ids scheduled but not yet run or cancelled; keeps Cancel() of unknown
-  // ids a true no-op and makes Empty() exact.
-  std::unordered_set<TimerId> pending_;
+  host::TimerQueue queue_;
 };
 
 }  // namespace vsr::sim

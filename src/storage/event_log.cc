@@ -9,7 +9,6 @@ namespace vsr::storage {
 
 void EventLog::Append(std::uint8_t kind, std::vector<std::uint8_t> payload) {
   if (!options_.enabled || gen_ == 0) return;
-  ++stats_.appends;
   pending_bytes_ += payload.size() + 1;
   pending_.push_back(Entry{kind, std::move(payload)});
   if (pending_.size() >= kMaxLogBatch || pending_bytes_ >= kMaxLogBatchBytes) {
@@ -51,7 +50,6 @@ void EventLog::BeginGeneration(Entry anchor) {
   const std::uint64_t old_gen = gen_;
   ++gen_;
   next_seq_ = 1;
-  ++stats_.generations;
   wire::Writer head;
   head.U64(gen_);
   // Once the new head pointer is durable, replay can never read the old

@@ -117,10 +117,8 @@ class EventLog {
   void Erase();
 
   struct Stats {
-    std::uint64_t appends = 0;
     std::uint64_t segments_written = 0;
     std::uint64_t bytes_logged = 0;
-    std::uint64_t generations = 0;
     std::uint64_t entries_rejected = 0;  // torn/corrupt suffix at replay
   };
   const Stats& stats() const { return stats_; }

@@ -295,12 +295,6 @@ std::vector<std::string> ObjectStore::ObjectIds() const {
   return out;
 }
 
-std::vector<std::string> ObjectStore::TouchedBy(Aid aid) const {
-  auto it = touched_.find(aid);
-  if (it == touched_.end()) return {};
-  return {it->second.begin(), it->second.end()};
-}
-
 std::vector<Aid> ObjectStore::ActiveTxns() const {
   std::vector<Aid> out;
   out.reserve(touched_.size());

@@ -152,9 +152,6 @@ class ObjectStore {
   std::size_t waiter_count() const;
   std::vector<std::string> ObjectIds() const;
 
-  // Objects on which `aid` holds any lock.
-  std::vector<std::string> TouchedBy(Aid aid) const;
-
   // Transactions currently holding locks here (the janitor's scan set).
   std::vector<Aid> ActiveTxns() const;
   bool Holds(Aid aid) const { return touched_.count(aid) != 0; }
@@ -213,7 +210,6 @@ class ObjectStore {
   void GrantLock(Object& obj, Aid aid, LockMode mode);
   void ReleaseAllLocks(const std::string& uid, Object& obj, Aid aid);
   void PumpWaiters(const std::string& uid);
-  void ForgetTouched(Aid aid, const std::string& uid);
 
   host::Host& host_;
   std::map<std::string, Object> objects_;

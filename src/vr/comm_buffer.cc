@@ -56,7 +56,6 @@ Viewstamp CommBuffer::Add(EventRecord record) {
   //  and updating the history in the process)".
   history_->Advance(record.ts);
   records_.push_back(std::move(record));
-  ++stats_.adds;
   stats_.buffer_high_water =
       std::max(stats_.buffer_high_water,
                static_cast<std::uint64_t>(records_.size()));

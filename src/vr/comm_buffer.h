@@ -144,7 +144,6 @@ class CommBuffer {
   std::uint64_t AckedTs(Mid backup) const;
 
   struct Stats {
-    std::uint64_t adds = 0;
     std::uint64_t forces = 0;
     // Forces satisfied without waiting: the needed acks were already in
     // (§3.7's "prepare messages are usually processed entirely at the

@@ -62,12 +62,6 @@ class History {
   const std::vector<Viewstamp>& entries() const { return entries_; }
   void Clear() { entries_.clear(); }
 
-  static History FromEntries(std::vector<Viewstamp> entries) {
-    History h;
-    h.entries_ = std::move(entries);
-    return h;
-  }
-
   bool operator==(const History&) const = default;
 
   template <class Ar, class M>

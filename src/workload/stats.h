@@ -33,11 +33,6 @@ class LatencyRecorder {
     return samples_[static_cast<std::size_t>(idx + 0.5)];
   }
 
-  sim::Duration Min() const {
-    if (samples_.empty()) return 0;
-    Sort();
-    return samples_.front();
-  }
   sim::Duration Max() const {
     if (samples_.empty()) return 0;
     Sort();

@@ -69,7 +69,7 @@ struct World {
   core::Directory directory;
   GroupClient client{sim.scheduler(), net, directory, kSelf};
   // Declared last: tears suspended coroutines down before the client.
-  host::TaskRegistry tasks{sim.scheduler()};
+  host::TaskRegistry tasks;
 };
 
 vr::ProbeReplyMsg ProbeReply(std::uint64_t req_id, vr::ViewId vid,

@@ -26,6 +26,7 @@
 
 #include "host/event_loop.h"
 #include "host/socket_transport.h"
+#include "host/task.h"
 #include "host/timer.h"
 #include "net/network.h"
 #include "net/transport.h"
@@ -188,6 +189,93 @@ TEST_P(TimerConformance, NowInsideCallbackIsAtOrPastDeadline) {
   });
   ASSERT_TRUE(hut_->RunUntil([&] { return done.load(); }));
   EXPECT_GE(observed, deadline);
+}
+
+// Both hosts share one host::TimerQueue: the tombstone a Cancel leaves at
+// the head of the queue is dropped, so it neither fires nor holds back the
+// timer due right behind it.
+TEST_P(TimerConformance, CancelledHeadDoesNotDelayTheNextTimer) {
+  std::atomic<bool> cancelled_ran{false};
+  std::atomic<bool> next_ran{false};
+  const host::Time deadline = T().Now() + 20 * host::kMillisecond;
+  host::Time observed = 0;
+  const host::TimerId head = T().At(deadline, [&] { cancelled_ran = true; });
+  T().At(deadline, [&] {
+    observed = T().Now();
+    next_ran = true;
+  });
+  T().Cancel(head);
+  ASSERT_TRUE(hut_->RunUntil([&] { return next_ran.load(); }));
+  EXPECT_FALSE(cancelled_ran.load());
+  // Virtual time fires exactly on the deadline; wall time only bounds it.
+  const host::Duration slack =
+      GetParam() == HostKind::kSim ? 0 : 100 * host::kMillisecond;
+  EXPECT_GE(observed, deadline);
+  EXPECT_LE(observed, deadline + slack);
+}
+
+// A detached coroutine that sleeps for `d`, holding `held` in its frame so
+// the test can see when the frame is destroyed.
+host::Task<void> Sleeper(host::TimerService& timers, host::Duration d,
+                         [[maybe_unused]] std::shared_ptr<int> held,
+                         bool* woke) {
+  co_await host::Sleep(timers, d);
+  *woke = true;
+}
+
+// A TaskRegistry destroys a finished frame inside its final awaiter: a
+// callback due at the same instant, scheduled right after the timer that
+// finishes the frame, already finds it gone. The registry is touched only
+// on the host thread.
+TEST_P(TimerConformance, TaskRegistryFreesAFinishedFrameAtOnce) {
+  host::TaskRegistry reg;
+  std::weak_ptr<int> frame;
+  bool woke = false;
+  bool freed = false;
+  std::size_t live = 1;
+  std::atomic<bool> checked{false};
+  T().After(0, [&] {
+    auto held = std::make_shared<int>(0);
+    frame = held;
+    reg.Spawn(Sleeper(T(), 10 * host::kMillisecond, std::move(held), &woke));
+    T().After(10 * host::kMillisecond, [&] {
+      freed = frame.expired();
+      live = reg.live_count();
+      checked = true;
+    });
+  });
+  ASSERT_TRUE(hut_->RunUntil([&] { return checked.load(); }));
+  EXPECT_TRUE(woke);
+  EXPECT_TRUE(freed);
+  EXPECT_EQ(live, 0u);
+}
+
+// DestroyAll (a node crash) destroys a sleeping frame, and the frame's
+// cancelled timer never resumes it.
+TEST_P(TimerConformance, TaskRegistryDestroyAllDestroysASleepingFrame) {
+  host::TaskRegistry reg;
+  std::weak_ptr<int> frame;
+  bool woke = false;
+  bool freed = false;
+  std::size_t live_before = 0;
+  std::size_t live_after = 1;
+  std::atomic<bool> sentinel{false};
+  T().After(0, [&] {
+    auto held = std::make_shared<int>(0);
+    frame = held;
+    reg.Spawn(Sleeper(T(), 20 * host::kMillisecond, std::move(held), &woke));
+    live_before = reg.live_count();
+    reg.DestroyAll();
+    live_after = reg.live_count();
+    freed = frame.expired();
+    // Past the sleep's deadline: a surviving timer would have fired.
+    T().After(40 * host::kMillisecond, [&] { sentinel = true; });
+  });
+  ASSERT_TRUE(hut_->RunUntil([&] { return sentinel.load(); }));
+  EXPECT_EQ(live_before, 1u);
+  EXPECT_EQ(live_after, 0u);
+  EXPECT_TRUE(freed);
+  EXPECT_FALSE(woke);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothHosts, TimerConformance,

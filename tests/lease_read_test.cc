@@ -211,7 +211,7 @@ TEST(LeaseReads, ReadClientBouncesAndFallsBackToPrimary) {
   client::ReadClient rc(w.cluster->sim(), w.cluster->network(),
                         w.cluster->directory(), w.cluster->AllocateMid(),
                         w.cluster->CohortAt(w.catalog, 0).options());
-  sim::TaskRegistry tasks(w.cluster->sim().scheduler());
+  sim::TaskRegistry tasks;
   std::optional<std::string> got;
   bool done = false;
   tasks.Spawn([](client::ReadClient* c, vr::GroupId g, bool* fin,
@@ -290,7 +290,7 @@ TEST(LeaseReads, LeaseReadScheduleIsDeterministic) {
     client::ReadClient rc(w.cluster->sim(), w.cluster->network(),
                           w.cluster->directory(), w.cluster->AllocateMid(),
                           w.cluster->CohortAt(w.catalog, 0).options());
-    sim::TaskRegistry tasks(w.cluster->sim().scheduler());
+    sim::TaskRegistry tasks;
     std::uint64_t reads_done = 0;
     tasks.Spawn([](client::ReadClient* c, vr::GroupId g,
                    std::uint64_t* n) -> sim::Task<void> {
@@ -362,7 +362,7 @@ TEST(LeaseSoak, ReadsStaySerializableAcrossCrashes) {
   client::ReadClient rc(w.cluster->sim(), w.cluster->network(),
                         w.cluster->directory(), w.cluster->AllocateMid(),
                         w.cluster->CohortAt(w.catalog, 0).options());
-  sim::TaskRegistry tasks(w.cluster->sim().scheduler());
+  sim::TaskRegistry tasks;
   bool stop = false;
   std::uint64_t regressions = 0, reads = 0;
   std::map<std::string, long long> last_version;

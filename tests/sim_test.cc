@@ -167,7 +167,7 @@ TEST(Task, LazyUntilAwaited) {
   EXPECT_FALSE(ran);
 
   Scheduler sched;
-  TaskRegistry reg(sched);
+  TaskRegistry reg;
   int result = 0;
   reg.Spawn([](Task<int> inner, int* out) -> Task<void> {
     *out = co_await std::move(inner);
@@ -179,7 +179,7 @@ TEST(Task, LazyUntilAwaited) {
 
 TEST(Task, ExceptionsPropagateThroughAwait) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  TaskRegistry reg;
   bool caught = false;
   auto thrower = []() -> Task<int> {
     throw std::runtime_error("boom");
@@ -198,7 +198,7 @@ TEST(Task, ExceptionsPropagateThroughAwait) {
 
 TEST(Task, SleepSuspendsForSimulatedTime) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  TaskRegistry reg;
   Time woke_at = 0;
   reg.Spawn([](Scheduler* s, Time* out) -> Task<void> {
     co_await Sleep(*s, 250);
@@ -210,16 +210,16 @@ TEST(Task, SleepSuspendsForSimulatedTime) {
 
 TEST(TaskRegistry, ReapsCompletedTasks) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  TaskRegistry reg;
   reg.Spawn([]() -> Task<void> { co_return; }());
-  EXPECT_EQ(reg.live_count(), 1u);  // reap is deferred one event
-  sched.RunToQuiescence();
+  // The frame is destroyed inside its own final awaiter: no event needed.
   EXPECT_EQ(reg.live_count(), 0u);
+  EXPECT_TRUE(sched.Empty());
 }
 
 TEST(TaskRegistry, DestroyAllKillsSleepers) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  TaskRegistry reg;
   bool finished = false;
   reg.Spawn([](Scheduler* s, bool* out) -> Task<void> {
     co_await Sleep(*s, 1000);
@@ -235,7 +235,7 @@ TEST(TaskRegistry, DestroyAllKillsSleepers) {
 
 TEST(TaskRegistry, NestedAwaitChainsComplete) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  TaskRegistry reg;
   int result = 0;
   // three-deep chain with sleeps at each level
   struct Helper {
