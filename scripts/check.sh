@@ -34,8 +34,8 @@
 # CHECK_REAL_HOST=1 builds a ThreadSanitizer tree (build-tsan/) and runs the
 # genuinely multithreaded code — host conformance + the socket-host
 # integration smokes (3 replicas over real TCP loopback with a primary kill,
-# and cross-group fused 2PC, DESIGN.md §13) — under it, plus a plain-build
-# vrd run.
+# and cross-group fused 2PC, DESIGN.md §13) — under it, plus a vrd run with
+# a primary kill in both the plain and the TSan build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,6 +97,10 @@ if [[ "${CHECK_REAL_HOST:-0}" == "1" ]]; then
     -R 'host_conformance_test|socket_host_test'
   echo "== real host (vrd smoke: sockets + view change) =="
   build/src/host/vrd --txns 300 --kill-primary
+  # The same run under TSan: connections are dialed, accepted and settled
+  # while the view change is in progress.
+  echo "== real host (vrd smoke under ThreadSanitizer) =="
+  build-tsan/src/host/vrd --txns 300 --kill-primary
 fi
 
 if [[ "${CHECK_SOAK:-0}" == "1" ]]; then

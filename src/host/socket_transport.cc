@@ -1,7 +1,6 @@
 #include "host/socket_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -25,11 +24,6 @@ namespace {
 constexpr std::size_t kReadChunk = 64 * 1024;
 // Pending frames written by one sendmsg while flushing a queue.
 constexpr std::size_t kFlushFrames = 32;
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
 
 bool WouldBlock(int err) {
   return err == EAGAIN || err == EWOULDBLOCK || err == EINTR;
@@ -79,65 +73,87 @@ void SocketTransport::OnIo(std::uint32_t /*events*/) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd >= 0) {
-      auto in = std::make_unique<Inbound>(*this, fd);
-      in->buf.resize(kReadChunk);
-      loop_.Watch(fd, EPOLLIN, in.get());
-      inbound_[fd] = std::move(in);
-      continue;
-    }
-    if (errno == EINTR || errno == ECONNABORTED) continue;
-    if (!WouldBlock(errno)) loop_.Unwatch(listen_fd_, this);  // stop accepting
-    return;
-  }
-}
-
-void SocketTransport::OnReadable(Inbound& in) {
-  for (;;) {
-    if (in.begin == in.end) in.begin = in.end = 0;  // all parsed
-    if (in.buf.size() - in.end < kReadChunk) {
-      // Slide the partial frame to the front and make room for a full read.
-      std::memmove(in.buf.data(), in.buf.data() + in.begin, in.end - in.begin);
-      in.end -= in.begin;
-      in.begin = 0;
-      in.buf.resize(in.end + kReadChunk);
-    }
-    const std::size_t room = in.buf.size() - in.end;
-    const ssize_t r = ::recv(in.fd, in.buf.data() + in.end, room, 0);
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && WouldBlock(errno)) return;
-    if (r <= 0) {  // EOF or error: the peer's connection is gone
-      CloseInbound(in);
+      Open(fd, kUnknownPeer);
+    } else if (errno != EINTR && errno != ECONNABORTED) {
+      // A hard error stops accepting; EAGAIN waits for the next readiness.
+      if (!WouldBlock(errno)) loop_.Unwatch(listen_fd_, this);
       return;
     }
-    in.end += static_cast<std::size_t>(r);
-    if (!ParseFrames(in)) return;
-    // A short read emptied the socket; the next readiness event brings more.
-    if (static_cast<std::size_t>(r) < room) return;
   }
 }
 
-bool SocketTransport::ParseFrames(Inbound& in) {
-  while (in.end - in.begin >= kHeaderBytes) {
-    wire::Reader r(std::span<const std::uint8_t>(in.buf.data() + in.begin,
-                                                 in.end - in.begin));
-    const std::uint32_t len = r.U32();
-    if (len > kMaxPayload) {  // malformed stream: tear the link down
-      CloseInbound(in);
+SocketTransport::Conn::~Conn() { ::close(fd); }
+
+SocketTransport::Conn& SocketTransport::Open(int fd, net::NodeId peer) {
+  int one = 1;  // replies go out at once, not behind the peer's next ACK
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto c = std::make_unique<Conn>(*this, fd, peer);
+  c->buf.resize(kReadChunk);
+  // EPOLLOUT is armed only while bytes wait.
+  loop_.Watch(fd, EPOLLIN, c.get());
+  Bump(stats_.connections);
+  return *(conns_[fd] = std::move(c));
+}
+
+void SocketTransport::OnConnIo(Conn& c, std::uint32_t events) {
+  if ((events & ~EPOLLOUT) != 0 && !OnReadable(c)) return;
+  if ((events & EPOLLOUT) == 0) return;
+  if (!Flush(c)) {
+    Close(c);
+  } else if (c.queue.empty()) {
+    loop_.Modify(c.fd, EPOLLIN, &c);
+    if (c.retiring) ::shutdown(c.fd, SHUT_WR);
+  }
+}
+
+bool SocketTransport::OnReadable(Conn& c) {
+  for (;;) {
+    if (c.begin == c.end) c.begin = c.end = 0;  // all parsed
+    if (c.buf.size() - c.end < kReadChunk) {
+      // Slide the partial frame to the front and make room for a full read.
+      std::memmove(c.buf.data(), c.buf.data() + c.begin, c.end - c.begin);
+      c.end -= c.begin;
+      c.begin = 0;
+      c.buf.resize(c.end + kReadChunk);
+    }
+    const std::size_t room = c.buf.size() - c.end;
+    const ssize_t r = ::recv(c.fd, c.buf.data() + c.end, room, MSG_DONTWAIT);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && WouldBlock(errno)) return true;
+    if (r <= 0) {  // EOF or error: the peer's end is gone
+      Close(c);
       return false;
     }
-    if (in.end - in.begin < kHeaderBytes + len) return true;  // partial
+    c.end += static_cast<std::size_t>(r);
+    if (!ParseFrames(c)) return false;
+    // A short read emptied the socket; the next readiness event brings more.
+    if (static_cast<std::size_t>(r) < room) return true;
+  }
+}
+
+bool SocketTransport::ParseFrames(Conn& c) {
+  while (c.end - c.begin >= kHeaderBytes) {
+    wire::Reader r(std::span<const std::uint8_t>(c.buf.data() + c.begin,
+                                                 c.end - c.begin));
+    const std::uint32_t len = r.U32();
+    if (len > kMaxPayload) {  // malformed stream: tear the link down
+      Close(c);
+      return false;
+    }
+    if (c.end - c.begin < kHeaderBytes + len) return true;  // partial
     net::Frame frame;
     frame.from = r.U32();
     frame.to = r.U32();
     frame.type = r.U16();
     const std::uint32_t crc = r.U32();
     const std::span<const std::uint8_t> payload(
-        in.buf.data() + in.begin + kHeaderBytes, len);
-    in.begin += kHeaderBytes + len;
+        c.buf.data() + c.begin + kHeaderBytes, len);
+    c.begin += kHeaderBytes + len;
     if (wire::Crc32(payload) != crc) {
       Bump(stats_.dropped_corrupt);
       continue;  // corruption is loss, not teardown (contract point 2)
     }
+    if (c.peer == kUnknownPeer) Learn(c, frame.from);
     frame.payload.assign(payload.begin(), payload.end());
     Deliver(frame);
     if (shutdown_) return false;  // OnFrame shut the transport down
@@ -145,11 +161,18 @@ bool SocketTransport::ParseFrames(Inbound& in) {
   return true;
 }
 
-void SocketTransport::CloseInbound(Inbound& in) {
-  const int fd = in.fd;
-  loop_.Unwatch(fd, &in);
-  ::close(fd);
-  inbound_.erase(fd);  // destroys `in`
+void SocketTransport::Learn(Conn& c, net::NodeId peer) {
+  c.peer = peer;
+  Conn*& path = send_to_[peer];
+  // Crossed dials settle on the connection the lower id dialed. A newer
+  // accepted connection replaces an older one: its dialer dials only after
+  // dropping its previous connection.
+  if (path != nullptr && path->dialed) {
+    if (self_ < peer) return;
+    path->retiring = true;
+    if (path->queue.empty()) ::shutdown(path->fd, SHUT_WR);
+  }
+  path = &c;
 }
 
 void SocketTransport::Deliver(const net::Frame& frame) {
@@ -176,9 +199,9 @@ void SocketTransport::SetNodeUp(net::NodeId node, bool up) {
   }
 }
 
-SocketTransport::Outbound* SocketTransport::ConnectTo(net::NodeId to) {
-  auto it = outbound_.find(to);
-  if (it != outbound_.end()) return it->second.get();
+SocketTransport::Conn* SocketTransport::ConnectTo(net::NodeId to) {
+  auto it = send_to_.find(to);
+  if (it != send_to_.end()) return it->second;
   auto addr_it = peers_.find(to);
   if (addr_it == peers_.end()) return nullptr;
 
@@ -192,13 +215,8 @@ SocketTransport::Outbound* SocketTransport::ConnectTo(net::NodeId to) {
     ::close(fd);
     return nullptr;
   }
-  SetNoDelay(fd);
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-  auto out = std::make_unique<Outbound>(*this, to, fd);
-  // Nothing is read from an outbound connection; the peer hanging up is
-  // the only input, and EPOLLOUT is armed only while bytes wait.
-  loop_.Watch(fd, EPOLLRDHUP, out.get());
-  return (outbound_[to] = std::move(out)).get();
+  Bump(stats_.dials);
+  return send_to_[to] = &Open(fd, to);
 }
 
 void SocketTransport::Send(net::NodeId from, net::NodeId to,
@@ -214,15 +232,12 @@ void SocketTransport::Send(net::NodeId from, net::NodeId to,
     });
     return;
   }
-  Outbound* out = shutdown_ ? nullptr : ConnectTo(to);
-  if (out == nullptr) {
-    Bump(stats_.send_failures);  // connect failure = a lost frame (§1)
-    return;
-  }
+  Conn* c = shutdown_ ? nullptr : ConnectTo(to);
   const std::size_t frame_bytes = kHeaderBytes + payload.size();
-  if (!out->queue.empty() &&
-      out->queued_bytes + frame_bytes > kMaxQueuedBytes) {
-    Bump(stats_.send_failures);  // the peer is not draining: loss (§1)
+  // A failed dial, or a peer that is not draining its queue: loss (§1).
+  if (c == nullptr || (!c->queue.empty() &&
+                       c->queued_bytes + frame_bytes > kMaxQueuedBytes)) {
+    Bump(stats_.send_failures);
     return;
   }
 
@@ -234,33 +249,23 @@ void SocketTransport::Send(net::NodeId from, net::NodeId to,
   PutLe(h + 12, type, 2);
   PutLe(h + 14, wire::Crc32(payload), 4);
   frame.payload = std::move(payload);
-  const bool idle = out->queue.empty();
-  out->queued_bytes += frame_bytes;
-  out->queue.push_back(std::move(frame));
+  const bool idle = c->queue.empty();
+  c->queued_bytes += frame_bytes;
+  c->queue.push_back(std::move(frame));
   // A busy queue already waits for EPOLLOUT, and the frame must go behind
   // it; an idle one is written now, and only what the kernel leaves over
-  // waits.
-  if (idle && Flush(*out) && !out->queue.empty()) {
-    loop_.Modify(out->fd, EPOLLOUT | EPOLLRDHUP, out);
+  // (or a write error, which OnConnIo then meets) waits.
+  if (idle && (!Flush(*c) || !c->queue.empty())) {
+    loop_.Modify(c->fd, EPOLLIN | EPOLLOUT, c);
   }
 }
 
-void SocketTransport::OnWritable(Outbound& out, std::uint32_t events) {
-  if ((events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0) {
-    DropOutbound(out);
-    return;
-  }
-  if (Flush(out) && out.queue.empty()) {
-    loop_.Modify(out.fd, EPOLLRDHUP, &out);
-  }
-}
-
-bool SocketTransport::Flush(Outbound& out) {
-  while (!out.queue.empty()) {
+bool SocketTransport::Flush(Conn& c) {
+  while (!c.queue.empty()) {
     iovec iov[2 * kFlushFrames];
     std::size_t n_iov = 0;
-    for (std::size_t i = 0; i < out.queue.size() && i < kFlushFrames; ++i) {
-      Pending& p = out.queue[i];
+    for (std::size_t i = 0; i < c.queue.size() && i < kFlushFrames; ++i) {
+      Pending& p = c.queue[i];
       if (p.sent < kHeaderBytes) {
         iov[n_iov++] = {p.header.data() + p.sent, kHeaderBytes - p.sent};
       }
@@ -269,47 +274,41 @@ bool SocketTransport::Flush(Outbound& out) {
         iov[n_iov++] = {p.payload.data() + off, p.payload.size() - off};
       }
     }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = n_iov;
-    const ssize_t n = ::sendmsg(out.fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n < 0 && WouldBlock(errno)) return true;
-    if (n < 0) {
-      DropOutbound(out);
-      return false;
-    }
+    const msghdr msg{.msg_iov = iov, .msg_iovlen = n_iov};
+    const ssize_t n = ::sendmsg(c.fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) return WouldBlock(errno);
     std::size_t left = static_cast<std::size_t>(n);
-    out.queued_bytes -= left;
+    c.queued_bytes -= left;
     while (left > 0) {
-      Pending& p = out.queue.front();
+      Pending& p = c.queue.front();
       const std::size_t take =
           std::min(left, kHeaderBytes + p.payload.size() - p.sent);
       p.sent += take;
       left -= take;
-      if (p.sent == kHeaderBytes + p.payload.size()) out.queue.pop_front();
+      if (p.sent == kHeaderBytes + p.payload.size()) c.queue.pop_front();
     }
   }
   return true;
 }
 
-void SocketTransport::DropOutbound(Outbound& out) {
-  Bump(stats_.send_failures, out.queue.size());
-  const int fd = out.fd;
-  loop_.Unwatch(fd, &out);
-  ::close(fd);
-  outbound_.erase(out.peer);  // destroys `out`
+void SocketTransport::Close(Conn& c) {
+  Bump(stats_.send_failures, c.queue.size());
+  stats_.connections.fetch_sub(1, std::memory_order_relaxed);
+  auto path = send_to_.find(c.peer);
+  if (path != send_to_.end() && path->second == &c) send_to_.erase(path);
+  const int fd = c.fd;
+  loop_.Unwatch(fd, &c);
+  conns_.erase(fd);  // destroys `c`, closing its fd
 }
 
 SocketTransport::Stats SocketTransport::stats() const {
-  Stats s;
-  s.frames_sent = stats_.frames_sent.load(std::memory_order_relaxed);
-  s.frames_delivered = stats_.frames_delivered.load(std::memory_order_relaxed);
-  s.bytes_sent = stats_.bytes_sent.load(std::memory_order_relaxed);
-  s.send_failures = stats_.send_failures.load(std::memory_order_relaxed);
-  s.dropped_corrupt = stats_.dropped_corrupt.load(std::memory_order_relaxed);
-  s.dropped_node_down =
-      stats_.dropped_node_down.load(std::memory_order_relaxed);
-  return s;
+  const auto get = [](const std::atomic<std::uint64_t>& n) {
+    return n.load(std::memory_order_relaxed);
+  };
+  return Stats{get(stats_.frames_sent), get(stats_.frames_delivered),
+               get(stats_.bytes_sent), get(stats_.send_failures),
+               get(stats_.dropped_corrupt), get(stats_.dropped_node_down),
+               get(stats_.dials), get(stats_.connections)};
 }
 
 void SocketTransport::Shutdown() {
@@ -333,11 +332,16 @@ void SocketTransport::Teardown() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  while (!inbound_.empty()) CloseInbound(*inbound_.begin()->second);
-  while (!outbound_.empty()) {
-    Outbound& out = *outbound_.begin()->second;
-    if (Flush(out)) DropOutbound(out);
+  // Half-close each connection: its FIN follows every byte the kernel
+  // holds, and the fd closes when the transport is destroyed.
+  for (auto& [fd, c] : conns_) {
+    Flush(*c);
+    Bump(stats_.send_failures, c->queue.size());
+    loop_.Unwatch(fd, c.get());
+    ::shutdown(fd, SHUT_WR);
   }
+  send_to_.clear();
+  stats_.connections = 0;
 }
 
 }  // namespace vsr::host

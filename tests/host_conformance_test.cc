@@ -484,9 +484,8 @@ INSTANTIATE_TEST_SUITE_P(BothHosts, TransportConformance,
 
 TEST(SocketTransport, ShutdownDrainsInFlightSends) {
   // Frames handed to the kernel before Shutdown() must still reach a peer
-  // that keeps running: Send is a blocking write, so by the time it
-  // returns the bytes are queued in the TCP stack, and teardown closes the
-  // socket without discarding them.
+  // that keeps running: teardown ends the connection without discarding
+  // the bytes the TCP stack already holds.
   host::AddressMap addrs;
   host::EventLoop loop_a, loop_b;
   host::SocketTransport ta(loop_a, kA, addrs);
@@ -609,6 +608,221 @@ TEST(SocketTransport, StalledPeerDoesNotFreezeSender) {
   ::close(stalled);
 }
 
+// Two socket transports, A and B, each on its own running loop with a
+// Recorder registered for its node.
+struct SocketPair {
+  SocketPair() {
+    addrs[kA] = host::NodeAddress{"127.0.0.1", ta.Listen(0)};
+    addrs[kB] = host::NodeAddress{"127.0.0.1", tb.Listen(0)};
+    loop_a.Start();
+    loop_b.Start();
+    std::atomic<int> registered{0};
+    loop_a.Post([&] {
+      ta.Register(kA, &rec_a);
+      ++registered;
+    });
+    loop_b.Post([&] {
+      tb.Register(kB, &rec_b);
+      ++registered;
+    });
+    EXPECT_TRUE(WaitFor([&] { return registered == 2; }));
+  }
+  ~SocketPair() {
+    ta.Shutdown();
+    tb.Shutdown();
+    loop_a.Stop();
+    loop_b.Stop();
+  }
+
+  host::AddressMap addrs;
+  host::EventLoop loop_a, loop_b;
+  Recorder rec_a, rec_b;
+  host::SocketTransport ta{loop_a, kA, addrs};
+  host::SocketTransport tb{loop_b, kB, addrs};
+};
+
+TEST(SocketTransport, CrossedDialsSettleOnOneConnection) {
+  // Both loops send their first frame at the same instant, so each dials
+  // before it has read anything from the other. The pair must settle on
+  // one connection and open no other for the traffic that follows, which
+  // arrives in order.
+  SocketPair p;
+  std::atomic<int> ready{0};
+  const auto send_first = [&](host::SocketTransport& t, net::NodeId self,
+                              net::NodeId peer) {
+    ++ready;
+    while (ready < 2) std::this_thread::yield();
+    t.Send(self, peer, 3, {0});
+  };
+  p.loop_a.Post([&] { send_first(p.ta, kA, kB); });
+  p.loop_b.Post([&] { send_first(p.tb, kB, kA); });
+  // Settled: each side has heard from the other, and the losing dial is
+  // closed at both ends.
+  ASSERT_TRUE(WaitFor([&] {
+    return p.rec_a.count() == 1 && p.rec_b.count() == 1 &&
+           p.ta.stats().connections == 1 && p.tb.stats().connections == 1;
+  }));
+  EXPECT_EQ(p.ta.stats().dials, 1u);  // the dials did cross
+  EXPECT_EQ(p.tb.stats().dials, 1u);
+
+  constexpr int kFrames = 100;
+  p.loop_a.Post([&] {
+    for (int i = 1; i <= kFrames; ++i) {
+      p.ta.Send(kA, kB, 3, {static_cast<std::uint8_t>(i)});
+    }
+  });
+  p.loop_b.Post([&] {
+    for (int i = 1; i <= kFrames; ++i) {
+      p.tb.Send(kB, kA, 3, {static_cast<std::uint8_t>(i)});
+    }
+  });
+  ASSERT_TRUE(WaitFor([&] {
+    return p.rec_a.count() == kFrames + 1 && p.rec_b.count() == kFrames + 1;
+  }));
+  for (int i = 1; i <= kFrames; ++i) {
+    const std::vector<std::uint8_t> want{static_cast<std::uint8_t>(i)};
+    EXPECT_EQ(p.rec_a.frame(static_cast<std::size_t>(i)).payload, want);
+    EXPECT_EQ(p.rec_b.frame(static_cast<std::size_t>(i)).payload, want);
+  }
+  for (const host::SocketTransport* t : {&p.ta, &p.tb}) {
+    EXPECT_EQ(t->stats().dials, 1u);
+    EXPECT_EQ(t->stats().connections, 1u);
+    EXPECT_EQ(t->stats().send_failures, 0u);
+  }
+}
+
+TEST(SocketTransport, ShutdownWithUnreadBytesStillDrainsInFlightSends) {
+  // ShutdownDrainsInFlightSends on a connection that carries traffic both
+  // ways. B's frames sit unread in A's socket when A shuts down, and A's
+  // frames sit in A's kernel because B's loop is not reading. Closing a
+  // socket that holds unread bytes resets it, and the reset discards what
+  // the kernel has not sent yet; every frame A handed to the kernel must
+  // still reach B.
+  SocketPair p;
+  p.loop_b.Post([&] { p.tb.Send(kB, kA, 4, {0}); });  // B dials A
+  ASSERT_TRUE(WaitFor([&] { return p.rec_a.count() == 1; }));
+
+  constexpr int kFrames = 50;
+  std::atomic<bool> a_blocked{false}, b_sent{false}, a_down{false};
+  p.loop_a.Post([&] {
+    a_blocked = true;
+    while (!b_sent) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // B's land
+    for (int i = 0; i < kFrames; ++i) {
+      p.ta.Send(kA, kB, 3, std::vector<std::uint8_t>(
+                               64 << 10, static_cast<std::uint8_t>(i)));
+    }
+    p.ta.Shutdown();  // inline, with B's frames unread
+    a_down = true;
+  });
+  p.loop_b.Post([&] {
+    while (!a_blocked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (int i = 1; i <= 20; ++i) {
+      p.tb.Send(kB, kA, 4, {static_cast<std::uint8_t>(i)});
+    }
+    b_sent = true;
+    while (!a_down) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  ASSERT_TRUE(WaitFor([&] { return a_down.load(); }));
+  p.loop_a.Stop();
+  EXPECT_EQ(p.rec_a.count(), 1u);  // B's 20 were never read
+
+  const host::SocketTransport::Stats st = p.ta.stats();
+  ASSERT_EQ(st.frames_sent, static_cast<std::uint64_t>(kFrames));
+  const std::size_t in_kernel = kFrames - st.send_failures;
+  EXPECT_GT(in_kernel, 0u);
+  EXPECT_TRUE(WaitFor([&] { return p.rec_b.count() >= in_kernel; }));
+  EXPECT_EQ(p.rec_b.count(), in_kernel);
+  for (std::size_t i = 0; i < p.rec_b.count(); ++i) {
+    EXPECT_EQ(p.rec_b.frame(i).payload.front(), static_cast<std::uint8_t>(i));
+  }
+}
+
+// One frame in the transport's wire format, optionally with a bad CRC.
+std::vector<std::uint8_t> Frame(std::vector<std::uint8_t> payload,
+                                bool corrupt_crc = false,
+                                net::NodeId from = kA, net::NodeId to = kB) {
+  wire::Writer w;
+  w.U32(static_cast<std::uint32_t>(payload.size()));
+  w.U32(from);
+  w.U32(to);
+  w.U16(7);
+  w.U32(wire::Crc32(payload) ^ (corrupt_crc ? 1u : 0u));
+  w.Raw(std::span<const std::uint8_t>(payload.data(), payload.size()));
+  return w.Take();
+}
+
+// Reads one frame from a blocking socket and returns its payload (empty
+// if the read failed or timed out).
+std::vector<std::uint8_t> ReadPayload(int fd) {
+  std::uint8_t header[18];
+  if (::recv(fd, header, sizeof(header), MSG_WAITALL) != 18) return {};
+  wire::Reader r(std::span<const std::uint8_t>(header, sizeof(header)));
+  std::vector<std::uint8_t> payload(r.U32());
+  if (::recv(fd, payload.data(), payload.size(), MSG_WAITALL) !=
+      static_cast<ssize_t>(payload.size())) {
+    return {};
+  }
+  return payload;
+}
+
+TEST(SocketTransport, PeerClosingTheSharedConnectionRedialsOnNextSend) {
+  // The peer is a raw listener playing kB. It answers A's first frame on
+  // A's own connection, then closes that connection. A must see the
+  // close, count no loss (nothing was queued on it), and dial again on its
+  // next Send.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  timeval limit{5, 0};
+  ::setsockopt(listener, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+
+  host::AddressMap addrs;
+  host::EventLoop loop;
+  Recorder rec;
+  host::SocketTransport ta(loop, kA, addrs);
+  addrs[kA] = host::NodeAddress{"127.0.0.1", ta.Listen(0)};
+  addrs[kB] = host::NodeAddress{"127.0.0.1", ntohs(addr.sin_port)};
+  loop.Start();
+  loop.Post([&] {
+    ta.Register(kA, &rec);
+    ta.Send(kA, kB, 3, {1});
+  });
+  const int first = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(first, 0);
+  ::setsockopt(first, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  EXPECT_EQ(ReadPayload(first), (std::vector<std::uint8_t>{1}));
+  const std::vector<std::uint8_t> reply = Frame({2}, false, kB, kA);
+  ASSERT_EQ(::send(first, reply.data(), reply.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(reply.size()));
+  ASSERT_TRUE(WaitFor([&] { return rec.count() == 1; }));
+  EXPECT_EQ(ta.stats().connections, 1u);
+
+  ::close(first);
+  ASSERT_TRUE(WaitFor([&] { return ta.stats().connections == 0; }));
+  loop.Post([&] { ta.Send(kA, kB, 3, {3}); });
+  const int second = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(second, 0);
+  ::setsockopt(second, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  EXPECT_EQ(ReadPayload(second), (std::vector<std::uint8_t>{3}));
+  EXPECT_EQ(ta.stats().dials, 2u);
+  EXPECT_EQ(ta.stats().send_failures, 0u);
+
+  ta.Shutdown();
+  loop.Stop();
+  ::close(second);
+  ::close(listener);
+}
+
 // A transport for kB, fed by raw client sockets that play kA: the tests
 // write crafted byte streams and check what the frame reader makes of them.
 class RawStreamTest : public ::testing::Test {
@@ -643,19 +857,6 @@ class RawStreamTest : public ::testing::Test {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     clients_.push_back(fd);
     return fd;
-  }
-
-  // One frame in the transport's wire format, optionally with a bad CRC.
-  static std::vector<std::uint8_t> Frame(std::vector<std::uint8_t> payload,
-                                         bool corrupt_crc = false) {
-    wire::Writer w;
-    w.U32(static_cast<std::uint32_t>(payload.size()));
-    w.U32(kA);
-    w.U32(kB);
-    w.U16(7);
-    w.U32(wire::Crc32(payload) ^ (corrupt_crc ? 1u : 0u));
-    w.Raw(std::span<const std::uint8_t>(payload.data(), payload.size()));
-    return w.Take();
   }
 
   static void Write(int fd, const std::vector<std::uint8_t>& bytes) {

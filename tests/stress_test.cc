@@ -193,11 +193,9 @@ TEST_P(StressTest, SerializableUnderFaults) {
 
   // Build the serializability chain from client-observed outcomes.
   check::RegisterChainChecker chain;
-  check::CommitAccounting accounting;
   for (const auto& rec : txns) {
     const vr::TxnOutcome o =
         rec->resolved ? rec->outcome : vr::TxnOutcome::kUnknown;
-    accounting.Note(o);
     if (!rec->have_prev) continue;  // never executed its call: cannot commit
     if (o == vr::TxnOutcome::kCommitted) {
       chain.NoteCommitted(rec->prev, rec->value);
