@@ -182,6 +182,8 @@ done
 E2_JSON="$(bench_json E2)"
 E4_JSON="$(bench_json E4)"
 E5_JSON="$(bench_json E5)"
+E11_JSON="$(bench_json E11)"
+E12_JSON="$(bench_json E12)"
 E13_JSON="$(bench_json E13)"
 E15_JSON="$(bench_json E15)"
 # The E2 commit-fusion ablation (DESIGN.md §13) must have produced both
@@ -248,6 +250,23 @@ fi
 if ! awk '/"short_gap_subactions_committed"/ { gsub(/[,"]/, ""); c = $2 }
           END { exit (c > 0) ? 0 : 1 }' "$E5_JSON"; then
   echo "FAIL: ${E5_JSON}: no transaction survived by re-running a call" >&2
+  exit 1
+fi
+# Snapshot catch-up (DESIGN.md §9) ships one image frame at the laggard's
+# next image request, at most kRetransmitInterval (20 ms) after the heal:
+# E11's 10x-window catch-up must stay below 10 ms, and E12's rejoin after
+# 200 missed commits, which falls below the GC floor and is served an
+# image, below 20 ms. Simulated, so deterministic; both run unshrunk in
+# smoke mode.
+if ! awk '/"snapshot_catchup_ms_10x"/ { gsub(/[,"]/, ""); d = $2 }
+          END { exit (d > 0 && d < 10) ? 0 : 1 }' "$E11_JSON"; then
+  echo "FAIL: ${E11_JSON} 10x-window snapshot catch-up took 10 ms or more" >&2
+  exit 1
+fi
+if ! awk '/"snapshot_rejoin_us_200"/ { gsub(/[,"]/, ""); d = $2 }
+          END { exit (d > 0 && d < 20000) ? 0 : 1 }' "$E12_JSON"; then
+  echo "FAIL: ${E12_JSON} 200-commit snapshot rejoin missing or took" \
+    "20 ms or more" >&2
   exit 1
 fi
 # The E15 backup-read experiment (DESIGN.md §14) must have produced both

@@ -62,7 +62,6 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
             SendLeaseGrant(backup, stable_ts);
           }),
       snap_server_(
-          hst, options.snapshot,
           [this](Mid to, const vr::SnapshotChunkMsg& m) { SendMsg(to, m); }),
       elog_(hst, stable, options.event_log,
             "elog/" + std::to_string(self), self),
@@ -122,7 +121,6 @@ void Cohort::Start() {
 void Cohort::ResetVolatileState() {
   buffer_.Stop();
   snap_server_.Stop();
-  ClearSnapshotSink();
   ResetShardPull(false);
   tasks_.DestroyAll();
   store_.Clear();
@@ -349,7 +347,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
   // Intra-group protocol messages (view change, buffer replication, leases)
   // are only meaningful from the group's own cohorts; the configuration is
   // fixed at creation (§2), so anything else is a stray or malformed frame.
-  // Snapshot chunks/acks are NOT among them: the §9 machinery doubles as the
+  // Snapshot images/acks are NOT among them: the §9 image doubles as the
   // shard bulk-move primitive (DESIGN.md §11), whose transfers cross group
   // boundaries — they are gated per message instead.
   const auto ours_from_peer =
@@ -374,20 +372,19 @@ void Cohort::OnFrame(const net::Frame& frame) {
       },
       [&](const vr::SnapshotChunkMsg& m) {
         if (m.group == group_) {
-          // Intra-group catch-up transfer: only our own primary streams
-          // these.
+          // Intra-group catch-up image: only our own primary sends these.
           if (from_peer) OnSnapshotChunk(m);
         } else {
-          // Chunks of a cross-group shard pull, stamped with the SOURCE
-          // group's id; OnShardChunk validates them against the active pull.
+          // The image of a cross-group shard pull, stamped with the SOURCE
+          // group's id; OnShardChunk validates it against the active pull.
           OnShardChunk(m);
         }
       },
-      // Acks for shard transfers come from the pulling group's primary —
-      // not a peer — carrying our group id copied from the chunks; the
-      // server validates viewid/vs/offset per registered transfer.
+      // Acks for shard images come from the pulling group's primary — not
+      // a peer — carrying our group id copied from the image; the server
+      // validates their viewid.
       [this](const vr::SnapshotAckMsg& m) {
-        if (m.group == group_ && IsActivePrimary()) OnSnapshotAck(m);
+        if (m.group == group_ && IsActivePrimary()) snap_server_.OnAck(m);
       },
       ours(&Cohort::OnCall),
       ours(&Cohort::OnPrepare),

@@ -252,15 +252,11 @@ struct CohortStats {
   std::uint64_t records_stashed_out_of_order = 0;
   std::uint64_t records_applied_from_stash = 0;
   std::uint64_t gap_requests_sent = 0;
-  // Snapshot state transfer (DESIGN.md §9): whole gstate snapshots installed
-  // after falling behind the primary's GC watermark, and assembled payloads
-  // rejected before install (malformed — install is all-or-nothing).
+  // Snapshot state transfer (DESIGN.md §9): whole state images installed
+  // after falling behind the primary's GC watermark, and images rejected
+  // before install (malformed — install is all-or-nothing).
   std::uint64_t snapshots_installed = 0;
   std::uint64_t snapshot_installs_rejected = 0;
-  // Partial installs dropped because the chunk stream went idle (the serving
-  // primary died or stood down): the payload is discarded wholesale and the
-  // cohort resumes answering view changes with its intact pre-transfer state.
-  std::uint64_t snapshot_installs_abandoned = 0;
   // Durable event log recovery (DESIGN.md §10): successful replays of the
   // local log at Recover() time, records re-applied from it, and rejoin
   // acks sent to resume the current view at the replayed viewstamp.
@@ -365,9 +361,6 @@ class Cohort : public net::FrameHandler {
   const vr::SnapshotServer& snapshot_server() const { return snap_server_; }
   // Highest contiguously applied record ts (as a backup of the current view).
   std::uint64_t applied_ts() const { return applied_ts_; }
-  // A snapshot install is in flight: gstate is about to be replaced, so view
-  // changes treat this cohort as crashed-equivalent (DoAccept).
-  bool installing_snapshot() const { return installing_snapshot_; }
   // State was replayed from the durable event log and no view transition has
   // re-validated it yet: invitations are answered as crashed-with-state
   // (DESIGN.md §10).
@@ -528,27 +521,20 @@ class Cohort : public net::FrameHandler {
                     std::optional<PreparedSet> prepared, std::uint64_t ts);
 
   // ---- snapshot state transfer (txn_server.cc, DESIGN.md §9) ----
-  // Primary side: serialize the state image and start (or refresh) a
-  // chunked transfer to `backup`.
+  // Primary side: serialize the state image and send it to `backup` in one
+  // frame.
   void ServeSnapshot(Mid backup);
-  std::shared_ptr<const std::vector<std::uint8_t>> BuildSnapshotPayload()
-      const;
-  void OnSnapshotAck(const vr::SnapshotAckMsg& m);
-  // Backup side: chunk assembly and the atomic install.
+  // Backup side: check the image frame, install it atomically, ack it.
   void OnSnapshotChunk(const vr::SnapshotChunkMsg& m);
   bool InstallSnapshot(Viewstamp vs,
                        const std::vector<std::uint8_t>& payload);
-  // Discards any partial transfer and clears crashed-equivalence (install
-  // done, view transition, or the idle-abandon timer below fired).
-  void ClearSnapshotSink();
-  void AbandonSnapshotInstall();
 
   // ---- shard rebalancing (shard.cc, DESIGN.md §11) ----
   // Source side: a foreign primary asked for a range image.
   void OnShardPull(const vr::ShardPullMsg& m);
-  // Puller side: chunks of a cross-group transfer (m.group != group_).
+  // Puller side: the image frame of a cross-group pull (m.group != group_).
   void OnShardChunk(const vr::SnapshotChunkMsg& m);
-  // Assembled payload verified: install + replicate + force, then done(ok).
+  // Image verified: install + replicate + force, then done(ok).
   host::Task<void> FinishShardInstall(std::uint64_t pull_id,
                                      std::vector<std::uint8_t> payload);
   // (Re)sends the pull request to the source group's current primary.
@@ -718,7 +704,7 @@ class Cohort : public net::FrameHandler {
   txn::ObjectStore store_;
   txn::OutcomeTable outcomes_;
   vr::CommBuffer buffer_;
-  // Snapshot transfers to laggard backups (primary side, DESIGN.md §9).
+  // Image sender for laggard backups and shard pullers (DESIGN.md §9, §11).
   vr::SnapshotServer snap_server_;
 
   // ---- durable event log (DESIGN.md §10) ----
@@ -757,30 +743,18 @@ class Cohort : public net::FrameHandler {
   // hole before them fills (bounded; overflow is re-fetched via gap request).
   static constexpr std::size_t kMaxBatchStash = 4096;
   std::map<std::uint64_t, vr::EventRecord> batch_stash_;
-  // Incoming snapshot assembly (backup side, DESIGN.md §9). While a transfer
-  // is in flight (`installing_snapshot_`) this cohort's gstate is about to
-  // be wholesale-replaced, so it answers view-change invitations as
-  // crashed-equivalent; the flag clears on install or view transition.
-  vr::SnapshotSink snap_sink_;
-  bool installing_snapshot_ = false;
-  // Armed on every accepted chunk; if the stream goes idle for
-  // options.snapshot.install_abandon_timeout the partial payload is dropped
-  // (all-or-nothing) so a dead transfer cannot leave this cohort
-  // crashed-equivalent forever — that would wedge view formation for good
-  // when the serving primary itself is the cohort that crashed.
-  host::TimerId snap_abandon_timer_ = host::kNoTimer;
 
   // ---- shard rebalancing (shard.cc, DESIGN.md §11) ----
   // One outstanding cross-group pull at a time (the rebalancer moves one
-  // range at a time). The sink assembles chunks exactly like a snapshot
-  // transfer, but the payload is a range image, not a whole gstate.
+  // range at a time). Its image arrives in one frame, like a §9 image, but
+  // carries a range, not a whole gstate.
   struct ShardPull {
     std::uint64_t id = 0;  // guards stale timer/coroutine completions
     GroupId from_group = 0;
     std::string lo;
     std::string hi;
     std::function<void(bool)> done;
-    vr::SnapshotSink sink;
+    bool installing = false;  // an image arrived; later ones are ignored
     host::TimerId retry_timer = host::kNoTimer;
   };
   std::unique_ptr<ShardPull> shard_pull_;

@@ -7,7 +7,6 @@
 #include "host/time.h"
 #include "storage/event_log.h"
 #include "vr/comm_buffer.h"
-#include "vr/snapshot.h"
 
 namespace vsr::core {
 
@@ -42,7 +41,8 @@ inline constexpr host::Duration kManagerStagger = 60 * host::kMillisecond;
 inline constexpr host::Duration kLockWaitTimeout = 150 * host::kMillisecond;
 inline constexpr host::Duration kAwaitSlack = 100 * host::kMillisecond;
 // An unfinished shard pull re-resolves the source group's primary and
-// re-sends the request after this long (DESIGN.md §11).
+// re-sends the request after this long (DESIGN.md §11). It is the only
+// retry of a lost shard image: the source keeps nothing per pull.
 inline constexpr host::Duration kShardPullRetry = 250 * host::kMillisecond;
 
 struct CohortOptions {
@@ -55,9 +55,6 @@ struct CohortOptions {
 
   // ---- Communication buffer ----
   vr::CommBufferOptions buffer;
-
-  // ---- Snapshot state transfer (DESIGN.md §9) ----
-  vr::SnapshotTransferOptions snapshot;
 
   // ---- Write-behind durable event log (DESIGN.md §10) ----
   storage::EventLogOptions event_log;

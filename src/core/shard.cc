@@ -1,16 +1,17 @@
 // Shard rebalancing (DESIGN.md §11): the cross-group bulk-move primitive.
 //
-// The §9 snapshot machinery already solves chunked, resumable, checksummed
-// state transfer between a serving primary and a receiver; a shard move
-// reuses it verbatim with the receiver in ANOTHER group. The pulling
-// primary sends a kShardPull to the range's current owner; the owner
-// serializes the committed base versions of [lo, hi) and streams them as
-// ordinary SnapshotChunkMsgs (stamped with the SOURCE group's id and
-// viewid, which is how the puller tells them from its own intra-group
-// transfers). The assembled image is replicated inside the pulling group as
-// a kShardInstall event record and forced to a sub-majority before the pull
-// reports success, so the new owner's whole cohort — including any future
-// primary — has the range before routing flips.
+// A shard image travels like a §9 state image: one checksummed
+// SnapshotChunkMsg from the serving primary, with the receiver in ANOTHER
+// group. The pulling primary sends a kShardPull to the range's current
+// owner; the owner serializes the committed base versions of [lo, hi) and
+// sends them as one image frame (stamped with the SOURCE group's id and
+// viewid, which is how the puller tells it from its own group's images).
+// The source keeps nothing per pull: a lost image, or one whose puller
+// crashed, is re-requested only by the puller's kShardPullRetry. The image
+// is replicated inside the pulling group as a kShardInstall event record
+// and forced to a sub-majority before the pull reports success, so the new
+// owner's whole cohort — including any future primary — has the range
+// before routing flips.
 //
 // Locks, waiters, and tentative versions never cross groups: the rebalance
 // protocol drains them at the old owner (the handoff window) and takes a
@@ -47,13 +48,8 @@ void Cohort::OnShardPull(const vr::ShardPullMsg& m) {
   w(ShardImageHeader{m.lo, m.hi, group_});
   store_.SnapshotRange(w, m.lo, m.hi);
   ++stats_.shard_pulls_served;
-  // Identified by our newest buffered viewstamp: a later re-pull of the
-  // same range (the settle pass) carries a newer vs and replaces any
-  // transfer still in flight to the same puller.
-  const Viewstamp vs{cur_viewid_, buffer_.last_ts()};
-  snap_server_.Serve(m.from, vs,
-                     std::make_shared<const std::vector<std::uint8_t>>(
-                         w.Take()));
+  snap_server_.Serve(m.from, Viewstamp{cur_viewid_, buffer_.last_ts()},
+                     w.Take());
   Trace("serving shard [%s, %s) to g%llu/%u", m.lo.c_str(), m.hi.c_str(),
         static_cast<unsigned long long>(m.from_group), m.from);
 }
@@ -98,38 +94,28 @@ host::Task<void> Cohort::SendShardPull() {
     m.hi = shard_pull_->hi;
     SendMsg(entry->view.primary, m);
   }
-  // Retry net: if the transfer has not completed by then (source primary
-  // crashed, stood down, or the request was lost), re-resolve and re-send.
-  // A completed transfer resets shard_pull_, which voids the timer via id.
+  // The only retry: if the pull has not completed by then (the source
+  // primary crashed or stood down, or the request or the image was lost),
+  // re-resolve and re-send. A completed pull resets shard_pull_, which voids
+  // the timer via id.
   shard_pull_->retry_timer = host_.timers().After(kShardPullRetry, [this, id] {
     if (!shard_pull_ || shard_pull_->id != id) return;
     shard_pull_->retry_timer = host::kNoTimer;
     group_client_.Invalidate(shard_pull_->from_group);
-    shard_pull_->sink.Reset();
     tasks_.Spawn(SendShardPull());
   });
 }
 
 void Cohort::OnShardChunk(const vr::SnapshotChunkMsg& m) {
   if (!shard_pull_ || m.group != shard_pull_->from_group ||
-      !IsActivePrimary()) {
+      !IsActivePrimary() || !vr::WholeImage(m)) {
     return;
   }
-  if (!shard_pull_->sink.OnChunk(m)) return;  // stray/stale chunk: no ack
-  // Ack with the chunk's group/viewid so the SOURCE's SnapshotServer (which
-  // validates both) accepts it.
-  vr::SnapshotAckMsg ack;
-  ack.group = m.group;
-  ack.viewid = m.viewid;
-  ack.from = self_;
-  ack.vs = shard_pull_->sink.vs();
-  ack.offset = shard_pull_->sink.offset();
-  SendMsg(m.from, ack);
-  if (shard_pull_->sink.complete()) {
-    std::vector<std::uint8_t> payload = shard_pull_->sink.payload();
-    shard_pull_->sink.Reset();
-    tasks_.Spawn(FinishShardInstall(shard_pull_->id, std::move(payload)));
-  }
+  SendMsg(m.from, vr::InstallAck(m, self_));
+  // A duplicated frame, or the image of a retry, while one is installing.
+  if (shard_pull_->installing) return;
+  shard_pull_->installing = true;
+  tasks_.Spawn(FinishShardInstall(shard_pull_->id, m.data));
 }
 
 host::Task<void> Cohort::FinishShardInstall(std::uint64_t pull_id,

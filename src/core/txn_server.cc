@@ -333,21 +333,17 @@ void Cohort::DrainBatchStash() {
 
 // Primary side: a backup's first unreceived record fell below the buffer's GC
 // floor (CommBuffer routed it into state-transfer mode), so replaying the
-// record suffix can no longer catch it up. Serve it the whole gstate instead.
+// record suffix can no longer catch it up. Serve it the whole state image
+// instead; the buffer asks again at each kRetransmitInterval until it lands.
 void Cohort::ServeSnapshot(Mid backup) {
   if (!IsActivePrimary() || !buffer_.active()) return;
-  // The snapshot reflects every record added so far (the primary applies its
+  // The image reflects every record added so far (the primary applies its
   // own effects at execution time), so it is identified by the viewstamp of
   // the newest buffered record.
-  const Viewstamp vs{cur_viewid_, buffer_.last_ts()};
-  snap_server_.Serve(backup, vs, BuildSnapshotPayload());
-}
-
-std::shared_ptr<const std::vector<std::uint8_t>> Cohort::BuildSnapshotPayload()
-    const {
   wire::Writer w;
   WriteImage(w);
-  return std::make_shared<const std::vector<std::uint8_t>>(w.Take());
+  snap_server_.Serve(backup, Viewstamp{cur_viewid_, buffer_.last_ts()},
+                     w.Take());
 }
 
 // ---------------------------------------------------------------------------
@@ -423,84 +419,34 @@ void Cohort::InstallState(vr::History history,
   applied_ts_ = ts;
 }
 
-void Cohort::OnSnapshotAck(const vr::SnapshotAckMsg& m) {
-  snap_server_.OnAck(m);  // dispatch already gated on IsActivePrimary
-}
-
-// Backup side: assemble chunks, then install atomically.
+// Backup side: check the image frame, install it atomically, ack it.
 void Cohort::OnSnapshotChunk(const vr::SnapshotChunkMsg& m) {
   // Same steady-state gate as record batches: only an active backup of the
-  // current view takes snapshots, and only from its primary. The snapshot
-  // itself must belong to this view (its ts indexes this view's records).
+  // current view takes images, and only from its primary. The image itself
+  // must belong to this view (its ts indexes this view's records).
   if (status_ != Status::kActive || m.viewid != cur_viewid_ ||
       m.from != cur_view_.primary || cur_view_.primary == self_ ||
-      m.vs.view != cur_viewid_) {
+      m.vs.view != cur_viewid_ || !vr::WholeImage(m)) {
     return;
   }
-  // The primary answered our rejoin with a snapshot (the missing tail fell
+  // The primary answered our rejoin with an image (the missing tail fell
   // below its GC floor): the rejoin is being serviced, stop re-sending it.
   if (rejoin_pending_) ClearRejoin();
-  if (m.vs.ts <= applied_ts_) {
-    // The record stream caught us up past this snapshot before the transfer
-    // finished. A plain cumulative ack tells the primary to stand down.
-    ClearSnapshotSink();
-    SendBufferAck();
-    return;
+  // An image the record stream already overtook installs nothing; the
+  // buffer ack alone tells the primary where we are.
+  if (m.vs.ts > applied_ts_) {
+    if (!InstallSnapshot(m.vs, m.data)) return;
+    SendMsg(cur_view_.primary, vr::InstallAck(m, self_));
   }
-  if (!snap_sink_.OnChunk(m)) return;  // stray/forged chunk: no ack
-  // From the first accepted chunk until the install (or a view transition)
-  // this cohort's gstate is doomed to be replaced, so view changes must treat
-  // it as crashed-equivalent (DoAccept). A transfer whose stream dies is
-  // abandoned by the idle timer so that equivalence cannot outlive the
-  // serving primary.
-  installing_snapshot_ = true;
-  // Crashed-equivalent for reads too: the gstate this cohort would serve
-  // from is doomed, so any held lease is dropped until the install lands
-  // and a fresh grant arrives (DESIGN.md §14).
-  RevokeLease();
-  host_.timers().Cancel(snap_abandon_timer_);
-  snap_abandon_timer_ =
-      host_.timers().After(options_.snapshot.install_abandon_timeout,
-                             [this] {
-                               snap_abandon_timer_ = host::kNoTimer;
-                               AbandonSnapshotInstall();
-                             });
-  if (snap_sink_.complete()) {
-    const Viewstamp vs = snap_sink_.vs();
-    const std::uint64_t total = snap_sink_.payload().size();
-    if (InstallSnapshot(vs, snap_sink_.payload())) {
-      ClearSnapshotSink();
-      // Final ack at the full offset ends the server's transfer; the buffer
-      // ack re-enters the record/ack stream at the snapshot's timestamp.
-      vr::SnapshotAckMsg ack;
-      ack.group = group_;
-      ack.viewid = cur_viewid_;
-      ack.from = self_;
-      ack.vs = vs;
-      ack.offset = total;
-      SendMsg(cur_view_.primary, ack);
-      SendBufferAck();
-    } else {
-      // Malformed payload (primary-side encoding bug): never install a
-      // partial state. Drop the transfer; the stat surfaces the fault.
-      ClearSnapshotSink();
-    }
-    return;
-  }
-  vr::SnapshotAckMsg ack;
-  ack.group = group_;
-  ack.viewid = cur_viewid_;
-  ack.from = self_;
-  ack.vs = snap_sink_.vs();
-  ack.offset = snap_sink_.offset();
-  SendMsg(cur_view_.primary, ack);
+  // Re-enters the record/ack stream at the image's timestamp.
+  SendBufferAck();
 }
 
 bool Cohort::InstallSnapshot(Viewstamp vs,
                              const std::vector<std::uint8_t>& payload) {
   // All-or-nothing: the image is parsed and validated before any cohort
   // state is touched. A truncated or trailing-garbage payload is rejected
-  // wholesale.
+  // wholesale (a primary-side encoding bug; the stat surfaces it).
   wire::Reader r(payload);
   std::optional<StateImage> image = ReadImage(r);
   if (!image || image->history.Latest().view != vs.view ||
@@ -510,17 +456,19 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   }
   InstallState(std::move(image->history), image->gstate,
                std::move(image->prepared), vs.ts);
-  installing_snapshot_ = false;
-  // Every restored base version is conservatively treated as committed at
-  // the snapshot point for read admission (DESIGN.md §14).
+  // A held lease covered the replaced state: no backup read is served until
+  // a fresh grant arrives (DESIGN.md §14). Every restored base version is
+  // conservatively treated as committed at the image point for read
+  // admission.
+  RevokeLease();
   ResetCommitStamps(vs);
   if (log_recovered_ && !(cur_viewid_ < recovered_crash_viewid_)) {
-    // The snapshot covers every record the primary ever streamed in this
+    // The image covers every record the primary ever streamed in this
     // view, hence everything we could have acknowledged before the crash:
     // the replayed lower bound has been re-validated and this cohort may
     // answer view changes normally again. Only sound when the stable viewid
     // at recovery did not exceed the replayed view — otherwise we may have
-    // lost acknowledgements from a LATER view this snapshot knows nothing
+    // lost acknowledgements from a LATER view this image knows nothing
     // about, and must stay crashed-with-state until a view transition.
     log_recovered_ = false;
     recovered_crash_viewid_ = ViewId{};
@@ -532,27 +480,6 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   Trace("installed snapshot at %s (%zu bytes)", vs.ToString().c_str(),
         payload.size());
   return true;
-}
-
-void Cohort::ClearSnapshotSink() {
-  snap_sink_.Reset();
-  installing_snapshot_ = false;
-  host_.timers().Cancel(snap_abandon_timer_);
-  snap_abandon_timer_ = host::kNoTimer;
-}
-
-// The chunk stream went idle for install_abandon_timeout: the serving
-// primary crashed or stood down. Install is all-or-nothing, so drop every
-// assembled byte and resume answering view changes with the intact
-// pre-transfer gstate — staying crashed-equivalent behind a dead transfer
-// could block view formation forever (§4 conditions (1)-(3) all need
-// normal acceptances this cohort would otherwise never give again).
-void Cohort::AbandonSnapshotInstall() {
-  if (!snap_sink_.active() && !installing_snapshot_) return;
-  ++stats_.snapshot_installs_abandoned;
-  Trace("abandoning idle snapshot transfer (%zu bytes assembled)",
-        static_cast<std::size_t>(snap_sink_.offset()));
-  ClearSnapshotSink();
 }
 
 // ---------------------------------------------------------------------------
@@ -1281,11 +1208,10 @@ void Cohort::SendLeaseGrant(Mid backup, std::uint64_t stable_ts) {
 
 void Cohort::OnLeaseGrant(const vr::LeaseGrantMsg& m) {
   // Only an active backup of the current view takes grants, and only from
-  // its own primary. A mid-install cohort's gstate is doomed (crashed-
-  // equivalent) and must not re-arm a lease.
+  // its own primary.
   if (!options_.backup_reads || status_ != Status::kActive ||
-      installing_snapshot_ || m.viewid != cur_viewid_ ||
-      m.from != cur_view_.primary || cur_view_.primary == self_) {
+      m.viewid != cur_viewid_ || m.from != cur_view_.primary ||
+      cur_view_.primary == self_) {
     return;
   }
   // Reordered grant frames: the sequence is monotone per primary, so a
@@ -1356,7 +1282,7 @@ host::Task<void> Cohort::RunBackupRead(vr::BackupReadMsg m) {
     // replicated group always answers reads somewhere.
     admitted = true;
   } else if (options_.backup_reads && status_ == Status::kActive &&
-             !installing_snapshot_ && cur_view_.primary != self_ &&
+             cur_view_.primary != self_ &&
              lease_viewid_ == cur_viewid_ &&
              host_.Now() < lease_expires_at_) {
     // Serve only what is (a) applied here and (b) known replicated to a

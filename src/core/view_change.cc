@@ -51,13 +51,11 @@ void Cohort::MakeInvitations() {
   // Record our own response.
   vr::Acceptance self;
   self.from = self_;
-  // A half-installed snapshot means our gstate is about to be wholesale
-  // replaced: for view formation we know nothing (crashed-equivalent), just
-  // like DoAccept reports to other managers. Log-recovered state likewise
-  // only counts as crashed-with-state (DESIGN.md §10): the write-behind log
-  // may miss acknowledgements, so the replayed viewstamp is a lower bound.
-  self.crashed = !up_to_date_ || installing_snapshot_ || log_recovered_;
-  self.recovered = log_recovered_ && up_to_date_ && !installing_snapshot_;
+  // Log-recovered state only counts as crashed-with-state (DESIGN.md §10),
+  // just like DoAccept reports to other managers: the write-behind log may
+  // miss acknowledgements, so the replayed viewstamp is a lower bound.
+  self.crashed = !up_to_date_ || log_recovered_;
+  self.recovered = log_recovered_ && up_to_date_;
   self.last_vs = history_.Latest();
   self.was_primary =
       (!self.crashed || self.recovered) && cur_view_.primary == self_;
@@ -86,7 +84,7 @@ void Cohort::DoAccept(ViewId vid, Mid inviter) {
   accept.group = group_;
   accept.invite_viewid = vid;
   accept.from = self_;
-  if (up_to_date_ && !installing_snapshot_ && log_recovered_) {
+  if (up_to_date_ && log_recovered_) {
     // Crashed-with-state (DESIGN.md §10): the replayed viewstamp counts
     // toward forced-event survival (condition 4) but never as a normal
     // acceptance — the write-behind log may trail what we acknowledged.
@@ -95,15 +93,12 @@ void Cohort::DoAccept(ViewId vid, Mid inviter) {
     accept.last_vs = history_.Latest();
     accept.was_primary = cur_view_.primary == self_ && !history_.Empty();
     accept.crash_viewid = recovered_crash_viewid_;
-  } else if (up_to_date_ && !installing_snapshot_) {
+  } else if (up_to_date_) {
     accept.crashed = false;
     accept.last_vs = history_.Latest();
     accept.was_primary = cur_view_.primary == self_ && !history_.Empty();
   } else {
     // "crash-accept" — state forgotten; report the stable-storage viewid.
-    // A cohort mid-snapshot-install is equivalent: its history claims
-    // applied_ts_ but its gstate is a torn mix the moment the install lands,
-    // so it must not be counted as (or promoted for) an up-to-date state.
     accept.crashed = true;
     accept.crash_viewid = cur_viewid_;
   }
@@ -133,13 +128,9 @@ void Cohort::OnInvite(const vr::InviteMsg& m) {
   snap_server_.Stop();
   // Accepting an invitation is the revocation point of DESIGN.md §14: from
   // here on this cohort might be excluded from the next view, so it must
-  // stop serving lease reads immediately — crashed-equivalent, like the
-  // snapshot sink below.
+  // stop serving lease reads immediately.
   RevokeLease();
   ClearRejoin();  // the replayed view is being superseded
-  // NOTE: snap_sink_ / installing_snapshot_ deliberately survive the
-  // invitation — the half-installed state is exactly what DoAccept must keep
-  // reporting as crashed-equivalent until a new view replaces the gstate.
   ++start_view_epoch_;  // cancel any in-flight StartView for an older viewid
   adopting_ = false;
   ArmUnderlingTimer();
@@ -255,8 +246,6 @@ void Cohort::StartViewAsPrimary(View v, ViewId vid) {
   // "active" in the old view, and records must never mix buffers.
   buffer_.Stop();
   snap_server_.Stop();
-  ClearSnapshotSink();  // a promoted cohort was not mid-install (it accepted
-                        // normally), but a stray transfer may linger
   // A cross-group shard pull does not survive the view transition: the new
   // view's buffer is a different stream, so the rebalancer must re-issue.
   ResetShardPull(false);
@@ -329,8 +318,6 @@ void Cohort::AdoptNewView(const vr::EventRecord& newview, ViewId vid,
   // The newview record carries no prepared set; the history advances past
   // the record itself.
   InstallState(newview.history, newview.gstate, std::nullopt, newview_ts);
-  // The newview gstate supersedes any snapshot that was mid-transfer.
-  ClearSnapshotSink();
   ResetShardPull(false);  // a backup cannot be mid-pull; clear stragglers
   // The restored gstate's per-object provenance is gone: treat everything
   // as committed at the newview record and wait for a fresh lease grant.

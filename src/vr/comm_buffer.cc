@@ -164,21 +164,22 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
     if (st.acked >= st.gap_resent_hi) st.gap_resent_hi = 0;
   }
   if (st.state_transfer && st.acked >= base_ts_) {
-    // The snapshot is installed: the backup's ack re-entered the resident
-    // range and it resumes the normal record stream.
+    // The image is installed (or a rejoin landed inside the resident
+    // range): the backup resumes the normal record stream.
     st.state_transfer = false;
     st.deadline = 0;
     SendTo(ack.from);
-  } else if (st.state_transfer && progress && on_needs_snapshot_) {
-    // Installed, but GC outran the snapshot while it was in flight: the ack
+  } else if (st.state_transfer && progress) {
+    // Installed, but GC outran the image while it was in flight: the ack
     // moved yet still sits below the resident range. Serve a fresher one.
-    on_needs_snapshot_(ack.from);
+    RequestImage(ack.from, st);
   }
   // Only progress resets the stall deadline: a duplicate ack must not
-  // postpone a legitimate retransmission forever.
-  if (st.state_transfer || st.acked >= st.sent) {
+  // postpone a legitimate retransmission forever. A backup in state
+  // transfer keeps its image deadline.
+  if (!st.state_transfer && st.acked >= st.sent) {
     st.deadline = 0;
-  } else if (progress) {
+  } else if (!st.state_transfer && progress) {
     st.deadline = host_.Now() + kRetransmitInterval;
   }
 
@@ -325,19 +326,25 @@ void CommBuffer::FlushNow() {
 
 // True when `backup` cannot be served from the resident records (its ack is
 // below base_ts_, so its next needed record was GC'd): flips it into
-// state-transfer mode and asks the owner to serve a snapshot. One callback
-// per episode; chunk-level retransmission is the snapshot server's job.
+// state-transfer mode and asks the owner to serve an image.
 bool CommBuffer::RouteThroughSnapshot(Mid backup, BackupState& st) {
   if (!options_.snapshot_catchup) return false;
   if (st.state_transfer) return true;
   if (st.acked >= base_ts_) return false;
   st.state_transfer = true;
-  st.deadline = 0;
   st.gap_resent_hi = 0;
   st.gap_deadline = 0;
   ++stats_.snapshots_served;
-  if (on_needs_snapshot_) on_needs_snapshot_(backup);
+  RequestImage(backup, st);
   return true;
+}
+
+// Asks the owner to serve `backup` a fresh image and arms the backup's
+// deadline: until its ack re-enters the resident range, each expiry asks
+// again (the image, or its ack, was lost, or the backup is down).
+void CommBuffer::RequestImage(Mid backup, BackupState& st) {
+  st.deadline = host_.Now() + kRetransmitInterval;
+  if (on_needs_snapshot_) on_needs_snapshot_(backup);
 }
 
 // Advances `backup`'s send cursor: transmits every record past the cursor,
@@ -405,8 +412,11 @@ void CommBuffer::CheckRetransmits() {
   if (!active_) return;
   const host::Time now = host_.Now();
   for (auto& [backup, st] : state_) {
-    if (st.state_transfer) continue;  // no record deadlines during transfer
     if (st.deadline == 0 || st.deadline > now) continue;
+    if (st.state_transfer) {
+      RequestImage(backup, st);
+      continue;
+    }
     if (st.sent <= st.acked) {
       st.deadline = 0;
       continue;

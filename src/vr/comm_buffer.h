@@ -30,7 +30,9 @@
 //    a window ahead of a laggard: a dead or partitioned backup then no
 //    longer pins memory — it is routed through snapshot state transfer
 //    (DESIGN.md §9) instead of record replay, keeping the resident suffix
-//    O(window) instead of O(slowest backup lag).
+//    O(window) instead of O(slowest backup lag). Such a backup keeps its
+//    retransmission deadline: each expiry asks for a fresh one-frame image
+//    until its ack re-enters the resident range.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,8 @@
 namespace vsr::vr {
 
 // Per-backup ack deadline: in-flight records not acknowledged within this
-// window trigger a go-back-N resend to that backup only.
+// window trigger a go-back-N resend to that backup only; a backup in state
+// transfer is served a fresh image instead.
 inline constexpr host::Duration kRetransmitInterval = 20 * host::kMillisecond;
 // A force that has not satisfied a sub-majority within this window is
 // abandoned (communication failure ⇒ view change).
@@ -82,8 +85,9 @@ class CommBuffer {
  public:
   // send(to, batch) transmits a batch to one backup. on_force_failed() fires
   // when a force is abandoned. on_needs_snapshot(backup) fires when a backup
-  // falls behind the GC watermark and must catch up via state transfer; the
-  // owner is expected to serve it a snapshot (DESIGN.md §9).
+  // falls behind the GC watermark and must catch up via state transfer, and
+  // again at each kRetransmitInterval until it has; the owner is expected to
+  // serve it an image each time (DESIGN.md §9).
   // on_lease(backup, stable_ts) fires when the lease half-life policy wants
   // a fresh grant sent to `backup`; the owner builds and sends the
   // LeaseGrantMsg (it knows the viewid and its own mid is already here, but
@@ -203,7 +207,8 @@ class CommBuffer {
     // gap_deadline passes, in case the resend itself was lost.
     std::uint64_t gap_resent_hi = 0;
     host::Time gap_deadline = 0;
-    // Ack deadline while records are in flight (0 = nothing outstanding).
+    // Ack deadline while records are in flight, or the next image request
+    // in state transfer (0 = nothing outstanding).
     host::Time deadline = 0;
     // The backup's next needed record was garbage-collected: it is being
     // caught up via snapshot state transfer (on_needs_snapshot) and gets no
@@ -223,8 +228,9 @@ class CommBuffer {
   void SendTo(Mid backup);
   void SendRange(Mid backup, std::uint64_t lo, std::uint64_t hi);
   // True if `backup` must catch up via state transfer (its next needed
-  // record is below base_ts_); fires on_needs_snapshot on the transition.
+  // record is below base_ts_); requests an image on the transition.
   bool RouteThroughSnapshot(Mid backup, BackupState& st);
+  void RequestImage(Mid backup, BackupState& st);
   void ResolveForces();
   void CheckForceTimeouts();
   void CheckRetransmits();

@@ -256,10 +256,11 @@ struct BufferAckMsg {
 // Snapshot state transfer (DESIGN.md §9)
 // ---------------------------------------------------------------------------
 
-// One chunk of a serialized gstate snapshot, streamed primary → laggard
-// backup. The snapshot is identified by `vs` (the viewstamp of the last
-// event it covers); every chunk repeats the payload's total size and CRC so
-// a transfer can be adopted from any chunk and verified on completion.
+// A serialized state image, primary → laggard backup (or shard puller). The
+// image is identified by `vs` (the viewstamp of the last event it covers)
+// and travels whole: offset 0, `data` the whole payload, `checksum` its
+// CRC (vr::WholeImage). The framing admits a part at an offset, which a
+// receiver drops.
 struct SnapshotChunkMsg {
   static constexpr MsgType kType = MsgType::kSnapshotChunk;
   GroupId group = 0;
@@ -280,18 +281,16 @@ struct SnapshotChunkMsg {
   static SnapshotChunkMsg Decode(wire::Reader& r) {
     return r.Read<SnapshotChunkMsg>();
   }
-  // Every chunk carries at least one byte strictly inside the payload; an
-  // empty snapshot does not exist (gstate is never zero bytes).
+  // Every frame carries at least one byte strictly inside the payload; an
+  // empty image does not exist (gstate is never zero bytes).
   bool Valid() const {
     return total_size != 0 && offset < total_size && !data.empty() &&
            data.size() <= total_size - offset;
   }
 };
 
-// Backup → primary: cumulative contiguous byte count received for the
-// snapshot identified by `vs`. offset == total_size acknowledges the whole
-// (verified) payload; an offset below what the primary already saw acked
-// signals the sink restarted and the transfer rewinds.
+// Receiver → serving primary: the image identified by `vs` is installed;
+// `offset` is its total_size (vr::InstallAck).
 struct SnapshotAckMsg {
   static constexpr MsgType kType = MsgType::kSnapshotAck;
   GroupId group = 0;
@@ -686,14 +685,14 @@ struct AbortReqMsg {
 // ---------------------------------------------------------------------------
 
 // Primary of the pulling group → primary of the range's current owner: asks
-// it to stream a shard image of [lo, hi) back via the §9 snapshot machinery.
-// The chunks arrive as SnapshotChunkMsg carrying the SOURCE group's id and
-// viewid; the puller tells them apart from its own intra-group transfers by
-// that group field.
+// it to send a shard image of [lo, hi) back as one §9 image frame. The
+// image arrives as a SnapshotChunkMsg carrying the SOURCE group's id and
+// viewid; the puller tells it apart from its own group's images by that
+// group field.
 struct ShardPullMsg {
   static constexpr MsgType kType = MsgType::kShardPull;
   GroupId group = 0;       // destination: the range's current owner
-  Mid from = 0;            // the pulling primary's mid (chunk destination)
+  Mid from = 0;            // the pulling primary's mid (image destination)
   GroupId from_group = 0;  // the pulling group
   std::string lo;
   std::string hi;  // "" = +infinity

@@ -40,9 +40,11 @@ struct LeaseWorld {
   vr::GroupId catalog = 0;
   vr::GroupId client_g = 0;
 
-  explicit LeaseWorld(std::uint64_t seed, bool backup_reads = true) {
+  explicit LeaseWorld(std::uint64_t seed, bool backup_reads = true,
+                      const core::CohortOptions& cohort = {}) {
     ClusterOptions opts;
     opts.seed = seed;
+    opts.cohort = cohort;
     opts.cohort.backup_reads = backup_reads;
     cluster = std::make_unique<Cluster>(opts);
     catalog = cluster->AddGroup("catalog", 3);
@@ -199,6 +201,69 @@ TEST(LeaseReads, HorizonPastStableBoundIsRefusedTooNew) {
   auto ok = w.DirectRead(test_mid, capture, backup->mid(), "item0");
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->status, vr::ReadStatus::kOk);
+}
+
+TEST(LeaseReads, ImageInstallRevokesLeaseUntilFreshGrant) {
+  core::CohortOptions opts;
+  opts.liveness_timeout = 60 * sim::kSecond;  // no elections while cut off
+  opts.buffer.window = 8;  // a short outage falls below the GC floor
+  // Long leases: the backup still holds its grant when the image lands, and
+  // the next renewal (at duration/8) is seconds away.
+  opts.read_lease_duration = 60 * sim::kSecond;
+  LeaseWorld w(406, /*backup_reads=*/true, opts);
+  ASSERT_TRUE(w.cluster->RunUntilStable());
+  ASSERT_TRUE(w.Put("item0", "hello"));
+  // A renewal past the half-life interval covers item0 (see
+  // BackupServesCommittedValueUnderLease).
+  w.cluster->RunFor(opts.read_lease_duration / 8);
+  ASSERT_TRUE(w.Put("item1", "later"));
+  w.cluster->RunFor(20 * sim::kMillisecond);
+
+  core::Cohort* primary = w.Primary();
+  core::Cohort* backup = w.Backup();
+  ASSERT_NE(primary, nullptr);
+  ASSERT_NE(backup, nullptr);
+  ReplyCapture capture;
+  const vr::Mid test_mid = w.cluster->AllocateMid();
+  w.cluster->network().Register(test_mid, &capture);
+  auto leased = w.DirectRead(test_mid, capture, backup->mid(), "item0");
+  ASSERT_TRUE(leased.has_value());
+  ASSERT_EQ(leased->status, vr::ReadStatus::kOk);
+
+  // Cut the backup off until the primary GCs past it, then heal: it is
+  // caught up by an image.
+  w.cluster->network().SetLinkDown(primary->mid(), backup->mid(), true);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(w.Put("lag" + std::to_string(i), "v"));
+  }
+  w.cluster->RunFor(200 * sim::kMillisecond);
+  ASSERT_GE(primary->buffer().stats().snapshots_served, 1u);
+  w.cluster->network().SetLinkDown(primary->mid(), backup->mid(), false);
+  for (int i = 0; i < 10000 && backup->stats().snapshots_installed == 0;
+       ++i) {
+    w.cluster->RunFor(100 * sim::kMicrosecond);
+  }
+  ASSERT_EQ(backup->stats().snapshots_installed, 1u);
+
+  // The lease covered the state the image replaced: no read until a fresh
+  // grant.
+  const std::uint64_t grants = backup->stats().lease_grants_received;
+  auto revoked = w.DirectRead(test_mid, capture, backup->mid(), "item0");
+  ASSERT_TRUE(revoked.has_value());
+  EXPECT_EQ(revoked->status, vr::ReadStatus::kWrongLease);
+  EXPECT_EQ(backup->stats().lease_grants_received, grants);
+
+  // Past the renewal interval, write traffic brings a fresh grant, and the
+  // backup serves again.
+  w.cluster->RunFor(opts.read_lease_duration / 8);
+  ASSERT_TRUE(w.Put("item2", "fresh"));
+  w.cluster->RunFor(20 * sim::kMillisecond);
+  EXPECT_GT(backup->stats().lease_grants_received, grants);
+  auto regranted = w.DirectRead(test_mid, capture, backup->mid(), "item0");
+  ASSERT_TRUE(regranted.has_value());
+  EXPECT_EQ(regranted->status, vr::ReadStatus::kOk);
+  EXPECT_EQ(std::string(regranted->value.begin(), regranted->value.end()),
+            "hello");
 }
 
 TEST(LeaseReads, ReadClientBouncesAndFallsBackToPrimary) {

@@ -390,7 +390,6 @@ TEST(Recovery, RejoinBelowGcFloorFallsBackToSnapshot) {
   core::CohortOptions opts = LoggedOptions();
   opts.liveness_timeout = 60 * sim::kSecond;
   opts.buffer.window = 8;  // small: the missed tail is GC'd quickly
-  opts.snapshot.chunk_size = 256;
   Cluster cluster(ClusterOptions{.seed = 212});
   auto kv = cluster.AddGroup("kv", 3, &opts);
   auto client_g = cluster.AddGroup("client", 1);

@@ -220,6 +220,58 @@ TEST(ShardPull, CopiesCommittedRangeAcrossGroups) {
   EXPECT_GE(src->stats().shard_ranges_dropped, 1u);
 }
 
+TEST(ShardPull, ImageDoesNotOutliveItsCrashedPuller) {
+  // A source sends one image per pull request and keeps no transfer: only
+  // the puller's own kShardPullRetry asks again, so a puller that crashed
+  // before the image arrived is sent nothing more, however long the source
+  // stays primary.
+  Cluster cluster(ClusterOptions{.seed = 101});
+  auto g1 = cluster.AddGroup("src", 3);
+  auto g2 = cluster.AddGroup("dst", 3);
+  auto client_g = cluster.AddGroup("client", 3);
+  test::RegisterKvProcs(cluster, g1);
+  test::RegisterKvProcs(cluster, g2);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(test::RunOneCall(cluster, client_g, g1, "put",
+                               "k" + std::to_string(i) + "=v" +
+                                   std::to_string(i)),
+              vr::TxnOutcome::kCommitted);
+  }
+  cluster.RunFor(100 * sim::kMillisecond);
+
+  auto images_sent = [&] {
+    const auto& by_type = cluster.network().stats().sent_by_type;
+    auto it = by_type.find(
+        static_cast<std::uint16_t>(vr::MsgType::kSnapshotChunk));
+    return it == by_type.end() ? std::uint64_t{0} : it->second;
+  };
+  ASSERT_EQ(images_sent(), 0u);
+  core::Cohort* dst = cluster.AnyPrimary(g2);
+  ASSERT_NE(dst, nullptr);
+  bool done = false;
+  dst->PullShard(g1, "", "", [&](bool) { done = true; });
+  // Crash the puller the moment the source has sent the image, before it
+  // can arrive (a frame takes at least 100 us).
+  for (int i = 0; i < 10000 && images_sent() == 0; ++i) {
+    cluster.RunFor(50 * sim::kMicrosecond);
+  }
+  ASSERT_EQ(images_sent(), 1u);
+  dst->Crash();
+  EXPECT_TRUE(done);  // the crash failed the pull
+
+  // The source stays primary throughout and sends nothing more.
+  core::Cohort* src = cluster.AnyPrimary(g1);
+  ASSERT_NE(src, nullptr);
+  cluster.RunFor(1 * sim::kSecond);
+  EXPECT_EQ(images_sent(), 1u);
+  cluster.RunFor(10 * sim::kSecond);
+  EXPECT_EQ(images_sent(), 1u);
+  EXPECT_TRUE(src->IsActivePrimary());
+  EXPECT_EQ(src->stats().shard_pulls_served, 1u);
+}
+
 // -- sharded bank ----------------------------------------------------------
 
 TEST(ShardedBank, ThreeShardCrossShardTransfersConserveMoney) {

@@ -1,11 +1,9 @@
-// Snapshot state transfer (DESIGN.md §9): unit tests for the chunked
-// transfer protocol (SnapshotServer / SnapshotSink) and cluster integration
-// tests for backup catch-up once the communication buffer has
+// Snapshot state transfer (DESIGN.md §9): unit tests for the one-frame
+// image sender (SnapshotServer) and its frame check (WholeImage), and cluster
+// integration tests for backup catch-up once the communication buffer has
 // garbage-collected past a laggard's ack.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -21,7 +19,7 @@ namespace vsr::vr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Unit tests: server/sink driven directly, with the test as the "network".
+// Unit tests: the server driven directly, with the test as the "network".
 // ---------------------------------------------------------------------------
 
 constexpr GroupId kGroup = 7;
@@ -32,246 +30,126 @@ constexpr ViewId kView{3, 1};
 class SnapshotUnitTest : public ::testing::Test {
  protected:
   SnapshotUnitTest()
-      : sim_(1),
-        server_(sim_, Options(),
-                [this](Mid to, const SnapshotChunkMsg& m) {
-                  outbox_.push_back({to, m});
-                }) {
+      : server_([this](Mid to, const SnapshotChunkMsg& m) {
+          outbox_.push_back({to, m});
+        }) {
     server_.StartView(kView, kGroup, kSelf);
-    std::vector<std::uint8_t> bytes(45);
-    std::iota(bytes.begin(), bytes.end(), std::uint8_t{1});
-    payload_ = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(bytes));
+    payload_.resize(45);
+    std::iota(payload_.begin(), payload_.end(), std::uint8_t{1});
     vs_ = Viewstamp{kView, 40};
   }
 
-  static SnapshotTransferOptions Options() {
-    return {.chunk_size = 10, .window = 2};
+  SnapshotChunkMsg ServeOne() {
+    server_.Serve(kBackup, vs_, payload_);
+    EXPECT_EQ(outbox_.size(), 1u);
+    EXPECT_EQ(outbox_.back().first, kBackup);
+    return outbox_.back().second;
   }
 
-  void Ack(std::uint64_t offset, Viewstamp vs) {
-    SnapshotAckMsg a;
-    a.group = kGroup;
-    a.viewid = kView;
-    a.from = kBackup;
-    a.vs = vs;
-    a.offset = offset;
-    server_.OnAck(a);
-  }
-
-  // Delivers the front outbound chunk into the sink and acks whatever the
-  // sink says; returns false when the outbox is empty.
-  bool DeliverOne() {
-    if (outbox_.empty()) return false;
-    auto [to, m] = outbox_.front();
-    outbox_.pop_front();
-    EXPECT_EQ(to, kBackup);
-    if (sink_.OnChunk(m)) Ack(sink_.offset(), sink_.vs());
-    return true;
-  }
-
-  void DeliverAll() {
-    while (DeliverOne()) {
-    }
-  }
-
-  sim::Simulation sim_;
   SnapshotServer server_;
-  SnapshotSink sink_;
-  std::deque<std::pair<Mid, SnapshotChunkMsg>> outbox_;
-  std::shared_ptr<const std::vector<std::uint8_t>> payload_;
+  std::vector<std::pair<Mid, SnapshotChunkMsg>> outbox_;
+  std::vector<std::uint8_t> payload_;
   Viewstamp vs_;
 };
 
-TEST_F(SnapshotUnitTest, ServerPipelinesWithinWindow) {
-  server_.Serve(kBackup, vs_, payload_);
-  // 45 bytes / chunk 10 = 5 chunks total, but only `window` (2) may be in
-  // flight past the acked offset.
-  ASSERT_EQ(outbox_.size(), 2u);
-  EXPECT_EQ(outbox_[0].second.offset, 0u);
-  EXPECT_EQ(outbox_[1].second.offset, 10u);
-  EXPECT_EQ(outbox_[0].second.total_size, 45u);
+TEST_F(SnapshotUnitTest, ImageTravelsAsOneWholeFrame) {
+  const SnapshotChunkMsg m = ServeOne();
+  EXPECT_EQ(m.group, kGroup);
+  EXPECT_EQ(m.viewid, kView);
+  EXPECT_EQ(m.from, kSelf);
+  EXPECT_EQ(m.vs, vs_);
+  EXPECT_EQ(m.offset, 0u);
+  EXPECT_EQ(m.total_size, payload_.size());
+  EXPECT_EQ(m.data, payload_);
+  EXPECT_EQ(m.checksum, wire::Crc32(std::span<const std::uint8_t>(payload_)));
+  EXPECT_TRUE(m.Valid());
+  EXPECT_TRUE(WholeImage(m));
 
-  // Acking the first chunk slides the window by exactly one chunk.
-  Ack(10, vs_);
-  ASSERT_EQ(outbox_.size(), 3u);
-  EXPECT_EQ(outbox_[2].second.offset, 20u);
-}
-
-TEST_F(SnapshotUnitTest, TransferCompletesInOrder) {
-  server_.Serve(kBackup, vs_, payload_);
-  DeliverAll();
-
-  EXPECT_TRUE(sink_.complete());
-  EXPECT_EQ(sink_.payload(), *payload_);
-  EXPECT_EQ(sink_.vs(), vs_);
-  EXPECT_FALSE(server_.Serving(kBackup));
-  EXPECT_EQ(server_.stats().transfers_started, 1u);
+  // The receiver's install ack names the image and its whole size, and
+  // completes the transfer at the server.
+  const SnapshotAckMsg ack = InstallAck(m, kBackup);
+  EXPECT_EQ(ack.group, kGroup);
+  EXPECT_EQ(ack.viewid, kView);
+  EXPECT_EQ(ack.from, kBackup);
+  EXPECT_EQ(ack.vs, vs_);
+  EXPECT_EQ(ack.offset, payload_.size());
+  server_.OnAck(ack);
+  EXPECT_EQ(server_.stats().images_sent, 1u);
+  EXPECT_EQ(server_.stats().bytes_sent, payload_.size());
   EXPECT_EQ(server_.stats().transfers_completed, 1u);
-  EXPECT_EQ(server_.stats().chunks_sent, 5u);
-  EXPECT_EQ(server_.stats().chunk_retransmits, 0u);
-  EXPECT_EQ(server_.stats().bytes_sent, 45u);
-  EXPECT_EQ(sink_.corrupt_payloads(), 0u);
+  EXPECT_EQ(server_.stats().acks_rejected, 0u);
 }
 
-TEST_F(SnapshotUnitTest, DeadlineResendsFromAckedOffset) {
-  server_.Serve(kBackup, vs_, payload_);
-  outbox_.clear();  // the whole first window is lost
+TEST_F(SnapshotUnitTest, TornOrForgedFrameIsNotAnImage) {
+  const SnapshotChunkMsg whole = ServeOne();
+  ASSERT_TRUE(WholeImage(whole));
 
-  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval + 1);
-  // Go-back-N from the acked offset (0): both window chunks again.
-  ASSERT_EQ(outbox_.size(), 2u);
-  EXPECT_EQ(outbox_[0].second.offset, 0u);
-  EXPECT_GE(server_.stats().chunk_retransmits, 2u);
+  // A part of an image at a nonzero offset.
+  SnapshotChunkMsg torn = whole;
+  torn.offset = 5;
+  torn.data.erase(torn.data.begin(), torn.data.begin() + 5);
+  EXPECT_TRUE(torn.Valid());
+  EXPECT_FALSE(WholeImage(torn));
 
-  DeliverAll();
-  EXPECT_TRUE(sink_.complete());
-  EXPECT_EQ(sink_.payload(), *payload_);
-  EXPECT_EQ(server_.stats().transfers_completed, 1u);
-}
+  // Offset 0 but short of the announced size.
+  SnapshotChunkMsg short_data = whole;
+  short_data.data.pop_back();
+  EXPECT_TRUE(short_data.Valid());
+  EXPECT_FALSE(WholeImage(short_data));
 
-TEST_F(SnapshotUnitTest, MidTransferLossRealignsViaCumulativeAck) {
-  server_.Serve(kBackup, vs_, payload_);
-  ASSERT_EQ(outbox_.size(), 2u);
-  ASSERT_TRUE(DeliverOne());  // chunk at offset 0 arrives
-  outbox_.pop_front();        // chunk at offset 10 is lost
-
-  // The ack for offset 10 pumped one more chunk (offset 20). It arrives out
-  // of order: the sink keeps its contiguous prefix and re-acks offset 10,
-  // which does not advance the server.
-  ASSERT_FALSE(outbox_.empty());
-  EXPECT_EQ(outbox_.front().second.offset, 20u);
-  ASSERT_TRUE(DeliverOne());
-  EXPECT_EQ(sink_.offset(), 10u);
-
-  // The deadline rewinds the send cursor to the acked offset and the
-  // transfer finishes.
-  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval + 1);
-  DeliverAll();
-  EXPECT_TRUE(sink_.complete());
-  EXPECT_EQ(sink_.payload(), *payload_);
-  EXPECT_GE(server_.stats().chunk_retransmits, 1u);
-  EXPECT_EQ(server_.stats().transfers_completed, 1u);
-}
-
-TEST_F(SnapshotUnitTest, ChecksumRejectRestartsTransferFromZero) {
-  server_.Serve(kBackup, vs_, payload_);
-  // Corrupt one payload byte of the second chunk in flight, leaving the
-  // framing (total/checksum) intact: assembly succeeds, verification fails.
-  ASSERT_EQ(outbox_.size(), 2u);
-  outbox_[1].second.data[3] ^= 0xff;
-  // Deliver chunk by chunk until the fully-assembled payload fails
-  // verification. (The offset-0 ack immediately rewinds the server and
-  // refills the outbox, so stop right at the reject to observe it.)
-  while (sink_.corrupt_payloads() == 0) {
-    ASSERT_TRUE(DeliverOne());
-  }
-
-  EXPECT_EQ(sink_.corrupt_payloads(), 1u);
-  EXPECT_FALSE(sink_.complete());
-  EXPECT_TRUE(sink_.active());  // restarted, same snapshot
-  EXPECT_EQ(sink_.offset(), 0u);
-
-  // The offset-0 ack rewound the server; the clean redelivery completes.
-  ASSERT_FALSE(outbox_.empty());
-  EXPECT_EQ(outbox_.front().second.offset, 0u);
-  DeliverAll();
-  EXPECT_TRUE(sink_.complete());
-  EXPECT_EQ(sink_.payload(), *payload_);
-  EXPECT_EQ(server_.stats().transfers_completed, 1u);
-}
-
-TEST_F(SnapshotUnitTest, SinkAdoptsNewerSnapshotMidTransfer) {
-  server_.Serve(kBackup, vs_, payload_);
-  ASSERT_TRUE(DeliverOne());
-  EXPECT_EQ(sink_.offset(), 10u);
-
-  // The primary moved on: a fresher snapshot supersedes the partial one.
-  const Viewstamp newer{kView, 50};
-  std::vector<std::uint8_t> fresh(12, 0xab);
-  SnapshotChunkMsg m;
-  m.group = kGroup;
-  m.viewid = kView;
-  m.from = kSelf;
-  m.vs = newer;
-  m.total_size = fresh.size();
-  m.checksum = wire::Crc32(std::span<const std::uint8_t>(fresh));
-  m.offset = 0;
-  m.data = fresh;
-  ASSERT_TRUE(sink_.OnChunk(m));
-  EXPECT_EQ(sink_.vs(), newer);
-  EXPECT_TRUE(sink_.complete());
-  EXPECT_EQ(sink_.payload(), fresh);
-
-  // A stray chunk of the superseded snapshot is ignored outright.
-  SnapshotChunkMsg stale = outbox_.front().second;
-  EXPECT_LT(stale.vs, newer);
-  EXPECT_FALSE(sink_.OnChunk(stale));
-}
-
-TEST_F(SnapshotUnitTest, ServeSameVsKeepsProgressNewerReplaces) {
-  server_.Serve(kBackup, vs_, payload_);
-  ASSERT_TRUE(DeliverOne());
-  EXPECT_EQ(server_.stats().transfers_started, 1u);
-
-  // Re-serving the same snapshot must not restart the transfer.
-  const std::uint64_t sent_before = server_.stats().chunks_sent;
-  server_.Serve(kBackup, vs_, payload_);
-  EXPECT_EQ(server_.stats().transfers_started, 1u);
-  EXPECT_EQ(server_.stats().chunks_sent, sent_before);
-
-  // A newer snapshot replaces it and starts over from offset 0.
-  auto fresh = std::make_shared<const std::vector<std::uint8_t>>(
-      std::vector<std::uint8_t>(25, 0xcd));
-  outbox_.clear();
-  server_.Serve(kBackup, Viewstamp{kView, 60}, fresh);
-  EXPECT_EQ(server_.stats().transfers_started, 2u);
-  ASSERT_FALSE(outbox_.empty());
-  EXPECT_EQ(outbox_.front().second.offset, 0u);
-  EXPECT_EQ(outbox_.front().second.total_size, 25u);
+  // Whole, but the bytes do not match the CRC the frame claims.
+  SnapshotChunkMsg forged = whole;
+  forged.data[3] ^= 0xff;
+  EXPECT_FALSE(WholeImage(forged));
 }
 
 TEST_F(SnapshotUnitTest, AckValidationRejectsForeignOrStale) {
-  server_.Serve(kBackup, vs_, payload_);
+  const SnapshotAckMsg honest = InstallAck(ServeOne(), kBackup);
 
-  SnapshotAckMsg a;
-  a.group = kGroup;
-  a.viewid = kView;
-  a.from = kBackup;
-  a.vs = vs_;
-
+  SnapshotAckMsg a = honest;
   a.viewid = ViewId{4, 1};  // wrong view
-  a.offset = 10;
   server_.OnAck(a);
   EXPECT_EQ(server_.stats().acks_rejected, 1u);
 
-  a.viewid = kView;
+  a = honest;
   a.group = kGroup + 1;  // wrong group
   server_.OnAck(a);
   EXPECT_EQ(server_.stats().acks_rejected, 2u);
 
-  a.group = kGroup;
-  a.vs = Viewstamp{kView, 99};  // not the snapshot being served
+  a = honest;
+  a.vs = Viewstamp{ViewId{2, 1}, 99};  // an image of an older view
   server_.OnAck(a);
   EXPECT_EQ(server_.stats().acks_rejected, 3u);
 
-  a.vs = vs_;
-  a.offset = payload_->size() + 1;  // beyond the payload
+  a = honest;
+  a.offset = 0;  // acknowledges no image
   server_.OnAck(a);
   EXPECT_EQ(server_.stats().acks_rejected, 4u);
+  EXPECT_EQ(server_.stats().transfers_completed, 0u);
 
-  // None of those moved the transfer: the next honest ack still works.
-  a.offset = 10;
-  server_.OnAck(a);
+  // None of those counted; the honest ack does.
+  server_.OnAck(honest);
   EXPECT_EQ(server_.stats().acks_rejected, 4u);
-  EXPECT_TRUE(server_.Serving(kBackup));
+  EXPECT_EQ(server_.stats().transfers_completed, 1u);
 
-  // Stop() cancels the transfer wholesale (view change, crash).
+  // A stopped server (view change, crash) accepts no ack.
   server_.Stop();
-  EXPECT_FALSE(server_.Serving(kBackup));
-  const std::size_t sent = outbox_.size();
-  sim_.scheduler().RunUntil(sim_.Now() + 10 * kRetransmitInterval);
-  EXPECT_EQ(outbox_.size(), sent);  // no zombie retransmits
+  server_.OnAck(honest);
+  EXPECT_EQ(server_.stats().acks_rejected, 5u);
+  EXPECT_EQ(server_.stats().transfers_completed, 1u);
+}
+
+TEST_F(SnapshotUnitTest, StoppedServerSendsNothing) {
+  server_.Stop();
+  server_.Serve(kBackup, vs_, payload_);
+  EXPECT_TRUE(outbox_.empty());
+  EXPECT_EQ(server_.stats().images_sent, 0u);
+
+  // Leading a view again, it sends exactly one frame per request.
+  server_.StartView(ViewId{5, 1}, kGroup, kSelf);
+  server_.Serve(kBackup, Viewstamp{ViewId{5, 1}, 1}, payload_);
+  ASSERT_EQ(outbox_.size(), 1u);
+  EXPECT_EQ(outbox_[0].second.viewid, (ViewId{5, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -296,11 +174,8 @@ core::CohortOptions LaggardFriendlyOptions() {
   // Suppress failure-detection view changes while a backup is cut off: this
   // test is about state transfer, not elections.
   o.liveness_timeout = 60 * sim::kSecond;
-  // A small buffer window so a modest workload outruns the laggard...
+  // A small buffer window so a modest workload outruns the laggard.
   o.buffer.window = 8;
-  // ...and small chunks so a transfer takes several round trips.
-  o.snapshot.chunk_size = 256;
-  o.snapshot.window = 4;
   return o;
 }
 
@@ -338,14 +213,13 @@ TEST(SnapshotIntegration, PartitionedBackupCatchesUpViaStateTransfer) {
   EXPECT_GE(primary.buffer().stats().snapshots_served, 1u);
   EXPECT_LT(laggard.applied_ts(), primary.buffer().base_ts());
 
-  // Heal. The deadline-driven chunk retransmits reach the laggard, which
-  // installs the snapshot and rejoins the record stream.
+  // Heal. The next image request (one per kRetransmitInterval) reaches the
+  // laggard, which installs the image and rejoins the record stream.
   cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
   cluster.RunFor(2 * sim::kSecond);
 
   EXPECT_GE(laggard.stats().snapshots_installed, 1u);
   EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
-  EXPECT_FALSE(laggard.installing_snapshot());
   EXPECT_EQ(laggard.applied_ts(), primary.buffer().last_ts());
   EXPECT_GE(primary.snapshot_server().stats().transfers_completed, 1u);
   for (int i : {0, 17, 39}) {
@@ -387,8 +261,8 @@ TEST(SnapshotIntegration, TransferSurvivesTwentyPercentLoss) {
   cluster.RunFor(500 * sim::kMillisecond);
   ASSERT_GE(primary.buffer().stats().snapshots_served, 1u);
 
-  // Heal the link but drop 20% of every frame: chunks and acks both. The
-  // cumulative-offset protocol must still converge.
+  // Heal the link but drop 20% of every frame: images and acks both. The
+  // buffer's per-backup deadline re-serves a lost image until one lands.
   net::NetworkOptions lossy = cluster.network().options();
   lossy.loss_probability = 0.2;
   cluster.network().set_options(lossy);
@@ -410,18 +284,18 @@ TEST(SnapshotIntegration, TransferSurvivesTwentyPercentLoss) {
   }
 }
 
-// Shared setup for the mid-transfer interruption tests: returns once the
-// laggard (index pi+1 mod 3) is mid-install — at least one chunk landed,
-// the transfer incomplete — with `pad`-sized values at keys k0..k29.
-struct MidTransferRig {
+// Shared setup for the image-lost-in-flight tests: returns once the primary
+// has served the laggard (index pi+1 mod 3) an image that the cut link then
+// drops in flight, with `pad`-sized values at keys k0..k29 that only the
+// primary and the other backup hold.
+struct LostImageRig {
   std::size_t pi = 0;  // primary index
   std::size_t li = 0;  // laggard index
   std::string pad = std::string(48, 'x');
 };
 
-MidTransferRig SetUpMidTransfer(Cluster& cluster, GroupId kv,
-                                GroupId client_g) {
-  MidTransferRig rig;
+LostImageRig SetUpLostImage(Cluster& cluster, GroupId kv, GroupId client_g) {
+  LostImageRig rig;
   EXPECT_TRUE(cluster.RunUntilStable());
   rig.pi = IndexOfPrimary(cluster, kv);
   EXPECT_LT(rig.pi, 3u);
@@ -429,7 +303,9 @@ MidTransferRig SetUpMidTransfer(Cluster& cluster, GroupId kv,
   core::Cohort& primary = cluster.CohortAt(kv, rig.pi);
   core::Cohort& laggard = cluster.CohortAt(kv, rig.li);
 
-  // Fatten the snapshot payload so it spans dozens of chunks.
+  EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "pre=1"),
+            TxnOutcome::kCommitted);
+  cluster.RunFor(50 * sim::kMillisecond);
   cluster.network().SetLinkDown(primary.mid(), laggard.mid(), true);
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put",
@@ -440,50 +316,90 @@ MidTransferRig SetUpMidTransfer(Cluster& cluster, GroupId kv,
   cluster.RunFor(200 * sim::kMillisecond);
   EXPECT_GE(primary.buffer().stats().snapshots_served, 1u);
 
-  // Heal and step in fine increments until the first chunk lands: the
-  // laggard is now mid-install and must answer view changes as crashed.
+  // Heal until the next image leaves the primary, then cut the link again
+  // before it can arrive (a frame takes at least 100 us): the image is lost
+  // in flight.
   cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
-  for (int i = 0; i < 20000 && !laggard.installing_snapshot(); ++i) {
-    cluster.RunFor(100 * sim::kMicrosecond);
+  const std::uint64_t sent = primary.snapshot_server().stats().images_sent;
+  for (int i = 0; i < 1000 &&
+                  primary.snapshot_server().stats().images_sent == sent;
+       ++i) {
+    cluster.RunFor(50 * sim::kMicrosecond);
   }
-  EXPECT_TRUE(laggard.installing_snapshot());
+  EXPECT_GT(primary.snapshot_server().stats().images_sent, sent);
+  cluster.network().SetLinkDown(primary.mid(), laggard.mid(), true);
+  EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
   return rig;
 }
 
-core::CohortOptions MidTransferOptions() {
+core::CohortOptions LostImageOptions() {
   core::CohortOptions o;
-  // Moderate liveness: long enough to keep the lag phase election-free,
-  // short enough that failures below are detected promptly.
-  o.liveness_timeout = 3 * sim::kSecond;
+  // Long enough to keep the lag phase election-free, short enough that the
+  // failures below are detected promptly.
+  o.liveness_timeout = 1 * sim::kSecond;
   o.buffer.window = 8;
-  // One tiny chunk in flight at a time: the transfer takes many round
-  // trips, giving the interruptions below a wide mid-transfer target.
-  o.snapshot.chunk_size = 64;
-  o.snapshot.window = 1;
   return o;
 }
 
-TEST(SnapshotIntegration, MidTransferViewChangeSupersedesInstall) {
-  core::CohortOptions opts = MidTransferOptions();
-  // Keep the sink mid-install across the whole episode so the view change —
-  // not the idle-abandon timer — is what resolves it.
-  opts.snapshot.install_abandon_timeout = 60 * sim::kSecond;
+// The laggard holds its pre-transfer prefix: the early key, and none of the
+// lagged ones — never a torn mix.
+void ExpectPreTransferPrefix(core::Cohort& laggard) {
+  EXPECT_EQ(laggard.objects().ReadCommitted("pre").value_or(""), "1");
+  for (int i : {0, 13, 29}) {
+    EXPECT_FALSE(
+        laggard.objects().ReadCommitted("k" + std::to_string(i)).has_value())
+        << "key k" << i;
+  }
+}
+
+TEST(SnapshotIntegration, ImageLostInFlightPrimaryCrashFormsViewPromptly) {
+  core::CohortOptions opts = LostImageOptions();
+  Cluster cluster(ClusterOptions{.seed = 94});
+  auto kv = cluster.AddGroup("kv", 3, &opts);
+  auto client_g = cluster.AddGroup("client", 1);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  LostImageRig rig = SetUpLostImage(cluster, kv, client_g);
+  if (::testing::Test::HasFailure()) return;
+  core::Cohort& laggard = cluster.CohortAt(kv, rig.li);
+  const std::size_t hi = 3 - rig.pi - rig.li;  // the up-to-date backup
+
+  cluster.Crash(kv, rig.pi);
+  ExpectPreTransferPrefix(laggard);
+
+  // The install is one event that never happened, so the laggard answers
+  // the view change normally with its prefix: with the up-to-date backup
+  // that is a majority of normal acceptances (§4 condition (1)), and the
+  // view forms at failure-detector speed — no abandon timer to wait out.
+  // The up-to-date backup holds the largest viewstamp and leads it.
+  ASSERT_TRUE(
+      cluster.RunUntilStable(opts.liveness_timeout + 1 * sim::kSecond));
+  EXPECT_EQ(IndexOfPrimary(cluster, kv), hi);
+  EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
+  EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
+  // The newview gstate caught the laggard all the way up.
+  EXPECT_EQ(laggard.objects().ReadCommitted("k13").value_or(""),
+            rig.pad + "13");
+  EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "post=1"),
+            TxnOutcome::kCommitted);
+}
+
+TEST(SnapshotIntegration, ImageLostInFlightNewViewCatchesLaggardUp) {
+  core::CohortOptions opts = LostImageOptions();
   Cluster cluster(ClusterOptions{.seed = 93});
   auto kv = cluster.AddGroup("kv", 3, &opts);
   auto client_g = cluster.AddGroup("client", 1);
   RegisterKvProcs(cluster, kv);
   cluster.Start();
-  MidTransferRig rig = SetUpMidTransfer(cluster, kv, client_g);
+  LostImageRig rig = SetUpLostImage(cluster, kv, client_g);
   if (::testing::Test::HasFailure()) return;
   core::Cohort& primary = cluster.CohortAt(kv, rig.pi);
   core::Cohort& laggard = cluster.CohortAt(kv, rig.li);
   const ViewId old_viewid = primary.cur_viewid();
+  ExpectPreTransferPrefix(laggard);
 
-  // Isolate the old primary from everyone: the transfer stalls with the
-  // laggard mid-install, and the healthy backup's failure detector starts a
-  // view change. It cannot form while the old primary is unreachable — the
-  // mid-install laggard answers crashed-equivalent with the same viewid as
-  // the one normal (never-primary) backup, failing §4's conditions (1)-(3).
+  // Isolate the old primary from everyone: the two backups detect it and
+  // form a view without it.
   std::vector<net::NodeId> isolated{primary.mid()};
   std::vector<net::NodeId> rest;
   for (core::Cohort* c : cluster.Cohorts(kv)) {
@@ -491,23 +407,17 @@ TEST(SnapshotIntegration, MidTransferViewChangeSupersedesInstall) {
   }
   for (core::Cohort* c : cluster.Cohorts(client_g)) rest.push_back(c->mid());
   cluster.network().Partition({isolated, rest});
-  cluster.RunFor(opts.liveness_timeout + 2 * sim::kSecond);
-  EXPECT_TRUE(laggard.installing_snapshot());  // invitations left it intact
-  EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
+  cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
+  cluster.RunFor(opts.liveness_timeout + 1 * sim::kSecond);
+  EXPECT_GT(laggard.cur_viewid(), old_viewid);
 
-  // Heal: the old primary rejoins the next formation round as a normal
-  // acceptance (it led the crash-viewid view, satisfying condition (3)),
-  // so a view forms and its newview gstate supersedes the partial install.
+  // Heal: the new view's newview record, not an image, brought the laggard
+  // up to date, and every active cohort agrees on the lagged keys.
   cluster.network().Heal();
-  ASSERT_TRUE(cluster.RunUntilStable(30 * sim::kSecond));
-  core::Cohort* np = cluster.AnyPrimary(kv);
-  ASSERT_NE(np, nullptr);
-  EXPECT_GT(np->cur_viewid(), old_viewid);
-  cluster.RunFor(1 * sim::kSecond);
-
+  ASSERT_TRUE(cluster.RunUntilStable(10 * sim::kSecond));
+  cluster.RunFor(500 * sim::kMillisecond);
   EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
   EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
-  EXPECT_FALSE(laggard.installing_snapshot());
   for (int i : {0, 13, 29}) {
     const std::string want = rig.pad + std::to_string(i);
     for (core::Cohort* c : cluster.Cohorts(kv)) {
@@ -523,71 +433,69 @@ TEST(SnapshotIntegration, MidTransferViewChangeSupersedesInstall) {
             TxnOutcome::kCommitted);
 }
 
-TEST(SnapshotIntegration, MidTransferPrimaryCrashInstallsNothing) {
-  core::CohortOptions opts = MidTransferOptions();
-  // Long abandon timeout: first observe the crashed-equivalence window,
-  // then the timer's escape from it.
-  opts.snapshot.install_abandon_timeout = 15 * sim::kSecond;
-  Cluster cluster(ClusterOptions{.seed = 94});
+TEST(SnapshotIntegration, TornOrForgedImageIsNeitherInstalledNorAcked) {
+  core::CohortOptions opts = LaggardFriendlyOptions();
+  Cluster cluster(ClusterOptions{.seed = 95});
   auto kv = cluster.AddGroup("kv", 3, &opts);
   auto client_g = cluster.AddGroup("client", 1);
   RegisterKvProcs(cluster, kv);
   cluster.Start();
-  MidTransferRig rig = SetUpMidTransfer(cluster, kv, client_g);
-  if (::testing::Test::HasFailure()) return;
-  core::Cohort& laggard = cluster.CohortAt(kv, rig.li);
-  const std::size_t hi = 3 - rig.pi - rig.li;  // the up-to-date backup
-
-  // Crash the primary with the transfer incomplete. No sim time passes
-  // between the observation above and the crash, so nothing was installed.
-  cluster.Crash(kv, rig.pi);
-
-  // While the laggard still answers crashed-equivalent, no view can form:
-  // the old primary is crashed and the surviving normal backup never led
-  // the crash-viewid view, so §4's conditions (1)-(3) all fail — exactly
-  // the paper's A/B/C example. Safety: a half-transferred snapshot must
-  // never seed a new view.
-  EXPECT_FALSE(cluster.RunUntilStable(8 * sim::kSecond));
-  EXPECT_EQ(cluster.AnyPrimary(kv), nullptr);
-  EXPECT_TRUE(laggard.installing_snapshot());
-
-  // All-or-nothing: none of the transferred bytes became state. The laggard
-  // still serves its (consistent) pre-transfer prefix — every lagged key is
-  // wholly absent, never torn.
-  EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
-  EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
-  for (int i : {0, 13, 29}) {
-    EXPECT_EQ(laggard.objects()
-                  .ReadCommitted("k" + std::to_string(i))
-                  .value_or(""),
-              "")
-        << "key k" << i;
-  }
-  // The up-to-date backup, by contrast, has everything.
-  for (int i : {0, 13, 29}) {
-    EXPECT_EQ(cluster.CohortAt(kv, hi)
-                  .objects()
-                  .ReadCommitted("k" + std::to_string(i))
-                  .value_or(""),
-              rig.pad + std::to_string(i));
-  }
-
-  // Once the chunk stream has been idle past install_abandon_timeout the
-  // laggard abandons the dead transfer wholesale and resumes normal
-  // acceptances with its intact pre-transfer state: two normal acceptances
-  // are a majority (condition (1)), so availability returns — led by the
-  // up-to-date backup, which holds the largest viewstamp.
-  ASSERT_TRUE(cluster.RunUntilStable(60 * sim::kSecond));
-  EXPECT_GE(laggard.stats().snapshot_installs_abandoned, 1u);
-  EXPECT_FALSE(laggard.installing_snapshot());
-  const std::size_t np = IndexOfPrimary(cluster, kv);
-  EXPECT_EQ(np, hi);
-  EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "post=1"),
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "a=1"),
             TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
-  // The newview gstate caught the laggard all the way up.
-  EXPECT_EQ(laggard.objects().ReadCommitted("k13").value_or(""),
-            rig.pad + "13");
+  cluster.RunFor(100 * sim::kMillisecond);
+  const std::size_t pi = IndexOfPrimary(cluster, kv);
+  ASSERT_LT(pi, 3u);
+  core::Cohort& primary = cluster.CohortAt(kv, pi);
+  core::Cohort& backup = cluster.CohortAt(kv, (pi + 1) % 3);
+
+  // Frames that claim to come from the backup's own primary, in its view,
+  // for an image past everything it applied.
+  std::vector<std::uint8_t> bytes(64, 0x5a);
+  SnapshotChunkMsg whole;
+  whole.group = kv;
+  whole.viewid = backup.cur_viewid();
+  whole.from = primary.mid();
+  whole.vs = Viewstamp{backup.cur_viewid(), backup.applied_ts() + 100};
+  whole.total_size = bytes.size();
+  whole.checksum = wire::Crc32(std::span<const std::uint8_t>(bytes));
+  whole.data = bytes;
+  SnapshotChunkMsg torn = whole;
+  torn.offset = 8;
+  torn.data.resize(16);
+  SnapshotChunkMsg short_data = whole;
+  short_data.data.resize(63);
+  SnapshotChunkMsg forged = whole;
+  forged.checksum ^= 1;
+
+  auto acks_sent = [&] {
+    const auto& by_type = cluster.network().stats().sent_by_type;
+    auto it = by_type.find(static_cast<std::uint16_t>(MsgType::kSnapshotAck));
+    return it == by_type.end() ? 0 : it->second;
+  };
+  auto deliver = [&](const SnapshotChunkMsg& m) {
+    cluster.network().Send(primary.mid(), backup.mid(),
+                           static_cast<std::uint16_t>(MsgType::kSnapshotChunk),
+                           EncodeMsg(m));
+    cluster.RunFor(10 * sim::kMillisecond);
+  };
+  const std::uint64_t acks0 = acks_sent();
+  for (const SnapshotChunkMsg* m : {&torn, &short_data, &forged}) {
+    deliver(*m);
+    // Not even parsed: neither installed, nor rejected, nor acked.
+    EXPECT_EQ(backup.stats().snapshots_installed, 0u);
+    EXPECT_EQ(backup.stats().snapshot_installs_rejected, 0u);
+    EXPECT_EQ(acks_sent(), acks0);
+  }
+  // A whole frame passes the check and reaches the install, which rejects
+  // its bytes (they are no state image): still nothing installed or acked.
+  deliver(whole);
+  EXPECT_EQ(backup.stats().snapshots_installed, 0u);
+  EXPECT_EQ(backup.stats().snapshot_installs_rejected, 1u);
+  EXPECT_EQ(acks_sent(), acks0);
+  EXPECT_EQ(backup.objects().ReadCommitted("a").value_or(""), "1");
+  EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "b=2"),
+            TxnOutcome::kCommitted);
 }
 
 }  // namespace

@@ -236,8 +236,6 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
   copts.liveness_timeout = 60 * sim::kSecond;
   // Small window so even the short run commits many windows' worth of work.
   copts.buffer.window = 8;
-  copts.snapshot.chunk_size = 256;
-  copts.snapshot.window = 4;
 
   Cluster cluster(ClusterOptions{.seed = 107});
   auto kv = cluster.AddGroup("kv", 3, &copts);

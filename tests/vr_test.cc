@@ -469,13 +469,16 @@ TEST_F(CommBufferTest, DeadBackupNoLongerPinsGarbageCollection) {
   // watermark and the laggard is routed through state transfer.
   CommBufferOptions o;
   o.window = 4;
-  std::vector<Mid> snapshot_requests;
+  std::vector<host::Time> image_requests;
   History h;
   ViewId vid{2, 1};
   h.OpenView(vid);
   CommBuffer b(
       sim_, o, [](Mid, const BufferBatchMsg&) {}, [] {},
-      [&](Mid m) { snapshot_requests.push_back(m); });
+      [&](Mid m) {
+        EXPECT_EQ(m, 3u);
+        image_requests.push_back(sim_.Now());
+      });
   b.StartView(vid, {2, 3}, 3, /*group=*/1, /*self=*/1, &h);
   auto ack = [&](Mid from, std::uint64_t ts) {
     BufferAckMsg a;
@@ -493,21 +496,76 @@ TEST_F(CommBufferTest, DeadBackupNoLongerPinsGarbageCollection) {
   EXPECT_EQ(b.base_ts(), 16u);
   EXPECT_LE(b.records().size(), o.window);
   // The dead backup's go-back-N deadline routes it into state transfer: one
-  // snapshot request per episode, and no more record retransmissions.
-  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval * 3);
-  ASSERT_EQ(snapshot_requests.size(), 1u);
-  EXPECT_EQ(snapshot_requests[0], 3u);
+  // image request when the episode opens, and no more record
+  // retransmissions.
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval);
+  ASSERT_EQ(image_requests.size(), 1u);
   EXPECT_EQ(b.stats().snapshots_served, 1u);
+  const std::uint64_t resent = b.stats().records_retransmitted;
+  // One more request per elapsed kRetransmitInterval while the backup stays
+  // silent: a lost image is re-served, and nothing else retries it.
+  for (std::size_t k = 1; k <= 3; ++k) {
+    sim_.scheduler().RunUntil(image_requests[0] + k * kRetransmitInterval -
+                              1);
+    EXPECT_EQ(image_requests.size(), k);
+    sim_.scheduler().RunUntil(image_requests[0] + k * kRetransmitInterval);
+    EXPECT_EQ(image_requests.size(), k + 1);
+  }
+  EXPECT_EQ(b.stats().snapshots_served, 1u);  // still one episode
+  EXPECT_EQ(b.stats().records_retransmitted, resent);
   // Memory stays O(window) as the stream keeps flowing.
   for (int i = 0; i < 20; ++i) b.Add(EventRecord::Done(Aid{1, vid, 1}));
   ack(2, 40);
   EXPECT_EQ(b.base_ts(), 36u);
   EXPECT_LE(b.records().size(), o.window);
-  // The backup installs the snapshot (ack at the snapshot ts, inside the
-  // resident range): state transfer ends and min-ack GC resumes.
+  // The backup installs the image (ack at the image ts, inside the resident
+  // range): state transfer ends, requests stop, and min-ack GC resumes.
   ack(3, 40);
   EXPECT_EQ(b.base_ts(), 40u);
   EXPECT_TRUE(b.records().empty());
+  const std::size_t requests = image_requests.size();
+  sim_.scheduler().RunUntil(sim_.Now() + 10 * kRetransmitInterval);
+  EXPECT_EQ(image_requests.size(), requests);
+  b.Stop();
+}
+
+TEST_F(CommBufferTest, RejoinIntoResidentRangeEndsImageRequests) {
+  // A backup in state transfer whose ack re-enters the resident range by
+  // another path — here a log-recovered rejoin — is streamed records, not
+  // re-served an image.
+  CommBufferOptions o;
+  o.window = 4;
+  std::size_t image_requests = 0;
+  History h;
+  ViewId vid{2, 1};
+  h.OpenView(vid);
+  CommBuffer b(
+      sim_, o, [](Mid, const BufferBatchMsg&) {}, [] {},
+      [&](Mid) { ++image_requests; });
+  b.StartView(vid, {2, 3}, 3, /*group=*/1, /*self=*/1, &h);
+  BufferAckMsg a;
+  a.group = 1;
+  a.viewid = vid;
+  for (int i = 0; i < 20; ++i) b.Add(EventRecord::Done(Aid{1, vid, 1}));
+  sim_.scheduler().RunUntil(sim_.Now() + o.flush_delay + 1);
+  a.from = 2;
+  a.ts = 20;
+  b.OnAck(a);
+  sim_.scheduler().RunUntil(sim_.Now() + kRetransmitInterval);
+  ASSERT_EQ(image_requests, 1u);
+  ASSERT_EQ(b.base_ts(), 16u);
+
+  // Backup 3 crashed, replayed its log up to ts 17, and rejoins there.
+  const std::uint64_t sent = b.stats().records_sent;
+  a.from = 3;
+  a.ts = 17;
+  a.rejoin = true;
+  a.rejoin_epoch = 1;
+  b.OnAck(a);
+  EXPECT_EQ(b.stats().rejoins, 1u);
+  EXPECT_EQ(b.stats().records_sent, sent + 3);  // its tail, ts 18..20
+  sim_.scheduler().RunUntil(sim_.Now() + 10 * kRetransmitInterval);
+  EXPECT_EQ(image_requests, 1u);
   b.Stop();
 }
 
