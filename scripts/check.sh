@@ -15,11 +15,11 @@
 # bit-rot in seconds instead of waiting for full experiment runs. Smoke runs
 # write BENCH_<ID>.smoke.json, which the smoke gates read, so they leave the
 # last full run's BENCH_<ID>.json in place. It also
-# replays real traffic through the codec: a one-second traced perfbench
-# sim-failover run (built in build-perfbench/) must report "correct": true,
-# which perfbench withholds when a sampled frame fails to decode or
-# re-encodes to other bytes. A five-second traced loopback-seq run must be
-# correct too, with host.send_failures at 0.
+# replays real traffic through the codec: one-second traced perfbench
+# sim-failover and sim-xshard runs (built in build-perfbench/) must report
+# "correct": true, which perfbench withholds when a sampled frame fails to
+# decode or re-encodes to other bytes. A five-second traced loopback-seq run
+# must be correct too, with host.send_failures at 0.
 #
 # CHECK_SOAK=1 re-runs the dead-backup soak at ~10x rounds: with one backup
 # permanently crashed, the primary's resident record vector must stay
@@ -344,6 +344,15 @@ if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
     --workload sim-failover --seed 1 --seconds 1 --trace 1 | tail -n 1)"
   if [[ "$result" != '{"correct": true,'* ]]; then
     echo "FAIL: traced sim-failover replay is not correct: ${result:0:200}" >&2
+    exit 1
+  fi
+  echo "== wire replay (traced perfbench sim-xshard) =="
+  # Two groups' 2PC traffic (prepare, prepare-reply, commit, commit-done),
+  # which sim-failover's one-round deposits never send.
+  result="$(CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+    --workload sim-xshard --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+  if [[ "$result" != '{"correct": true,'* ]]; then
+    echo "FAIL: traced sim-xshard replay is not correct: ${result:0:200}" >&2
     exit 1
   fi
   echo "== real-host event loop (traced perfbench loopback-seq) =="

@@ -120,7 +120,6 @@ void Cohort::Start() {
 
 void Cohort::ResetVolatileState() {
   buffer_.Stop();
-  snap_server_.Stop();
   ResetShardPull(false);
   tasks_.DestroyAll();
   store_.Clear();
@@ -382,9 +381,11 @@ void Cohort::OnFrame(const net::Frame& frame) {
       },
       // Acks for shard images come from the pulling group's primary — not
       // a peer — carrying our group id copied from the image; the server
-      // validates their viewid.
+      // checks that their image is of the view we lead.
       [this](const vr::SnapshotAckMsg& m) {
-        if (m.group == group_ && IsActivePrimary()) snap_server_.OnAck(m);
+        if (m.group == group_ && IsActivePrimary()) {
+          snap_server_.OnAck(m, cur_viewid_);
+        }
       },
       ours(&Cohort::OnCall),
       ours(&Cohort::OnPrepare),

@@ -661,10 +661,6 @@ class Cohort : public net::FrameHandler {
   // read-only joins `plist`.
   host::Task<bool> PrepareOne(Aid aid, Pset pset, GroupId g,
                              std::shared_ptr<std::vector<GroupId>> plist);
-  // The commit_fusion = false ablation (bench E2): force the committing
-  // record at `decision_vs` before reporting, then run phase two.
-  host::Task<TxnOutcome> SerialCommitPhase(Aid aid, std::vector<GroupId> plist,
-                                           Viewstamp decision_vs);
   // Phase two: the commit fan-out to the plist and the done record.
   host::Task<void> FinishCommitPhase(Aid aid, std::vector<GroupId> plist);
   // Sends the commit to `g`; true when it acknowledged.
@@ -721,7 +717,8 @@ class Cohort : public net::FrameHandler {
   // each episode exactly once (duplicates are retransmitted until the first
   // batch arrives and may arrive late). Derived from sim time at recovery —
   // crash wipes memory, but time is monotonic across crashes, so a later
-  // recovery always tags a strictly larger epoch.
+  // recovery always tags a strictly larger epoch. At least 1 once set: a
+  // nonzero epoch is what marks a buffer ack as a rejoin.
   std::uint64_t rejoin_epoch_ = 0;
   host::TimerId rejoin_timer_ = host::kNoTimer;
   // Replay in progress: ApplyRecord must not re-append to the log.

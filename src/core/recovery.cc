@@ -105,7 +105,6 @@ void Cohort::SendRejoinAck() {
   ack.viewid = cur_viewid_;
   ack.from = self_;
   ack.ts = applied_ts_;
-  ack.rejoin = true;
   ack.rejoin_epoch = rejoin_epoch_;
   SendMsg(cur_view_.primary, ack);
   ++stats_.rejoin_acks_sent;

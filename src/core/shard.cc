@@ -4,8 +4,8 @@
 // SnapshotChunkMsg from the serving primary, with the receiver in ANOTHER
 // group. The pulling primary sends a kShardPull to the range's current
 // owner; the owner serializes the committed base versions of [lo, hi) and
-// sends them as one image frame (stamped with the SOURCE group's id and
-// viewid, which is how the puller tells it from its own group's images).
+// sends them as one image frame (stamped with the SOURCE group's id, which
+// is how the puller tells it from its own group's images).
 // The source keeps nothing per pull: a lost image, or one whose puller
 // crashed, is re-requested only by the puller's kShardPullRetry. The image
 // is replicated inside the pulling group as a kShardInstall event record
@@ -21,16 +21,16 @@
 namespace vsr::core {
 namespace {
 
-// The head of a shard image: the range it covers and the group it was pulled
-// from. The range's committed bases follow it (ObjectStore::SnapshotRange).
+// The head of a shard image: the range it covers (the image frame's group
+// names the group it was pulled from). The range's committed bases follow
+// it (ObjectStore::SnapshotRange).
 struct ShardImageHeader {
   std::string lo;
   std::string hi;
-  GroupId source = 0;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.lo, m.hi, m.source);
+    ar(m.lo, m.hi);
   }
 };
 
@@ -45,11 +45,11 @@ GroupId ProcContext::group() const { return cohort_.group(); }
 void Cohort::OnShardPull(const vr::ShardPullMsg& m) {
   if (!IsActivePrimary() || !buffer_.active()) return;
   wire::Writer w;
-  w(ShardImageHeader{m.lo, m.hi, group_});
+  w(ShardImageHeader{m.lo, m.hi});
   store_.SnapshotRange(w, m.lo, m.hi);
   ++stats_.shard_pulls_served;
-  snap_server_.Serve(m.from, Viewstamp{cur_viewid_, buffer_.last_ts()},
-                     w.Take());
+  snap_server_.Serve(m.from, group_, self_,
+                     Viewstamp{cur_viewid_, buffer_.last_ts()}, w.Take());
   Trace("serving shard [%s, %s) to g%llu/%u", m.lo.c_str(), m.hi.c_str(),
         static_cast<unsigned long long>(m.from_group), m.from);
 }
@@ -123,12 +123,12 @@ host::Task<void> Cohort::FinishShardInstall(std::uint64_t pull_id,
   if (!shard_pull_ || shard_pull_->id != pull_id || !IsActivePrimary()) {
     co_return;
   }
-  // The image must answer exactly the pull we issued.
+  // The image must answer exactly the pull we issued (OnShardChunk matched
+  // its source group).
   {
     wire::Reader r(payload);
     const auto head = r.Read<ShardImageHeader>();
-    if (!r.ok() || head.lo != shard_pull_->lo || head.hi != shard_pull_->hi ||
-        head.source != shard_pull_->from_group) {
+    if (!r.ok() || head.lo != shard_pull_->lo || head.hi != shard_pull_->hi) {
       ResetShardPull(false);
       co_return;
     }

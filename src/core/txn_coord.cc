@@ -329,45 +329,36 @@ host::Task<TxnOutcome> Cohort::RunTwoPhaseCommit(Aid aid, Pset pset) {
 
   const Viewstamp vs = AddRecord(vr::EventRecord::Committing(aid, *plist));
   if (!options_.commit_fusion) {
-    co_return co_await SerialCommitPhase(aid, *plist, vs);
-  }
-
-  // Fused path (DESIGN.md §13), for any number of participants: the decision
-  // is visible — to §3.4 queries via the outcome table, and to the backups
-  // via the flush ForceTo issues synchronously in this same instant, before
-  // the first CommitMsg and before the client callback runs — as soon as it
-  // is buffered. Only the ack-counting of that force and the commit fan-out
-  // run in background; durability additionally rides the write-behind event
-  // log (§10, already appended by AddRecord). A failed force (timed out, or
-  // the buffer already stopped) is counted here and one that a view change
-  // or crash abandons is counted by the buffer (forces_abandoned); neither
-  // is acted on: the record either survived into the new view or
-  // participants resolve via §3.4 queries against it.
-  ++stats_.fused_commits;
-  if (buffer_.active()) {
-    buffer_.ForceTo(vs, [this](bool ok) {
-      if (!ok) ++stats_.fused_decision_forces_failed;
-    });
-  } else {
-    ++stats_.fused_decision_forces_failed;
-  }
-  tasks_.Spawn(FinishCommitPhase(aid, *plist));
-  co_return TxnOutcome::kCommitted;
-}
-
-host::Task<TxnOutcome> Cohort::SerialCommitPhase(Aid aid,
-                                                 std::vector<GroupId> plist,
-                                                 Viewstamp decision_vs) {
-  const bool forced = co_await Force(decision_vs);
-  if (!forced) {
-    // The decision record may or may not survive our group's view change;
-    // participants will learn the truth via queries (§3.4). We must not
+    // The serial ladder (bench E2): the reply waits for the decision force.
+    // A failed force leaves the decision record to our group's view change,
+    // and participants learn the truth via queries (§3.4): we must not
     // claim either outcome.
-    co_return TxnOutcome::kUnknown;
+    if (!co_await Force(vs)) co_return TxnOutcome::kUnknown;
+  } else {
+    // Fused path (DESIGN.md §13), for any number of participants: the
+    // decision is visible — to §3.4 queries via the outcome table, and to
+    // the backups via the flush ForceTo issues synchronously in this same
+    // instant, before the first CommitMsg and before the client callback
+    // runs — as soon as it is buffered. Only the ack-counting of that force
+    // and the commit fan-out run in background; durability additionally
+    // rides the write-behind event log (§10, already appended by
+    // AddRecord). A failed force (timed out, or the buffer already stopped)
+    // is counted here and one that a view change or crash abandons is
+    // counted by the buffer (forces_abandoned); neither is acted on: the
+    // record either survived into the new view or participants resolve via
+    // §3.4 queries against it.
+    ++stats_.fused_commits;
+    if (buffer_.active()) {
+      buffer_.ForceTo(vs, [this](bool ok) {
+        if (!ok) ++stats_.fused_decision_forces_failed;
+      });
+    } else {
+      ++stats_.fused_decision_forces_failed;
+    }
   }
   // "Note that user code can continue running as soon as the 'committing'
   //  record has been forced to the backups" — phase two runs in background.
-  tasks_.Spawn(FinishCommitPhase(aid, std::move(plist)));
+  tasks_.Spawn(FinishCommitPhase(aid, *plist));
   co_return TxnOutcome::kCommitted;
 }
 

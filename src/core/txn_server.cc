@@ -342,8 +342,8 @@ void Cohort::ServeSnapshot(Mid backup) {
   // the newest buffered record.
   wire::Writer w;
   WriteImage(w);
-  snap_server_.Serve(backup, Viewstamp{cur_viewid_, buffer_.last_ts()},
-                     w.Take());
+  snap_server_.Serve(backup, group_, self_,
+                     Viewstamp{cur_viewid_, buffer_.last_ts()}, w.Take());
 }
 
 // ---------------------------------------------------------------------------
@@ -354,17 +354,12 @@ void Cohort::WriteImage(wire::Writer& w) const {
   // History, length-prefixed gstate (object store + outcomes + completed-
   // call replies, the same bytes a newview record carries), then the
   // prepared set — a promoted backup must know which blocked transactions
-  // to query coordinators about (§3.4).
+  // to query coordinators about (§3.4) — each aid with its §3.6 sibling
+  // fallback targets, so a cohort caught up by snapshot or log replay keeps
+  // its coordinator-partition escape hatch.
   w(history_, SnapshotGstate());
   std::uint32_t count = 0;
   for (const auto& [aid, t] : txns_) count += t.prepared ? 1 : 0;
-  w.U32(count);
-  for (const auto& [aid, t] : txns_) {
-    if (t.prepared) w(aid);
-  }
-  // §3.6 sibling fallback targets travel with the prepared set, so a cohort
-  // caught up by snapshot or log replay keeps its coordinator-partition
-  // escape hatch.
   w.U32(count);
   for (const auto& [aid, t] : txns_) {
     if (t.prepared) w(aid, *t.prepared);
@@ -375,12 +370,8 @@ std::optional<Cohort::StateImage> Cohort::ReadImage(wire::Reader& r) {
   StateImage image;
   r(image.history, image.gstate);
   PreparedSet& prepared = image.prepared.emplace();
-  const std::uint32_t prep_count = r.U32();
-  for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared[r.Read<Aid>()];
-  }
-  const std::uint32_t sib_count = r.U32();
-  for (std::uint32_t i = 0; i < sib_count && r.ok(); ++i) {
+  const std::uint32_t count = r.U32();
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
     const Aid aid = r.Read<Aid>();
     r(prepared[aid]);
   }
@@ -424,9 +415,9 @@ void Cohort::OnSnapshotChunk(const vr::SnapshotChunkMsg& m) {
   // Same steady-state gate as record batches: only an active backup of the
   // current view takes images, and only from its primary. The image itself
   // must belong to this view (its ts indexes this view's records).
-  if (status_ != Status::kActive || m.viewid != cur_viewid_ ||
+  if (status_ != Status::kActive || m.vs.view != cur_viewid_ ||
       m.from != cur_view_.primary || cur_view_.primary == self_ ||
-      m.vs.view != cur_viewid_ || !vr::WholeImage(m)) {
+      !vr::WholeImage(m)) {
     return;
   }
   // The primary answered our rejoin with an image (the missing tail fell

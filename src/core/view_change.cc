@@ -34,7 +34,6 @@ void Cohort::BecomeViewManager() {
   ++stats_.view_changes_started;
   status_ = Status::kViewManager;
   buffer_.Stop();  // no longer operating as a primary
-  snap_server_.Stop();
   RevokeLease();  // leaving the active state revokes read service too
   host_.timers().Cancel(underling_timer_);
   underling_timer_ = host::kNoTimer;
@@ -125,7 +124,6 @@ void Cohort::OnInvite(const vr::InviteMsg& m) {
   host_.timers().Cancel(invite_timer_);
   invite_timer_ = host::kNoTimer;
   buffer_.Stop();
-  snap_server_.Stop();
   // Accepting an invitation is the revocation point of DESIGN.md §14: from
   // here on this cohort might be excluded from the next view, so it must
   // stop serving lease reads immediately.
@@ -245,7 +243,6 @@ void Cohort::StartViewAsPrimary(View v, ViewId vid) {
   // not process transactions: a unilateral tweak arrives here while still
   // "active" in the old view, and records must never mix buffers.
   buffer_.Stop();
-  snap_server_.Stop();
   // A cross-group shard pull does not survive the view transition: the new
   // view's buffer is a different stream, so the rebalancer must re-issue.
   ResetShardPull(false);
@@ -282,7 +279,6 @@ void Cohort::StartViewAsPrimary(View v, ViewId vid) {
 void Cohort::FinishStartViewAsPrimary(View v, ViewId vid) {
   buffer_.StartView(vid, v.backups, configuration_.size(), group_, self_,
                     &history_);
-  snap_server_.StartView(vid, group_, self_);
   // Per-object commit provenance does not cross views; ts 0 means "at or
   // before this view opened", which every later stable watermark covers.
   RevokeLease();

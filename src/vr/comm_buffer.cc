@@ -126,8 +126,8 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
   }
   BackupState& st = it->second;
   bool rejoin_serviced = false;
-  if (ack.rejoin) {
-    if (ack.rejoin_epoch != 0 && ack.rejoin_epoch <= st.rejoin_epoch) {
+  if (ack.rejoin_epoch != 0) {
+    if (ack.rejoin_epoch <= st.rejoin_epoch) {
       // Rejoin acks are retransmitted until the first batch arrives, so a
       // delayed or reordered duplicate of an epoch already serviced can
       // land after the backup has progressed past its replayed ts. Rewinding
@@ -141,9 +141,7 @@ void CommBuffer::OnAck(const BufferAckMsg& ack) {
       // restreams below, or a snapshot is served once the rewound ack sits
       // under the GC floor.
       ++stats_.rejoins;
-      // max, not assignment: an epoch-0 (unspecified) rejoin is always
-      // honored but must not lower the dedup floor for tagged episodes.
-      st.rejoin_epoch = std::max(st.rejoin_epoch, ack.rejoin_epoch);
+      st.rejoin_epoch = ack.rejoin_epoch;
       st.acked = ack.ts;
       st.sent = ack.ts;
       st.state_transfer = false;

@@ -21,7 +21,7 @@
 //                 clients (§3.5)
 //
 // Each message lists its wire layout once, as a Fields walk (wire/buffer.h
-// maps field types to bytes); Encode and Decode just run that walk. Which
+// maps field types to bytes); EncodeMsg and Decode just run that walk. Which
 // struct a frame's tag names is written once too, in the message list
 // (VSR_MESSAGES): every frame handler decodes through VisitFrame, built
 // from that list on DecodeFrame, which accepts only a clean parse that uses
@@ -128,7 +128,6 @@ struct PingMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.from);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static PingMsg Decode(wire::Reader& r) { return r.Read<PingMsg>(); }
 };
 
@@ -142,7 +141,6 @@ struct InviteMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.new_viewid, m.from);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static InviteMsg Decode(wire::Reader& r) { return r.Read<InviteMsg>(); }
 };
 
@@ -173,7 +171,6 @@ struct AcceptMsg {
     ar(m.group, m.invite_viewid, m.from, m.crashed, m.last_vs, m.was_primary,
        m.crash_viewid, m.recovered);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static AcceptMsg Decode(wire::Reader& r) { return r.Read<AcceptMsg>(); }
   // Only a crash acceptance can be log-recovered.
   bool Valid() const { return crashed || !recovered; }
@@ -190,7 +187,6 @@ struct InitViewMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.viewid, m.view, m.from);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static InitViewMsg Decode(wire::Reader& r) { return r.Read<InitViewMsg>(); }
 };
 
@@ -210,7 +206,6 @@ struct BufferBatchMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.viewid, m.from, m.events);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static BufferBatchMsg Decode(wire::Reader& r) {
     return r.Read<BufferBatchMsg>();
   }
@@ -228,25 +223,22 @@ struct BufferAckMsg {
   // primary's retransmission deadline.
   bool gap = false;
   std::uint64_t gap_hi = 0;
-  // Log-recovered rejoin (DESIGN.md §10): the backup replayed its durable
-  // log up to `ts` and rejoined the view; the primary must rewind this
-  // backup's cursors to ts (pre-crash acks beyond it are void — the backup
-  // lost them) and restream or snapshot the tail.
-  bool rejoin = false;
-  // Identifies the recovery episode a rejoin belongs to (monotonically
-  // increasing per backup; 0 = unspecified, always honored). Rejoin acks are
-  // retransmitted until the first batch arrives, so the primary services
-  // each episode exactly once: a delayed or reordered duplicate of an
-  // already-serviced epoch must not rewind cursors the backup has since
-  // advanced past (it would trigger a redundant restream).
+  // Log-recovered rejoin (DESIGN.md §10), when nonzero: the backup replayed
+  // its durable log up to `ts` and rejoined the view; the primary must
+  // rewind this backup's cursors to ts (pre-crash acks beyond it are void —
+  // the backup lost them) and restream or snapshot the tail. The value
+  // names the recovery episode (monotonically increasing per backup, at
+  // least 1). Rejoin acks are retransmitted until the first batch arrives,
+  // so the primary services each episode exactly once: a delayed or
+  // reordered duplicate of an already-serviced epoch must not rewind
+  // cursors the backup has since advanced past (it would trigger a
+  // redundant restream).
   std::uint64_t rejoin_epoch = 0;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.group, m.viewid, m.from, m.ts, m.gap, m.gap_hi, m.rejoin,
-       m.rejoin_epoch);
+    ar(m.group, m.viewid, m.from, m.ts, m.gap, m.gap_hi, m.rejoin_epoch);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static BufferAckMsg Decode(wire::Reader& r) { return r.Read<BufferAckMsg>(); }
   // A gap request names a non-empty hole above the acked prefix.
   bool Valid() const { return !gap || gap_hi > ts; }
@@ -257,53 +249,40 @@ struct BufferAckMsg {
 // ---------------------------------------------------------------------------
 
 // A serialized state image, primary → laggard backup (or shard puller). The
-// image is identified by `vs` (the viewstamp of the last event it covers)
-// and travels whole: offset 0, `data` the whole payload, `checksum` its
-// CRC (vr::WholeImage). The framing admits a part at an offset, which a
-// receiver drops.
+// image is identified by `vs` (the viewstamp of the last event it covers;
+// vs.view is the view its sender leads) and travels whole in `data`, with
+// `checksum` its CRC (vr::WholeImage).
 struct SnapshotChunkMsg {
   static constexpr MsgType kType = MsgType::kSnapshotChunk;
   GroupId group = 0;
-  ViewId viewid;
   Mid from = 0;
-  Viewstamp vs;                  // snapshot identity: covers events <= vs.ts
-  std::uint64_t total_size = 0;  // payload bytes overall
-  std::uint32_t checksum = 0;    // CRC-32 of the whole payload
-  std::uint64_t offset = 0;      // position of `data` within the payload
+  Viewstamp vs;                // snapshot identity: covers events <= vs.ts
+  std::uint32_t checksum = 0;  // CRC-32 of `data`
   std::vector<std::uint8_t> data;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.group, m.viewid, m.from, m.vs, m.total_size, m.checksum, m.offset,
-       m.data);
+    ar(m.group, m.from, m.vs, m.checksum, m.data);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static SnapshotChunkMsg Decode(wire::Reader& r) {
     return r.Read<SnapshotChunkMsg>();
   }
-  // Every frame carries at least one byte strictly inside the payload; an
-  // empty image does not exist (gstate is never zero bytes).
-  bool Valid() const {
-    return total_size != 0 && offset < total_size && !data.empty() &&
-           data.size() <= total_size - offset;
-  }
+  // An empty image does not exist (gstate is never zero bytes).
+  bool Valid() const { return !data.empty(); }
 };
 
-// Receiver → serving primary: the image identified by `vs` is installed;
-// `offset` is its total_size (vr::InstallAck).
+// Receiver → serving primary: the image identified by `vs` is installed
+// (vr::InstallAck).
 struct SnapshotAckMsg {
   static constexpr MsgType kType = MsgType::kSnapshotAck;
   GroupId group = 0;
-  ViewId viewid;
   Mid from = 0;
   Viewstamp vs;
-  std::uint64_t offset = 0;
 
   template <class Ar, class M>
   static void Fields(Ar& ar, M& m) {
-    ar(m.group, m.viewid, m.from, m.vs, m.offset);
+    ar(m.group, m.from, m.vs);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static SnapshotAckMsg Decode(wire::Reader& r) {
     return r.Read<SnapshotAckMsg>();
   }
@@ -351,7 +330,6 @@ struct CallMsg {
     ar(m.group, m.viewid, m.call_id, m.call_seq, m.reply_to, m.sub_aid,
        m.dead_subs, m.proc, m.args, m.final_call, m.pset);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static CallMsg Decode(wire::Reader& r) { return r.Read<CallMsg>(); }
 };
 
@@ -385,7 +363,6 @@ struct ReplyMsg {
     ar(m.result, m.pset, m.view_known, m.new_viewid, m.new_view);
     ar.Enum(m.outcome, TxnOutcome::kAborted);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static ReplyMsg Decode(wire::Reader& r) { return r.Read<ReplyMsg>(); }
 };
 
@@ -404,7 +381,6 @@ struct PrepareMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.aid, m.pset, m.reply_to);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static PrepareMsg Decode(wire::Reader& r) { return r.Read<PrepareMsg>(); }
 };
 
@@ -438,7 +414,6 @@ struct PrepareReplyMsg {
     ar.Enum(m.status, PrepareStatus::kWrongPrimary);
     ar(m.read_only, m.view_known, m.new_viewid, m.new_view);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static PrepareReplyMsg Decode(wire::Reader& r) {
     return r.Read<PrepareReplyMsg>();
   }
@@ -454,7 +429,6 @@ struct CommitMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.aid, m.reply_to);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static CommitMsg Decode(wire::Reader& r) { return r.Read<CommitMsg>(); }
 };
 
@@ -473,7 +447,6 @@ struct CommitDoneMsg {
     ar(m.aid, m.from_group, m.wrong_primary, m.view_known, m.new_viewid,
        m.new_view);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static CommitDoneMsg Decode(wire::Reader& r) {
     return r.Read<CommitDoneMsg>();
   }
@@ -488,7 +461,6 @@ struct AbortMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.aid);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static AbortMsg Decode(wire::Reader& r) { return r.Read<AbortMsg>(); }
 };
 
@@ -501,7 +473,6 @@ struct AbortSubMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.sub_aid);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static AbortSubMsg Decode(wire::Reader& r) { return r.Read<AbortSubMsg>(); }
 };
 
@@ -524,7 +495,6 @@ struct QueryMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.aid, m.reply_to, m.settle);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static QueryMsg Decode(wire::Reader& r) { return r.Read<QueryMsg>(); }
 };
 
@@ -547,7 +517,6 @@ struct QueryReplyMsg {
     ar.Enum(m.outcome, TxnOutcome::kAborted);
     ar(m.wrong_primary, m.view_known, m.new_viewid, m.new_view);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static QueryReplyMsg Decode(wire::Reader& r) {
     return r.Read<QueryReplyMsg>();
   }
@@ -571,7 +540,6 @@ struct ProbeMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.req_id, m.reply_to, m.newer_than);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static ProbeMsg Decode(wire::Reader& r) { return r.Read<ProbeMsg>(); }
 };
 
@@ -587,7 +555,6 @@ struct ProbeReplyMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.req_id, m.viewid, m.view);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static ProbeReplyMsg Decode(wire::Reader& r) {
     return r.Read<ProbeReplyMsg>();
   }
@@ -608,7 +575,6 @@ struct BeginTxnMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.viewid, m.req_id, m.reply_to);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static BeginTxnMsg Decode(wire::Reader& r) { return r.Read<BeginTxnMsg>(); }
 };
 
@@ -627,7 +593,6 @@ struct BeginTxnReplyMsg {
     ar.Enum(m.status, ReplyStatus::kFailed);
     ar(m.aid, m.view_known, m.new_viewid, m.new_view);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static BeginTxnReplyMsg Decode(wire::Reader& r) {
     return r.Read<BeginTxnReplyMsg>();
   }
@@ -646,7 +611,6 @@ struct CommitReqMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.viewid, m.req_id, m.aid, m.pset, m.reply_to);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static CommitReqMsg Decode(wire::Reader& r) { return r.Read<CommitReqMsg>(); }
 };
 
@@ -660,7 +624,6 @@ struct CommitReqReplyMsg {
     ar(m.req_id);
     ar.Enum(m.outcome, TxnOutcome::kAborted);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static CommitReqReplyMsg Decode(wire::Reader& r) {
     return r.Read<CommitReqReplyMsg>();
   }
@@ -676,7 +639,6 @@ struct AbortReqMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.aid, m.pset);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static AbortReqMsg Decode(wire::Reader& r) { return r.Read<AbortReqMsg>(); }
 };
 
@@ -686,9 +648,8 @@ struct AbortReqMsg {
 
 // Primary of the pulling group → primary of the range's current owner: asks
 // it to send a shard image of [lo, hi) back as one §9 image frame. The
-// image arrives as a SnapshotChunkMsg carrying the SOURCE group's id and
-// viewid; the puller tells it apart from its own group's images by that
-// group field.
+// image arrives as a SnapshotChunkMsg carrying the SOURCE group's id; the
+// puller tells it apart from its own group's images by that group field.
 struct ShardPullMsg {
   static constexpr MsgType kType = MsgType::kShardPull;
   GroupId group = 0;       // destination: the range's current owner
@@ -701,7 +662,6 @@ struct ShardPullMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.from, m.from_group, m.lo, m.hi);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static ShardPullMsg Decode(wire::Reader& r) { return r.Read<ShardPullMsg>(); }
 };
 
@@ -736,7 +696,6 @@ struct LeaseGrantMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.viewid, m.from, m.seq, m.stable_ts, m.duration);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static LeaseGrantMsg Decode(wire::Reader& r) {
     return r.Read<LeaseGrantMsg>();
   }
@@ -758,7 +717,6 @@ struct BackupReadMsg {
   static void Fields(Ar& ar, M& m) {
     ar(m.group, m.uid, m.horizon, m.corr, m.reply_to);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static BackupReadMsg Decode(wire::Reader& r) {
     return r.Read<BackupReadMsg>();
   }
@@ -794,7 +752,6 @@ struct BackupReadReplyMsg {
     ar.Enum(m.status, ReadStatus::kTooNew);
     ar(m.value, m.served_vs, m.primary_hint);
   }
-  void Encode(wire::Writer& w) const { w(*this); }
   static BackupReadReplyMsg Decode(wire::Reader& r) {
     return r.Read<BackupReadReplyMsg>();
   }

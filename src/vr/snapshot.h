@@ -5,10 +5,10 @@
 // so a backup that is down, partitioned, or freshly added can no longer be
 // caught up by replaying the record suffix. Instead the primary serves it a
 // serialized state image — object store, history, and prepared-txn
-// metadata as of a viewstamp — in one SnapshotChunkMsg: offset 0, the whole
-// payload, the CRC-32 of the whole payload. A newview record carries its
-// gstate in one frame the same way, and both are bounded by the transport's
-// frame size (SocketTransport::kMaxPayload). The backup checks the frame
+// metadata as of a viewstamp — in one SnapshotChunkMsg: the whole payload
+// and its CRC-32. A newview record carries its gstate in one frame the same
+// way, and both are bounded by the transport's frame size
+// (SocketTransport::kMaxPayload). The backup checks the frame
 // (WholeImage), installs it atomically, acks it (InstallAck) and re-enters
 // the normal record/ack stream at the image's timestamp. A shard move
 // (DESIGN.md §11) sends its range image the same way.
@@ -36,19 +36,15 @@ class SnapshotServer {
       std::function<void(Mid, const SnapshotChunkMsg&)> send)
       : send_(std::move(send)) {}
 
-  // Begins operating for a view this cohort leads; a stopped server (the
-  // cohort stopped being primary, or crashed) sends nothing.
-  void StartView(ViewId viewid, GroupId group, Mid self);
-  void Stop() { active_ = false; }
-
   // Sends `payload`, the image of everything up to `vs`, to `to` as one
-  // frame.
-  void Serve(Mid to, Viewstamp vs, std::vector<std::uint8_t> payload);
+  // frame from `self`, the active primary of `group` in view vs.view. The
+  // server keeps no view: the caller checks that it leads one.
+  void Serve(Mid to, GroupId group, Mid self, Viewstamp vs,
+             std::vector<std::uint8_t> payload);
 
-  // A receiver installed an image this server sent in its current view.
-  // Acks for another view or group, for an image of another view, or at
-  // offset 0 are rejected.
-  void OnAck(const SnapshotAckMsg& ack);
+  // A receiver installed an image this server sent in `viewid`, the view
+  // the caller leads. Acks of an image of another view are rejected.
+  void OnAck(const SnapshotAckMsg& ack, ViewId viewid);
 
   struct Stats {
     std::uint64_t images_sent = 0;
@@ -60,20 +56,15 @@ class SnapshotServer {
 
  private:
   std::function<void(Mid, const SnapshotChunkMsg&)> send_;
-  bool active_ = false;
-  ViewId viewid_;
-  GroupId group_ = 0;
-  Mid self_ = 0;
   Stats stats_;
 };
 
-// True when `m` carries a whole image: offset 0, the payload to its last
-// byte, and the CRC-32 it claims. A torn or forged frame is neither
-// installed nor acked.
+// True when `m` carries the image its CRC-32 claims. A torn or forged frame
+// is neither installed nor acked.
 bool WholeImage(const SnapshotChunkMsg& m);
 
 // The receiver's ack of an installed image, stamped with the frame's group
-// and viewid so the serving primary's SnapshotServer accepts it.
+// and viewstamp so the serving primary's SnapshotServer accepts it.
 SnapshotAckMsg InstallAck(const SnapshotChunkMsg& m, Mid self);
 
 }  // namespace vsr::vr

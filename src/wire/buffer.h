@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -67,13 +66,7 @@ class Writer {
   void U16(std::uint16_t v) { AppendLe(v); }
   void U32(std::uint32_t v) { AppendLe(v); }
   void U64(std::uint64_t v) { AppendLe(v); }
-  void I64(std::int64_t v) { AppendLe(static_cast<std::uint64_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
-  void F64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
 
   void Bytes(std::span<const std::uint8_t> b) {
     U32(static_cast<std::uint32_t>(b.size()));
@@ -143,14 +136,7 @@ class Reader {
   std::uint16_t U16() { return ReadLe<std::uint16_t>(); }
   std::uint32_t U32() { return ReadLe<std::uint32_t>(); }
   std::uint64_t U64() { return ReadLe<std::uint64_t>(); }
-  std::int64_t I64() { return static_cast<std::int64_t>(U64()); }
   bool Bool() { return U8() != 0; }
-  double F64() {
-    std::uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
 
   std::vector<std::uint8_t> Bytes() {
     std::uint32_t n = U32();

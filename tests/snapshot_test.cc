@@ -4,7 +4,9 @@
 // garbage-collected past a laggard's ack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,14 +35,13 @@ class SnapshotUnitTest : public ::testing::Test {
       : server_([this](Mid to, const SnapshotChunkMsg& m) {
           outbox_.push_back({to, m});
         }) {
-    server_.StartView(kView, kGroup, kSelf);
     payload_.resize(45);
     std::iota(payload_.begin(), payload_.end(), std::uint8_t{1});
     vs_ = Viewstamp{kView, 40};
   }
 
   SnapshotChunkMsg ServeOne() {
-    server_.Serve(kBackup, vs_, payload_);
+    server_.Serve(kBackup, kGroup, kSelf, vs_, payload_);
     EXPECT_EQ(outbox_.size(), 1u);
     EXPECT_EQ(outbox_.back().first, kBackup);
     return outbox_.back().second;
@@ -55,101 +56,64 @@ class SnapshotUnitTest : public ::testing::Test {
 TEST_F(SnapshotUnitTest, ImageTravelsAsOneWholeFrame) {
   const SnapshotChunkMsg m = ServeOne();
   EXPECT_EQ(m.group, kGroup);
-  EXPECT_EQ(m.viewid, kView);
   EXPECT_EQ(m.from, kSelf);
   EXPECT_EQ(m.vs, vs_);
-  EXPECT_EQ(m.offset, 0u);
-  EXPECT_EQ(m.total_size, payload_.size());
   EXPECT_EQ(m.data, payload_);
   EXPECT_EQ(m.checksum, wire::Crc32(std::span<const std::uint8_t>(payload_)));
   EXPECT_TRUE(m.Valid());
   EXPECT_TRUE(WholeImage(m));
 
-  // The receiver's install ack names the image and its whole size, and
-  // completes the transfer at the server.
+  // The receiver's install ack names the image and completes the transfer
+  // at the server.
   const SnapshotAckMsg ack = InstallAck(m, kBackup);
   EXPECT_EQ(ack.group, kGroup);
-  EXPECT_EQ(ack.viewid, kView);
   EXPECT_EQ(ack.from, kBackup);
   EXPECT_EQ(ack.vs, vs_);
-  EXPECT_EQ(ack.offset, payload_.size());
-  server_.OnAck(ack);
+  server_.OnAck(ack, kView);
   EXPECT_EQ(server_.stats().images_sent, 1u);
   EXPECT_EQ(server_.stats().bytes_sent, payload_.size());
   EXPECT_EQ(server_.stats().transfers_completed, 1u);
   EXPECT_EQ(server_.stats().acks_rejected, 0u);
 }
 
-TEST_F(SnapshotUnitTest, TornOrForgedFrameIsNotAnImage) {
+TEST_F(SnapshotUnitTest, TruncatedOrBitFlippedFrameFailsTheCrc) {
   const SnapshotChunkMsg whole = ServeOne();
   ASSERT_TRUE(WholeImage(whole));
 
-  // A part of an image at a nonzero offset.
-  SnapshotChunkMsg torn = whole;
-  torn.offset = 5;
-  torn.data.erase(torn.data.begin(), torn.data.begin() + 5);
-  EXPECT_TRUE(torn.Valid());
-  EXPECT_FALSE(WholeImage(torn));
+  // Each of these decodes (Valid: it carries data); only the CRC tells it
+  // from the image the sender meant.
+  SnapshotChunkMsg truncated = whole;
+  truncated.data.pop_back();
+  EXPECT_TRUE(truncated.Valid());
+  EXPECT_FALSE(WholeImage(truncated));
 
-  // Offset 0 but short of the announced size.
-  SnapshotChunkMsg short_data = whole;
-  short_data.data.pop_back();
-  EXPECT_TRUE(short_data.Valid());
-  EXPECT_FALSE(WholeImage(short_data));
+  SnapshotChunkMsg flipped = whole;
+  flipped.data[3] ^= 0x01;
+  EXPECT_TRUE(flipped.Valid());
+  EXPECT_FALSE(WholeImage(flipped));
 
-  // Whole, but the bytes do not match the CRC the frame claims.
   SnapshotChunkMsg forged = whole;
-  forged.data[3] ^= 0xff;
+  forged.checksum ^= 1;
   EXPECT_FALSE(WholeImage(forged));
 }
 
-TEST_F(SnapshotUnitTest, AckValidationRejectsForeignOrStale) {
+TEST_F(SnapshotUnitTest, AckOfAnImageOfAnotherViewIsRejected) {
   const SnapshotAckMsg honest = InstallAck(ServeOne(), kBackup);
 
   SnapshotAckMsg a = honest;
-  a.viewid = ViewId{4, 1};  // wrong view
-  server_.OnAck(a);
+  a.vs = Viewstamp{ViewId{2, 1}, 99};  // an image of an older view
+  server_.OnAck(a, kView);
   EXPECT_EQ(server_.stats().acks_rejected, 1u);
 
-  a = honest;
-  a.group = kGroup + 1;  // wrong group
-  server_.OnAck(a);
+  // An ack of an image sent in a view the caller no longer leads.
+  server_.OnAck(honest, ViewId{5, 1});
   EXPECT_EQ(server_.stats().acks_rejected, 2u);
-
-  a = honest;
-  a.vs = Viewstamp{ViewId{2, 1}, 99};  // an image of an older view
-  server_.OnAck(a);
-  EXPECT_EQ(server_.stats().acks_rejected, 3u);
-
-  a = honest;
-  a.offset = 0;  // acknowledges no image
-  server_.OnAck(a);
-  EXPECT_EQ(server_.stats().acks_rejected, 4u);
   EXPECT_EQ(server_.stats().transfers_completed, 0u);
 
   // None of those counted; the honest ack does.
-  server_.OnAck(honest);
-  EXPECT_EQ(server_.stats().acks_rejected, 4u);
+  server_.OnAck(honest, kView);
+  EXPECT_EQ(server_.stats().acks_rejected, 2u);
   EXPECT_EQ(server_.stats().transfers_completed, 1u);
-
-  // A stopped server (view change, crash) accepts no ack.
-  server_.Stop();
-  server_.OnAck(honest);
-  EXPECT_EQ(server_.stats().acks_rejected, 5u);
-  EXPECT_EQ(server_.stats().transfers_completed, 1u);
-}
-
-TEST_F(SnapshotUnitTest, StoppedServerSendsNothing) {
-  server_.Stop();
-  server_.Serve(kBackup, vs_, payload_);
-  EXPECT_TRUE(outbox_.empty());
-  EXPECT_EQ(server_.stats().images_sent, 0u);
-
-  // Leading a view again, it sends exactly one frame per request.
-  server_.StartView(ViewId{5, 1}, kGroup, kSelf);
-  server_.Serve(kBackup, Viewstamp{ViewId{5, 1}, 1}, payload_);
-  ASSERT_EQ(outbox_.size(), 1u);
-  EXPECT_EQ(outbox_[0].second.viewid, (ViewId{5, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +397,13 @@ TEST(SnapshotIntegration, ImageLostInFlightNewViewCatchesLaggardUp) {
             TxnOutcome::kCommitted);
 }
 
-TEST(SnapshotIntegration, TornOrForgedImageIsNeitherInstalledNorAcked) {
+std::uint64_t FramesSent(Cluster& cluster, MsgType type) {
+  const auto& by_type = cluster.network().stats().sent_by_type;
+  auto it = by_type.find(static_cast<std::uint16_t>(type));
+  return it == by_type.end() ? 0 : it->second;
+}
+
+TEST(SnapshotIntegration, TruncatedOrBitFlippedImageFailsOnTheCrcAlone) {
   core::CohortOptions opts = LaggardFriendlyOptions();
   Cluster cluster(ClusterOptions{.seed = 95});
   auto kv = cluster.AddGroup("kv", 3, &opts);
@@ -441,61 +411,182 @@ TEST(SnapshotIntegration, TornOrForgedImageIsNeitherInstalledNorAcked) {
   RegisterKvProcs(cluster, kv);
   cluster.Start();
   ASSERT_TRUE(cluster.RunUntilStable());
-  ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "a=1"),
-            TxnOutcome::kCommitted);
-  cluster.RunFor(100 * sim::kMillisecond);
   const std::size_t pi = IndexOfPrimary(cluster, kv);
   ASSERT_LT(pi, 3u);
   core::Cohort& primary = cluster.CohortAt(kv, pi);
-  core::Cohort& backup = cluster.CohortAt(kv, (pi + 1) % 3);
+  core::Cohort& laggard = cluster.CohortAt(kv, (pi + 1) % 3);
 
-  // Frames that claim to come from the backup's own primary, in its view,
-  // for an image past everything it applied.
-  std::vector<std::uint8_t> bytes(64, 0x5a);
-  SnapshotChunkMsg whole;
-  whole.group = kv;
-  whole.viewid = backup.cur_viewid();
-  whole.from = primary.mid();
-  whole.vs = Viewstamp{backup.cur_viewid(), backup.applied_ts() + 100};
-  whole.total_size = bytes.size();
-  whole.checksum = wire::Crc32(std::span<const std::uint8_t>(bytes));
-  whole.data = bytes;
-  SnapshotChunkMsg torn = whole;
-  torn.offset = 8;
-  torn.data.resize(16);
-  SnapshotChunkMsg short_data = whole;
-  short_data.data.resize(63);
-  SnapshotChunkMsg forged = whole;
+  // Catch the laggard up by a real image, and keep a copy of that frame.
+  std::optional<SnapshotChunkMsg> real;
+  cluster.network().set_observer([&](const net::Frame& f) {
+    if (!real && f.to == laggard.mid() &&
+        f.type == static_cast<std::uint16_t>(MsgType::kSnapshotChunk)) {
+      real = DecodeFrame<SnapshotChunkMsg>(f.payload);
+    }
+  });
+  cluster.network().SetLinkDown(primary.mid(), laggard.mid(), true);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put",
+                                  "k" + std::to_string(i) + "=v" +
+                                      std::to_string(i)),
+              TxnOutcome::kCommitted);
+  }
+  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
+  cluster.RunFor(2 * sim::kSecond);
+  cluster.network().set_observer(nullptr);
+  ASSERT_TRUE(real.has_value());
+  ASSERT_EQ(laggard.stats().snapshots_installed, 1u);
+  ASSERT_EQ(laggard.applied_ts(), primary.buffer().last_ts());
+
+  // Frames from the laggard's own primary, in its view, for an image past
+  // everything it applied: the real image's bytes, but with one bit of the
+  // value "v17" flipped ('v' -> 'w'), or its last byte cut off, under the
+  // real image's CRC. Both still decode, and the flipped bytes still parse
+  // as a state image; only the CRC tells them apart.
+  SnapshotChunkMsg image = *real;
+  image.vs.ts = laggard.applied_ts() + 1;
+  const std::string needle = "v17";
+  auto at = std::search(image.data.begin(), image.data.end(), needle.begin(),
+                        needle.end());
+  ASSERT_NE(at, image.data.end());
+  SnapshotChunkMsg flipped = image;
+  flipped.data[static_cast<std::size_t>(at - image.data.begin())] ^= 0x01;
+  SnapshotChunkMsg truncated = image;
+  truncated.data.pop_back();
+  SnapshotChunkMsg forged = image;
   forged.checksum ^= 1;
 
-  auto acks_sent = [&] {
-    const auto& by_type = cluster.network().stats().sent_by_type;
-    auto it = by_type.find(static_cast<std::uint16_t>(MsgType::kSnapshotAck));
-    return it == by_type.end() ? 0 : it->second;
-  };
   auto deliver = [&](const SnapshotChunkMsg& m) {
-    cluster.network().Send(primary.mid(), backup.mid(),
+    cluster.network().Send(primary.mid(), laggard.mid(),
                            static_cast<std::uint16_t>(MsgType::kSnapshotChunk),
                            EncodeMsg(m));
     cluster.RunFor(10 * sim::kMillisecond);
   };
-  const std::uint64_t acks0 = acks_sent();
-  for (const SnapshotChunkMsg* m : {&torn, &short_data, &forged}) {
+  const std::uint64_t acks0 = FramesSent(cluster, MsgType::kSnapshotAck);
+  for (const SnapshotChunkMsg* m : {&truncated, &flipped, &forged}) {
     deliver(*m);
     // Not even parsed: neither installed, nor rejected, nor acked.
-    EXPECT_EQ(backup.stats().snapshots_installed, 0u);
-    EXPECT_EQ(backup.stats().snapshot_installs_rejected, 0u);
-    EXPECT_EQ(acks_sent(), acks0);
+    EXPECT_EQ(laggard.stats().snapshots_installed, 1u);
+    EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
+    EXPECT_EQ(FramesSent(cluster, MsgType::kSnapshotAck), acks0);
   }
-  // A whole frame passes the check and reaches the install, which rejects
-  // its bytes (they are no state image): still nothing installed or acked.
-  deliver(whole);
-  EXPECT_EQ(backup.stats().snapshots_installed, 0u);
-  EXPECT_EQ(backup.stats().snapshot_installs_rejected, 1u);
-  EXPECT_EQ(acks_sent(), acks0);
-  EXPECT_EQ(backup.objects().ReadCommitted("a").value_or(""), "1");
-  EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "b=2"),
+  EXPECT_EQ(laggard.objects().ReadCommitted("k17").value_or(""), "v17");
+
+  // Bytes that are no state image, under their own CRC, pass the check and
+  // reach the install, which rejects them: still nothing installed or acked.
+  SnapshotChunkMsg garbage = image;
+  garbage.data.assign(64, 0x5a);
+  garbage.checksum = wire::Crc32(std::span<const std::uint8_t>(garbage.data));
+  deliver(garbage);
+  EXPECT_EQ(laggard.stats().snapshots_installed, 1u);
+  EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 1u);
+  EXPECT_EQ(FramesSent(cluster, MsgType::kSnapshotAck), acks0);
+
+  // The control: the flipped bytes under their own CRC install, and acked.
+  // So the CRC alone kept them out above.
+  flipped.checksum = wire::Crc32(std::span<const std::uint8_t>(flipped.data));
+  deliver(flipped);
+  EXPECT_EQ(laggard.stats().snapshots_installed, 2u);
+  EXPECT_EQ(FramesSent(cluster, MsgType::kSnapshotAck), acks0 + 1);
+  EXPECT_EQ(laggard.objects().ReadCommitted("k17").value_or(""), "w17");
+}
+
+// Sends `m` to `to` from node `from`, outside any cohort, and lets it land.
+template <typename M>
+void Inject(Cluster& cluster, Mid from, Mid to, const M& m) {
+  cluster.network().Send(from, to, static_cast<std::uint16_t>(M::kType),
+                         EncodeMsg(m));
+  cluster.RunFor(10 * sim::kMillisecond);
+}
+
+// Only the active primary serves images and counts their install acks; the
+// image server itself keeps no view, so these gates are the cohort's.
+TEST(SnapshotIntegration, BackupServesNoShardImage) {
+  Cluster cluster(ClusterOptions{.seed = 96});
+  auto kv = cluster.AddGroup("kv", 3);
+  auto client_g = cluster.AddGroup("client", 1);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "a=1"),
             TxnOutcome::kCommitted);
+  const std::size_t pi = IndexOfPrimary(cluster, kv);
+  ASSERT_LT(pi, 3u);
+  core::Cohort& primary = cluster.CohortAt(kv, pi);
+  core::Cohort& backup = cluster.CohortAt(kv, (pi + 1) % 3);
+  const Mid puller = cluster.CohortAt(client_g, 0).mid();
+
+  ShardPullMsg pull;
+  pull.group = kv;
+  pull.from = puller;
+  pull.from_group = client_g;
+  const std::uint64_t frames0 = FramesSent(cluster, MsgType::kSnapshotChunk);
+  Inject(cluster, puller, backup.mid(), pull);
+  EXPECT_EQ(backup.snapshot_server().stats().images_sent, 0u);
+  EXPECT_EQ(FramesSent(cluster, MsgType::kSnapshotChunk), frames0);
+
+  // The same pull at the primary is served with one frame.
+  Inject(cluster, puller, primary.mid(), pull);
+  EXPECT_EQ(primary.snapshot_server().stats().images_sent, 1u);
+  EXPECT_EQ(FramesSent(cluster, MsgType::kSnapshotChunk), frames0 + 1);
+}
+
+TEST(SnapshotIntegration, DeposedPrimaryServesAndCountsNoImage) {
+  core::CohortOptions opts;
+  Cluster cluster(ClusterOptions{.seed = 97});
+  auto kv = cluster.AddGroup("kv", 3, &opts);
+  auto client_g = cluster.AddGroup("client", 1);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  ASSERT_TRUE(cluster.RunUntilStable());
+  ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "a=1"),
+            TxnOutcome::kCommitted);
+  const std::size_t pi = IndexOfPrimary(cluster, kv);
+  ASSERT_LT(pi, 3u);
+  core::Cohort& old = cluster.CohortAt(kv, pi);
+  const Mid client = cluster.CohortAt(client_g, 0).mid();
+  const ViewId old_viewid = old.cur_viewid();
+
+  // An install ack for an image of the view it leads counts, unless it
+  // names another group.
+  SnapshotAckMsg ack;
+  ack.group = client_g;
+  ack.from = client;
+  ack.vs = Viewstamp{old_viewid, 1};
+  Inject(cluster, client, old.mid(), ack);
+  ASSERT_EQ(old.snapshot_server().stats().transfers_completed, 0u);
+  ack.group = kv;
+  Inject(cluster, client, old.mid(), ack);
+  ASSERT_EQ(old.snapshot_server().stats().transfers_completed, 1u);
+
+  // Cut it off from its backups, which form a view without it. The client
+  // still reaches it.
+  for (core::Cohort* c : cluster.Cohorts(kv)) {
+    if (c != &old) cluster.network().SetLinkDown(old.mid(), c->mid(), true);
+  }
+  cluster.RunFor(opts.liveness_timeout + 1 * sim::kSecond);
+  ASSERT_FALSE(old.IsActivePrimary());
+  const std::size_t pj = IndexOfPrimary(cluster, kv);
+  ASSERT_LT(pj, 3u);
+  ASSERT_NE(pj, pi);
+
+  // Deposed, it counts no install ack, neither for its old view nor for
+  // the one that replaced it, and answers a shard pull with no image.
+  const core::Cohort& now = cluster.CohortAt(kv, pj);
+  const std::uint64_t frames0 = FramesSent(cluster, MsgType::kSnapshotChunk);
+  Inject(cluster, client, old.mid(), ack);
+  ack.vs = Viewstamp{now.cur_viewid(), 1};
+  Inject(cluster, client, old.mid(), ack);
+  ShardPullMsg pull;
+  pull.group = kv;
+  pull.from = client;
+  pull.from_group = client_g;
+  Inject(cluster, client, old.mid(), pull);
+  EXPECT_EQ(old.snapshot_server().stats().transfers_completed, 1u);
+  EXPECT_EQ(old.snapshot_server().stats().acks_rejected, 0u);
+  EXPECT_EQ(old.snapshot_server().stats().images_sent, 0u);
+  EXPECT_EQ(FramesSent(cluster, MsgType::kSnapshotChunk), frames0);
 }
 
 }  // namespace

@@ -342,7 +342,6 @@ TEST_F(CommBufferTest, DuplicateRejoinAckForServicedEpochIsIgnored) {
   rejoin.viewid = viewid_;
   rejoin.from = 2;
   rejoin.ts = 1;
-  rejoin.rejoin = true;
   rejoin.rejoin_epoch = 100;
   buffer_.OnAck(rejoin);
   EXPECT_EQ(buffer_.stats().rejoins, 1u);
@@ -363,17 +362,12 @@ TEST_F(CommBufferTest, DuplicateRejoinAckForServicedEpochIsIgnored) {
   buffer_.OnAck(rejoin);
   EXPECT_EQ(buffer_.stats().rejoins, 2u);
   EXPECT_EQ(buffer_.AckedTs(2), 0u);
-  // Epoch 0 (unspecified) is always honored but never lowers the floor:
-  // the tagged episode 100 stays ignored afterwards.
+  // The older episode stays ignored afterwards.
   Ack(2, 3);
-  rejoin.rejoin_epoch = 0;
-  rejoin.ts = 2;
-  buffer_.OnAck(rejoin);
-  EXPECT_EQ(buffer_.stats().rejoins, 3u);
-  EXPECT_EQ(buffer_.AckedTs(2), 2u);
   rejoin.rejoin_epoch = 100;
   buffer_.OnAck(rejoin);
   EXPECT_EQ(buffer_.stats().rejoins_ignored, 2u);
+  EXPECT_EQ(buffer_.AckedTs(2), 3u);
 }
 
 TEST_F(CommBufferTest, RejectsForeignAndCorruptAcks) {
@@ -559,7 +553,6 @@ TEST_F(CommBufferTest, RejoinIntoResidentRangeEndsImageRequests) {
   const std::uint64_t sent = b.stats().records_sent;
   a.from = 3;
   a.ts = 17;
-  a.rejoin = true;
   a.rejoin_epoch = 1;
   b.OnAck(a);
   EXPECT_EQ(b.stats().rejoins, 1u);
